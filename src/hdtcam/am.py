@@ -19,6 +19,8 @@ from .errors import DimensionMismatchError, FormatError, InvalidStateError
 
 MODEL_FORMAT_VERSION = 1
 
+CHUNK_ELEMS = 4_000_000  # bound on the elements of one chunk of a batched kernel
+
 
 @dataclass(frozen=True)
 class BlockConfig:
@@ -103,38 +105,58 @@ def train(labeled_sets: dict, tie_rng: np.random.Generator | None = None) -> Ass
     return AssociativeMemory(labels, np.stack(rows))
 
 
-def infer_ideal(query: np.ndarray, am: AssociativeMemory):
-    """Full-Hamming argmin; ties broken by earliest stored class."""
+def _check_dimension(queries: np.ndarray, classes: np.ndarray, dimension: int) -> None:
+    if queries.shape[-1] != dimension or classes.shape[-1] != dimension:
+        raise DimensionMismatchError(
+            f"dimension mismatch: queries {queries.shape[-1]}, "
+            f"classes {classes.shape[-1]}, expected {dimension}"
+        )
+
+
+def ideal_argmin(queries: np.ndarray, am: AssociativeMemory):
+    """Full-Hamming nearest class per query: (class indices, distances).
+
+    Ties go to the earliest stored class. Queries are compared in chunks of
+    at most CHUNK_ELEMS bits.
+    """
     if len(am) == 0:
         raise InvalidStateError("associative memory holds no classes")
-    if query.shape[-1] != am.dimension:
-        raise DimensionMismatchError(
-            f"dimension mismatch: query {query.shape[-1]} vs memory {am.dimension}"
-        )
-    dists = np.count_nonzero(am.class_matrix != query, axis=1)
-    best = int(np.argmin(dists))
-    return am.labels[best], int(dists[best])
-
-
-def blocked_distances_true(query: np.ndarray, class_vector: np.ndarray, cfg: BlockConfig) -> np.ndarray:
-    """Per-block Hamming distances clamped at each block's effective precision."""
-    if query.shape[-1] != cfg.dimension or class_vector.shape[-1] != cfg.dimension:
-        raise DimensionMismatchError(
-            f"operands must have dimension {cfg.dimension}"
-        )
-    diff = (query != class_vector).astype(np.int64)
-    per_block = np.add.reduceat(diff, cfg.block_starts)
-    return np.minimum(per_block, cfg.block_caps)
-
-
-def blocked_distance_matrix(queries: np.ndarray, am: AssociativeMemory, cfg: BlockConfig) -> np.ndarray:
-    """Clamped block distances for a batch: shape (queries, classes, blocks)."""
     queries = np.atleast_2d(queries)
-    if queries.shape[1] != am.dimension or cfg.dimension != am.dimension:
-        raise DimensionMismatchError("queries, memory and block config must agree on dimension")
-    diff = queries[:, None, :] != am.class_matrix[None, :, :]
-    per_block = np.add.reduceat(diff.astype(np.int64), cfg.block_starts, axis=2)
-    return np.minimum(per_block, cfg.block_caps)
+    _check_dimension(queries, am.class_matrix, am.dimension)
+    best = np.empty(queries.shape[0], dtype=np.intp)
+    dists = np.empty(queries.shape[0], dtype=np.int64)
+    chunk = max(1, CHUNK_ELEMS // (len(am) * am.dimension))
+    for s in range(0, queries.shape[0], chunk):
+        d = (queries[s:s + chunk, None, :] != am.class_matrix[None, :, :]).sum(axis=2)
+        best[s:s + chunk] = np.argmin(d, axis=1)
+        dists[s:s + chunk] = d.min(axis=1)
+    return best, dists
+
+
+def infer_ideal(query: np.ndarray, am: AssociativeMemory):
+    """Full-Hamming argmin of one query; ties broken by earliest stored class."""
+    best, dists = ideal_argmin(query, am)
+    return am.labels[best[0]], int(dists[0])
+
+
+def block_distances(queries: np.ndarray, classes: np.ndarray, cfg: BlockConfig) -> np.ndarray:
+    """Per-block Hamming distances clamped at each block's effective precision.
+
+    Takes a query or a batch of queries and a class vector or matrix; returns
+    int16 of shape (queries, classes, blocks). Queries are compared in chunks
+    of at most CHUNK_ELEMS bits.
+    """
+    queries = np.atleast_2d(queries)
+    classes = np.atleast_2d(classes)
+    _check_dimension(queries, classes, cfg.dimension)
+    starts = cfg.block_starts
+    caps = cfg.block_caps.astype(np.int16)
+    out = np.empty((queries.shape[0], classes.shape[0], cfg.num_blocks), dtype=np.int16)
+    chunk = max(1, CHUNK_ELEMS // max(1, classes.shape[0] * cfg.dimension))
+    for s in range(0, queries.shape[0], chunk):
+        diff = (queries[s:s + chunk, None, :] != classes[None, :, :]).astype(np.int16)
+        out[s:s + chunk] = np.minimum(np.add.reduceat(diff, starts, axis=2), caps)
+    return out
 
 
 def infer_blocked(
@@ -151,7 +173,7 @@ def infer_blocked(
     """
     if len(am) == 0:
         raise InvalidStateError("associative memory holds no classes")
-    reported = blocked_distance_matrix(query, am, cfg)[0]
+    reported = block_distances(query, am.class_matrix, cfg)[0]
     if hw is not None:
         reported = hw.report_distances(reported, rng)
     totals = reported.sum(axis=1)
@@ -164,8 +186,16 @@ def _bits_to_hex(bits: np.ndarray) -> str:
 
 
 def _hex_to_bits(hexstr: str, dimension: int) -> np.ndarray:
-    raw = np.frombuffer(bytes.fromhex(hexstr), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:dimension]
+    nbytes = -(-dimension // 8)
+    try:
+        raw = bytes.fromhex(hexstr) if len(hexstr) == 2 * nbytes else b""
+    except (TypeError, ValueError):
+        raw = b""
+    if len(raw) != nbytes:
+        raise FormatError(
+            f"class bits must be {2 * nbytes} hex digits for dimension {dimension}"
+        )
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[:dimension]
 
 
 def save_model(path, am: AssociativeMemory, seed_metadata: dict | None = None) -> None:
@@ -190,11 +220,18 @@ def load_model(path):
     """Load a model container; returns (AssociativeMemory, seed_metadata)."""
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
-    if doc.get("version") != MODEL_FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported model version {doc.get('version')!r}")
-    dimension = int(doc["dimension"])
-    labels, rows = [], []
-    for entry in doc["classes"]:
-        labels.append(entry["label"])
-        rows.append(_hex_to_bits(entry["bits"], dimension))
-    return AssociativeMemory(labels, np.stack(rows)), doc.get("seed_metadata", {})
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if version != MODEL_FORMAT_VERSION:
+        raise FormatError(f"{path}: unsupported model version {version!r}")
+    try:
+        dimension = int(doc["dimension"])
+        if dimension < 1 or not doc["classes"]:
+            raise FormatError("a model needs dimension >= 1 and at least one class")
+        labels = [entry["label"] for entry in doc["classes"]]
+        rows = [_hex_to_bits(entry["bits"], dimension) for entry in doc["classes"]]
+        memory = AssociativeMemory(labels, np.stack(rows))
+    except KeyError as exc:
+        raise FormatError(f"{path}: missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    return memory, doc.get("seed_metadata", {})

@@ -15,6 +15,7 @@ import io
 import json
 import os
 import sys
+import threading
 import time
 
 import numpy as np
@@ -32,9 +33,6 @@ from .errors import (
     InvalidStateError,
     NoFeasiblePointError,
 )
-
-DEFAULT_ITEM_SEED = {"language": 42, "mnist": 43, "csv": 0}
-DEFAULT_TIE_SEED = {"language": 7, "mnist": 8, "csv": 0}
 
 
 def _error_code(exc: Exception) -> str:
@@ -134,81 +132,50 @@ def _read_language_queries(path: str) -> list:
     return queries
 
 
-def _language_memory(cfg: dict, dimension: int):
-    texts = _read_language_train(cfg["train_dir"])
-    ngram = int(cfg.get("ngram", 4))
-    im = encoders.ItemMemory.for_alphabet(dimension, int(cfg.get("item_seed", 42)))
-    tie = np.random.default_rng(
-        np.random.SeedSequence([int(cfg.get("tie_seed", 7)), dimension])
+def _task(cfg: dict, meta: dict | None = None) -> encoders.Task:
+    """The task set-up from the config, falling back to a model's metadata.
+
+    Fills the effective item and tie seeds into ``cfg``, so they are part of
+    its hash.
+    """
+    meta = meta or {}
+    task = encoders.Task(
+        cfg.get("task") or meta.get("task"),
+        cfg.get("item_seed", meta.get("item_seed")),
+        cfg.get("tie_seed", meta.get("tie_seed")),
+        cfg.get("ngram"),
+        cfg.get("threshold"),
     )
-    classes = {
-        label: [encoders.encode_text_ngram(text, ngram, im, tie)]
-        for label, text in texts.items()
-    }
-    return am_mod.train(classes, tie), im, tie
+    cfg.setdefault("item_seed", task.item_seed)
+    cfg.setdefault("tie_seed", task.tie_seed)
+    return task
 
 
-def _language_queries(cfg: dict, im, tie):
-    ngram = int(cfg.get("ngram", 4))
-    pairs = _read_language_queries(cfg["queries"])
-    queries = np.stack(
-        [encoders.encode_text_ngram(text, ngram, im, tie) for text, _ in pairs]
-    )
-    return queries, [label for _, label in pairs]
+def _train_data(task: encoders.Task, cfg: dict):
+    if task.kind == "language":
+        return _read_language_train(cfg["train_dir"])
+    if task.kind == "mnist":
+        return encoders.load_mnist(cfg["train_images"], cfg["train_labels"])
+    return encoders.load_hypervector_csv(cfg["train_csv"])
 
 
-def _mnist_memory(cfg: dict, dimension: int):
-    images, labels = encoders.load_mnist(cfg["train_images"], cfg["train_labels"])
-    threshold = int(cfg.get("threshold", 128))
-    side2 = images.shape[1] * images.shape[2]
-    im = encoders.ItemMemory.for_positions(dimension, side2, int(cfg.get("item_seed", 43)))
-    tie_seed = int(cfg.get("tie_seed", 8))
-    train_hv = encoders.encode_images(images, threshold, im, seed=tie_seed)
-    tie = np.random.default_rng(np.random.SeedSequence([tie_seed, dimension]))
-    classes = {}
-    for c in np.unique(labels):
-        classes[str(int(c))] = [hv for hv, l in zip(train_hv, labels) if l == c]
-    return am_mod.train(classes, tie), im, tie
-
-
-def _mnist_queries(cfg: dict, im, _tie):
-    images, labels = encoders.load_mnist(cfg["test_images"], cfg["test_labels"])
-    threshold = int(cfg.get("threshold", 128))
-    queries = encoders.encode_images(images, threshold, im, seed=int(cfg.get("tie_seed", 8)) + 1)
-    return queries, [str(int(c)) for c in labels]
-
-
-def _csv_memory(cfg: dict, dimension: int):
-    labeled = encoders.load_hypervector_csv(cfg["train_csv"])
-    if labeled.dimension != dimension:
-        raise DimensionMismatchError(
-            f"csv vectors have dimension {labeled.dimension}, requested {dimension}"
-        )
-    tie = np.random.default_rng(np.random.SeedSequence([int(cfg.get("tie_seed", 0)), dimension]))
-    return am_mod.train(labeled.by_label(), tie), None, tie
-
-
-def _csv_queries(cfg: dict, _im, _tie):
+def _query_data(task: encoders.Task, cfg: dict):
+    """(encoder input, labels) of the task's query set."""
+    if task.kind == "language":
+        pairs = _read_language_queries(cfg["queries"])
+        return [text for text, _ in pairs], [label for _, label in pairs]
+    if task.kind == "mnist":
+        images, labels = encoders.load_mnist(cfg["test_images"], cfg["test_labels"])
+        return images, [str(int(c)) for c in labels]
     labeled = encoders.load_hypervector_csv(cfg["test_csv"])
-    queries = np.stack([hv for hv, _ in labeled.items])
-    return queries, [label for _, label in labeled.items]
+    return [hv for hv, _ in labeled.items], [label for _, label in labeled.items]
 
 
-_TASKS = {
-    "language": (_language_memory, _language_queries),
-    "mnist": (_mnist_memory, _mnist_queries),
-    "csv": (_csv_memory, _csv_queries),
-}
-
-
-def _build_dataset(cfg: dict, dimension: int):
-    task = cfg.get("task")
-    if task not in _TASKS:
-        raise ConfigError(f"task must be one of {sorted(_TASKS)}, got {task!r}")
-    build_memory, build_queries = _TASKS[task]
-    memory, im, tie = build_memory(cfg, dimension)
-    queries, labels = build_queries(cfg, im, tie)
-    return memory, queries, labels
+def _sweep_dataset(task: encoders.Task, cfg: dict, dimension: int):
+    """(memory, queries, labels); queries go on with the training's tie stream."""
+    memory, im, tie = task.train(_train_data(task, cfg), dimension)
+    data, labels = _query_data(task, cfg)
+    return memory, task.encode(data, im, tie), labels
 
 
 def _load_catalog(cfg: dict) -> hwmodel.Catalog:
@@ -225,23 +192,19 @@ def cmd_train(args) -> int:
         args, ["task", "train_dir", "train_images", "train_labels", "train_csv",
                "dimension", "ngram", "threshold", "item_seed", "tie_seed", "seed"]
     )
-    task = cfg.get("task")
-    if task not in _TASKS:
-        raise ConfigError(f"task must be one of {sorted(_TASKS)}, got {task!r}")
-    cfg.setdefault("item_seed", DEFAULT_ITEM_SEED[task])
-    cfg.setdefault("tie_seed", DEFAULT_TIE_SEED[task])
+    task = _task(cfg)
     dimension = int(cfg.get("dimension", 10000))
     if dimension < 1:
         raise ConfigError(f"dimension must be >= 1, got {dimension}")
     started = time.perf_counter()
-    memory, _im, _tie = _TASKS[task][0](cfg, dimension)
+    memory, _im, _tie = task.train(_train_data(task, cfg), dimension)
     elapsed = time.perf_counter() - started
     meta = {
         "tool": f"hdtcam {__version__}",
-        "task": task,
+        "task": task.kind,
         "seed": int(cfg.get("seed", 0)),
-        "item_seed": int(cfg["item_seed"]),
-        "tie_seed": int(cfg["tie_seed"]),
+        "item_seed": task.item_seed,
+        "tie_seed": task.tie_seed,
         "config_hash": _config_hash(cfg),
     }
     am_mod.save_model(args.output, memory, seed_metadata=meta)
@@ -258,24 +221,10 @@ def cmd_eval(args) -> int:
                "replicas", "trials", "seed"]
     )
     memory, meta = am_mod.load_model(args.model)
-    task = cfg.get("task") or meta.get("task")
-    if task not in _TASKS:
-        raise ConfigError(f"task must be one of {sorted(_TASKS)}, got {task!r}")
-    cfg.setdefault("item_seed", meta.get("item_seed", DEFAULT_ITEM_SEED[task]))
-    cfg.setdefault("tie_seed", meta.get("tie_seed", DEFAULT_TIE_SEED[task]))
-    if task == "language":
-        im = encoders.ItemMemory.for_alphabet(memory.dimension, int(cfg["item_seed"]))
-    elif task == "mnist":
-        images, _ = encoders.load_mnist(cfg["test_images"], cfg["test_labels"])
-        im = encoders.ItemMemory.for_positions(
-            memory.dimension, images.shape[1] * images.shape[2], int(cfg["item_seed"])
-        )
-    else:
-        im = None
-    tie = np.random.default_rng(
-        np.random.SeedSequence([int(cfg["tie_seed"]), memory.dimension])
-    )
-    queries, labels = _TASKS[task][1](cfg, im, tie)
+    task = _task(cfg, meta)
+    data, labels = _query_data(task, cfg)
+    im = task.item_memory(memory.dimension, data)
+    queries = task.encode(data, im, task.tie_stream(memory.dimension))
     if queries.shape[1] != memory.dimension:
         raise DimensionMismatchError(
             f"queries have dimension {queries.shape[1]}, model has {memory.dimension}"
@@ -342,11 +291,7 @@ def cmd_sweep(args) -> int:
                "technologies", "voltages", "block_sizes", "precisions",
                "dimensions", "replicas", "trials", "seed", "jobs"]
     )
-    task = cfg.get("task")
-    if task not in _TASKS:
-        raise ConfigError(f"task must be one of {sorted(_TASKS)}, got {task!r}")
-    cfg.setdefault("item_seed", DEFAULT_ITEM_SEED[task])
-    cfg.setdefault("tie_seed", DEFAULT_TIE_SEED[task])
+    task = _task(cfg)
     seed = int(cfg.get("seed", 0))
     space = explorer.SweepSpace(
         technologies=tuple(cfg.get("technologies", ("sram",))),
@@ -359,15 +304,21 @@ def cmd_sweep(args) -> int:
         seed=seed,
     )
     catalog = _load_catalog(cfg)
-    datasets = {d: _build_dataset(cfg, d) for d in space.dimensions}
+    datasets = {d: _sweep_dataset(task, cfg, d) for d in space.dimensions}
 
     partial_path = f"{args.output}.partial.jsonl"
     done = []
     if os.path.exists(partial_path):
         with open(partial_path, "r", encoding="utf-8") as f:
-            for line in f:
-                if line.strip():
-                    done.append(explorer.point_from_dict(json.loads(line)))
+            lines = [line for line in f.read().splitlines() if line.strip()]
+        try:
+            done = [explorer.point_from_dict(json.loads(line)) for line in lines]
+        except json.JSONDecodeError:
+            # An interrupted write leaves a torn final line; drop it so that
+            # appended points start on a line of their own.
+            done = [explorer.point_from_dict(json.loads(line)) for line in lines[:-1]]
+            _atomic_write_text(partial_path, "".join(line + "\n" for line in lines[:-1]))
+            print("resuming: skipped a torn final line")
         print(f"resuming: {len(done)} points already evaluated")
     done_keys = {p.config_key for p in done}
     skip = [c for c in space.configurations()
@@ -375,14 +326,16 @@ def cmd_sweep(args) -> int:
 
     partial = open(partial_path, "a", encoding="utf-8")
     total = len(list(space.configurations()))
+    lock = threading.Lock()
 
     def progress(point):
-        partial.write(json.dumps(explorer.point_to_dict(point), sort_keys=True) + "\n")
-        partial.flush()
-        print(f"[sweep] {point.technology} "
-              f"{point.voltage:g} V N={point.block_size} P={point.precision} "
-              f"D={point.dimension} r={point.replicas}: "
-              f"loss {100 * point.accuracy_loss:.3f} %, {point.energy_pj:.2f} pJ")
+        with lock:
+            partial.write(json.dumps(explorer.point_to_dict(point), sort_keys=True) + "\n")
+            partial.flush()
+            print(f"[sweep] {point.technology} "
+                  f"{point.voltage:g} V N={point.block_size} P={point.precision} "
+                  f"D={point.dimension} r={point.replicas}: "
+                  f"loss {100 * point.accuracy_loss:.3f} %, {point.energy_pj:.2f} pJ")
 
     try:
         points = done + explorer.sweep(
@@ -555,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="suppress timestamps so reruns are byte-identical")
 
     def add_data_flags(p, train=True, test=True):
-        p.add_argument("--task", choices=sorted(_TASKS))
+        p.add_argument("--task", choices=sorted(encoders.TASK_SEEDS))
         if train:
             p.add_argument("--train-dir", dest="train_dir",
                            help="language: directory of <label>.txt corpora")

@@ -7,13 +7,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BundleAccumulator, majority_from_counts, random_hypervector
-from .errors import DegenerateInputError, DimensionMismatchError, FormatError
+from . import am as am_mod
+from .core import majority_from_counts
+from .errors import ConfigError, DegenerateInputError, DimensionMismatchError, FormatError
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz "
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
+
+# Task kind -> default (item-memory seed, tie-break seed).
+TASK_SEEDS = {"language": (42, 7), "mnist": (43, 8), "csv": (0, 0)}
 
 
 class ItemMemory:
@@ -302,8 +306,76 @@ def save_hypervector_csv(path, labeled: LabeledSet) -> None:
             f.write(f"{label},{''.join('1' if b else '0' for b in hv)}\n")
 
 
-def binarize_and_average_class(vectors, tie_rng=None) -> np.ndarray:
-    """Thresholded average of binary vectors; identical to majority bundling."""
-    from .core import bundle
+@dataclass(frozen=True)
+class Task:
+    """Encoder set-up of one task, shared by the CLI and ``synth``.
 
-    return bundle(vectors, tie_rng)
+    ``kind`` selects the item memory: letters for ``language`` (n-gram text
+    encoding), pixel positions for ``mnist`` (thresholded images), none for
+    ``csv`` (pre-encoded hypervectors). Unset seeds take the kind's defaults
+    from TASK_SEEDS.
+    """
+
+    kind: str
+    item_seed: int | None = None
+    tie_seed: int | None = None
+    ngram: int | None = None
+    threshold: int | None = None
+
+    def __post_init__(self):
+        if self.kind not in TASK_SEEDS:
+            raise ConfigError(f"task must be one of {sorted(TASK_SEEDS)}, got {self.kind!r}")
+        item_seed, tie_seed = TASK_SEEDS[self.kind]
+        for name, default in (("item_seed", item_seed), ("tie_seed", tie_seed),
+                              ("ngram", 4), ("threshold", 128)):
+            value = getattr(self, name)
+            object.__setattr__(self, name, default if value is None else int(value))
+
+    def item_memory(self, dimension: int, data=None):
+        """The task's item memory; ``mnist`` sizes it from the geometry of the
+        image stack ``data``."""
+        if self.kind == "language":
+            return ItemMemory.for_alphabet(dimension, self.item_seed)
+        if self.kind == "mnist":
+            return ItemMemory.for_positions(dimension, data.shape[1] * data.shape[2],
+                                            self.item_seed)
+        return None
+
+    def tie_stream(self, dimension: int) -> np.random.Generator:
+        """Fresh tie-break stream for this dimension."""
+        return np.random.default_rng(np.random.SeedSequence([self.tie_seed, dimension]))
+
+    def train(self, data, dimension: int):
+        """Encode and bundle a training set: {label: text} for ``language``,
+        (images, labels) for ``mnist``, a LabeledSet for ``csv``.
+
+        Returns (memory, item memory, tie stream); the stream has been used
+        for training, and callers may go on encoding queries with it.
+        """
+        tie = self.tie_stream(dimension)
+        im = None
+        if self.kind == "language":
+            im = self.item_memory(dimension)
+            classes = {label: [encode_text_ngram(text, self.ngram, im, tie)]
+                       for label, text in data.items()}
+        elif self.kind == "mnist":
+            images, labels = data
+            im = self.item_memory(dimension, images)
+            hvs = encode_images(images, self.threshold, im, seed=self.tie_seed)
+            classes = {str(int(c)): [hv for hv, l in zip(hvs, labels) if l == c]
+                       for c in np.unique(labels)}
+        else:
+            if data.dimension != dimension:
+                raise DimensionMismatchError(
+                    f"csv vectors have dimension {data.dimension}, requested {dimension}"
+                )
+            classes = data.by_label()
+        return am_mod.train(classes, tie), im, tie
+
+    def encode(self, data, im, tie: np.random.Generator) -> np.ndarray:
+        """Query matrix from texts, an image stack, or a list of hypervectors."""
+        if self.kind == "language":
+            return np.stack([encode_text_ngram(text, self.ngram, im, tie) for text in data])
+        if self.kind == "mnist":
+            return encode_images(data, self.threshold, im, seed=self.tie_seed + 1)
+        return np.stack(data)

@@ -4,19 +4,16 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .am import AssociativeMemory, BlockConfig
-from .errors import ConfigError, DimensionMismatchError, NoFeasiblePointError
-from .hwmodel import Catalog, HwEntry, LatencyModel
+from .am import CHUNK_ELEMS, AssociativeMemory, BlockConfig, block_distances, ideal_argmin
+from .errors import ConfigError, NoFeasiblePointError
+from .hwmodel import Catalog, HwEntry, RramShiftModel, query_energy_pj
 
 NO_LOSS_EPSILON = 5e-4  # noise floor of HDC accuracy fluctuations
-
-_CHUNK_ELEMS = 4_000_000  # bound on queries*classes*blocks per sampling chunk
 
 CSV_COLUMNS = (
     "technology,voltage_V,block_size,precision,dimension,replicas,trials,"
@@ -93,66 +90,8 @@ def derive_point_seed(master_seed: int, config_key) -> int:
 
 def ideal_accuracy(am: AssociativeMemory, queries: np.ndarray, labels) -> float:
     """Noise-free full-Hamming accuracy; the loss baseline at this dimension."""
-    preds = predict_ideal(am, queries)
-    return float(np.mean([p == t for p, t in zip(preds, labels)]))
-
-
-def predict_ideal(am: AssociativeMemory, queries: np.ndarray):
-    queries = np.atleast_2d(queries)
-    preds = []
-    chunk = max(1, _CHUNK_ELEMS // (len(am) * am.dimension))
-    for start in range(0, queries.shape[0], chunk):
-        block = queries[start:start + chunk]
-        dists = (block[:, None, :] != am.class_matrix[None, :, :]).sum(axis=2)
-        for row in np.argmin(dists, axis=1):
-            preds.append(am.labels[int(row)])
-    return preds
-
-
-def _true_block_distances(am, queries, cfg) -> np.ndarray:
-    """Clamped per-block distances, shape (Q, C, B), int16."""
-    starts = cfg.block_starts
-    caps = cfg.block_caps
-    out = np.empty((queries.shape[0], len(am), cfg.num_blocks), dtype=np.int16)
-    chunk = max(1, _CHUNK_ELEMS // (len(am) * cfg.dimension))
-    for s in range(0, queries.shape[0], chunk):
-        block = queries[s:s + chunk]
-        diff = (block[:, None, :] != am.class_matrix[None, :, :]).astype(np.int16)
-        per_block = np.add.reduceat(diff, starts, axis=2)
-        out[s:s + chunk] = np.minimum(per_block, caps.astype(np.int16))
-    return out
-
-
-def _sample_reports(lm: LatencyModel, true_h: np.ndarray, replicas: int,
-                    rng: np.random.Generator):
-    """Sampled reported distances plus per-query worst-case latency.
-
-    Blocks, classes and replica arrays all operate in parallel, so the query
-    latency is the max sampled latency across all of them.
-    """
-    mu_full = np.concatenate([[lm.match_timeout_ns], lm.mu_ns])
-    sigma_full = np.concatenate([[0.0], lm.sigma_ns])
-    thresholds = lm.thresholds_ns
-    p = lm.precision
-
-    def one_draw():
-        t = rng.normal(mu_full[true_h], sigma_full[true_h])
-        rep = (p - np.searchsorted(thresholds, t)).astype(np.int16)
-        rep[true_h == 0] = 0
-        return t, rep
-
-    if replicas == 1:
-        t, rep = one_draw()
-        latency = t.reshape(t.shape[0], -1).max(axis=1)
-        return rep, latency
-    draws = []
-    latency = np.zeros(true_h.shape[0])
-    for _ in range(replicas):
-        t, rep = one_draw()
-        draws.append(rep)
-        latency = np.maximum(latency, t.reshape(t.shape[0], -1).max(axis=1))
-    reported = np.median(np.stack(draws), axis=0).astype(np.int16)
-    return reported, latency
+    best, _ = ideal_argmin(queries, am)
+    return float(np.mean([am.labels[i] == t for i, t in zip(best, labels)]))
 
 
 def evaluate(
@@ -160,7 +99,7 @@ def evaluate(
     queries: np.ndarray,
     labels,
     cfg: BlockConfig,
-    hw: HwEntry | None = None,
+    hw: HwEntry | RramShiftModel | None = None,
     replicas: int = 1,
     trials: int = 10,
     seed: int = 0,
@@ -168,63 +107,56 @@ def evaluate(
     technology: str = "",
     voltage: float = 0.0,
 ) -> DesignPoint:
-    """Run blocked inference over the test set ``trials`` times and aggregate."""
+    """Run blocked inference over the test set ``trials`` times and aggregate.
+
+    An ``HwEntry`` samples every block report from its latency model and
+    charges its energy table; an ``RramShiftModel`` maps reports
+    deterministically; without ``hw`` the clamped distances are read exactly.
+    A query's latency is the slowest of all its blocks, classes and replicas,
+    which are read in parallel.
+    """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.uint8))
-    if queries.shape[1] != am.dimension or cfg.dimension != am.dimension:
-        raise DimensionMismatchError(
-            "associative memory, queries and block config must agree on dimension"
-        )
     labels = list(labels)
     label_idx = np.array([am.labels.index(l) for l in labels])
-    true = _true_block_distances(am, queries, cfg)
+    true = block_distances(queries, am.class_matrix, cfg)
 
     lm = None
-    shift_model = None
-    if hw is not None:
-        if isinstance(hw, HwEntry):
-            lm = hw.latency
-        elif isinstance(hw, LatencyModel):
-            lm = hw
-        else:
-            shift_model = hw  # deterministic report-mapping model (e.g. RRAM shift)
-        if lm is not None:
-            if cfg.precision > lm.precision:
-                raise ConfigError(
-                    f"block config precision {cfg.precision} exceeds the "
-                    f"hardware table's maximum of {lm.precision}"
-                )
-            lm = lm.with_precision(cfg.precision)
+    if isinstance(hw, HwEntry):
+        if cfg.precision > hw.latency.precision:
+            raise ConfigError(
+                f"block config precision {cfg.precision} exceeds the "
+                f"hardware table's maximum of {hw.latency.precision}"
+            )
+        lm = hw.latency.with_precision(cfg.precision)
 
     num_q = queries.shape[0]
     seeds = np.random.SeedSequence(seed).spawn(trials)
     accuracies = []
     energies = []
     latencies = []
-    chunk = max(1, _CHUNK_ELEMS // max(1, len(am) * cfg.num_blocks))
-    energy_fj = hw.energy_fj if isinstance(hw, HwEntry) else None
+    chunk = max(1, CHUNK_ELEMS // max(1, len(am) * cfg.num_blocks))
     for trial in range(trials):
         rng = np.random.default_rng(seeds[trial])
         correct = 0
         energy_pj = 0.0
         latency_sum = 0.0
         for s in range(0, num_q, chunk):
-            t_chunk = true[s:s + chunk]
+            reported = true[s:s + chunk]
             if lm is not None:
-                reported, lat = _sample_reports(lm, t_chunk, replicas, rng)
+                reported, lat = lm.sample(reported, rng, replicas)
+                # Rebinding frees the per-element latencies before the energy sum.
+                lat = lat.reshape(lat.shape[0], -1).max(axis=1)
                 latency_sum += float(lat.sum())
-            elif shift_model is not None:
-                reported = shift_model.report_distances(t_chunk)
-            else:
-                reported = t_chunk
+                energy_pj += query_energy_pj(hw.energy_fj, reported)
+            elif hw is not None:
+                reported = hw.report_distances(reported)
             totals = reported.sum(axis=2, dtype=np.int64)
             preds = np.argmin(totals, axis=1)
             correct += int(np.count_nonzero(preds == label_idx[s:s + chunk]))
-            if energy_fj is not None:
-                energy_pj += float(energy_fj[reported].sum() / 1000.0)
         accuracies.append(correct / num_q)
         energies.append(energy_pj / num_q)
         latencies.append(latency_sum / num_q)
-        if lm is None and shift_model is None:
+        if hw is None:
             # Deterministic reports: further trials would repeat identically.
             accuracies = accuracies * trials
             energies = energies * trials
@@ -373,7 +305,7 @@ def precision_sweep_report(am, queries, labels, block_sizes, precisions,
     rows = []
     for n in block_sizes:
         cfg_full = BlockConfig(dimension=am.dimension, block_size=n, precision=n)
-        unclamped = _true_block_distances(am, queries, cfg_full)
+        unclamped = block_distances(queries, am.class_matrix, cfg_full)
         for p in precisions:
             if p > n:
                 continue
@@ -439,12 +371,3 @@ def point_from_dict(doc: dict) -> DesignPoint:
         latency_ns=float(doc["latency_ns"]),
         pareto=bool(doc.get("pareto", False)),
     )
-
-
-def write_results_json(points, f, metadata=None) -> None:
-    doc = {
-        "metadata": metadata or {},
-        "points": [point_to_dict(p) for p in sorted(points, key=lambda p: p.config_key)],
-    }
-    json.dump(doc, f, indent=1, sort_keys=True)
-    f.write("\n")

@@ -143,36 +143,38 @@ class LatencyModel:
             self.match_timeout_ns,
         )
 
-    def sample_latencies(self, true_h: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Latency draws for an int array of true (clamped) distances.
+    def report_from_latency(self, t: np.ndarray) -> np.ndarray:
+        """Midpoint decision rule: the distance whose latency interval holds t."""
+        return self.precision - np.searchsorted(self.thresholds_ns, t)
 
-        Distance 0 never discharges the match line, so its latency is the
-        sensing timeout.
+    def sample(self, true_h: np.ndarray, rng: np.random.Generator, replicas: int = 1):
+        """Reported distances and latencies for an int array of true distances.
+
+        Each of the ``replicas`` arrays draws one Gaussian latency per element
+        (one ``rng.normal`` call per replica, in order) and decodes it with the
+        midpoint rule; the reported distance is the median over replicas and
+        the latency the slowest replica. Distance 0 never discharges the match
+        line: its latency is the sensing timeout and it always reads 0.
         """
+        if replicas < 1 or replicas % 2 == 0:
+            raise ValueError(f"replica count must be odd and >= 1, got {replicas}")
         true_h = np.asarray(true_h)
         mu_full = np.concatenate([[self.match_timeout_ns], self.mu_ns])
         sigma_full = np.concatenate([[0.0], self.sigma_ns])
-        t = rng.normal(mu_full[true_h], sigma_full[true_h])
-        return t
-
-    def report_from_latency(self, t: np.ndarray) -> np.ndarray:
-        rep = self.precision - np.searchsorted(self.thresholds_ns, t)
-        return rep
+        draws = np.empty((replicas,) + true_h.shape, dtype=np.int16)
+        latency = None
+        for i in range(replicas):
+            t = rng.normal(mu_full[true_h], sigma_full[true_h])
+            draws[i] = self.report_from_latency(t)
+            draws[i][true_h == 0] = 0
+            latency = t if latency is None else np.maximum(latency, t, out=latency)
+        if replicas == 1:
+            return draws[0], latency
+        return np.median(draws, axis=0, overwrite_input=True).astype(np.int16), latency
 
     def report_distances(self, true_h: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Sampled reported distances for an int array of true distances."""
-        true_h = np.asarray(true_h)
-        t = self.sample_latencies(true_h, rng)
-        rep = self.report_from_latency(t)
-        rep[true_h == 0] = 0
-        return rep
-
-
-def sample_reported_distance(true_h: int, lm: LatencyModel, rng: np.random.Generator) -> int:
-    """Reported distance for a single block with true (clamped) distance."""
-    if not 0 <= true_h <= lm.precision:
-        raise ValueError(f"true distance must be in [0, {lm.precision}], got {true_h}")
-    return int(lm.report_distances(np.array([true_h]), rng)[0])
+        return self.sample(true_h, rng)[0]
 
 
 def _norm_cdf(x):
@@ -204,35 +206,6 @@ def max_error_probability(cm: np.ndarray) -> float:
     return float(np.max(1.0 - np.diag(cm)))
 
 
-def replica_vote(true_h: int, lm: LatencyModel, replicas: int, rng: np.random.Generator) -> int:
-    """Median of ``replicas`` independent reported distances (replicas odd)."""
-    if replicas < 1 or replicas % 2 == 0:
-        raise ValueError(f"replica count must be odd and >= 1, got {replicas}")
-    draws = lm.report_distances(np.full(replicas, true_h), rng)
-    return int(np.median(draws))
-
-
-@dataclass(frozen=True)
-class ReplicaModel:
-    """Hardware model decorating a latency model with median-of-replicas voting."""
-
-    latency: LatencyModel
-    replicas: int
-
-    def __post_init__(self):
-        if self.replicas < 1 or self.replicas % 2 == 0:
-            raise ValueError(f"replica count must be odd and >= 1, got {self.replicas}")
-
-    def report_distances(self, true_h: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        true_h = np.asarray(true_h)
-        if self.replicas == 1:
-            return self.latency.report_distances(true_h, rng)
-        draws = np.stack(
-            [self.latency.report_distances(true_h, rng) for _ in range(self.replicas)]
-        )
-        return np.median(draws, axis=0).astype(np.int64)
-
-
 @dataclass(frozen=True)
 class RramShiftModel:
     """Deterministic +1-bit shift of every block distance, clamped at P.
@@ -248,24 +221,12 @@ class RramShiftModel:
         return np.minimum(np.asarray(true_h) + 1, self.precision)
 
 
-def rram_shift_model(precision: int) -> RramShiftModel:
-    return RramShiftModel(precision)
-
-
 # ---------------------------------------------------------------------------
 # Energy and area
 
 
-def block_energy(energy_fj: np.ndarray, h: int) -> float:
-    """Energy in fJ of one block comparison that reported distance h."""
-    energy_fj = np.asarray(energy_fj, dtype=float)
-    if not 0 <= h < energy_fj.shape[0]:
-        raise ConfigError(f"no energy entry for distance {h}")
-    return float(energy_fj[h])
-
-
 def query_energy_pj(energy_fj: np.ndarray, reported: np.ndarray) -> float:
-    """Total energy in pJ of one query: sum of e(h) over all class/block comparisons."""
+    """Total energy in pJ of block comparisons: sum of e(h) over the reported h."""
     energy_fj = np.asarray(energy_fj, dtype=float)
     return float(energy_fj[np.asarray(reported)].sum() / 1000.0)
 
@@ -293,9 +254,13 @@ def area_capacity(budget: float, cf: CellFigures) -> int:
 # Default table generation
 
 
-def _check_tech_voltage(technology: str, voltage: float) -> None:
+def _check_technology(technology: str) -> None:
     if technology not in TECHNOLOGIES:
         raise ConfigError(f"unknown technology {technology!r}, expected one of {TECHNOLOGIES}")
+
+
+def _check_tech_voltage(technology: str, voltage: float) -> None:
+    _check_technology(technology)
     if round(voltage, 2) not in VOLTAGE_GRID:
         raise ConfigError(
             f"voltage {voltage} V not on the supported grid {VOLTAGE_GRID}; "
@@ -429,16 +394,17 @@ def _entry_to_doc(entry: HwEntry) -> dict:
 
 
 def _entry_from_doc(doc: dict, where: str) -> HwEntry:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where}: expected a table object")
     required = ["technology", "voltage_V", "block_size", "precision",
                 "mu_ns", "sigma_ns", "match_timeout_ns", "energy_fJ"]
     for key in required:
         if key not in doc:
             raise ConfigError(f"{where}: missing key {key!r}")
-    tech = doc["technology"]
-    _check_tech_voltage(tech, float(doc["voltage_V"]))
+    _check_technology(doc["technology"])
     try:
         lm = LatencyModel(
-            tech,
+            doc["technology"],
             round(float(doc["voltage_V"]), 2),
             int(doc["block_size"]),
             int(doc["precision"]),
@@ -446,10 +412,10 @@ def _entry_from_doc(doc: dict, where: str) -> HwEntry:
             np.asarray(doc["sigma_ns"], dtype=float),
             float(doc["match_timeout_ns"]),
         )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: malformed number ({exc})") from exc
     except ConfigError as exc:
         raise ConfigError(f"{where}: {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: malformed number ({exc})") from exc
     energy = doc["energy_fJ"]
     if np.isscalar(energy):
         energy_fj = np.full(lm.precision + 1, float(energy))
@@ -470,7 +436,7 @@ def load_hw_tables(path) -> Catalog:
     """Load and validate a JSON hardware table catalog."""
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
-    tables = doc["tables"] if isinstance(doc, dict) else doc
+    tables = doc.get("tables") if isinstance(doc, dict) else doc
     if not isinstance(tables, list) or not tables:
         raise ConfigError(f"{path}: expected a non-empty array of table objects")
     cat = Catalog()

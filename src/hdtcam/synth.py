@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import am as am_mod
-from .encoders import ALPHABET, ItemMemory, encode_images, encode_text_ngram
+from .encoders import ALPHABET, Task
 
 
 def _paired_markov_chains(num_languages, base_divergence, pair_divergence, rng):
@@ -82,26 +81,19 @@ def make_language_benchmark(
 def encode_language_benchmark(
     bench: LanguageBenchmark,
     dimension: int,
-    ngram: int = 4,
-    item_seed: int = 42,
-    tie_seed: int = 7,
+    ngram: int | None = None,
+    item_seed: int | None = None,
+    tie_seed: int | None = None,
 ):
-    """Train an associative memory and encode all queries.
+    """Train an associative memory and encode all queries with the training's
+    tie stream; unset parameters take the ``language`` task defaults.
 
     Returns (AssociativeMemory, query matrix, query labels).
     """
-    im = ItemMemory.for_alphabet(dimension, item_seed)
-    tie = np.random.default_rng(np.random.SeedSequence([tie_seed, dimension]))
-    classes = {
-        label: [encode_text_ngram(text, ngram, im, tie)]
-        for label, text in bench.train_texts.items()
-    }
-    memory = am_mod.train(classes, tie)
-    queries = np.stack(
-        [encode_text_ngram(text, ngram, im, tie) for text, _ in bench.queries]
-    )
-    labels = [label for _, label in bench.queries]
-    return memory, queries, labels
+    task = Task("language", item_seed, tie_seed, ngram=ngram)
+    memory, im, tie = task.train(bench.train_texts, dimension)
+    queries = task.encode([text for text, _ in bench.queries], im, tie)
+    return memory, queries, [label for _, label in bench.queries]
 
 
 @dataclass
@@ -146,19 +138,13 @@ def make_image_benchmark(
 def encode_image_benchmark(
     bench: ImageBenchmark,
     dimension: int,
-    threshold: int = 128,
-    item_seed: int = 43,
-    tie_seed: int = 8,
+    threshold: int | None = None,
+    item_seed: int | None = None,
+    tie_seed: int | None = None,
 ):
-    """Train an associative memory on the image benchmark and encode test queries."""
-    side = bench.train_images.shape[1]
-    im = ItemMemory.for_positions(dimension, side * side, item_seed)
-    train_hv = encode_images(bench.train_images, threshold, im, seed=tie_seed)
-    tie = np.random.default_rng(np.random.SeedSequence([tie_seed, dimension]))
-    classes = {}
-    for c in np.unique(bench.train_labels):
-        classes[str(int(c))] = [hv for hv, l in zip(train_hv, bench.train_labels) if l == c]
-    memory = am_mod.train(classes, tie)
-    queries = encode_images(bench.test_images, threshold, im, seed=tie_seed + 1)
-    labels = [str(int(c)) for c in bench.test_labels]
-    return memory, queries, labels
+    """Train an associative memory on the image benchmark and encode test
+    queries; unset parameters take the ``mnist`` task defaults."""
+    task = Task("mnist", item_seed, tie_seed, threshold=threshold)
+    memory, im, tie = task.train((bench.train_images, bench.train_labels), dimension)
+    queries = task.encode(bench.test_images, im, tie)
+    return memory, queries, [str(int(c)) for c in bench.test_labels]

@@ -113,9 +113,9 @@ def test_criterion_02_partition_identity():
         a = random_hypervector(dimension, rng)
         b = random_hypervector(dimension, rng)
         cfg = BlockConfig(dimension, block_size, block_size)
-        from hdtcam.am import blocked_distances_true
+        from hdtcam.am import block_distances
 
-        if int(blocked_distances_true(a, b, cfg).sum()) != hamming(a, b):
+        if int(block_distances(a, b, cfg).sum()) != hamming(a, b):
             bad += 1
     report(2, "partition identity over 10^4 combinations", bad == 0, f"{bad} failures")
 
@@ -264,7 +264,7 @@ def test_criterion_09_rram_shift_cancellation(language_setup):
     classes = np.stack([perturb(base) for _ in range(4)])
     memory = AssociativeMemory([f"c{i}" for i in range(4)], classes)
     cfg = BlockConfig(dimension, block_size, block_size)
-    shift = hwmodel.rram_shift_model(block_size)
+    shift = hwmodel.RramShiftModel(block_size)
     identical = all(
         infer_blocked(q, memory, cfg)[0] == infer_blocked(q, memory, cfg, hw=shift)[0]
         for q in (perturb(base) for _ in range(200))
@@ -272,7 +272,7 @@ def test_criterion_09_rram_shift_cancellation(language_setup):
 
     memory, queries, labels, baseline = language_setup
     cfg = BlockConfig(10000, 4, 4)
-    point = evaluate(memory, queries, labels, cfg, hw=hwmodel.rram_shift_model(4),
+    point = evaluate(memory, queries, labels, cfg, hw=hwmodel.RramShiftModel(4),
                      trials=1, baseline_accuracy=baseline)
     ok = identical and point.accuracy_loss <= 0.005
     report(9, "uniform +1 shift cancels out of the argmin", ok,

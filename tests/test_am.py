@@ -1,15 +1,18 @@
 """Associative memory: block partitions, inference oracles, persistence."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdtcam import am as am_module
 from hdtcam.am import (
     AssociativeMemory,
     BlockConfig,
-    blocked_distance_matrix,
-    blocked_distances_true,
+    block_distances,
+    ideal_argmin,
     infer_blocked,
     infer_ideal,
     load_model,
@@ -56,14 +59,14 @@ def test_partition_identity_property(block_size, dimension, seed):
     a = random_hypervector(dimension, rng)
     b = random_hypervector(dimension, rng)
     cfg = BlockConfig(dimension, block_size, block_size)
-    assert int(blocked_distances_true(a, b, cfg).sum()) == hamming(a, b)
+    assert int(block_distances(a, b, cfg).sum()) == hamming(a, b)
 
 
 def test_blocked_distances_clamped_at_caps(rng):
     a = np.zeros(12, dtype=np.uint8)
     b = np.ones(12, dtype=np.uint8)
     cfg = BlockConfig(12, 4, 2)
-    assert blocked_distances_true(a, b, cfg).tolist() == [2, 2, 2]
+    assert block_distances(a, b, cfg)[0, 0].tolist() == [2, 2, 2]
 
 
 def test_blocked_totals_monotone_in_precision(rng):
@@ -73,21 +76,32 @@ def test_blocked_totals_monotone_in_precision(rng):
     prev = None
     for p in range(1, 8):
         cfg = BlockConfig(100, 7, p)
-        total = blocked_distance_matrix(q, am, cfg)[0].sum()
+        total = block_distances(q, am.class_matrix, cfg)[0].sum()
         if prev is not None:
             assert total >= prev
         prev = total
 
 
-def test_blocked_matrix_agrees_with_single(rng):
+def test_blocked_matrix_agrees_with_single(rng, monkeypatch):
     am = _random_am(rng, classes=5, dimension=33)
     queries = np.stack([random_hypervector(33, rng) for _ in range(7)])
     cfg = BlockConfig(33, 4, 3)
-    mat = blocked_distance_matrix(queries, am, cfg)
+    mat = block_distances(queries, am.class_matrix, cfg)
+    assert mat.shape == (7, 5, 9) and mat.dtype == np.int16
     for i in range(7):
         for c in range(5):
-            single = blocked_distances_true(queries[i], am.class_matrix[c], cfg)
+            single = block_distances(queries[i], am.class_matrix[c], cfg)[0, 0]
             assert np.array_equal(mat[i, c], single)
+    monkeypatch.setattr(am_module, "CHUNK_ELEMS", 2 * 5 * 33)  # two queries per chunk
+    assert np.array_equal(block_distances(queries, am.class_matrix, cfg), mat)
+
+
+def test_blocked_distances_dimension_mismatch(rng):
+    am = _random_am(rng, classes=2, dimension=16)
+    with pytest.raises(DimensionMismatchError):
+        block_distances(np.zeros(16, dtype=np.uint8), am.class_matrix, BlockConfig(12, 4, 4))
+    with pytest.raises(DimensionMismatchError):
+        block_distances(np.zeros(12, dtype=np.uint8), am.class_matrix, BlockConfig(12, 4, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +116,15 @@ def test_infer_ideal_matches_brute_force(rng):
         label, dist = infer_ideal(q, am)
         assert dist == min(dists)
         assert label == am.labels[int(np.argmin(dists))]
+
+
+def test_ideal_argmin_matches_per_query(rng, monkeypatch):
+    am = _random_am(rng, classes=4, dimension=140)
+    qs = np.stack([random_hypervector(140, rng) for _ in range(60)])
+    want = [infer_ideal(q, am) for q in qs]
+    monkeypatch.setattr(am_module, "CHUNK_ELEMS", 7 * 4 * 140)  # uneven chunks
+    best, dists = ideal_argmin(qs, am)
+    assert [(am.labels[b], int(d)) for b, d in zip(best, dists)] == want
 
 
 def test_infer_ideal_tie_break_first_stored():
@@ -184,4 +207,23 @@ def test_model_version_check(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"version": 99, "dimension": 4, "classes": []}')
     with pytest.raises(FormatError, match="version"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("doc, match", [
+    ({"dimension": 16}, "missing key 'classes'"),
+    ({"classes": [{"label": "a", "bits": "ffff"}]}, "missing key 'dimension'"),
+    ({"dimension": 16, "classes": [{"bits": "ffff"}]}, "missing key 'label'"),
+    ({"dimension": 16, "classes": [{"label": "a"}]}, "missing key 'bits'"),
+    ({"dimension": 16, "classes": [{"label": "a", "bits": "ff"}]}, "4 hex digits"),
+    ({"dimension": 16, "classes": [{"label": "a", "bits": "ffffff"}]}, "4 hex digits"),
+    ({"dimension": 12, "classes": [{"label": "a", "bits": "zzzz"}]}, "4 hex digits"),
+    ({"dimension": 16, "classes": [{"label": "a", "bits": "ff f"}]}, "4 hex digits"),
+    ({"dimension": 16, "classes": [{"label": "a", "bits": 255}]}, "4 hex digits"),
+    ({"dimension": 16, "classes": []}, "at least one class"),
+])
+def test_model_load_rejects_malformed(tmp_path, doc, match):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"version": 1, **doc}))
+    with pytest.raises(FormatError, match=match):
         load_model(path)

@@ -1,11 +1,13 @@
 """CLI: end-to-end runs over on-disk fixtures, determinism, resume, errors."""
 
 import json
+import re
+import sys
 
 import numpy as np
 import pytest
 
-from hdtcam import cli, synth
+from hdtcam import cli, explorer, synth
 from hdtcam.am import load_model
 from hdtcam.encoders import save_mnist
 
@@ -132,27 +134,68 @@ def test_sweep_deterministic_and_pareto(small_corpus_dir, tmp_path, capsys):
             == [l for l in p1.read_text().splitlines() if not l.startswith("#")])
 
 
-def test_sweep_resume_matches_uninterrupted(small_corpus_dir, tmp_path):
+def test_sweep_resume_matches_uninterrupted(small_corpus_dir, tmp_path, capsys):
     train_dir, queries_csv = small_corpus_dir
     full, resumed = tmp_path / "full.csv", tmp_path / "resumed.csv"
     assert _run_sweep(train_dir, queries_csv, full) == 0
-    # simulate an interrupted run: one point already in the partial file
     points = [l for l in full.read_text().splitlines()
               if l and not l.startswith("#") and not l.startswith("technology")]
-    fields = points[0].split(",")
-    first = {
-        "technology": fields[0], "voltage_V": float(fields[1]),
-        "block_size": int(fields[2]), "precision": int(fields[3]),
-        "dimension": int(fields[4]), "replicas": int(fields[5]),
-        "trials": int(fields[6]), "accuracy_mean": float(fields[7]),
-        "accuracy_std": float(fields[8]), "accuracy_loss": float(fields[9]),
-        "energy_pJ": float(fields[10]), "latency_ns": float(fields[11]),
-        "pareto": fields[12] == "1",
-    }
-    (tmp_path / "resumed.csv.partial.jsonl").write_text(json.dumps(first) + "\n")
+
+    def as_json(row):
+        fields = row.split(",")
+        return json.dumps({
+            "technology": fields[0], "voltage_V": float(fields[1]),
+            "block_size": int(fields[2]), "precision": int(fields[3]),
+            "dimension": int(fields[4]), "replicas": int(fields[5]),
+            "trials": int(fields[6]), "accuracy_mean": float(fields[7]),
+            "accuracy_std": float(fields[8]), "accuracy_loss": float(fields[9]),
+            "energy_pJ": float(fields[10]), "latency_ns": float(fields[11]),
+            "pareto": fields[12] == "1",
+        })
+
+    partial = tmp_path / "resumed.csv.partial.jsonl"
+    # an interrupted run: one point already in the partial file
+    partial.write_text(as_json(points[0]) + "\n")
     assert _run_sweep(train_dir, queries_csv, resumed) == 0
     assert resumed.read_bytes() == full.read_bytes()
-    assert not (tmp_path / "resumed.csv.partial.jsonl").exists()
+    assert not partial.exists()
+    # a run killed mid-write leaves a torn final line, which is skipped
+    resumed.unlink()
+    partial.write_text(as_json(points[0]) + "\n" + as_json(points[1])[:25])
+    capsys.readouterr()
+    assert _run_sweep(train_dir, queries_csv, resumed) == 0
+    assert "resuming: 1 points already evaluated" in capsys.readouterr().out
+    assert resumed.read_bytes() == full.read_bytes()
+    assert not partial.exists()
+
+
+def test_sweep_jobs_progress_lines_whole(small_corpus_dir, tmp_path, capsys, monkeypatch):
+    """Worker threads report through one lock: no interleaved progress lines."""
+    train_dir, queries_csv = small_corpus_dir
+
+    def instant_evaluate(am, queries, labels, cfg, hw=None, replicas=1, trials=10,
+                         seed=0, baseline_accuracy=None, technology="", voltage=0.0):
+        return explorer.DesignPoint(technology, voltage, cfg.block_size, cfg.precision,
+                                    cfg.dimension, replicas, trials, 1.0, 0.0, 0.0,
+                                    1.0, 1.0)
+
+    monkeypatch.setattr(explorer, "evaluate", instant_evaluate)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert run_cli("sweep", "--task", "language", "--train-dir", str(train_dir),
+                       "--queries", str(queries_csv), "--technologies", "sram,fefinfet",
+                       "--voltages", "0.5,0.6,0.7,0.8,0.9,1.0",
+                       "--block-sizes", "7,8,10,12,15,20,25", "--precisions", "2,3,5,7",
+                       "--dimensions", "100", "--replicas", "1,3,5,7,9",
+                       "--jobs", "8", "--output", str(tmp_path / "r.csv")) == 0
+    finally:
+        sys.setswitchinterval(interval)
+    lines = capsys.readouterr().out.splitlines()
+    progress = [l for l in lines if "[sweep]" in l]
+    assert len(progress) == 2 * 6 * 7 * 4 * 5
+    assert all(re.fullmatch(r"\[sweep\] (sram|fefinfet) [0-9.]+ V N=[0-9]+ P=[0-9] "
+                            r"D=100 r=[0-9]: loss 0.000 %, 1.00 pJ", l) for l in progress)
 
 
 def test_sweep_catalog_gap_fails_fast(small_corpus_dir, tmp_path, capsys):
@@ -205,6 +248,29 @@ def test_export_and_reload_hw_tables(tmp_path, capsys):
     assert run_cli("export", "hw-tables", "--output", str(path)) == 0
     cat = load_hw_tables(path)
     assert ("sram", 0.7, 15) in cat and ("fefinfet", 0.5, 7) in cat
+
+
+def test_malformed_model_and_tables_exit_codes(tmp_path, capsys):
+    model, out = tmp_path / "m.json", tmp_path / "c.csv"
+    for doc in ({"version": 1, "dimension": 16},
+                {"version": 1, "dimension": 16, "classes": [{"label": "a", "bits": "ff"}]}):
+        model.write_text(json.dumps(doc))
+        assert run_cli("export", "model-csv", "--model", str(model),
+                       "--output", str(out)) != 0
+        assert capsys.readouterr().err.startswith("error: E-FORMAT:")
+    assert not out.exists()
+    tables = tmp_path / "t.json"
+    tables.write_text('{"entries": []}')
+    assert run_cli("hwmodel", "validate", "--tables", str(tables)) != 0
+    assert capsys.readouterr().err.startswith("error: E-CONFIG:")
+    # a measured table off the default voltage grid loads and validates
+    assert run_cli("export", "hw-tables", "--output", str(tables)) == 0
+    doc = json.loads(tables.read_text())
+    doc["tables"] = [dict(doc["tables"][0], voltage_V=0.75)]
+    tables.write_text(json.dumps(doc))
+    assert run_cli("hwmodel", "validate", "--tables", str(tables),
+                   "--voltage", "0.75") == 0
+    assert "ok: 1 table entries" in capsys.readouterr().out
 
 
 def test_export_model_csv(trained_model, tmp_path):

@@ -8,7 +8,7 @@ from hdtcam.encoders import (
     ALPHABET,
     ItemMemory,
     LabeledSet,
-    binarize_and_average_class,
+    Task,
     encode_image,
     encode_images,
     encode_text_ngram,
@@ -18,7 +18,7 @@ from hdtcam.encoders import (
     save_hypervector_csv,
     save_mnist,
 )
-from hdtcam.errors import DegenerateInputError, DimensionMismatchError, FormatError
+from hdtcam.errors import ConfigError, DegenerateInputError, DimensionMismatchError, FormatError
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +133,20 @@ def test_encode_images_matches_single_image_path():
 def test_binarize_and_average_is_majority():
     rng = np.random.default_rng(0)
     vs = [(rng.random(32) < 0.5).astype(np.uint8) for _ in range(5)]
-    assert np.array_equal(binarize_and_average_class(vs), bundle(vs))
+    binarized_average = (np.mean(vs, axis=0) > 0.5).astype(np.uint8)
+    assert np.array_equal(binarized_average, bundle(vs))
+
+
+def test_task_defaults_and_validation():
+    assert (Task("language").item_seed, Task("language").tie_seed) == (42, 7)
+    assert (Task("mnist").ngram, Task("mnist").threshold) == (4, 128)
+    assert Task("csv", item_seed="5").item_seed == 5
+    with pytest.raises(ConfigError, match="task must be one of"):
+        Task("speech")
+    labeled = LabeledSet(dimension=8)
+    labeled.add(np.zeros(8, dtype=np.uint8), "a")
+    with pytest.raises(DimensionMismatchError):
+        Task("csv").train(labeled, 16)
 
 
 # ---------------------------------------------------------------------------

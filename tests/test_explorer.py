@@ -22,7 +22,6 @@ from hdtcam.explorer import (
     point_from_dict,
     point_to_dict,
     precision_sweep_report,
-    predict_ideal,
     sweep,
     write_results_csv,
 )
@@ -148,14 +147,6 @@ def test_precision_sweep_report_matches_evaluate(rng):
         point = evaluate(am, qs, labels, BlockConfig(140, n, p), hw=None, trials=1)
         assert acc == pytest.approx(point.accuracy_mean)
         assert loss == pytest.approx(point.accuracy_loss)
-
-
-def test_predict_ideal_matches_per_query(rng):
-    am, qs, labels = _toy_dataset(rng)
-    from hdtcam.am import infer_ideal
-
-    preds = predict_ideal(am, qs)
-    assert preds == [infer_ideal(q, am)[0] for q in qs]
 
 
 # ---------------------------------------------------------------------------

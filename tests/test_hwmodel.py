@@ -10,10 +10,8 @@ from hdtcam.hwmodel import (
     CellFigures,
     HwEntry,
     LatencyModel,
-    ReplicaModel,
     RramShiftModel,
     area_capacity,
-    block_energy,
     confusion_from_latency,
     default_block_energy_fj,
     default_catalog,
@@ -22,9 +20,6 @@ from hdtcam.hwmodel import (
     load_hw_tables,
     max_error_probability,
     query_energy_pj,
-    replica_vote,
-    rram_shift_model,
-    sample_reported_distance,
     save_hw_tables,
 )
 
@@ -89,14 +84,6 @@ def test_with_precision_restricts():
         low.with_precision(5)
 
 
-def test_sample_reported_distance_bounds():
-    lm = _tight_model()
-    rng = np.random.default_rng(1)
-    assert sample_reported_distance(2, lm, rng) == 2
-    with pytest.raises(ValueError):
-        sample_reported_distance(9, lm, rng)
-
-
 # ---------------------------------------------------------------------------
 # Confusion matrix
 
@@ -144,12 +131,15 @@ def test_error_profile_dips_at_saturated_distance():
 # Replicas and RRAM shift
 
 
-def test_replica_vote_validation():
+def test_sample_replicas_validation():
     lm = _tight_model()
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        replica_vote(1, lm, 2, rng)
-    assert replica_vote(3, lm, 5, rng) == 3
+        lm.sample(np.array([1]), rng, replicas=2)
+    reported, latency = lm.sample(np.array([3, 0]), rng, replicas=5)
+    assert reported.tolist() == [3, 0]
+    assert latency[0] == pytest.approx(lm.mu_ns[2])
+    assert latency[1] == lm.match_timeout_ns
 
 
 def test_replica_voting_reduces_error():
@@ -157,24 +147,30 @@ def test_replica_voting_reduces_error():
     n = 50_000
     h = 3
     rng = np.random.default_rng(7)
-    single = ReplicaModel(lm, 1).report_distances(np.full(n, h), rng)
-    voted = ReplicaModel(lm, 7).report_distances(np.full(n, h), rng)
+    single, _ = lm.sample(np.full(n, h), rng, replicas=1)
+    voted, _ = lm.sample(np.full(n, h), rng, replicas=7)
     err1 = np.mean(single != h)
     err7 = np.mean(voted != h)
     assert err7 < err1
 
 
 def test_replica_model_r1_identical_to_plain():
+    """r = 1 is one plain draw; r replicas are r plain draws in order,
+    reduced to their median report and slowest latency."""
     lm = default_entry("sram", 0.5, 15).latency
-    h = np.random.default_rng(0).integers(0, 8, size=1000)
-    a = ReplicaModel(lm, 1).report_distances(h, np.random.default_rng(5))
+    h = np.random.default_rng(0).integers(0, 8, size=(40, 3, 11))
+    a, _ = lm.sample(h, np.random.default_rng(5))
     b = lm.report_distances(h, np.random.default_rng(5))
     assert np.array_equal(a, b)
+    reported, latency = lm.sample(h, np.random.default_rng(6), replicas=3)
+    rng = np.random.default_rng(6)
+    draws = [lm.sample(h, rng) for _ in range(3)]
+    assert np.array_equal(reported, np.median([d for d, _ in draws], axis=0))
+    assert np.array_equal(latency, np.max([t for _, t in draws], axis=0))
 
 
 def test_rram_shift_examples():
-    m = rram_shift_model(4)
-    assert isinstance(m, RramShiftModel)
+    m = RramShiftModel(4)
     assert m.report_distances(np.array([0, 1, 2, 3, 4])).tolist() == [1, 2, 3, 4, 4]
 
 
@@ -204,9 +200,6 @@ def test_fefet_energy_premium_at_low_voltage():
 
 def test_block_and_query_energy():
     e = np.array([1.0, 2.0, 3.0])
-    assert block_energy(e, 2) == 3.0
-    with pytest.raises(ConfigError):
-        block_energy(e, 3)
     assert query_energy_pj(e, np.array([0, 1, 2, 2])) == pytest.approx(0.009)
 
 
@@ -276,6 +269,31 @@ def test_table_file_missing_key(tmp_path):
     path = tmp_path / "tables.json"
     path.write_text('{"tables": [{"technology": "sram"}]}')
     with pytest.raises(ConfigError, match="missing key"):
+        load_hw_tables(path)
+    path.write_text('{"entries": []}')
+    with pytest.raises(ConfigError, match="array of table objects"):
+        load_hw_tables(path)
+    path.write_text('{"tables": [7]}')
+    with pytest.raises(ConfigError, match="table object"):
+        load_hw_tables(path)
+
+
+def test_table_file_off_grid_voltage_loads(tmp_path):
+    """Measured tables may sit between the default grid's voltages."""
+    import json
+
+    path = tmp_path / "tables.json"
+    save_hw_tables(path, default_catalog(block_sizes=(7,)))
+    doc = json.loads(path.read_text())
+    doc["tables"] = [dict(doc["tables"][0], technology="sram", voltage_V=0.75)]
+    path.write_text(json.dumps(doc))
+    entry = load_hw_tables(path).get("sram", 0.75, 7)
+    cm = confusion_from_latency(entry.latency)
+    assert entry.latency.voltage == 0.75
+    assert np.abs(cm.sum(axis=1) - 1.0).max() < 1e-9
+    doc["tables"][0]["technology"] = "rram"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match="technology"):
         load_hw_tables(path)
 
 
