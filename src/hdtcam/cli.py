@@ -151,23 +151,33 @@ def _task(cfg: dict, meta: dict | None = None) -> encoders.Task:
     return task
 
 
+def _data_path(cfg: dict, name: str):
+    """``cfg[name]``; E-CONFIG naming the flag that sets it when it is absent."""
+    path = cfg.get(name)
+    if path is None:
+        raise ConfigError(f"missing --{name.replace('_', '-')} (or {name!r} in --config)")
+    return path
+
+
 def _train_data(task: encoders.Task, cfg: dict):
     if task.kind == "language":
-        return _read_language_train(cfg["train_dir"])
+        return _read_language_train(_data_path(cfg, "train_dir"))
     if task.kind == "mnist":
-        return encoders.load_mnist(cfg["train_images"], cfg["train_labels"])
-    return encoders.load_hypervector_csv(cfg["train_csv"])
+        return encoders.load_mnist(_data_path(cfg, "train_images"),
+                                   _data_path(cfg, "train_labels"))
+    return encoders.load_hypervector_csv(_data_path(cfg, "train_csv"))
 
 
 def _query_data(task: encoders.Task, cfg: dict):
     """(encoder input, labels) of the task's query set."""
     if task.kind == "language":
-        pairs = _read_language_queries(cfg["queries"])
+        pairs = _read_language_queries(_data_path(cfg, "queries"))
         return [text for text, _ in pairs], [label for _, label in pairs]
     if task.kind == "mnist":
-        images, labels = encoders.load_mnist(cfg["test_images"], cfg["test_labels"])
+        images, labels = encoders.load_mnist(_data_path(cfg, "test_images"),
+                                             _data_path(cfg, "test_labels"))
         return images, [str(int(c)) for c in labels]
-    labeled = encoders.load_hypervector_csv(cfg["test_csv"])
+    labeled = encoders.load_hypervector_csv(_data_path(cfg, "test_csv"))
     return [hv for hv, _ in labeled.items], [label for _, label in labeled.items]
 
 

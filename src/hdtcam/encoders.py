@@ -16,6 +16,11 @@ ALPHABET = "abcdefghijklmnopqrstuvwxyz "
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
+# Integers up to 2**24 are exact in float32 (float64 holds them up to 2**53).
+FLOAT32_EXACT_LIMIT = 2**24
+# Bytes of one float block of distinct-gram vectors in ``encode_text_ngram``.
+NGRAM_CHUNK_BYTES = 4_000_000
+
 # Task kind -> default (item-memory seed, tie-break seed).
 TASK_SEEDS = {"language": (42, 7), "mnist": (43, 8), "csv": (0, 0)}
 
@@ -38,6 +43,7 @@ class ItemMemory:
             0, 2, size=(len(self.symbols), dimension), dtype=np.uint8
         )
         self._index = {s: i for i, s in enumerate(self.symbols)}
+        self._rotated = {}
 
     @classmethod
     def for_alphabet(cls, dimension: int, seed: int) -> "ItemMemory":
@@ -65,6 +71,15 @@ class ItemMemory:
     def matrix(self) -> np.ndarray:
         """(num_symbols, dimension) uint8 view of all entries in symbol order."""
         return self._matrix
+
+    def rotated(self, shift: int) -> np.ndarray:
+        """Read-only ``np.roll(matrix, shift, axis=1)``, built once per shift."""
+        out = self._rotated.get(shift)
+        if out is None:
+            out = np.roll(self._matrix, shift, axis=1)
+            out.flags.writeable = False
+            self._rotated[shift] = out
+        return out
 
 
 @dataclass
@@ -123,7 +138,8 @@ def encode_text_ngram(
     """Encode text as the majority bundle of all length-n sliding windows.
 
     Each window contributes the XOR of the j-th letter's vector rotated by j
-    positions (j = 0..n-1). Default n for language recognition is 4.
+    positions (j = 0..n-1). Default n for language recognition is 4. Each
+    distinct gram is composed once and counted with its multiplicity.
     """
     if n < 1:
         raise ValueError(f"n-gram size must be >= 1, got {n}")
@@ -138,19 +154,34 @@ def encode_text_ngram(
     except KeyError as exc:
         raise ValueError(f"symbol {exc.args[0]!r} not present in item memory") from None
 
-    d = im.dimension
-    # Item matrix pre-rotated once per window offset; window j picks row idx[i+j].
-    rotated = [np.roll(im.matrix, j, axis=1) for j in range(n)]
     num_windows = len(text) - n + 1
-    counts = np.zeros(d, dtype=np.int64)
-    chunk = max(1, 4_000_000 // d)
-    for start in range(0, num_windows, chunk):
-        stop = min(start + chunk, num_windows)
-        window = rotated[0][idx[start:stop]]
+    # Window code in base len(im); re-ranked whenever the next digit could
+    # overflow int64, which keeps distinct windows distinct.
+    base = len(im)
+    code = idx[:num_windows].astype(np.int64)
+    bound = base
+    for j in range(1, n):
+        if bound * base > 2**63:
+            _, code = np.unique(code, return_inverse=True)
+            bound = int(code.max()) + 1
+        code = code * base + idx[j : j + num_windows]
+        bound *= base
+    _, first, weights = np.unique(code, return_index=True, return_counts=True)
+
+    # Every partial sum of the weighted bits is an integer <= num_windows, so
+    # the float sum is exact.
+    dtype = np.float32 if num_windows < FLOAT32_EXACT_LIMIT else np.float64
+    weights = weights.astype(dtype)
+    d = im.dimension
+    counts = np.zeros(d, dtype=dtype)
+    chunk = max(1, NGRAM_CHUNK_BYTES // (d * np.dtype(dtype).itemsize))
+    for start in range(0, len(first), chunk):
+        rows = first[start : start + chunk]
+        grams = im.rotated(0)[idx[rows]]
         for j in range(1, n):
-            window ^= rotated[j][idx[start + j : stop + j]]
-        counts += window.sum(axis=0, dtype=np.int64)
-    return majority_from_counts(counts, num_windows, tie_rng)
+            grams ^= im.rotated(j)[idx[rows + j]]
+        counts += weights[start : start + chunk] @ grams.astype(dtype)
+    return majority_from_counts(counts.astype(np.int64), num_windows, tie_rng)
 
 
 def encode_image(
@@ -303,7 +334,8 @@ def save_hypervector_csv(path, labeled: LabeledSet) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write("label,bits\n")
         for hv, label in labeled.items:
-            f.write(f"{label},{''.join('1' if b else '0' for b in hv)}\n")
+            bits = np.where(hv != 0, ord("1"), ord("0")).astype(np.uint8).tobytes().decode()
+            f.write(f"{label},{bits}\n")
 
 
 @dataclass(frozen=True)

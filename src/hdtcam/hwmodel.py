@@ -412,24 +412,24 @@ def _entry_from_doc(doc: dict, where: str) -> HwEntry:
             np.asarray(doc["sigma_ns"], dtype=float),
             float(doc["match_timeout_ns"]),
         )
+        energy = doc["energy_fJ"]
+        if np.isscalar(energy):
+            energy_fj = np.full(lm.precision + 1, float(energy))
+        else:
+            energy_fj = np.asarray(energy, dtype=float)
+        temp = doc.get("temperature_C")
+        temperature_c = None if temp is None else float(temp)
     except ConfigError as exc:
         raise ConfigError(f"{where}: {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: malformed number ({exc})") from exc
-    energy = doc["energy_fJ"]
-    if np.isscalar(energy):
-        energy_fj = np.full(lm.precision + 1, float(energy))
-    else:
-        energy_fj = np.asarray(energy, dtype=float)
-        if energy_fj.shape != (lm.precision + 1,):
-            raise ConfigError(
-                f"{where}: energy_fJ must be a scalar or list of length precision+1"
-            )
+    if energy_fj.shape != (lm.precision + 1,):
+        raise ConfigError(
+            f"{where}: energy_fJ must be a scalar or list of length precision+1"
+        )
     if np.any(energy_fj <= 0):
         raise ConfigError(f"{where}: energy_fJ entries must be positive")
-    temp = doc.get("temperature_C")
-    return HwEntry(latency=lm, energy_fj=energy_fj,
-                   temperature_c=None if temp is None else float(temp))
+    return HwEntry(latency=lm, energy_fj=energy_fj, temperature_c=temperature_c)
 
 
 def load_hw_tables(path) -> Catalog:

@@ -54,6 +54,21 @@ def test_train_missing_corpus_fails(tmp_path, capsys):
     assert "nope" in err
 
 
+@pytest.mark.parametrize("task,train_flag,query_flag", [
+    ("language", "--train-dir", "--queries"),
+    ("mnist", "--train-images", "--test-images"),
+    ("csv", "--train-csv", "--test-csv"),
+])
+def test_missing_data_path_names_flag(task, train_flag, query_flag, trained_model,
+                                      tmp_path, capsys):
+    assert run_cli("train", "--task", task, "--output", str(tmp_path / "m.json")) != 0
+    err = capsys.readouterr().err
+    assert err.startswith("error: E-CONFIG:") and train_flag in err
+    assert run_cli("eval", "--model", str(trained_model), "--task", task) != 0
+    err = capsys.readouterr().err
+    assert err.startswith("error: E-CONFIG:") and query_flag in err
+
+
 def test_train_mnist_task(tmp_path):
     bench = synth.make_image_benchmark(num_classes=3, train_per_class=10,
                                        test_per_class=2, side=8, seed=4)
@@ -271,6 +286,13 @@ def test_malformed_model_and_tables_exit_codes(tmp_path, capsys):
     assert run_cli("hwmodel", "validate", "--tables", str(tables),
                    "--voltage", "0.75") == 0
     assert "ok: 1 table entries" in capsys.readouterr().out
+    # non-numeric fields are config errors that name the table
+    for field, value in (("energy_fJ", "abc"), ("temperature_C", "hot")):
+        tables.write_text(json.dumps({"tables": [dict(doc["tables"][0], **{field: value})]}))
+        assert run_cli("hwmodel", "validate", "--tables", str(tables),
+                       "--voltage", "0.75") != 0
+        err = capsys.readouterr().err
+        assert err.startswith("error: E-CONFIG:") and "tables[0]" in err
 
 
 def test_export_model_csv(trained_model, tmp_path):

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hdtcam import encoders
 from hdtcam.core import bundle, majority_from_counts
 from hdtcam.encoders import (
     ALPHABET,
@@ -44,6 +47,17 @@ def test_position_memory_size():
     assert im.matrix.shape == (784, 128)
 
 
+def test_rotated_matrices_are_cached_read_only_rolls():
+    im = ItemMemory.for_alphabet(40, seed=3)
+    for j in range(5):
+        rot = im.rotated(j)
+        assert np.array_equal(rot, np.roll(im.matrix, j, axis=1))
+        assert not rot.flags.writeable
+        assert im.rotated(j) is rot
+    with pytest.raises(ValueError):
+        im.rotated(1)[0, 0] = 1
+
+
 # ---------------------------------------------------------------------------
 # Text
 
@@ -82,6 +96,66 @@ def test_encode_text_too_short_raises():
     im = ItemMemory.for_alphabet(32, seed=0)
     with pytest.raises(ValueError, match="usable characters"):
         encode_text_ngram("ab", 4, im)
+
+
+def _encode_text_ngram_oracle(text, n, im, tie_rng):
+    """Reference encoder: XOR-compose and count every sliding window on its own."""
+    idx = np.array([im.symbols.index(c) for c in text], dtype=np.intp)
+    rotated = [np.roll(im.matrix, j, axis=1) for j in range(n)]
+    num_windows = len(text) - n + 1
+    counts = np.zeros(im.dimension, dtype=np.int64)
+    chunk = max(1, 4_000_000 // im.dimension)
+    for start in range(0, num_windows, chunk):
+        stop = min(start + chunk, num_windows)
+        window = rotated[0][idx[start:stop]]
+        for j in range(1, n):
+            window ^= rotated[j][idx[start + j : stop + j]]
+        counts += window.sum(axis=0, dtype=np.int64)
+    return majority_from_counts(counts, num_windows, tie_rng)
+
+
+_letters = st.sampled_from(ALPHABET)
+_texts = st.one_of(
+    st.text(_letters, min_size=1, max_size=300),  # few repeated grams
+    st.builds(lambda unit, reps: unit * reps,      # almost all grams repeated
+              st.text(_letters, min_size=1, max_size=4), st.integers(1, 80)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_texts, n=st.integers(1, 5), dimension=st.sampled_from([7, 32, 65]),
+       chunk_rows=st.sampled_from([1, 3, 1000]), float64=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_encode_text_ngram_matches_per_window_oracle(text, n, dimension, chunk_rows,
+                                                     float64, seed):
+    """Counting distinct grams with their multiplicity gives the same vector and
+    draws the same tie bits; chunk size and float width are invisible."""
+    if len(text) < n:
+        text = text * n
+    im = ItemMemory.for_alphabet(dimension, seed=seed)
+    got_tie, want_tie = np.random.default_rng(seed), np.random.default_rng(seed)
+    itemsize = 8 if float64 else 4
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(encoders, "NGRAM_CHUNK_BYTES", chunk_rows * dimension * itemsize)
+        if float64:
+            mp.setattr(encoders, "FLOAT32_EXACT_LIMIT", 1)
+        got = encode_text_ngram(text, n, im, got_tie, pre_normalized=True)
+    want = _encode_text_ngram_oracle(text, n, im, want_tie)
+    assert got.dtype == want.dtype == np.uint8
+    assert np.array_equal(got, want)
+    assert got_tie.integers(0, 2**32) == want_tie.integers(0, 2**32)
+
+
+@pytest.mark.parametrize("n", [13, 14, 30])
+def test_encode_text_ngram_long_grams_match_oracle(n):
+    """27**14 overflows int64: window codes are re-ranked, grams stay distinct."""
+    rng = np.random.default_rng(n)
+    text = "".join(rng.choice(list(ALPHABET), size=200)) * 2
+    im = ItemMemory.for_alphabet(33, seed=1)
+    got_tie, want_tie = np.random.default_rng(0), np.random.default_rng(0)
+    got = encode_text_ngram(text, n, im, got_tie, pre_normalized=True)
+    assert np.array_equal(got, _encode_text_ngram_oracle(text, n, im, want_tie))
+    assert got_tie.integers(0, 2**32) == want_tie.integers(0, 2**32)
 
 
 def test_encode_text_chunking_is_invisible():
@@ -223,6 +297,10 @@ def test_csv_round_trip(tmp_path):
     for (hv_a, lab_a), (hv_b, lab_b) in zip(got.items, labeled.items):
         assert lab_a == lab_b
         assert np.array_equal(hv_a, hv_b)
+    expected = "label,bits\n" + "".join(
+        f"{label},{''.join('1' if b else '0' for b in hv)}\n" for hv, label in labeled.items
+    )
+    assert path.read_bytes() == expected.encode()
 
 
 def test_csv_header_optional(tmp_path):
