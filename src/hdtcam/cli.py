@@ -293,6 +293,39 @@ def _pareto_path(output: str) -> str:
     return f"{root}_pareto{ext or '.csv'}"
 
 
+def _resume_points(partial_path: str, config_hash: str) -> list:
+    """Points of an interrupted sweep, if its partial file's header carries
+    this sweep's configuration hash; E-CONFIG otherwise."""
+    with open(partial_path, "r", encoding="utf-8") as f:
+        lines = [line for line in f.read().splitlines() if line.strip()]
+    try:
+        header = json.loads(lines[0]) if lines else None
+    except json.JSONDecodeError:
+        header = None
+    if not isinstance(header, dict) or "config_hash" not in header:
+        raise ConfigError(
+            f"{partial_path}: no configuration header (written by an older hdtcam); "
+            "delete it to start the sweep over"
+        )
+    if header["config_hash"] != config_hash:
+        raise ConfigError(
+            f"{partial_path}: written by a sweep with config_hash {header['config_hash']}, "
+            f"this sweep has {config_hash}; rerun with the same settings or delete it"
+        )
+    body = lines[1:]
+    try:
+        done = [explorer.point_from_dict(json.loads(line)) for line in body]
+    except json.JSONDecodeError:
+        # An interrupted write leaves a torn final line; drop it so that
+        # appended points start on a line of their own.
+        body = body[:-1]
+        done = [explorer.point_from_dict(json.loads(line)) for line in body]
+        _atomic_write_text(partial_path, "".join(line + "\n" for line in [lines[0]] + body))
+        print("resuming: skipped a torn final line")
+    print(f"resuming: {len(done)} points already evaluated")
+    return done
+
+
 def cmd_sweep(args) -> int:
     cfg = _effective_config(
         args, ["task", "train_dir", "queries", "train_images", "train_labels",
@@ -313,27 +346,19 @@ def cmd_sweep(args) -> int:
         trials=int(cfg.get("trials", 10)),
         seed=seed,
     )
+    partial_path = f"{args.output}.partial.jsonl"
+    # Worker count does not change results, so a resume may use another one.
+    config_hash = _config_hash({k: v for k, v in cfg.items() if k != "jobs"})
+    done = _resume_points(partial_path, config_hash) if os.path.exists(partial_path) else []
     catalog = _load_catalog(cfg)
     datasets = {d: _sweep_dataset(task, cfg, d) for d in space.dimensions}
 
-    partial_path = f"{args.output}.partial.jsonl"
-    done = []
-    if os.path.exists(partial_path):
-        with open(partial_path, "r", encoding="utf-8") as f:
-            lines = [line for line in f.read().splitlines() if line.strip()]
-        try:
-            done = [explorer.point_from_dict(json.loads(line)) for line in lines]
-        except json.JSONDecodeError:
-            # An interrupted write leaves a torn final line; drop it so that
-            # appended points start on a line of their own.
-            done = [explorer.point_from_dict(json.loads(line)) for line in lines[:-1]]
-            _atomic_write_text(partial_path, "".join(line + "\n" for line in lines[:-1]))
-            print("resuming: skipped a torn final line")
-        print(f"resuming: {len(done)} points already evaluated")
     done_keys = {p.config_key for p in done}
     skip = [c for c in space.configurations()
             if (c[0], round(c[1], 2), c[2], c[3], c[4], c[5]) in done_keys]
 
+    if not os.path.exists(partial_path):
+        _atomic_write_text(partial_path, json.dumps({"config_hash": config_hash}) + "\n")
     partial = open(partial_path, "a", encoding="utf-8")
     total = len(list(space.configurations()))
     lock = threading.Lock()

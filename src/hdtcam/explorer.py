@@ -9,9 +9,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .am import CHUNK_ELEMS, AssociativeMemory, BlockConfig, block_distances, ideal_argmin
+from .am import AssociativeMemory, BlockConfig, block_distances, ideal_argmin
 from .errors import ConfigError, NoFeasiblePointError
-from .hwmodel import Catalog, HwEntry, RramShiftModel, query_energy_pj
+from .hwmodel import Catalog, HwEntry, RramShiftModel, energy_pj
 
 NO_LOSS_EPSILON = 5e-4  # noise floor of HDC accuracy fluctuations
 
@@ -94,6 +94,21 @@ def ideal_accuracy(am: AssociativeMemory, queries: np.ndarray, labels) -> float:
     return float(np.mean([am.labels[i] == t for i, t in zip(best, labels)]))
 
 
+def _label_indices(am: AssociativeMemory, labels) -> np.ndarray:
+    """Class index of each label; -1, which no prediction matches, for a
+    label the memory does not hold."""
+    index = {label: i for i, label in enumerate(am.labels)}
+    return np.array([index.get(label, -1) for label in labels], dtype=np.intp)
+
+
+def _distance_histogram(true: np.ndarray, precision: int) -> np.ndarray:
+    """n[q, c, h]: the blocks of each (query, class) pair at clamped distance h."""
+    hist = np.empty(true.shape[:2] + (precision + 1,), dtype=np.int64)
+    for h in range(precision + 1):
+        hist[..., h] = np.count_nonzero(true == h, axis=2)
+    return hist
+
+
 def evaluate(
     am: AssociativeMemory,
     queries: np.ndarray,
@@ -109,54 +124,54 @@ def evaluate(
 ) -> DesignPoint:
     """Run blocked inference over the test set ``trials`` times and aggregate.
 
-    An ``HwEntry`` samples every block report from its latency model and
-    charges its energy table; an ``RramShiftModel`` maps reports
-    deterministically; without ``hw`` the clamped distances are read exactly.
-    A query's latency is the slowest of all its blocks, classes and replicas,
-    which are read in parallel.
+    Every hardware model is a confusion matrix of P(reported j | true h) for
+    one read: the identity without ``hw``, a one-hot shift for an
+    ``RramShiftModel``, and the median of ``replicas`` reads of the latency
+    model for an ``HwEntry``, which also charges its energy table. Reads are
+    independent given the true clamped distance, so each trial draws, for
+    every (query, class) pair and distance h, how many of its blocks at h
+    report each j: one multinomial over the pair's distance histogram, exact
+    in distribution. One-hot matrices are applied without draws. A query's
+    latency is the slowest of all its blocks, classes and replicas, which
+    are read in parallel.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.uint8))
     labels = list(labels)
-    label_idx = np.array([am.labels.index(l) for l in labels])
-    true = block_distances(queries, am.class_matrix, cfg)
-
+    label_idx = _label_indices(am, labels)
+    precision = cfg.precision
     lm = None
     if isinstance(hw, HwEntry):
-        if cfg.precision > hw.latency.precision:
+        if precision > hw.latency.precision:
             raise ConfigError(
-                f"block config precision {cfg.precision} exceeds the "
+                f"block config precision {precision} exceeds the "
                 f"hardware table's maximum of {hw.latency.precision}"
             )
-        lm = hw.latency.with_precision(cfg.precision)
+        lm = hw.latency.with_precision(precision)
+    cm = np.eye(precision + 1) if hw is None else hw.confusion(precision, replicas)
+    hist = _distance_histogram(block_distances(queries, am.class_matrix, cfg), precision)
+    one_hot = cm == 1.0
+    fixed = hist @ one_hot.astype(np.int64) if one_hot.any(axis=1).all() else None
+    reported = np.arange(cm.shape[1])
+    reads = replicas * hist.sum(axis=1)  # per query and true distance
 
     num_q = queries.shape[0]
     seeds = np.random.SeedSequence(seed).spawn(trials)
     accuracies = []
     energies = []
     latencies = []
-    chunk = max(1, CHUNK_ELEMS // max(1, len(am) * cfg.num_blocks))
     for trial in range(trials):
         rng = np.random.default_rng(seeds[trial])
-        correct = 0
-        energy_pj = 0.0
-        latency_sum = 0.0
-        for s in range(0, num_q, chunk):
-            reported = true[s:s + chunk]
-            if lm is not None:
-                reported, lat = lm.sample(reported, rng, replicas)
-                # Rebinding frees the per-element latencies before the energy sum.
-                lat = lat.reshape(lat.shape[0], -1).max(axis=1)
-                latency_sum += float(lat.sum())
-                energy_pj += query_energy_pj(hw.energy_fj, reported)
-            elif hw is not None:
-                reported = hw.report_distances(reported)
-            totals = reported.sum(axis=2, dtype=np.int64)
-            preds = np.argmin(totals, axis=1)
-            correct += int(np.count_nonzero(preds == label_idx[s:s + chunk]))
-        accuracies.append(correct / num_q)
-        energies.append(energy_pj / num_q)
-        latencies.append(latency_sum / num_q)
-        if hw is None:
+        counts = fixed if fixed is not None else rng.multinomial(hist, cm).sum(axis=2)
+        preds = np.argmin(counts @ reported, axis=1)
+        accuracies.append(np.count_nonzero(preds == label_idx) / num_q)
+        if lm is None:
+            energies.append(0.0)
+            latencies.append(0.0)
+        else:
+            totals = counts.sum(axis=(0, 1))
+            energies.append(energy_pj(hw.energy_fj[:precision + 1], totals) / num_q)
+            latencies.append(float(lm.slowest_latency(reads, rng).sum()) / num_q)
+        if lm is None and fixed is not None:
             # Deterministic reports: further trials would repeat identically.
             accuracies = accuracies * trials
             energies = energies * trials
@@ -301,7 +316,7 @@ def precision_sweep_report(am, queries, labels, block_sizes, precisions,
     labels = list(labels)
     if baseline_accuracy is None:
         baseline_accuracy = ideal_accuracy(am, queries, labels)
-    label_idx = np.array([am.labels.index(l) for l in labels])
+    label_idx = _label_indices(am, labels)
     rows = []
     for n in block_sizes:
         cfg_full = BlockConfig(dimension=am.dimension, block_size=n, precision=n)

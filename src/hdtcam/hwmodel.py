@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import statistics
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -57,6 +58,8 @@ _SRAM_E15_05V_FJ = 0.73
 _SRAM_E15_10V_FJ = 4.53
 _FEFET_ENERGY_FACTOR = {0.5: 1.19, 0.6: 1.10, 0.7: 1.0, 0.8: 1.0, 0.9: 1.0, 1.0: 1.0}
 _PERIPHERY_WEIGHT_FJ = 6.0  # shared sense-amp share in the linear-in-N energy shape
+
+_STANDARD_NORMAL = statistics.NormalDist()
 
 
 @dataclass(frozen=True)
@@ -147,30 +150,45 @@ class LatencyModel:
         """Midpoint decision rule: the distance whose latency interval holds t."""
         return self.precision - np.searchsorted(self.thresholds_ns, t)
 
-    def sample(self, true_h: np.ndarray, rng: np.random.Generator, replicas: int = 1):
+    def sample(self, true_h: np.ndarray, rng: np.random.Generator):
         """Reported distances and latencies for an int array of true distances.
 
-        Each of the ``replicas`` arrays draws one Gaussian latency per element
-        (one ``rng.normal`` call per replica, in order) and decodes it with the
-        midpoint rule; the reported distance is the median over replicas and
-        the latency the slowest replica. Distance 0 never discharges the match
-        line: its latency is the sensing timeout and it always reads 0.
+        Draws one Gaussian latency per element (one ``rng.normal`` call) and
+        decodes it with the midpoint rule. Distance 0 never discharges the
+        match line: its latency is the sensing timeout and it always reads 0.
         """
-        if replicas < 1 or replicas % 2 == 0:
-            raise ValueError(f"replica count must be odd and >= 1, got {replicas}")
         true_h = np.asarray(true_h)
         mu_full = np.concatenate([[self.match_timeout_ns], self.mu_ns])
         sigma_full = np.concatenate([[0.0], self.sigma_ns])
-        draws = np.empty((replicas,) + true_h.shape, dtype=np.int16)
-        latency = None
-        for i in range(replicas):
-            t = rng.normal(mu_full[true_h], sigma_full[true_h])
-            draws[i] = self.report_from_latency(t)
-            draws[i][true_h == 0] = 0
-            latency = t if latency is None else np.maximum(latency, t, out=latency)
-        if replicas == 1:
-            return draws[0], latency
-        return np.median(draws, axis=0, overwrite_input=True).astype(np.int16), latency
+        latency = rng.normal(mu_full[true_h], sigma_full[true_h])
+        reported = self.report_from_latency(latency).astype(np.int16)
+        reported[true_h == 0] = 0
+        return reported, latency
+
+    def slowest_latency(self, reads: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Latency of the slowest of independent reads, per row of ``reads``.
+
+        ``reads[..., h]`` counts the reads of true distance h = 0..P. The
+        slowest of m draws of N(mu, sigma) is mu + sigma * Phi^-1(U^(1/m))
+        for one uniform U, so one draw per row and distance h >= 1 is exact
+        in distribution; 1 - U^(1/m) is taken as -expm1(log(U) / m), which
+        keeps its precision when m is large. A row with a distance-0 read
+        waits at least the sensing timeout; a row without reads gives -inf.
+        """
+        reads = np.asarray(reads)
+        m = reads[..., 1:]
+        read = m > 0
+        u = rng.random(m.shape)
+        with np.errstate(divide="ignore"):
+            tail = -np.expm1(np.log(u[read]) / m[read])  # 1 - U^(1/m)
+        # U at either end of [0, 1) would put the quantile at +-infinity.
+        tail = np.clip(tail, np.finfo(float).tiny, np.nextafter(1.0, 0.0))
+        z = -np.fromiter(map(_STANDARD_NORMAL.inv_cdf, tail), dtype=float, count=tail.size)
+        latency = np.full(m.shape, -np.inf)
+        latency[read] = (np.broadcast_to(self.mu_ns, m.shape)[read]
+                         + np.broadcast_to(self.sigma_ns, m.shape)[read] * z)
+        slowest = latency.max(axis=-1)
+        return np.where(reads[..., 0] > 0, np.maximum(slowest, self.match_timeout_ns), slowest)
 
     def report_distances(self, true_h: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Sampled reported distances for an int array of true distances."""
@@ -206,6 +224,25 @@ def max_error_probability(cm: np.ndarray) -> float:
     return float(np.max(1.0 - np.diag(cm)))
 
 
+def median_confusion(cm: np.ndarray, replicas: int) -> np.ndarray:
+    """Confusion matrix of the median of ``replicas`` independent reads.
+
+    The median is at most k exactly when at least (r+1)/2 reads are, so with
+    F_k the row CDF of ``cm``:
+    P(med <= k) = sum_{j >= (r+1)/2} C(r, j) F_k^j (1 - F_k)^(r-j).
+    One-hot rows stay one-hot.
+    """
+    if replicas < 1 or replicas % 2 == 0:
+        raise ValueError(f"replica count must be odd and >= 1, got {replicas}")
+    if replicas == 1:
+        return cm
+    cdf = np.clip(np.cumsum(cm, axis=1), 0.0, 1.0)
+    med = sum(math.comb(replicas, j) * cdf ** j * (1.0 - cdf) ** (replicas - j)
+              for j in range((replicas + 1) // 2, replicas + 1))
+    med[:, -1] = 1.0
+    return np.maximum(np.diff(med, axis=1, prepend=0.0), 0.0)
+
+
 @dataclass(frozen=True)
 class RramShiftModel:
     """Deterministic +1-bit shift of every block distance, clamped at P.
@@ -220,15 +257,30 @@ class RramShiftModel:
     def report_distances(self, true_h: np.ndarray, rng=None) -> np.ndarray:
         return np.minimum(np.asarray(true_h) + 1, self.precision)
 
+    def confusion(self, precision: int, replicas: int = 1) -> np.ndarray:
+        """One-hot matrix of the shift for true distances 0..``precision``;
+        the median of replicated identical reads is the same read."""
+        true_h = np.arange(precision + 1)
+        cm = np.zeros((precision + 1, max(precision, self.precision) + 1))
+        cm[true_h, self.report_distances(true_h)] = 1.0
+        return cm
+
 
 # ---------------------------------------------------------------------------
 # Energy and area
 
 
-def query_energy_pj(energy_fj: np.ndarray, reported: np.ndarray) -> float:
-    """Total energy in pJ of block comparisons: sum of e(h) over the reported h."""
+def energy_pj(energy_fj: np.ndarray, counts: np.ndarray) -> float:
+    """Total energy in pJ of block comparisons, ``counts[j]`` of which reported j.
+
+    Charged as e(0) * sum(c) + sum_j (e(j) - e(0)) * c_j: with a flat table
+    the second term is exactly zero, so the energy does not depend on which
+    distances were reported.
+    """
     energy_fj = np.asarray(energy_fj, dtype=float)
-    return float(energy_fj[np.asarray(reported)].sum() / 1000.0)
+    counts = np.asarray(counts)
+    excess = float(np.dot(energy_fj - energy_fj[0], counts))
+    return (float(energy_fj[0] * counts.sum()) + excess) / 1000.0
 
 
 def default_block_energy_fj(technology: str, voltage: float, block_size: int) -> float:
@@ -308,6 +360,11 @@ class HwEntry:
     latency: LatencyModel
     energy_fj: np.ndarray  # e(h) for h in 0..P
     temperature_c: float | None = None
+
+    def confusion(self, precision: int, replicas: int = 1) -> np.ndarray:
+        """P(reported j | true i) of the median of ``replicas`` reads at ``precision``."""
+        cm = confusion_from_latency(self.latency.with_precision(precision))
+        return median_confusion(cm, replicas)
 
 
 def default_entry(technology: str, voltage: float, block_size: int) -> HwEntry:

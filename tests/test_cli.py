@@ -149,6 +149,13 @@ def test_sweep_deterministic_and_pareto(small_corpus_dir, tmp_path, capsys):
             == [l for l in p1.read_text().splitlines() if not l.startswith("#")])
 
 
+def _partial_header(results_csv):
+    """The partial-file header of a sweep run without --jobs: its config hash
+    is the one in the results' metadata."""
+    [meta] = [l for l in results_csv.read_text().splitlines() if l.startswith("# config_hash=")]
+    return json.dumps({"config_hash": meta.split("=", 1)[1]}) + "\n"
+
+
 def test_sweep_resume_matches_uninterrupted(small_corpus_dir, tmp_path, capsys):
     train_dir, queries_csv = small_corpus_dir
     full, resumed = tmp_path / "full.csv", tmp_path / "resumed.csv"
@@ -169,19 +176,88 @@ def test_sweep_resume_matches_uninterrupted(small_corpus_dir, tmp_path, capsys):
         })
 
     partial = tmp_path / "resumed.csv.partial.jsonl"
+    header = _partial_header(full)
     # an interrupted run: one point already in the partial file
-    partial.write_text(as_json(points[0]) + "\n")
+    partial.write_text(header + as_json(points[0]) + "\n")
     assert _run_sweep(train_dir, queries_csv, resumed) == 0
     assert resumed.read_bytes() == full.read_bytes()
     assert not partial.exists()
     # a run killed mid-write leaves a torn final line, which is skipped
     resumed.unlink()
-    partial.write_text(as_json(points[0]) + "\n" + as_json(points[1])[:25])
+    partial.write_text(header + as_json(points[0]) + "\n" + as_json(points[1])[:25])
     capsys.readouterr()
     assert _run_sweep(train_dir, queries_csv, resumed) == 0
     assert "resuming: 1 points already evaluated" in capsys.readouterr().out
     assert resumed.read_bytes() == full.read_bytes()
     assert not partial.exists()
+    # the worker count is not part of the configuration
+    partial.write_text(header + as_json(points[0]) + "\n")
+    assert run_cli("sweep", "--task", "language", "--train-dir", str(train_dir),
+                   "--queries", str(queries_csv), *SWEEP_FLAGS, "--jobs", "2",
+                   "--output", str(resumed)) == 0
+    assert not partial.exists()
+
+
+@pytest.mark.parametrize("change", [
+    ["--trials", "3"], ["--seed", "1"], "no header",
+], ids=["trials", "seed", "no-header"])
+def test_sweep_resume_refuses_other_configuration(change, small_corpus_dir, tmp_path, capsys):
+    """A partial file from another configuration, or one without the header
+    that records it, is refused rather than mixed into the results."""
+    train_dir, queries_csv = small_corpus_dir
+    full = tmp_path / "full.csv"
+    assert _run_sweep(train_dir, queries_csv, full) == 0
+    partial = tmp_path / "resumed.csv.partial.jsonl"
+    point = json.dumps({"technology": "sram", "voltage_V": 0.5, "block_size": 7,
+                        "precision": 7, "dimension": 800, "replicas": 1, "trials": 2,
+                        "accuracy_mean": 0.5, "accuracy_std": 0.0, "accuracy_loss": 0.4,
+                        "energy_pJ": 1.0, "latency_ns": 1.0, "pareto": False}) + "\n"
+    partial.write_text(point if change == "no header" else _partial_header(full) + point)
+    extra = [] if change == "no header" else change
+    capsys.readouterr()
+    assert run_cli("sweep", "--task", "language", "--train-dir", str(train_dir),
+                   "--queries", str(queries_csv), *SWEEP_FLAGS, *extra,
+                   "--output", str(tmp_path / "resumed.csv")) != 0
+    err = capsys.readouterr().err
+    assert err.startswith("error: E-CONFIG:") and str(partial) in err
+    assert partial.read_text().endswith(point)
+    assert not (tmp_path / "resumed.csv").exists()
+
+
+@pytest.fixture()
+def unseen_label_csv(tmp_path):
+    """A 64-bit csv task whose test set holds a label training never saw."""
+    rows = np.random.default_rng(8).integers(0, 2, size=(2, 64)).astype(str)
+    a, b = ("".join(r) for r in rows)
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    train.write_text(f"label,bits\na,{a}\nb,{b}\n")
+    test.write_text(f"label,bits\na,{a}\nb,{b}\nz,{a}\n")
+    model = tmp_path / "m.json"
+    assert run_cli("train", "--task", "csv", "--train-csv", str(train),
+                   "--dimension", "64", "--output", str(model)) == 0
+    return train, test, model
+
+
+@pytest.mark.parametrize("mode", ["ideal", "blocked", "noisy", "sweep"])
+def test_unseen_query_label_counts_as_miss(mode, unseen_label_csv, tmp_path):
+    train, test, model = unseen_label_csv
+    out = tmp_path / "out.csv"
+    if mode == "sweep":
+        argv = ["sweep", "--task", "csv", "--train-csv", str(train), "--test-csv", str(test),
+                "--voltages", "1.0", "--block-sizes", "8", "--precisions", "4",
+                "--dimensions", "64", "--trials", "2"]
+    else:
+        argv = ["eval", "--model", str(model), "--task", "csv", "--test-csv", str(test)]
+        argv += {"ideal": [], "blocked": ["--block-size", "8", "--precision", "4"],
+                 "noisy": ["--technology", "sram", "--voltage", "1.0",
+                           "--block-size", "8", "--trials", "2"]}[mode]
+    assert run_cli(*argv, "--output", str(out)) == 0
+    [row] = [l for l in out.read_text().splitlines() if l[:1] not in ("#", "t")]
+    accuracy = float(row.split(",")[7])
+    assert accuracy <= 2 / 3 + 1e-6
+    if mode in ("ideal", "blocked"):
+        assert accuracy == pytest.approx(2 / 3, abs=1e-6)
+    assert not (tmp_path / "out.csv.partial.jsonl").exists()
 
 
 def test_sweep_jobs_progress_lines_whole(small_corpus_dir, tmp_path, capsys, monkeypatch):

@@ -4,6 +4,7 @@ import io
 
 import numpy as np
 import pytest
+from gaussian_oracle import evaluate_trials
 
 from hdtcam import hwmodel
 from hdtcam.am import AssociativeMemory, BlockConfig
@@ -137,6 +138,62 @@ def test_evaluate_replica_voting_improves_noisy_accuracy(rng):
     r7 = evaluate(am, qs, labels, cfg, hw=entry, replicas=7, trials=10, seed=3)
     assert r7.accuracy_mean >= r1.accuracy_mean
     assert r7.latency_ns >= r1.latency_ns  # max over more parallel draws
+
+
+def _sloped_entry(technology, voltage, block_size):
+    """A default entry whose energy grows with the reported distance."""
+    entry = hwmodel.default_entry(technology, voltage, block_size)
+    slope = 1 + 0.25 * np.arange(entry.energy_fj.size)
+    return hwmodel.HwEntry(entry.latency, entry.energy_fj * slope)
+
+
+@pytest.mark.parametrize("entry,precision,replicas", [
+    (hwmodel.default_entry("fefinfet", 0.7, 7), 7, 3),
+    (_sloped_entry("sram", 0.7, 7), 5, 1),
+    (_sloped_entry("fefinfet", 0.5, 7), 7, 7),
+], ids=["fefinfet-r3", "sram-sloped-P5-r1", "fefinfet-sloped-r7"])
+def test_evaluate_matches_gaussian_oracle(entry, precision, replicas):
+    """Mean accuracy, energy and latency over many trials agree with reading
+    every block and replica through its own Gaussian draw, within 5 standard
+    errors of the difference."""
+    am, qs, labels = _toy_dataset(np.random.default_rng(12345), flip=0.42)
+    cfg = BlockConfig(140, 7, precision)
+    trials, oracle_trials = 2000, 600
+    point = evaluate(am, qs, labels, cfg, hw=entry, replicas=replicas, trials=trials, seed=1)
+    ref = evaluate_trials(am, qs, labels, cfg, entry, replicas, oracle_trials, seed=2)
+    assert 0.5 < ref[:, 0].mean() < 0.95  # the reports are noisy enough to matter
+    for got, column in ((point.accuracy_mean, 0), (point.energy_pj, 1), (point.latency_ns, 2)):
+        se = ref[:, column].std(ddof=1) * np.sqrt(1 / trials + 1 / oracle_trials)
+        assert abs(got - ref[:, column].mean()) <= 5 * se + 1e-12 * abs(got)
+    assert point.accuracy_std == pytest.approx(ref[:, 0].std(), rel=0.15)
+
+
+def test_evaluate_flat_energy_equal_across_replicas_and_seeds(rng):
+    """A flat table charges the same float energy whatever the draws."""
+    am, qs, labels = _toy_dataset(rng, flip=0.42)
+    entry = hwmodel.default_entry("fefinfet", 0.7, 7)
+    energies = {
+        evaluate(am, qs, labels, BlockConfig(140, 7, 7), hw=entry, replicas=r,
+                 trials=3, seed=seed).energy_pj
+        for r in (1, 3, 7) for seed in (0, 1, 2)
+    }
+    assert len(energies) == 1
+    # and at sweep scale: any split of 10^6 reads over the reported distances
+    flat = np.full(8, entry.energy_fj[0])
+    splits = rng.multinomial(10**6, np.full(8, 1 / 8), size=50)
+    assert len({hwmodel.energy_pj(flat, counts) for counts in splits}) == 1
+
+
+@pytest.mark.parametrize("hw", [None, hwmodel.RramShiftModel(7),
+                                hwmodel.default_entry("sram", 1.0, 7)],
+                         ids=["ideal", "rram", "sram"])
+def test_unseen_query_label_is_a_miss(rng, hw):
+    am, qs, labels = _toy_dataset(rng)
+    labels = ["unseen"] + labels[1:]
+    point = evaluate(am, qs, labels, BlockConfig(140, 7, 7), hw=hw, trials=2)
+    assert point.accuracy_mean <= 1 - 1 / len(labels)
+    [(_, _, acc, _)] = precision_sweep_report(am, qs, labels, [7], [7])
+    assert acc == ideal_accuracy(am, qs, labels) <= 1 - 1 / len(labels)
 
 
 def test_precision_sweep_report_matches_evaluate(rng):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from gaussian_oracle import sample_replicas
 
 from hdtcam import hwmodel
 from hdtcam.errors import ConfigError
@@ -18,8 +19,9 @@ from hdtcam.hwmodel import (
     default_entry,
     error_probability,
     load_hw_tables,
+    energy_pj,
     max_error_probability,
-    query_energy_pj,
+    median_confusion,
     save_hw_tables,
 )
 
@@ -135,11 +137,18 @@ def test_sample_replicas_validation():
     lm = _tight_model()
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        lm.sample(np.array([1]), rng, replicas=2)
-    reported, latency = lm.sample(np.array([3, 0]), rng, replicas=5)
+        sample_replicas(lm, np.array([1]), rng, replicas=2)
+    with pytest.raises(ValueError):
+        median_confusion(confusion_from_latency(lm), 2)
+    reported, latency = sample_replicas(lm, np.array([3, 0]), rng, replicas=5)
     assert reported.tolist() == [3, 0]
     assert latency[0] == pytest.approx(lm.mu_ns[2])
     assert latency[1] == lm.match_timeout_ns
+    # the same through the median transform and the slowest-read draw
+    assert median_confusion(confusion_from_latency(lm), 5)[[3, 0]].argmax(axis=1).tolist() == [3, 0]
+    slowest = lm.slowest_latency(np.array([[0, 0, 0, 5, 0], [5, 0, 0, 0, 0]]), rng)
+    assert slowest[0] == pytest.approx(lm.mu_ns[2])
+    assert slowest[1] == lm.match_timeout_ns
 
 
 def test_replica_voting_reduces_error():
@@ -147,11 +156,14 @@ def test_replica_voting_reduces_error():
     n = 50_000
     h = 3
     rng = np.random.default_rng(7)
-    single, _ = lm.sample(np.full(n, h), rng, replicas=1)
-    voted, _ = lm.sample(np.full(n, h), rng, replicas=7)
+    single, _ = sample_replicas(lm, np.full(n, h), rng, replicas=1)
+    voted, _ = sample_replicas(lm, np.full(n, h), rng, replicas=7)
     err1 = np.mean(single != h)
     err7 = np.mean(voted != h)
     assert err7 < err1
+    cm = confusion_from_latency(lm)
+    errs = [error_probability(median_confusion(cm, r), h) for r in (1, 3, 7)]
+    assert errs[2] < errs[1] < errs[0]
 
 
 def test_replica_model_r1_identical_to_plain():
@@ -159,14 +171,90 @@ def test_replica_model_r1_identical_to_plain():
     reduced to their median report and slowest latency."""
     lm = default_entry("sram", 0.5, 15).latency
     h = np.random.default_rng(0).integers(0, 8, size=(40, 3, 11))
-    a, _ = lm.sample(h, np.random.default_rng(5))
+    a, _ = sample_replicas(lm, h, np.random.default_rng(5))
     b = lm.report_distances(h, np.random.default_rng(5))
     assert np.array_equal(a, b)
-    reported, latency = lm.sample(h, np.random.default_rng(6), replicas=3)
+    reported, latency = sample_replicas(lm, h, np.random.default_rng(6), replicas=3)
     rng = np.random.default_rng(6)
     draws = [lm.sample(h, rng) for _ in range(3)]
     assert np.array_equal(reported, np.median([d for d, _ in draws], axis=0))
     assert np.array_equal(latency, np.max([t for _, t in draws], axis=0))
+    cm = confusion_from_latency(lm)
+    assert np.array_equal(median_confusion(cm, 1), cm)
+
+
+@pytest.mark.parametrize("technology", ["sram", "fefinfet"])
+@pytest.mark.parametrize("replicas", [3, 7])
+def test_median_confusion_matches_monte_carlo(technology, replicas):
+    """Each row against 200 000 medians of ``replicas`` Gaussian reads, with
+    criterion 06's binomial bounds: every cell inside the family-wise bound,
+    >= 99.5 % inside 3 sigma; rows sum to 1."""
+    lm = default_entry(technology, 0.7, 15).latency
+    cm = median_confusion(confusion_from_latency(lm), replicas)
+    assert np.abs(cm.sum(axis=1) - 1.0).max() < 1e-12
+    n = 200_000
+    rng = np.random.default_rng(replicas)
+    z = []
+    for h in range(lm.precision + 1):
+        reported, _ = sample_replicas(lm, np.full(n, h), rng, replicas)
+        freq = np.bincount(reported, minlength=lm.precision + 1) / n
+        sigma = np.sqrt(cm[h] * (1 - cm[h]) / n) + 2.0 / n
+        z.append(np.abs(freq - cm[h]) / sigma)
+    z = np.concatenate(z)
+    assert z.max() <= 5.07
+    assert np.mean(z <= 3.0) >= 0.995
+
+
+def _ks_distance(a, b):
+    """Two-sample Kolmogorov-Smirnov statistic."""
+    a, b = np.sort(a), np.sort(b)
+    grid = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, grid, side="right") / a.size
+    cdf_b = np.searchsorted(b, grid, side="right") / b.size
+    return float(np.abs(cdf_a - cdf_b).max())
+
+
+@pytest.mark.parametrize("reads", [
+    [0, 1, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 2, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 60],
+    [0, 3000, 0, 0, 0, 0, 0, 0],
+    [0, 5, 0, 40, 0, 0, 0, 900],
+    [1, 0, 2, 0, 0, 0, 0, 0],
+    [2, 30, 0, 0, 0, 0, 0, 0],
+], ids=["m1", "m2", "m60", "m3000", "mixed", "zero-block", "zero-block-m30"])
+def test_slowest_latency_matches_monte_carlo(reads):
+    """The order-statistic draw against the slowest of the same reads drawn
+    one by one: two-sample KS at the 0.1 % level."""
+    lm = default_entry("fefinfet", 0.7, 15).latency
+    reads = np.array(reads)
+    samples = 4000 if reads.sum() > 100 else 20_000
+    true_h = np.repeat(np.arange(lm.precision + 1), reads)
+    rng = np.random.default_rng(int(reads.sum()))
+    _, latency = lm.sample(np.broadcast_to(true_h, (samples, true_h.size)), rng)
+    monte_carlo = latency.max(axis=1)
+    drawn = lm.slowest_latency(np.broadcast_to(reads, (samples, reads.size)), rng)
+    assert _ks_distance(drawn, monte_carlo) <= 1.949 * np.sqrt(2.0 / samples)
+    if reads[0]:
+        assert drawn.min() >= lm.match_timeout_ns
+
+
+class _EdgeRng:
+    """Stands in for a Generator whose uniforms sit at one end of [0, 1)."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, shape):
+        return np.full(shape, self.value)
+
+
+@pytest.mark.parametrize("u", [0.0, np.finfo(float).tiny, np.nextafter(1.0, 0.0)])
+def test_slowest_latency_uniform_at_range_ends(u):
+    lm = default_entry("sram", 0.7, 15).latency
+    reads = np.array([[0, 1, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 10**9]])
+    slowest = lm.slowest_latency(reads, _EdgeRng(u))
+    assert np.all(np.isfinite(slowest))
 
 
 def test_rram_shift_examples():
@@ -200,7 +288,7 @@ def test_fefet_energy_premium_at_low_voltage():
 
 def test_block_and_query_energy():
     e = np.array([1.0, 2.0, 3.0])
-    assert query_energy_pj(e, np.array([0, 1, 2, 2])) == pytest.approx(0.009)
+    assert energy_pj(e, np.bincount([0, 1, 2, 2], minlength=3)) == pytest.approx(0.009)
 
 
 def test_area_capacity():
