@@ -295,11 +295,13 @@ def _pareto_path(output: str) -> str:
 
 def _resume_points(partial_path: str, config_hash: str) -> list:
     """Points of an interrupted sweep, if its partial file's header carries
-    this sweep's configuration hash; E-CONFIG otherwise."""
+    this sweep's configuration hash; E-CONFIG otherwise, E-FORMAT naming the
+    line for a body line (other than a torn final one) that is not a point."""
     with open(partial_path, "r", encoding="utf-8") as f:
-        lines = [line for line in f.read().splitlines() if line.strip()]
+        lines = [(n, line) for n, line in enumerate(f.read().splitlines(), start=1)
+                 if line.strip()]
     try:
-        header = json.loads(lines[0]) if lines else None
+        header = json.loads(lines[0][1]) if lines else None
     except json.JSONDecodeError:
         header = None
     if not isinstance(header, dict) or "config_hash" not in header:
@@ -312,16 +314,18 @@ def _resume_points(partial_path: str, config_hash: str) -> list:
             f"{partial_path}: written by a sweep with config_hash {header['config_hash']}, "
             f"this sweep has {config_hash}; rerun with the same settings or delete it"
         )
-    body = lines[1:]
-    try:
-        done = [explorer.point_from_dict(json.loads(line)) for line in body]
-    except json.JSONDecodeError:
-        # An interrupted write leaves a torn final line; drop it so that
-        # appended points start on a line of their own.
-        body = body[:-1]
-        done = [explorer.point_from_dict(json.loads(line)) for line in body]
-        _atomic_write_text(partial_path, "".join(line + "\n" for line in [lines[0]] + body))
-        print("resuming: skipped a torn final line")
+    done = []
+    for lineno, line in lines[1:]:
+        try:
+            done.append(explorer.point_from_dict(json.loads(line)))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            if not (isinstance(exc, json.JSONDecodeError) and lineno == lines[-1][0]):
+                raise FormatError(f"{partial_path}: not a design point ({exc!r})",
+                                  location=f"line {lineno}") from None
+            # An interrupted write leaves a torn final line; drop it so that
+            # appended points start on a line of their own.
+            _atomic_write_text(partial_path, "".join(l + "\n" for _, l in lines[:-1]))
+            print("resuming: skipped a torn final line")
     print(f"resuming: {len(done)} points already evaluated")
     return done
 
@@ -460,7 +464,7 @@ def cmd_hwmodel(args) -> int:
         for e in entries:
             cm = hwmodel.confusion_from_latency(e.latency)
             row_err = float(np.abs(cm.sum(axis=1) - 1.0).max())
-            if row_err > 1e-9:
+            if not row_err <= 1e-9:
                 raise ConfigError(
                     f"tables[{e.latency.technology}/{e.latency.voltage}/"
                     f"{e.latency.block_size}]: confusion rows sum to 1±{row_err:.2e}"

@@ -22,7 +22,6 @@ import math
 import os
 import statistics
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -112,6 +111,8 @@ class LatencyModel:
             raise ConfigError(
                 f"mu/sigma must list exactly {self.precision} distances"
             )
+        if not np.all(np.isfinite([*mu, *sigma, self.match_timeout_ns])):
+            raise ConfigError("mu, sigma and match_timeout must be finite")
         if np.any(np.diff(mu) >= 0):
             raise ConfigError("mu must be strictly decreasing in the Hamming distance")
         if np.any(sigma <= 0):
@@ -125,8 +126,7 @@ class LatencyModel:
 
         A latency t maps to the reported distance P - searchsorted(thresholds, t).
         """
-        mids = (self.mu_ns[:-1] + self.mu_ns[1:]) / 2.0
-        return np.concatenate([mids[::-1], [self.match_timeout_ns]])
+        return _thresholds(self.mu_ns, np.asarray(self.match_timeout_ns))
 
     def with_precision(self, precision: int) -> "LatencyModel":
         """Restrict the decision rule to a lower precision (same physics)."""
@@ -195,24 +195,28 @@ class LatencyModel:
         return self.sample(true_h, rng)[0]
 
 
-def _norm_cdf(x):
-    return 0.5 * (1.0 + np.vectorize(math.erf)(x / math.sqrt(2.0)))
+def _thresholds(mu, timeout):
+    """Ascending decision boundaries, P-1 midpoints and the timeout, per model."""
+    mids = (mu[..., :-1] + mu[..., 1:]) / 2.0
+    return np.concatenate([mids[..., ::-1], timeout[..., None]], axis=-1)
+
+
+def _confusion(mu, sigma, timeout):
+    """Analytic confusion matrices of a stack of latency models under the
+    midpoint rule: mu, sigma (..., P) and timeout (...) -> (..., P+1, P+1)."""
+    p = mu.shape[-1]
+    z = (_thresholds(mu, timeout)[..., None, :] - mu[..., None]) / sigma[..., None]
+    cdf = 0.5 * (1.0 + np.frompyfunc(math.erf, 1, 1)(z / math.sqrt(2.0)).astype(float))
+    cm = np.zeros(mu.shape[:-1] + (p + 1, p + 1))
+    cm[..., 0, 0] = 1.0  # a perfect match never discharges the line
+    # Latency bin k reports P - k (the last bin, beyond the timeout, reports 0).
+    cm[..., 1:, :] = np.diff(cdf, axis=-1, prepend=0.0, append=1.0)[..., ::-1]
+    return cm
 
 
 def confusion_from_latency(lm: LatencyModel) -> np.ndarray:
     """Analytic (P+1)x(P+1) matrix of P(reported j | true i) under the midpoint rule."""
-    p = lm.precision
-    cm = np.zeros((p + 1, p + 1))
-    cm[0, 0] = 1.0  # a perfect match never discharges the line
-    thresholds = lm.thresholds_ns  # ascending, length P
-    for i in range(1, p + 1):
-        mu, sigma = lm.mu_ns[i - 1], lm.sigma_ns[i - 1]
-        cdf = _norm_cdf((thresholds - mu) / sigma)
-        edges = np.concatenate([[0.0], cdf, [1.0]])
-        mass = np.diff(edges)  # index k: latency bin k, reported P-k (last bin: 0)
-        for k in range(p + 1):
-            cm[i, p - k if k < p else 0] += mass[k]
-    return cm
+    return _confusion(lm.mu_ns, lm.sigma_ns, np.asarray(lm.match_timeout_ns))
 
 
 def error_probability(cm: np.ndarray, h: int) -> float:
@@ -220,8 +224,9 @@ def error_probability(cm: np.ndarray, h: int) -> float:
     return float(1.0 - cm[h, h])
 
 
-def max_error_probability(cm: np.ndarray) -> float:
-    return float(np.max(1.0 - np.diag(cm)))
+def max_error_probability(cm: np.ndarray):
+    """Largest misread probability per matrix of a (..., P+1, P+1) stack."""
+    return np.max(1.0 - np.diagonal(cm, axis1=-2, axis2=-1), axis=-1)
 
 
 def median_confusion(cm: np.ndarray, replicas: int) -> np.ndarray:
@@ -320,37 +325,52 @@ def _check_tech_voltage(technology: str, voltage: float) -> None:
         )
 
 
-def _build_latency_model(technology, voltage, block_size, precision, spread) -> LatencyModel:
-    t1 = _T1_NS[technology][round(voltage, 2)] * (0.7 + 0.3 * block_size / 15.0)
-    if precision >= 2:
-        # Geometric gap shrink: each extra miss roughly halves the latency gap.
-        q = 0.5
-        span = 0.5 * t1
-        g1 = span * (1 - q) / (1 - q ** (precision - 1))
-        gaps = g1 * q ** np.arange(precision - 1)
-        mu = t1 - np.concatenate([[0.0], np.cumsum(gaps)])
-        local = np.concatenate([gaps, [gaps[-1] * q]])
-    else:
-        mu = np.array([t1])
-        local = np.array([0.25 * t1])
+def _default_key(technology: str, voltage: float, block_size: int) -> tuple:
+    """(technology, voltage, block size, precision) of a default table."""
+    _check_tech_voltage(technology, voltage)
+    if not 2 <= block_size <= 25:
+        raise ConfigError(f"default tables cover block sizes 2..25, got {block_size}")
+    return technology, round(voltage, 2), block_size, min(MAX_PRECISION, block_size)
+
+
+def _default_latency(keys, spread):
+    """mu, sigma (K, P) and match timeout (K,) of the default latency shape
+    for K keys of one precision P at the sigma scales ``spread`` (K,)."""
+    p = keys[0][3]
+    t1 = np.array([[_T1_NS[tech][v] * (0.7 + 0.3 * n / 15.0)] for tech, v, n, _ in keys])
+    # Geometric gap shrink: each extra miss roughly halves the latency gap.
+    q = 0.5
+    g1 = 0.5 * t1 * (1 - q) / (1 - q ** (p - 1))
+    gaps = g1 * q ** np.arange(p - 1)
+    mu = t1 - np.concatenate([np.zeros_like(t1), np.cumsum(gaps, axis=-1)], axis=-1)
+    local = np.concatenate([gaps, gaps[:, -1:] * q], axis=-1)
     # Wider spread at higher distances; ``spread`` is the calibrated scale.
-    sigma = spread * local * (1.0 + 0.08 * np.arange(precision))
-    timeout = t1 + max(4.0 * float(sigma[0]), 0.5 * float(local[0]))
-    return LatencyModel(technology, round(voltage, 2), block_size, precision, mu, sigma, timeout)
+    sigma = spread[:, None] * local * (1.0 + 0.08 * np.arange(p))
+    timeout = t1[:, 0] + np.maximum(4.0 * sigma[:, 0], 0.5 * local[:, 0])
+    return mu, sigma, timeout
 
 
-@lru_cache(maxsize=None)
-def _calibrated_spread(technology: str, voltage: float, block_size: int, precision: int) -> float:
-    target = _MAX_ERROR_TARGET[technology][round(voltage, 2)]
-    lo, hi = 1e-8, 50.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        lm = _build_latency_model(technology, voltage, block_size, precision, mid)
-        if max_error_probability(confusion_from_latency(lm)) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+_SPREAD: dict[tuple, float] = {}
+
+
+def _calibrated_spreads(keys) -> list:
+    """Sigma scales putting each default table's largest misread probability
+    at its voltage's target, memoized per key.
+
+    Every new key runs its own 80-step bisection on [1e-8, 50]; each step
+    evaluates all new keys of one precision in one confusion kernel call.
+    """
+    new = list(dict.fromkeys(k for k in keys if k not in _SPREAD))
+    for p in sorted({k[3] for k in new}):
+        group = [k for k in new if k[3] == p]
+        target = np.array([_MAX_ERROR_TARGET[tech][v] for tech, v, _, _ in group])
+        lo, hi = np.full(len(group), 1e-8), np.full(len(group), 50.0)
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            below = max_error_probability(_confusion(*_default_latency(group, mid))) < target
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        _SPREAD.update(zip(group, (0.5 * (lo + hi)).tolist()))
+    return [_SPREAD[k] for k in keys]
 
 
 @dataclass(frozen=True)
@@ -369,14 +389,11 @@ class HwEntry:
 
 def default_entry(technology: str, voltage: float, block_size: int) -> HwEntry:
     """Calibrated default tables for one operating point (precision min(7, N))."""
-    _check_tech_voltage(technology, voltage)
-    if not 2 <= block_size <= 25:
-        raise ConfigError(f"default tables cover block sizes 2..25, got {block_size}")
-    precision = min(MAX_PRECISION, block_size)
-    spread = _calibrated_spread(technology, round(voltage, 2), block_size, precision)
-    lm = _build_latency_model(technology, voltage, block_size, precision, spread)
+    key = _default_key(technology, voltage, block_size)
+    mu, sigma, timeout = _default_latency([key], np.array(_calibrated_spreads([key])))
+    lm = LatencyModel(*key, mu[0], sigma[0], float(timeout[0]))
     e = default_block_energy_fj(technology, voltage, block_size)
-    return HwEntry(latency=lm, energy_fj=np.full(precision + 1, e))
+    return HwEntry(latency=lm, energy_fj=np.full(lm.precision + 1, e))
 
 
 class Catalog:
@@ -421,12 +438,9 @@ class Catalog:
 
 def default_catalog(block_sizes=DEFAULT_BLOCK_SIZES) -> Catalog:
     """The shipped approximate tables for both technologies on the voltage grid."""
-    cat = Catalog()
-    for tech in TECHNOLOGIES:
-        for v in VOLTAGE_GRID:
-            for n in block_sizes:
-                cat.add(default_entry(tech, v, n))
-    return cat
+    grid = [(tech, v, n) for tech in TECHNOLOGIES for v in VOLTAGE_GRID for n in block_sizes]
+    _calibrated_spreads([_default_key(*point) for point in grid])
+    return Catalog(default_entry(*point) for point in grid)
 
 
 # ---------------------------------------------------------------------------
@@ -478,14 +492,14 @@ def _entry_from_doc(doc: dict, where: str) -> HwEntry:
         temperature_c = None if temp is None else float(temp)
     except ConfigError as exc:
         raise ConfigError(f"{where}: {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: malformed number ({exc})") from exc
     if energy_fj.shape != (lm.precision + 1,):
         raise ConfigError(
             f"{where}: energy_fJ must be a scalar or list of length precision+1"
         )
-    if np.any(energy_fj <= 0):
-        raise ConfigError(f"{where}: energy_fJ entries must be positive")
+    if not np.all(np.isfinite(energy_fj) & (energy_fj > 0)):
+        raise ConfigError(f"{where}: energy_fJ entries must be positive and finite")
     return HwEntry(latency=lm, energy_fj=energy_fj, temperature_c=temperature_c)
 
 

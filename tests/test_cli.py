@@ -224,6 +224,31 @@ def test_sweep_resume_refuses_other_configuration(change, small_corpus_dir, tmp_
     assert not (tmp_path / "resumed.csv").exists()
 
 
+@pytest.mark.parametrize("body", [
+    '{"technology": "sram"}', "[1, 2]", '"point"', "null",
+    '{"technology": "sram", "voltage_V": "high"}',
+    '{"technology": "sram", "voltage_V": 0.5, "block_size": Infinity}',
+    '{"technology": "sram"',
+], ids=["missing-key", "list", "string", "null", "bad-number", "infinite-int", "torn-not-last"])
+def test_sweep_resume_rejects_malformed_point(body, small_corpus_dir, tmp_path, capsys):
+    """A body line that is valid JSON but not a design point, or a torn line
+    followed by another, exits E-FORMAT naming the file and the line."""
+    train_dir, queries_csv = small_corpus_dir
+    full = tmp_path / "full.csv"
+    assert _run_sweep(train_dir, queries_csv, full) == 0
+    partial = tmp_path / "resumed.csv.partial.jsonl"
+    contents = _partial_header(full) + "\n" + body + "\n" + '{"technology": "sram"}\n'
+    partial.write_text(contents)
+    capsys.readouterr()
+    assert run_cli("sweep", "--task", "language", "--train-dir", str(train_dir),
+                   "--queries", str(queries_csv), *SWEEP_FLAGS,
+                   "--output", str(tmp_path / "resumed.csv")) != 0
+    err = capsys.readouterr().err
+    assert err.startswith("error: E-FORMAT:") and str(partial) in err and "line 3" in err
+    assert partial.read_text() == contents
+    assert not (tmp_path / "resumed.csv").exists()
+
+
 @pytest.fixture()
 def unseen_label_csv(tmp_path):
     """A 64-bit csv task whose test set holds a label training never saw."""
@@ -362,13 +387,21 @@ def test_malformed_model_and_tables_exit_codes(tmp_path, capsys):
     assert run_cli("hwmodel", "validate", "--tables", str(tables),
                    "--voltage", "0.75") == 0
     assert "ok: 1 table entries" in capsys.readouterr().out
-    # non-numeric fields are config errors that name the table
-    for field, value in (("energy_fJ", "abc"), ("temperature_C", "hot")):
-        tables.write_text(json.dumps({"tables": [dict(doc["tables"][0], **{field: value})]}))
+    # non-numeric and non-finite fields are config errors that name the table
+    entry = doc["tables"][0]
+    bad = [("energy_fJ", "abc"), ("temperature_C", "hot"), ("block_size", float("inf")),
+           ("precision", float("nan"))]
+    for value in (float("nan"), float("inf"), -float("inf")):
+        bad += [("mu_ns", [value] + entry["mu_ns"][1:]),
+                ("sigma_ns", entry["sigma_ns"][:-1] + [value]),
+                ("match_timeout_ns", value), ("energy_fJ", value),
+                ("energy_fJ", [value] + entry["energy_fJ"][1:])]
+    for field, value in bad:
+        tables.write_text(json.dumps({"tables": [dict(entry, **{field: value})]}))
         assert run_cli("hwmodel", "validate", "--tables", str(tables),
                        "--voltage", "0.75") != 0
         err = capsys.readouterr().err
-        assert err.startswith("error: E-CONFIG:") and "tables[0]" in err
+        assert err.startswith("error: E-CONFIG:") and "tables[0]" in err, (field, value)
 
 
 def test_export_model_csv(trained_model, tmp_path):

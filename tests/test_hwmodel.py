@@ -1,11 +1,17 @@
 """Hardware model: decision rule, confusion matrices, energy, area, table I/O."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
+from calibration_oracle import build_latency, calibrated_spread, confusion_loop
 from gaussian_oracle import sample_replicas
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdtcam import hwmodel
-from hdtcam.errors import ConfigError
+from hdtcam.errors import ConfigError, FormatError
 from hdtcam.hwmodel import (
     CELL_FIGURES,
     CellFigures,
@@ -127,6 +133,73 @@ def test_error_profile_dips_at_saturated_distance():
     errs = [error_probability(cm, h) for h in range(1, 8)]
     assert errs[-1] < errs[-2]
     assert all(e > 0 for e in errs)
+
+
+def _assert_loop_equal(lm):
+    got = confusion_from_latency(lm)
+    want = confusion_loop(lm.mu_ns, lm.sigma_ns, lm.match_timeout_ns)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_confusion_matches_cell_loop_on_default_entries():
+    """The array kernel fills every cell with the float the per-cell loop
+    adds to it, bit for bit, at the table precision and below."""
+    for entry in default_catalog():
+        for precision in range(1, entry.latency.precision + 1):
+            _assert_loop_equal(entry.latency.with_precision(precision))
+
+
+@pytest.mark.parametrize("precision", range(1, 8))
+def test_confusion_matches_cell_loop_on_random_models(precision):
+    rng = np.random.default_rng(precision)
+    for _ in range(25):
+        mu = np.cumsum(rng.uniform(1e-3, 1.0, precision))[::-1]
+        sigma = rng.uniform(1e-4, 2.0, precision)
+        timeout = mu[0] + rng.uniform(1e-3, 3.0)
+        _assert_loop_equal(LatencyModel("sram", 0.7, 8, precision, mu, sigma, timeout))
+
+
+# ---------------------------------------------------------------------------
+# Calibration
+
+
+GRID_KEYS = [(tech, v, n, min(hwmodel.MAX_PRECISION, n)) for tech in hwmodel.TECHNOLOGIES
+             for v in hwmodel.VOLTAGE_GRID for n in range(2, 26)]
+
+
+def test_calibration_matches_scalar_bisection(monkeypatch):
+    """One batched bisection over all 2 x 6 x 24 grid keys gives the spread,
+    sigma and timeout of one scalar bisection per key, compared with ==."""
+    monkeypatch.setattr(hwmodel, "_SPREAD", {})
+    spreads = hwmodel._calibrated_spreads(GRID_KEYS)
+    for key, spread in zip(GRID_KEYS, spreads):
+        want = calibrated_spread(*key)
+        assert spread == want, key
+        mu, sigma, timeout = build_latency(*key, want)
+        lm = default_entry(*key[:3]).latency
+        assert lm.mu_ns.tobytes() == mu.tobytes(), key
+        assert lm.sigma_ns.tobytes() == sigma.tobytes(), key
+        assert lm.match_timeout_ns == timeout, key
+
+
+def test_calibration_of_one_key_matches_batch(monkeypatch):
+    """``default_entry`` calibrates only its own key; the result does not
+    depend on which other keys share the batch."""
+    monkeypatch.setattr(hwmodel, "_SPREAD", {})
+    entry = default_entry("fefinfet", 0.6, 12)
+    assert list(hwmodel._SPREAD) == [("fefinfet", 0.6, 12, 7)]
+    assert hwmodel._SPREAD[("fefinfet", 0.6, 12, 7)] == calibrated_spread("fefinfet", 0.6, 12, 7)
+    monkeypatch.setattr(hwmodel, "_SPREAD", {})
+    batch = default_catalog().get("fefinfet", 0.6, 12)
+    assert len(hwmodel._SPREAD) == 2 * 6 * len(hwmodel.DEFAULT_BLOCK_SIZES)
+    assert batch.latency.sigma_ns.tobytes() == entry.latency.sigma_ns.tobytes()
+
+
+def test_default_tables_export_unchanged(tmp_path):
+    path = tmp_path / "tables.json"
+    save_hw_tables(path, default_catalog())
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == "c6527c43fc63f51a8d9bdb05d2a1090fb8c40547d0788eedf086c98bf6f874cc")
 
 
 # ---------------------------------------------------------------------------
@@ -408,3 +481,94 @@ def test_hw_entry_temperature_round_trip(tmp_path):
     save_hw_tables(path, cat)
     got = load_hw_tables(path).get("sram", 0.9, 7)
     assert got.temperature_c == 85.0
+
+
+# ---------------------------------------------------------------------------
+# Table loader fuzzing
+
+
+_REQUIRED_KEYS = ["technology", "voltage_V", "block_size", "precision",
+                  "mu_ns", "sigma_ns", "match_timeout_ns", "energy_fJ"]
+_NON_FINITE = st.sampled_from([float("nan"), float("inf"), -float("inf")])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=8) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+
+
+@pytest.fixture(scope="module")
+def table_docs(tmp_path_factory):
+    """Exported table objects at precisions 3 and 7."""
+    path = tmp_path_factory.mktemp("tables") / "tables.json"
+    save_hw_tables(path, hwmodel.Catalog([default_entry("sram", 0.7, 3),
+                                          default_entry("fefinfet", 0.9, 15)]))
+    return json.loads(path.read_text())["tables"]
+
+
+def _mutate(doc, op, data):
+    """Apply one mutation; list edits skip a list an earlier one replaced."""
+    key = data.draw(st.sampled_from(_REQUIRED_KEYS + ["temperature_C"]))
+    if op == "drop":
+        doc.pop(key, None)
+    elif op == "extra":
+        doc[data.draw(st.text(min_size=1, max_size=6))] = data.draw(_JSON)
+    elif op == "retype":
+        doc[key] = data.draw(_JSON)
+    elif op == "non-finite":
+        key = data.draw(st.sampled_from(_REQUIRED_KEYS[1:] + ["temperature_C"]))
+        values = doc.get(key)
+        if isinstance(values, list) and values:
+            values[data.draw(st.integers(0, len(values) - 1))] = data.draw(_NON_FINITE)
+        else:
+            doc[key] = data.draw(_NON_FINITE)
+    elif op == "mu-not-decreasing":
+        mu = doc.get("mu_ns")
+        if isinstance(mu, list) and len(mu) >= 2 and isinstance(mu[0], float):
+            i = data.draw(st.integers(0, len(mu) - 2))
+            mu[i + 1] = mu[i] + data.draw(st.floats(0.0, 1.0))
+    elif op == "energy-length":
+        length = data.draw(st.integers(0, 12).filter(lambda n: n != len(doc["sigma_ns"]) + 1)
+                           if isinstance(doc.get("sigma_ns"), list) else st.integers(0, 12))
+        doc["energy_fJ"] = data.draw(st.lists(st.floats(0.1, 10.0), min_size=length,
+                                              max_size=length))
+
+
+_OPS = ["drop", "extra", "retype", "non-finite", "mu-not-decreasing", "energy-length"]
+
+
+def _check_valid(catalog):
+    """The invariants every loaded table promises."""
+    assert len(catalog) >= 1
+    for entry in catalog:
+        lm = entry.latency
+        assert np.all(np.isfinite(lm.mu_ns)) and np.all(np.isfinite(lm.sigma_ns))
+        assert np.isfinite(lm.match_timeout_ns)
+        assert np.all(np.diff(lm.mu_ns) < 0) and np.all(lm.sigma_ns > 0)
+        assert lm.match_timeout_ns > lm.mu_ns[0]
+        assert entry.energy_fj.shape == (lm.precision + 1,)
+        assert np.all(np.isfinite(entry.energy_fj)) and np.all(entry.energy_fj > 0)
+        assert np.abs(confusion_from_latency(lm).sum(axis=1) - 1.0).max() <= 1e-9
+
+
+@pytest.mark.parametrize("op", _OPS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_load_hw_tables_fuzz(op, table_docs, tmp_path_factory, data):
+    """Table files mutated by ``op`` and maybe one more mutation load into a
+    valid catalog or fail with a config or format error, never with another
+    exception."""
+    docs = [dict(doc, mu_ns=list(doc["mu_ns"]), sigma_ns=list(doc["sigma_ns"]),
+                 energy_fJ=list(doc["energy_fJ"])) for doc in table_docs]
+    for op in [op] + data.draw(st.lists(st.sampled_from(_OPS), max_size=1)):
+        _mutate(docs[data.draw(st.integers(0, len(docs) - 1))], op, data)
+    top = data.draw(st.sampled_from(["tables"] * 4 + ["list", "junk"]))
+    doc = {"tables": docs} if top == "tables" else docs if top == "list" else data.draw(_JSON)
+    path = tmp_path_factory.getbasetemp() / "fuzz_tables.json"
+    path.write_text(json.dumps(doc))
+    try:
+        catalog = load_hw_tables(path)
+    except (ConfigError, FormatError):
+        return
+    _check_valid(catalog)
