@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import bundle
-from .errors import DimensionMismatchError, FormatError, InvalidStateError
+from .errors import DimensionMismatchError, FormatError, InvalidStateError, load_json
 
 MODEL_FORMAT_VERSION = 1
 
-CHUNK_ELEMS = 4_000_000  # bound on the elements of one chunk of a batched kernel
+CHUNK_ELEMS = 500_000  # bound on the (query, class, word) elements of one kernel chunk
 
 
 @dataclass(frozen=True)
@@ -113,23 +113,71 @@ def _check_dimension(queries: np.ndarray, classes: np.ndarray, dimension: int) -
         )
 
 
+def _pack_blocks(bits: np.ndarray, block_size: int) -> np.ndarray:
+    """(rows, D) bits -> (rows, blocks, words): each N-bit block on its own
+    zero-padded words.
+
+    A block takes one uint8, uint16 or uint32 word for N <= 8, 16 or 32 and
+    ceil(N / 64) uint64 words beyond. The last short block is padded with
+    zeros as well, so padding never adds distance. Rows are packed in chunks
+    of about 8 * CHUNK_ELEMS bits.
+    """
+    rows, dim = bits.shape
+    word_bits = next((b for b in (8, 16, 32) if block_size <= b), 64)
+    dtype = np.dtype(f"uint{word_bits}")
+    words = -(-block_size // word_bits)
+    blocks = -(-dim // block_size)
+    full = dim // block_size
+    out = np.empty((rows, blocks, words), dtype=dtype)
+    step = max(1, 8 * CHUNK_ELEMS // (blocks * words * word_bits))
+    cut = full * block_size
+    for s in range(0, rows, step):
+        chunk = bits[s:s + step]
+        n = chunk.shape[0]
+        lanes = np.zeros((n, blocks, words * word_bits), dtype=np.uint8)
+        lanes[:, :full, :block_size] = chunk[:, :cut].reshape(n, full, block_size)
+        lanes[:, full:, :dim - cut] = chunk[:, None, cut:]
+        packed = np.packbits(lanes.reshape(n, -1), axis=-1, bitorder="little")
+        out[s:s + step] = packed.view(dtype).reshape(n, blocks, words)
+    return out
+
+
+def _packed_distances(queries: np.ndarray, classes: np.ndarray, dimension: int,
+                      block_size: int):
+    """Unclamped per-block Hamming distances, one query chunk at a time.
+
+    Yields (first query, distances of shape (chunk, classes, blocks)), each
+    block's distance the popcount of the XOR of its packed words: uint8 for
+    N < 256, int64 beyond. A chunk holds about CHUNK_ELEMS (query, class,
+    word) elements.
+    """
+    queries = np.atleast_2d(queries)
+    classes = np.atleast_2d(classes)
+    _check_dimension(queries, classes, dimension)
+    packed_q = _pack_blocks(queries, block_size)
+    packed_c = _pack_blocks(classes, block_size)[None]
+    total = np.uint8 if block_size < 256 else np.int64
+    step = max(1, CHUNK_ELEMS // max(1, packed_c.size))
+    for s in range(0, packed_q.shape[0], step):
+        d = np.bitwise_count(packed_q[s:s + step, None] ^ packed_c)
+        yield s, d[..., 0] if d.shape[-1] == 1 else d.sum(axis=-1, dtype=total)
+
+
 def ideal_argmin(queries: np.ndarray, am: AssociativeMemory):
     """Full-Hamming nearest class per query: (class indices, distances).
 
-    Ties go to the earliest stored class. Queries are compared in chunks of
-    at most CHUNK_ELEMS bits.
+    Ties go to the earliest stored class. Whole rows are compared packed
+    into words (uint64 beyond 32 bits), in chunks of the packed kernel.
     """
     if len(am) == 0:
         raise InvalidStateError("associative memory holds no classes")
     queries = np.atleast_2d(queries)
-    _check_dimension(queries, am.class_matrix, am.dimension)
     best = np.empty(queries.shape[0], dtype=np.intp)
     dists = np.empty(queries.shape[0], dtype=np.int64)
-    chunk = max(1, CHUNK_ELEMS // (len(am) * am.dimension))
-    for s in range(0, queries.shape[0], chunk):
-        d = (queries[s:s + chunk, None, :] != am.class_matrix[None, :, :]).sum(axis=2)
-        best[s:s + chunk] = np.argmin(d, axis=1)
-        dists[s:s + chunk] = d.min(axis=1)
+    for s, d in _packed_distances(queries, am.class_matrix, am.dimension, am.dimension):
+        d = d[..., 0]
+        best[s:s + d.shape[0]] = np.argmin(d, axis=1)
+        dists[s:s + d.shape[0]] = d.min(axis=1)
     return best, dists
 
 
@@ -143,20 +191,40 @@ def block_distances(queries: np.ndarray, classes: np.ndarray, cfg: BlockConfig) 
     """Per-block Hamming distances clamped at each block's effective precision.
 
     Takes a query or a batch of queries and a class vector or matrix; returns
-    int16 of shape (queries, classes, blocks). Queries are compared in chunks
-    of at most CHUNK_ELEMS bits.
+    int16 of shape (queries, classes, blocks). A block's distance never
+    exceeds its size, so clamping at P is clamping at min(P, size).
     """
     queries = np.atleast_2d(queries)
     classes = np.atleast_2d(classes)
-    _check_dimension(queries, classes, cfg.dimension)
-    starts = cfg.block_starts
-    caps = cfg.block_caps.astype(np.int16)
     out = np.empty((queries.shape[0], classes.shape[0], cfg.num_blocks), dtype=np.int16)
-    chunk = max(1, CHUNK_ELEMS // max(1, classes.shape[0] * cfg.dimension))
-    for s in range(0, queries.shape[0], chunk):
-        diff = (queries[s:s + chunk, None, :] != classes[None, :, :]).astype(np.int16)
-        out[s:s + chunk] = np.minimum(np.add.reduceat(diff, starts, axis=2), caps)
+    for s, d in _packed_distances(queries, classes, cfg.dimension, cfg.block_size):
+        out[s:s + d.shape[0]] = np.minimum(d, cfg.precision)
     return out
+
+
+def distance_histogram(queries: np.ndarray, classes: np.ndarray, dimension: int,
+                       block_size: int, precision: int | None = None) -> np.ndarray:
+    """n[q, c, h]: the blocks of each (query, class) pair at distance h.
+
+    Distances are unclamped, h = 0..N, unless ``precision`` clamps them at
+    a lower P, h = 0..P. Returns int64 of shape (queries, classes, bins),
+    counted with one ``np.bincount`` per chunk of the packed kernel over an
+    int32 index.
+    """
+    cfg = BlockConfig(dimension, block_size, block_size if precision is None else precision)
+    queries = np.atleast_2d(queries)
+    classes = np.atleast_2d(classes)
+    num_c, bins = classes.shape[0], cfg.precision + 1
+    hist = np.empty((queries.shape[0], num_c, bins), dtype=np.int64)
+    for s, d in _packed_distances(queries, classes, dimension, block_size):
+        rows = d.shape[0]
+        if cfg.precision < block_size:
+            d = np.minimum(d, cfg.precision)
+        pair = np.arange(rows * num_c, dtype=np.int32).reshape(rows, num_c, 1)
+        index = (d + pair * np.int32(bins)).ravel()
+        counts = np.bincount(index, minlength=rows * num_c * bins)
+        hist[s:s + rows] = counts.reshape(rows, num_c, bins)
+    return hist
 
 
 def infer_blocked(
@@ -218,8 +286,7 @@ def save_model(path, am: AssociativeMemory, seed_metadata: dict | None = None) -
 
 def load_model(path):
     """Load a model container; returns (AssociativeMemory, seed_metadata)."""
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
+    doc = load_json(path)
     version = doc.get("version") if isinstance(doc, dict) else None
     if version != MODEL_FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported model version {version!r}")

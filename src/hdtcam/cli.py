@@ -32,6 +32,8 @@ from .errors import (
     HdtcamError,
     InvalidStateError,
     NoFeasiblePointError,
+    load_json,
+    open_text,
 )
 
 
@@ -78,8 +80,7 @@ def _metadata_lines(doc: dict, seed: int, deterministic: bool) -> list:
 
 
 def _load_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
+    doc = load_json(path)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     return doc
@@ -106,7 +107,7 @@ def _read_language_train(train_dir: str) -> dict:
     texts = {}
     for name in sorted(os.listdir(train_dir)):
         if name.endswith(".txt"):
-            with open(os.path.join(train_dir, name), "r", encoding="utf-8") as f:
+            with open_text(os.path.join(train_dir, name)) as f:
                 texts[name[:-4]] = f.read()
     if not texts:
         raise ConfigError(f"no .txt corpus files in {train_dir}")
@@ -116,7 +117,7 @@ def _read_language_train(train_dir: str) -> dict:
 def _read_language_queries(path: str) -> list:
     """CSV of label,text rows -> [(text, label)]. Text may contain commas."""
     queries = []
-    with open(path, "r", encoding="utf-8") as f:
+    with open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
             if not line.strip():
@@ -297,7 +298,7 @@ def _resume_points(partial_path: str, config_hash: str) -> list:
     """Points of an interrupted sweep, if its partial file's header carries
     this sweep's configuration hash; E-CONFIG otherwise, E-FORMAT naming the
     line for a body line (other than a torn final one) that is not a point."""
-    with open(partial_path, "r", encoding="utf-8") as f:
+    with open_text(partial_path) as f:
         lines = [(n, line) for n, line in enumerate(f.read().splitlines(), start=1)
                  if line.strip()]
     try:
@@ -404,7 +405,7 @@ def _read_results_csv(path) -> tuple:
     """Parse a results CSV back into (points, metadata lines)."""
     points, meta = [], []
     header = explorer.CSV_COLUMNS.split(",")
-    with open(path, "r", encoding="utf-8") as f:
+    with open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
             if not line:

@@ -9,7 +9,13 @@ import numpy as np
 
 from . import am as am_mod
 from .core import majority_from_counts
-from .errors import ConfigError, DegenerateInputError, DimensionMismatchError, FormatError
+from .errors import (
+    ConfigError,
+    DegenerateInputError,
+    DimensionMismatchError,
+    FormatError,
+    open_text,
+)
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz "
 
@@ -300,7 +306,7 @@ def save_mnist(images_path, labels_path, images: np.ndarray, labels: np.ndarray)
 def load_hypervector_csv(path) -> LabeledSet:
     """Read ``label,bitstring`` rows into a LabeledSet. Header row optional."""
     rows = []
-    with open(path, "r", encoding="utf-8") as f:
+    with open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:

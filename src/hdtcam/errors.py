@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the text readers that
+report malformed files with them."""
+
+import json
+from contextlib import contextmanager
 
 
 class HdtcamError(Exception):
@@ -36,3 +40,26 @@ class InvalidStateError(HdtcamError, RuntimeError):
 
 class NoFeasiblePointError(HdtcamError, LookupError):
     """A selection over design points found nothing within the given budget."""
+
+
+@contextmanager
+def open_text(path):
+    """Open ``path`` for reading as UTF-8 text; bytes that are not UTF-8
+    raise FormatError naming the file."""
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            yield f
+        except UnicodeDecodeError as exc:
+            raise FormatError(
+                f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
+            ) from None
+
+
+def load_json(path):
+    """The JSON document in ``path``; FormatError naming the file when it is
+    not UTF-8 or not valid JSON."""
+    with open_text(path) as f:
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}: not valid JSON ({exc})") from None

@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .am import AssociativeMemory, BlockConfig, block_distances, ideal_argmin
+from .am import AssociativeMemory, BlockConfig, distance_histogram, ideal_argmin
 from .errors import ConfigError, NoFeasiblePointError
 from .hwmodel import Catalog, HwEntry, RramShiftModel, energy_pj
 
@@ -101,12 +101,15 @@ def _label_indices(am: AssociativeMemory, labels) -> np.ndarray:
     return np.array([index.get(label, -1) for label in labels], dtype=np.intp)
 
 
-def _distance_histogram(true: np.ndarray, precision: int) -> np.ndarray:
-    """n[q, c, h]: the blocks of each (query, class) pair at clamped distance h."""
-    hist = np.empty(true.shape[:2] + (precision + 1,), dtype=np.int64)
-    for h in range(precision + 1):
-        hist[..., h] = np.count_nonzero(true == h, axis=2)
-    return hist
+def _fold_histogram(hist: np.ndarray, precision: int) -> np.ndarray:
+    """The pair histogram of distances clamped at ``precision``, from one
+    clamped at a higher bin or not at all: bins above P move into bin P.
+
+    Exact, because a block's distance never exceeds its size, so clamping at
+    P equals clamping at min(P, size).
+    """
+    return np.concatenate(
+        [hist[..., :precision], hist[..., precision:].sum(axis=2, keepdims=True)], axis=2)
 
 
 def evaluate(
@@ -121,6 +124,7 @@ def evaluate(
     baseline_accuracy: float | None = None,
     technology: str = "",
     voltage: float = 0.0,
+    histogram: np.ndarray | None = None,
 ) -> DesignPoint:
     """Run blocked inference over the test set ``trials`` times and aggregate.
 
@@ -134,6 +138,9 @@ def evaluate(
     in distribution. One-hot matrices are applied without draws. A query's
     latency is the slowest of all its blocks, classes and replicas, which
     are read in parallel.
+
+    ``histogram`` is this data set's ``distance_histogram`` at the block
+    size of ``cfg``, clamped at P or above; without it, it is computed here.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.uint8))
     labels = list(labels)
@@ -148,7 +155,10 @@ def evaluate(
             )
         lm = hw.latency.with_precision(precision)
     cm = np.eye(precision + 1) if hw is None else hw.confusion(precision, replicas)
-    hist = _distance_histogram(block_distances(queries, am.class_matrix, cfg), precision)
+    if histogram is None:
+        histogram = distance_histogram(queries, am.class_matrix, cfg.dimension,
+                                       cfg.block_size, precision)
+    hist = _fold_histogram(histogram, precision)
     one_hot = cm == 1.0
     fixed = hist @ one_hot.astype(np.int64) if one_hot.any(axis=1).all() else None
     reported = np.arange(cm.shape[1])
@@ -217,9 +227,23 @@ def sweep(space: SweepSpace, datasets: dict, catalog: Catalog, jobs: int = 1,
     }
     skip = set(skip_keys)
     todo = [c for c in configs if c not in skip]
+    # The pair histogram depends only on (D, N): build it once per group,
+    # clamped at the group's largest precision, and fold it for each point.
+    groups = {}
+    for i, (_tech, _v, n, _p, d, _r) in enumerate(todo):
+        groups.setdefault((d, n), []).append(i)
 
-    def run(config):
-        tech, v, n, p, d, r = config
+    def tasks():
+        for (d, n), members in groups.items():
+            am, queries, _labels = datasets[d]
+            hist = distance_histogram(queries, am.class_matrix, d, n,
+                                      max(todo[i][3] for i in members))
+            for i in members:
+                yield i, hist
+
+    def run(task):
+        i, hist = task
+        tech, v, n, p, d, r = config = todo[i]
         am, queries, labels = datasets[d]
         point = evaluate(
             am, queries, labels,
@@ -231,17 +255,20 @@ def sweep(space: SweepSpace, datasets: dict, catalog: Catalog, jobs: int = 1,
             baseline_accuracy=baselines[d],
             technology=tech,
             voltage=v,
+            histogram=hist,
         )
         if progress is not None:
             progress(point)
-        return point
+        return i, point
 
     if jobs > 1:
+        # Histograms are built in this thread while the workers evaluate;
+        # the workers only read them.
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            points = list(pool.map(run, todo))
+            done = dict(pool.map(run, tasks()))
     else:
-        points = [run(c) for c in todo]
-    return points
+        done = dict(run(task) for task in tasks())
+    return [done[i] for i in range(len(todo))]
 
 
 def pareto_front(points) -> list:
@@ -319,13 +346,13 @@ def precision_sweep_report(am, queries, labels, block_sizes, precisions,
     label_idx = _label_indices(am, labels)
     rows = []
     for n in block_sizes:
-        cfg_full = BlockConfig(dimension=am.dimension, block_size=n, precision=n)
-        unclamped = block_distances(queries, am.class_matrix, cfg_full)
-        for p in precisions:
-            if p > n:
-                continue
-            caps = np.minimum(p, cfg_full.block_sizes).astype(np.int16)
-            totals = np.minimum(unclamped, caps).sum(axis=2, dtype=np.int64)
+        fitting = [p for p in precisions if p <= n]
+        if not fitting:
+            continue
+        hist = distance_histogram(queries, am.class_matrix, am.dimension, n, max(fitting))
+        distance = np.arange(hist.shape[2])
+        for p in fitting:
+            totals = hist @ np.minimum(distance, p)
             preds = np.argmin(totals, axis=1)
             acc = float(np.mean(preds == label_idx))
             rows.append((int(n), int(p), acc, float(baseline_accuracy - acc)))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, load_json
 
 TECH_SRAM = "sram"
 TECH_FEFET = "fefinfet"
@@ -119,6 +119,13 @@ class LatencyModel:
             raise ConfigError("sigma must be strictly positive")
         if self.match_timeout_ns <= mu[0]:
             raise ConfigError("match_timeout must exceed the one-miss latency")
+        with np.errstate(over="ignore"):
+            thresholds = self.thresholds_ns
+        if not (np.all(np.isfinite(thresholds)) and np.all(np.diff(thresholds) > 0)):
+            raise ConfigError(
+                f"decision thresholds {thresholds.tolist()} are not finite and strictly "
+                "ascending (latencies too large or too close)"
+            )
 
     @property
     def thresholds_ns(self) -> np.ndarray:
@@ -505,8 +512,7 @@ def _entry_from_doc(doc: dict, where: str) -> HwEntry:
 
 def load_hw_tables(path) -> Catalog:
     """Load and validate a JSON hardware table catalog."""
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
+    doc = load_json(path)
     tables = doc.get("tables") if isinstance(doc, dict) else doc
     if not isinstance(tables, list) or not tables:
         raise ConfigError(f"{path}: expected a non-empty array of table objects")

@@ -1,0 +1,56 @@
+"""Unpacked distance kernels, the reference for the packed ones.
+
+``am`` lays every block on its own zero-padded machine words and reads a
+block's distance as the popcount of an XOR; ``explorer`` counts per-pair
+distance histograms once per (D, N) and reads every precision from them.
+This module keeps the element-wise code those shortcuts must reproduce
+exactly: an int16 Q x C x D difference tensor summed per block with
+``np.add.reduceat``, a full-row ``!=`` count, and the clamp-and-sum loop of
+the precision report.
+"""
+
+import numpy as np
+
+from hdtcam.am import BlockConfig
+
+
+def block_distances(queries, classes, cfg):
+    """Per-block distances clamped at min(P, block size), int16 (Q, C, blocks)."""
+    queries = np.atleast_2d(queries)
+    classes = np.atleast_2d(classes)
+    diff = (queries[:, None, :] != classes[None, :, :]).astype(np.int16)
+    return np.minimum(np.add.reduceat(diff, cfg.block_starts, axis=2),
+                      cfg.block_caps.astype(np.int16))
+
+
+def distance_histogram(queries, classes, dimension, block_size, precision=None):
+    """n[q, c, h], h = 0..P, counted from the clamped distances."""
+    precision = block_size if precision is None else precision
+    true = block_distances(queries, classes, BlockConfig(dimension, block_size, precision))
+    hist = np.empty(true.shape[:2] + (precision + 1,), dtype=np.int64)
+    for h in range(precision + 1):
+        hist[..., h] = np.count_nonzero(true == h, axis=2)
+    return hist
+
+
+def ideal_argmin(queries, classes):
+    """Nearest class (earliest on ties) and full Hamming distance per query."""
+    d = (np.atleast_2d(queries)[:, None, :] != classes[None, :, :]).sum(axis=2)
+    return np.argmin(d, axis=1), d.min(axis=1)
+
+
+def precision_rows(classes, queries, label_idx, baseline, block_sizes, precisions):
+    """(N, P, accuracy, loss) rows from clamping unclamped block distances at
+    each P and summing them."""
+    rows = []
+    for n in block_sizes:
+        cfg_full = BlockConfig(classes.shape[1], n, n)
+        unclamped = block_distances(queries, classes, cfg_full)
+        for p in precisions:
+            if p > n:
+                continue
+            caps = np.minimum(p, cfg_full.block_sizes).astype(np.int16)
+            totals = np.minimum(unclamped, caps).sum(axis=2, dtype=np.int64)
+            acc = float(np.mean(np.argmin(totals, axis=1) == label_idx))
+            rows.append((int(n), int(p), acc, float(baseline - acc)))
+    return rows

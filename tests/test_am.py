@@ -2,9 +2,10 @@
 
 import json
 
+import distance_oracle
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hdtcam import am as am_module
@@ -12,6 +13,7 @@ from hdtcam.am import (
     AssociativeMemory,
     BlockConfig,
     block_distances,
+    distance_histogram,
     ideal_argmin,
     infer_blocked,
     infer_ideal,
@@ -92,8 +94,50 @@ def test_blocked_matrix_agrees_with_single(rng, monkeypatch):
         for c in range(5):
             single = block_distances(queries[i], am.class_matrix[c], cfg)[0, 0]
             assert np.array_equal(mat[i, c], single)
-    monkeypatch.setattr(am_module, "CHUNK_ELEMS", 2 * 5 * 33)  # two queries per chunk
+    monkeypatch.setattr(am_module, "CHUNK_ELEMS", 2 * 5 * 9)  # two queries per chunk
     assert np.array_equal(block_distances(queries, am.class_matrix, cfg), mat)
+
+
+# Word edges of the packed layout: uint8/uint16, uint16/uint32, uint32/uint64
+# and one/two uint64 words per block, each with a short last block.
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 300), st.integers(2, 70), st.integers(1, 9), st.integers(1, 5),
+       st.integers(1, 64), st.integers(0, 2**31))
+@example(dimension=300, block_size=8, queries=5, classes=3, chunk=7, seed=1)
+@example(dimension=301, block_size=9, queries=5, classes=3, chunk=13, seed=2)
+@example(dimension=300, block_size=16, queries=4, classes=2, chunk=5, seed=3)
+@example(dimension=299, block_size=17, queries=4, classes=2, chunk=11, seed=4)
+@example(dimension=300, block_size=32, queries=6, classes=4, chunk=9, seed=5)
+@example(dimension=298, block_size=33, queries=6, classes=4, chunk=3, seed=6)
+@example(dimension=200, block_size=64, queries=3, classes=5, chunk=17, seed=7)
+@example(dimension=200, block_size=65, queries=3, classes=5, chunk=4, seed=8)
+@example(dimension=1, block_size=70, queries=2, classes=2, chunk=1, seed=9)
+def test_packed_kernels_equal_unpacked_oracle(dimension, block_size, queries, classes,
+                                              chunk, seed):
+    """Packed block distances, histograms and ideal argmin equal the int16
+    difference-tensor oracle at every precision, whatever the chunking."""
+    rng = np.random.default_rng(seed)
+    qs = rng.integers(0, 2, (queries, dimension), dtype=np.uint8)
+    cs = rng.integers(0, 2, (classes, dimension), dtype=np.uint8)
+    cs[-1] = qs[0]  # an exact match and a tie-prone row
+    memory = AssociativeMemory([f"c{i}" for i in range(classes)], cs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(am_module, "CHUNK_ELEMS", chunk)
+        hist = distance_histogram(qs, cs, dimension, block_size)
+        assert hist.dtype == np.int64 and hist.shape == (queries, classes, block_size + 1)
+        assert np.array_equal(hist, distance_oracle.distance_histogram(qs, cs, dimension,
+                                                                       block_size))
+        for p in range(1, block_size + 1):
+            cfg = BlockConfig(dimension, block_size, p)
+            got = block_distances(qs, cs, cfg)
+            assert got.dtype == np.int16
+            assert np.array_equal(got, distance_oracle.block_distances(qs, cs, cfg)), p
+            assert np.array_equal(
+                distance_histogram(qs, cs, dimension, block_size, p),
+                distance_oracle.distance_histogram(qs, cs, dimension, block_size, p)), p
+        best, dists = ideal_argmin(qs, memory)
+    want_best, want_dists = distance_oracle.ideal_argmin(qs, cs)
+    assert np.array_equal(best, want_best) and np.array_equal(dists, want_dists)
 
 
 def test_blocked_distances_dimension_mismatch(rng):
@@ -122,7 +166,7 @@ def test_ideal_argmin_matches_per_query(rng, monkeypatch):
     am = _random_am(rng, classes=4, dimension=140)
     qs = np.stack([random_hypervector(140, rng) for _ in range(60)])
     want = [infer_ideal(q, am) for q in qs]
-    monkeypatch.setattr(am_module, "CHUNK_ELEMS", 7 * 4 * 140)  # uneven chunks
+    monkeypatch.setattr(am_module, "CHUNK_ELEMS", 7 * 4 * 3)  # uneven chunks of 3 words a row
     best, dists = ideal_argmin(qs, am)
     assert [(am.labels[b], int(d)) for b, d in zip(best, dists)] == want
 

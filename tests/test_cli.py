@@ -149,6 +149,27 @@ def test_sweep_deterministic_and_pareto(small_corpus_dir, tmp_path, capsys):
             == [l for l in p1.read_text().splitlines() if not l.startswith("#")])
 
 
+def test_sweep_jobs_byte_identical(small_corpus_dir, tmp_path, capsys):
+    """Threads share each (D, N) histogram read-only: --jobs 2 writes the
+    bytes --jobs 1 does, but for the config hash, which covers --jobs."""
+    train_dir, queries_csv = small_corpus_dir
+    outputs = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"r{jobs}.csv"
+        assert run_cli("sweep", "--task", "language", "--train-dir", str(train_dir),
+                       "--queries", str(queries_csv), "--technologies", "sram,fefinfet",
+                       "--voltages", "0.5,0.7", "--block-sizes", "7,15", "--precisions", "3,7",
+                       "--dimensions", "300,1000", "--replicas", "1,3", "--trials", "2",
+                       "--jobs", jobs, "--deterministic", "--output", str(out)) == 0
+        outputs[jobs] = [
+            [l for l in path.read_bytes().splitlines(keepends=True)
+             if not l.startswith(b"# config_hash=")]
+            for path in (out, tmp_path / f"r{jobs}_pareto.csv")
+        ]
+    assert len(outputs["1"][0]) == 3 + 2 * 2 * 2 * 2 * 2 * 2
+    assert outputs["1"] == outputs["2"]
+
+
 def _partial_header(results_csv):
     """The partial-file header of a sweep run without --jobs: its config hash
     is the one in the results' metadata."""
@@ -290,7 +311,8 @@ def test_sweep_jobs_progress_lines_whole(small_corpus_dir, tmp_path, capsys, mon
     train_dir, queries_csv = small_corpus_dir
 
     def instant_evaluate(am, queries, labels, cfg, hw=None, replicas=1, trials=10,
-                         seed=0, baseline_accuracy=None, technology="", voltage=0.0):
+                         seed=0, baseline_accuracy=None, technology="", voltage=0.0,
+                         histogram=None):
         return explorer.DesignPoint(technology, voltage, cfg.block_size, cfg.precision,
                                     cfg.dimension, replicas, trials, 1.0, 0.0, 0.0,
                                     1.0, 1.0)
@@ -402,6 +424,36 @@ def test_malformed_model_and_tables_exit_codes(tmp_path, capsys):
                        "--voltage", "0.75") != 0
         err = capsys.readouterr().err
         assert err.startswith("error: E-CONFIG:") and "tables[0]" in err, (field, value)
+    # finite latencies whose midpoint overflows: thresholds [inf, 1.7e308]
+    overflow = dict(entry, block_size=3, precision=2, mu_ns=[1.6e308, 1.5e308],
+                    sigma_ns=[1.0, 1.0], match_timeout_ns=1.7e308, energy_fJ=1.0)
+    tables.write_text(json.dumps({"tables": [overflow]}))
+    assert run_cli("hwmodel", "validate", "--tables", str(tables)) != 0
+    err = capsys.readouterr().err
+    assert err.startswith("error: E-CONFIG:") and "tables[0]" in err and "ascending" in err
+
+
+@pytest.mark.parametrize("flag", ["--tables", "--config", "--model", "--input", "--train-csv"])
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b'{"tables": [1, ', b"label,bits\na,0\xff1\n"],
+                         ids=["not-utf8", "torn-json", "utf8-then-bad-byte"])
+def test_unreadable_input_file_is_a_format_error(tmp_path, capsys, flag, content):
+    """A file that is not UTF-8, or a JSON file cut short, exits E-FORMAT
+    naming the file, whichever flag reads it."""
+    path = tmp_path / "input.bin"
+    path.write_bytes(content)
+    out = str(tmp_path / "out.csv")
+    argv = {
+        "--tables": ["hwmodel", "validate", "--tables", str(path)],
+        "--config": ["sweep", "--config", str(path), "--output", out],
+        "--model": ["export", "model-csv", "--model", str(path), "--output", out],
+        "--input": ["pareto", "--input", str(path), "--output", out],
+        "--train-csv": ["train", "--task", "csv", "--train-csv", str(path),
+                        "--output", str(tmp_path / "m.json")],
+    }[flag]
+    assert run_cli(*argv) != 0
+    err = capsys.readouterr().err
+    assert err.startswith("error: E-FORMAT:") and str(path) in err, err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_export_model_csv(trained_model, tmp_path):

@@ -2,11 +2,12 @@
 
 import io
 
+import distance_oracle
 import numpy as np
 import pytest
 from gaussian_oracle import evaluate_trials
 
-from hdtcam import hwmodel
+from hdtcam import explorer, hwmodel
 from hdtcam.am import AssociativeMemory, BlockConfig
 from hdtcam.core import random_hypervector
 from hdtcam.errors import ConfigError, DimensionMismatchError, NoFeasiblePointError
@@ -206,8 +207,54 @@ def test_precision_sweep_report_matches_evaluate(rng):
         assert loss == pytest.approx(point.accuracy_loss)
 
 
+def test_precision_sweep_report_equals_clamp_and_sum(rng):
+    """Rows read off one histogram per N equal clamping the unclamped block
+    distances at each P and summing them, including N that do not divide D."""
+    am, qs, labels = _toy_dataset(rng, dimension=143, flip=0.3)
+    block_sizes, precisions = [2, 3, 7, 9, 16, 33, 70], list(range(1, 16))
+    baseline = ideal_accuracy(am, qs, labels)
+    label_idx = np.array([am.labels.index(label) for label in labels])
+    want = distance_oracle.precision_rows(am.class_matrix, qs, label_idx, baseline,
+                                          block_sizes, precisions)
+    assert precision_sweep_report(am, qs, labels, block_sizes, precisions) == want
+    assert len({acc for _, _, acc, _ in want}) > 3  # the precisions do differ
+
+
 # ---------------------------------------------------------------------------
 # sweep
+
+
+def test_sweep_builds_one_histogram_per_dimension_and_block_size(rng, monkeypatch):
+    """Each (D, N) histogram is built once, clamped at its largest P, and
+    every point folded from it equals a stand-alone evaluate."""
+    small = _toy_dataset(rng, dimension=140, flip=0.3)
+    large = _toy_dataset(rng, dimension=280, flip=0.3)
+    datasets = {140: small, 280: large}
+    built = []
+    real = explorer.distance_histogram
+
+    def spy(queries, classes, dimension, block_size, precision=None):
+        built.append((dimension, block_size, precision))
+        return real(queries, classes, dimension, block_size, precision)
+
+    monkeypatch.setattr(explorer, "distance_histogram", spy)
+    space = SweepSpace(technologies=("sram", "fefinfet"), voltages=(0.5, 0.7),
+                       block_sizes=(5, 7), precisions=(3, 5, 7), dimensions=(140, 280),
+                       replicas=(1, 3), trials=2, seed=6)
+    cat = hwmodel.default_catalog(block_sizes=(5, 7))
+    points = sweep(space, datasets, cat, jobs=2)
+    assert sorted(built) == [(140, 5, 5), (140, 7, 7), (280, 5, 5), (280, 7, 7)]
+    assert [p.config_key for p in points] == list(space.configurations())
+    built.clear()
+    for point, (tech, v, n, p, d, r) in zip(points, space.configurations()):
+        am, qs, labels = datasets[d]
+        direct = evaluate(am, qs, labels, BlockConfig(d, n, p), hw=cat.get(tech, v, n),
+                          replicas=r, trials=2,
+                          seed=derive_point_seed(6, (tech, v, n, p, d, r)),
+                          baseline_accuracy=ideal_accuracy(am, qs, labels),
+                          technology=tech, voltage=v)
+        assert point == direct
+    assert len(built) == len(points)  # evaluate alone builds its own, clamped at P
 
 
 def test_sweep_single_point_equals_evaluate(rng):

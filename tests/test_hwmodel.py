@@ -55,6 +55,12 @@ def test_latency_model_validation():
         LatencyModel("sram", 0.7, 8, 9, mu, sig, 3.0)
     with pytest.raises(ConfigError, match="exactly"):
         LatencyModel("sram", 0.7, 8, 2, mu, sig, 3.0)
+    # finite latencies whose midpoint overflows, and midpoints that round together
+    with pytest.raises(ConfigError, match="strictly ascending"):
+        LatencyModel("sram", 0.7, 3, 2, [1.6e308, 1.5e308], [1, 1], 1.7e308)
+    tiny = np.array([3, 2, 1]) * 5e-324
+    with pytest.raises(ConfigError, match="strictly ascending"):
+        LatencyModel("sram", 0.7, 8, 3, tiny, sig, 1.0)
 
 
 def test_thresholds_ascending_and_decision_rule():
