@@ -1,4 +1,4 @@
-"""Associative memory: class storage, ideal and blocked inference, persistence.
+"""Associative memory: class storage, the packed distance kernel, persistence.
 
 Blocked inference is the software view of a TCAM array: the hypervector is
 partitioned into contiguous blocks of N cells, each block reports its local
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import bundle
+from .core import majority_from_counts
 from .errors import DimensionMismatchError, FormatError, InvalidStateError, load_json
 
 MODEL_FORMAT_VERSION = 1
@@ -48,21 +48,6 @@ class BlockConfig:
     def num_blocks(self) -> int:
         return -(-self.dimension // self.block_size)
 
-    @property
-    def block_starts(self) -> np.ndarray:
-        return np.arange(0, self.dimension, self.block_size)
-
-    @property
-    def block_sizes(self) -> np.ndarray:
-        sizes = np.full(self.num_blocks, self.block_size, dtype=np.int64)
-        sizes[-1] = self.dimension - (self.num_blocks - 1) * self.block_size
-        return sizes
-
-    @property
-    def block_caps(self) -> np.ndarray:
-        """Effective precision per block: min(P, block size)."""
-        return np.minimum(self.precision, self.block_sizes)
-
 
 class AssociativeMemory:
     """Ordered store of labeled class hypervectors."""
@@ -84,25 +69,24 @@ class AssociativeMemory:
     def __len__(self):
         return len(self.labels)
 
-    def class_vector(self, label: str) -> np.ndarray:
-        return self.class_matrix[self.labels.index(label)]
-
 
 def train(labeled_sets: dict, tie_rng: np.random.Generator | None = None) -> AssociativeMemory:
-    """One-shot training: bundle each class's hypervectors into a class vector."""
+    """One-shot training: each class vector is the componentwise majority of
+    its class's hypervectors, ties broken from ``tie_rng`` in class order."""
     if not labeled_sets:
         raise ValueError("no classes to train on")
-    labels = list(labeled_sets.keys())
     rows = []
-    dimension = None
-    for label in labels:
-        vectors = list(labeled_sets[label])
+    for label, vectors in labeled_sets.items():
+        vectors = list(vectors)
         if not vectors:
             raise ValueError(f"class {label!r} has no training vectors")
-        if dimension is None:
-            dimension = vectors[0].shape[-1]
-        rows.append(bundle(vectors, tie_rng))
-    return AssociativeMemory(labels, np.stack(rows))
+        lengths = {v.shape[-1] for v in vectors} | {row.size for row in rows[:1]}
+        if len(lengths) > 1:
+            raise DimensionMismatchError(
+                f"class {label!r}: hypervectors of dimensions {sorted(lengths)}")
+        counts = np.sum(vectors, axis=0, dtype=np.int64)
+        rows.append(majority_from_counts(counts, len(vectors), tie_rng))
+    return AssociativeMemory(list(labeled_sets), np.stack(rows))
 
 
 def _check_dimension(queries: np.ndarray, classes: np.ndarray, dimension: int) -> None:
@@ -181,27 +165,6 @@ def ideal_argmin(queries: np.ndarray, am: AssociativeMemory):
     return best, dists
 
 
-def infer_ideal(query: np.ndarray, am: AssociativeMemory):
-    """Full-Hamming argmin of one query; ties broken by earliest stored class."""
-    best, dists = ideal_argmin(query, am)
-    return am.labels[best[0]], int(dists[0])
-
-
-def block_distances(queries: np.ndarray, classes: np.ndarray, cfg: BlockConfig) -> np.ndarray:
-    """Per-block Hamming distances clamped at each block's effective precision.
-
-    Takes a query or a batch of queries and a class vector or matrix; returns
-    int16 of shape (queries, classes, blocks). A block's distance never
-    exceeds its size, so clamping at P is clamping at min(P, size).
-    """
-    queries = np.atleast_2d(queries)
-    classes = np.atleast_2d(classes)
-    out = np.empty((queries.shape[0], classes.shape[0], cfg.num_blocks), dtype=np.int16)
-    for s, d in _packed_distances(queries, classes, cfg.dimension, cfg.block_size):
-        out[s:s + d.shape[0]] = np.minimum(d, cfg.precision)
-    return out
-
-
 def distance_histogram(queries: np.ndarray, classes: np.ndarray, dimension: int,
                        block_size: int, precision: int | None = None) -> np.ndarray:
     """n[q, c, h]: the blocks of each (query, class) pair at distance h.
@@ -225,28 +188,6 @@ def distance_histogram(queries: np.ndarray, classes: np.ndarray, dimension: int,
         counts = np.bincount(index, minlength=rows * num_c * bins)
         hist[s:s + rows] = counts.reshape(rows, num_c, bins)
     return hist
-
-
-def infer_blocked(
-    query: np.ndarray,
-    am: AssociativeMemory,
-    cfg: BlockConfig,
-    hw=None,
-    rng: np.random.Generator | None = None,
-):
-    """Blocked inference; with a hardware model, block reports are sampled.
-
-    ``hw`` is anything with ``report_distances(true, rng)`` mapping an int
-    array of clamped true distances to reported distances (see hwmodel).
-    """
-    if len(am) == 0:
-        raise InvalidStateError("associative memory holds no classes")
-    reported = block_distances(query, am.class_matrix, cfg)[0]
-    if hw is not None:
-        reported = hw.report_distances(reported, rng)
-    totals = reported.sum(axis=1)
-    best = int(np.argmin(totals))
-    return am.labels[best], int(totals[best])
 
 
 def _bits_to_hex(bits: np.ndarray) -> str:

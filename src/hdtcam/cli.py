@@ -68,11 +68,11 @@ def _config_hash(doc: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _metadata_lines(doc: dict, seed: int, deterministic: bool) -> list:
+def _metadata_lines(config_hash: str, seed: int, deterministic: bool) -> list:
     lines = [
         f"tool=hdtcam {__version__}",
         f"seed={seed}",
-        f"config_hash={_config_hash(doc)}",
+        f"config_hash={config_hash}",
     ]
     if not deterministic:
         lines.append(f"generated={time.strftime('%Y-%m-%dT%H:%M:%S')}")
@@ -86,12 +86,16 @@ def _load_json(path) -> dict:
     return doc
 
 
-def _effective_config(args, flag_names) -> dict:
-    """Config file values overridden by any explicitly given flags."""
-    doc = _load_json(args.config) if getattr(args, "config", None) else {}
-    for name in flag_names:
-        value = getattr(args, name, None)
-        if value is not None:
+def _effective_config(args) -> dict:
+    """Config file values overridden by every flag given on the command line.
+
+    The subcommand, --config, --deterministic and the model and output paths
+    are not configuration values.
+    """
+    doc = _load_json(args.config) if args.config else {}
+    for name, value in vars(args).items():
+        if value is not None and name not in (
+                "command", "func", "config", "deterministic", "output", "model"):
             doc[name] = value
     return doc
 
@@ -189,8 +193,8 @@ def _sweep_dataset(task: encoders.Task, cfg: dict, dimension: int):
     return memory, task.encode(data, im, tie), labels
 
 
-def _load_catalog(cfg: dict) -> hwmodel.Catalog:
-    path = cfg.get("hw_tables")
+def _load_catalog(path) -> hwmodel.Catalog:
+    """The tables in ``path``, or the built-in ones without a path."""
     return hwmodel.load_hw_tables(path) if path else hwmodel.default_catalog()
 
 
@@ -199,10 +203,7 @@ def _load_catalog(cfg: dict) -> hwmodel.Catalog:
 
 
 def cmd_train(args) -> int:
-    cfg = _effective_config(
-        args, ["task", "train_dir", "train_images", "train_labels", "train_csv",
-               "dimension", "ngram", "threshold", "item_seed", "tie_seed", "seed"]
-    )
+    cfg = _effective_config(args)
     task = _task(cfg)
     dimension = int(cfg.get("dimension", 10000))
     if dimension < 1:
@@ -225,12 +226,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _effective_config(
-        args, ["task", "queries", "test_images", "test_labels", "test_csv",
-               "ngram", "threshold", "item_seed", "tie_seed", "hw_tables",
-               "technology", "voltage", "block_size", "precision",
-               "replicas", "trials", "seed"]
-    )
+    cfg = _effective_config(args)
     memory, meta = am_mod.load_model(args.model)
     task = _task(cfg, meta)
     data, labels = _query_data(task, cfg)
@@ -246,7 +242,7 @@ def cmd_eval(args) -> int:
     if technology:
         voltage = float(cfg.get("voltage", 0.7))
         block_size = int(cfg.get("block_size", 15))
-        entry = _load_catalog(cfg).get(technology, voltage, block_size)
+        entry = _load_catalog(cfg.get("hw_tables")).get(technology, voltage, block_size)
         precision = int(cfg.get("precision", entry.latency.precision))
         point = explorer.evaluate(
             memory, queries, labels,
@@ -281,7 +277,7 @@ def cmd_eval(args) -> int:
             )
         print(f"accuracy {point.accuracy_mean:.4f} over {len(labels)} queries")
     if args.output:
-        lines = _metadata_lines(cfg, seed, args.deterministic)
+        lines = _metadata_lines(_config_hash(cfg), seed, args.deterministic)
         buf = io.StringIO()
         explorer.write_results_csv([point], buf, metadata_lines=lines)
         _atomic_write_text(args.output, buf.getvalue())
@@ -332,13 +328,7 @@ def _resume_points(partial_path: str, config_hash: str) -> list:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _effective_config(
-        args, ["task", "train_dir", "queries", "train_images", "train_labels",
-               "test_images", "test_labels", "train_csv", "test_csv",
-               "ngram", "threshold", "item_seed", "tie_seed", "hw_tables",
-               "technologies", "voltages", "block_sizes", "precisions",
-               "dimensions", "replicas", "trials", "seed", "jobs"]
-    )
+    cfg = _effective_config(args)
     task = _task(cfg)
     seed = int(cfg.get("seed", 0))
     space = explorer.SweepSpace(
@@ -352,10 +342,11 @@ def cmd_sweep(args) -> int:
         seed=seed,
     )
     partial_path = f"{args.output}.partial.jsonl"
-    # Worker count does not change results, so a resume may use another one.
+    # Worker count does not change results: the resume header and the metadata
+    # line hash the configuration without it.
     config_hash = _config_hash({k: v for k, v in cfg.items() if k != "jobs"})
     done = _resume_points(partial_path, config_hash) if os.path.exists(partial_path) else []
-    catalog = _load_catalog(cfg)
+    catalog = _load_catalog(cfg.get("hw_tables"))
     datasets = {d: _sweep_dataset(task, cfg, d) for d in space.dimensions}
 
     done_keys = {p.config_key for p in done}
@@ -387,7 +378,7 @@ def cmd_sweep(args) -> int:
         partial.close()
 
     points = explorer.flag_pareto(points)
-    lines = _metadata_lines(cfg, seed, args.deterministic)
+    lines = _metadata_lines(config_hash, seed, args.deterministic)
     buf = io.StringIO()
     explorer.write_results_csv(points, buf, metadata_lines=lines)
     _atomic_write_text(args.output, buf.getvalue())
@@ -423,7 +414,11 @@ def _read_results_csv(path) -> tuple:
                 )
             doc = dict(zip(header, fields))
             doc["pareto"] = doc["pareto"] == "1"
-            points.append(explorer.point_from_dict(doc))
+            try:
+                points.append(explorer.point_from_dict(doc))
+            except ValueError as exc:
+                raise FormatError(f"{path}: not a design point ({exc})",
+                                  location=f"row {lineno}") from None
     if not points:
         raise FormatError(f"{path}: no result rows found")
     return points, meta
@@ -455,9 +450,7 @@ def _select_entries(catalog, args):
 
 
 def cmd_hwmodel(args) -> int:
-    catalog = (hwmodel.load_hw_tables(args.tables) if args.tables
-               else hwmodel.default_catalog())
-    entries = _select_entries(catalog, args)
+    entries = _select_entries(_load_catalog(args.tables), args)
     out = []
     if args.action == "validate":
         # Structural invariants are enforced on construction; re-check the
@@ -498,8 +491,7 @@ def cmd_hwmodel(args) -> int:
 
 def cmd_export(args) -> int:
     if args.what == "hw-tables":
-        catalog = (hwmodel.load_hw_tables(args.tables) if args.tables
-                   else hwmodel.default_catalog())
+        catalog = _load_catalog(args.tables)
         hwmodel.save_hw_tables(args.output, catalog)
         print(f"wrote {len(catalog)} table entries -> {args.output}")
     elif args.what == "model-csv":

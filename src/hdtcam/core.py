@@ -1,127 +1,23 @@
-"""Binary hypervector algebra.
+"""Majority bundling of binary hypervectors.
 
 Hypervectors are 1-D numpy arrays of dtype uint8 holding 0/1 components.
-All operations are pure functions; randomness always comes from an
-explicitly passed ``numpy.random.Generator`` so results depend only on
-seeds, never on call order or scheduling.
+Ties are broken from an explicitly passed ``numpy.random.Generator``, so
+results depend only on seeds, never on call order or scheduling.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidStateError
-
-__all__ = [
-    "random_hypervector",
-    "bind",
-    "permute",
-    "bundle",
-    "hamming",
-    "normalized_hamming",
-    "BundleAccumulator",
-    "as_hypervector",
-]
-
-
-def as_hypervector(bits) -> np.ndarray:
-    """Coerce a bit sequence to a validated uint8 hypervector."""
-    hv = np.asarray(bits, dtype=np.uint8)
-    if hv.ndim != 1 or hv.size == 0:
-        raise ValueError("hypervector must be a non-empty 1-D bit sequence")
-    if hv.max(initial=0) > 1:
-        raise ValueError("hypervector components must be 0 or 1")
-    return hv
-
-
-def _check_same_dimension(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape[-1] != b.shape[-1]:
-        raise DimensionMismatchError(
-            f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]}"
-        )
-
-
-def random_hypervector(dimension: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw a hypervector whose bits are independently 1 with probability 0.5."""
-    if dimension < 1:
-        raise ValueError(f"dimension must be >= 1, got {dimension}")
-    return rng.integers(0, 2, size=dimension, dtype=np.uint8)
-
-
-def bind(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Componentwise XOR. Self-inverse; the zero vector is the identity."""
-    _check_same_dimension(a, b)
-    return np.bitwise_xor(a, b)
-
-
-def permute(a: np.ndarray, k: int) -> np.ndarray:
-    """Circular shift of component indices by ``k`` (mod dimension).
-
-    The bit at index i moves to index (i + k) mod D, so permute([1,0,0,0], 1)
-    yields [0,1,0,0].
-    """
-    if k < 0:
-        raise ValueError(f"shift must be non-negative, got {k}")
-    return np.roll(a, k % a.shape[-1])
-
-
-def hamming(a: np.ndarray, b: np.ndarray) -> int:
-    """Number of positions where the two vectors differ."""
-    _check_same_dimension(a, b)
-    return int(np.count_nonzero(a != b))
-
-
-def normalized_hamming(a: np.ndarray, b: np.ndarray) -> float:
-    """Hamming distance divided by the dimension; in [0, 1]."""
-    return hamming(a, b) / a.shape[-1]
-
-
-class BundleAccumulator:
-    """Streaming majority-vote bundling.
-
-    Accumulate any number of equally sized hypervectors, then ``finalize``
-    to the componentwise majority. Ties (possible only for an even count)
-    are broken by independent fair coin flips from the supplied generator,
-    so a fixed tie seed gives a reproducible result and streaming agrees
-    bit-for-bit with batch ``bundle``.
-    """
-
-    def __init__(self, dimension: int):
-        if dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {dimension}")
-        self.dimension = dimension
-        self.counts = np.zeros(dimension, dtype=np.int64)
-        self.total = 0
-
-    def add(self, v: np.ndarray) -> "BundleAccumulator":
-        if v.shape[-1] != self.dimension:
-            raise DimensionMismatchError(
-                f"dimension mismatch: accumulator {self.dimension} vs vector {v.shape[-1]}"
-            )
-        self.counts += v
-        self.total += 1
-        return self
-
-    def add_counts(self, counts: np.ndarray, total: int) -> "BundleAccumulator":
-        """Merge a pre-reduced tally of ``total`` vectors (batch fast path)."""
-        if counts.shape[-1] != self.dimension:
-            raise DimensionMismatchError(
-                f"dimension mismatch: accumulator {self.dimension} vs counts {counts.shape[-1]}"
-            )
-        self.counts += np.asarray(counts, dtype=np.int64)
-        self.total += int(total)
-        return self
-
-    def finalize(self, tie_rng: np.random.Generator | None = None) -> np.ndarray:
-        if self.total == 0:
-            raise InvalidStateError("cannot finalize an empty accumulator")
-        return majority_from_counts(self.counts, self.total, tie_rng)
-
 
 def majority_from_counts(
     counts: np.ndarray, total: int, tie_rng: np.random.Generator | None = None
 ) -> np.ndarray:
-    """Threshold per-component tallies of ``total`` binary vectors at total/2."""
+    """Threshold per-component tallies of ``total`` binary vectors at total/2.
+
+    Ties, possible only for an even ``total``, are broken by independent
+    fair coin flips from ``tie_rng``.
+    """
     doubled = 2 * np.asarray(counts)
     out = (doubled > total).astype(np.uint8)
     ties = doubled == total
@@ -131,14 +27,3 @@ def majority_from_counts(
             raise ValueError("tie_rng required: majority has ties for an even count")
         out[ties] = tie_rng.integers(0, 2, size=n_ties, dtype=np.uint8)
     return out
-
-
-def bundle(vectors, tie_rng: np.random.Generator | None = None) -> np.ndarray:
-    """Componentwise majority vote over a non-empty list of hypervectors."""
-    vectors = list(vectors)
-    if not vectors:
-        raise ValueError("cannot bundle an empty list of vectors")
-    acc = BundleAccumulator(vectors[0].shape[-1])
-    for v in vectors:
-        acc.add(v)
-    return acc.finalize(tie_rng)

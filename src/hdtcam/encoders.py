@@ -64,9 +64,6 @@ class ItemMemory:
     def __len__(self):
         return len(self.symbols)
 
-    def __contains__(self, symbol):
-        return symbol in self._index
-
     def __getitem__(self, symbol) -> np.ndarray:
         try:
             return self._matrix[self._index[symbol]]
@@ -190,35 +187,17 @@ def encode_text_ngram(
     return majority_from_counts(counts.astype(np.int64), num_windows, tie_rng)
 
 
-def encode_image(
-    pixels: np.ndarray,
-    threshold: int,
-    position_im: ItemMemory,
-    tie_rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Bundle the position hypervectors of all pixels at or above ``threshold``."""
-    flat = np.asarray(pixels).ravel()
-    if flat.size != len(position_im):
-        raise DimensionMismatchError(
-            f"image has {flat.size} pixels but item memory holds {len(position_im)} positions"
-        )
-    white = np.flatnonzero(flat >= threshold)
-    if white.size == 0:
-        raise DegenerateInputError("image has no pixels above threshold, nothing to bundle")
-    counts = position_im.matrix[white].sum(axis=0, dtype=np.int64)
-    return majority_from_counts(counts, int(white.size), tie_rng)
-
-
 def encode_images(
     images: np.ndarray,
     threshold: int,
     position_im: ItemMemory,
     seed: int,
 ) -> np.ndarray:
-    """Vectorized ``encode_image`` over a stack of images.
+    """Per image, the majority bundle of the position hypervectors of all
+    pixels at or above ``threshold``.
 
-    Image i uses the i-th child of ``SeedSequence(seed)`` for tie-breaking,
-    so single-image encoding with the matching child stream agrees exactly.
+    Image i breaks ties from the i-th child of ``SeedSequence(seed)``, so its
+    vector does not depend on the other images of the stack.
     """
     images = np.asarray(images)
     num = images.shape[0]

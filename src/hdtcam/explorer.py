@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -397,19 +398,27 @@ def point_to_dict(p: DesignPoint) -> dict:
     }
 
 
+def _finite(value) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite number {value!r}")
+    return x
+
+
 def point_from_dict(doc: dict) -> DesignPoint:
+    """Inverse of ``point_to_dict``; ValueError for a number that is not finite."""
     return DesignPoint(
         technology=doc["technology"],
-        voltage=float(doc["voltage_V"]),
+        voltage=_finite(doc["voltage_V"]),
         block_size=int(doc["block_size"]),
         precision=int(doc["precision"]),
         dimension=int(doc["dimension"]),
         replicas=int(doc["replicas"]),
         trials=int(doc["trials"]),
-        accuracy_mean=float(doc["accuracy_mean"]),
-        accuracy_std=float(doc["accuracy_std"]),
-        accuracy_loss=float(doc["accuracy_loss"]),
-        energy_pj=float(doc["energy_pJ"]),
-        latency_ns=float(doc["latency_ns"]),
+        accuracy_mean=_finite(doc["accuracy_mean"]),
+        accuracy_std=_finite(doc["accuracy_std"]),
+        accuracy_loss=_finite(doc["accuracy_loss"]),
+        energy_pj=_finite(doc["energy_pJ"]),
+        latency_ns=_finite(doc["latency_ns"]),
         pareto=bool(doc.get("pareto", False)),
     )

@@ -153,25 +153,6 @@ class LatencyModel:
             self.match_timeout_ns,
         )
 
-    def report_from_latency(self, t: np.ndarray) -> np.ndarray:
-        """Midpoint decision rule: the distance whose latency interval holds t."""
-        return self.precision - np.searchsorted(self.thresholds_ns, t)
-
-    def sample(self, true_h: np.ndarray, rng: np.random.Generator):
-        """Reported distances and latencies for an int array of true distances.
-
-        Draws one Gaussian latency per element (one ``rng.normal`` call) and
-        decodes it with the midpoint rule. Distance 0 never discharges the
-        match line: its latency is the sensing timeout and it always reads 0.
-        """
-        true_h = np.asarray(true_h)
-        mu_full = np.concatenate([[self.match_timeout_ns], self.mu_ns])
-        sigma_full = np.concatenate([[0.0], self.sigma_ns])
-        latency = rng.normal(mu_full[true_h], sigma_full[true_h])
-        reported = self.report_from_latency(latency).astype(np.int16)
-        reported[true_h == 0] = 0
-        return reported, latency
-
     def slowest_latency(self, reads: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Latency of the slowest of independent reads, per row of ``reads``.
 
@@ -196,10 +177,6 @@ class LatencyModel:
                          + np.broadcast_to(self.sigma_ns, m.shape)[read] * z)
         slowest = latency.max(axis=-1)
         return np.where(reads[..., 0] > 0, np.maximum(slowest, self.match_timeout_ns), slowest)
-
-    def report_distances(self, true_h: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Sampled reported distances for an int array of true distances."""
-        return self.sample(true_h, rng)[0]
 
 
 def _thresholds(mu, timeout):
@@ -266,15 +243,12 @@ class RramShiftModel:
 
     precision: int
 
-    def report_distances(self, true_h: np.ndarray, rng=None) -> np.ndarray:
-        return np.minimum(np.asarray(true_h) + 1, self.precision)
-
     def confusion(self, precision: int, replicas: int = 1) -> np.ndarray:
         """One-hot matrix of the shift for true distances 0..``precision``;
         the median of replicated identical reads is the same read."""
         true_h = np.arange(precision + 1)
         cm = np.zeros((precision + 1, max(precision, self.precision) + 1))
-        cm[true_h, self.report_distances(true_h)] = 1.0
+        cm[true_h, np.minimum(true_h + 1, self.precision)] = 1.0
         return cm
 
 
@@ -428,9 +402,6 @@ class Catalog:
                 f"hardware catalog has no entry for technology={key[0]} "
                 f"voltage_V={key[1]} block_size={key[2]}"
             ) from None
-
-    def __contains__(self, key):
-        return self._key(*key) in self._entries
 
     def __len__(self):
         return len(self._entries)

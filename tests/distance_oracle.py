@@ -14,13 +14,20 @@ import numpy as np
 from hdtcam.am import BlockConfig
 
 
+def block_layout(cfg):
+    """Start of each block and its effective precision min(P, block size)."""
+    starts = np.arange(0, cfg.dimension, cfg.block_size)
+    sizes = np.diff(starts, append=cfg.dimension)
+    return starts, np.minimum(cfg.precision, sizes).astype(np.int16)
+
+
 def block_distances(queries, classes, cfg):
     """Per-block distances clamped at min(P, block size), int16 (Q, C, blocks)."""
     queries = np.atleast_2d(queries)
     classes = np.atleast_2d(classes)
     diff = (queries[:, None, :] != classes[None, :, :]).astype(np.int16)
-    return np.minimum(np.add.reduceat(diff, cfg.block_starts, axis=2),
-                      cfg.block_caps.astype(np.int16))
+    starts, caps = block_layout(cfg)
+    return np.minimum(np.add.reduceat(diff, starts, axis=2), caps)
 
 
 def distance_histogram(queries, classes, dimension, block_size, precision=None):
@@ -44,12 +51,11 @@ def precision_rows(classes, queries, label_idx, baseline, block_sizes, precision
     each P and summing them."""
     rows = []
     for n in block_sizes:
-        cfg_full = BlockConfig(classes.shape[1], n, n)
-        unclamped = block_distances(queries, classes, cfg_full)
+        unclamped = block_distances(queries, classes, BlockConfig(classes.shape[1], n, n))
         for p in precisions:
             if p > n:
                 continue
-            caps = np.minimum(p, cfg_full.block_sizes).astype(np.int16)
+            _, caps = block_layout(BlockConfig(classes.shape[1], n, p))
             totals = np.minimum(unclamped, caps).sum(axis=2, dtype=np.int64)
             acc = float(np.mean(np.argmin(totals, axis=1) == label_idx))
             rows.append((int(n), int(p), acc, float(baseline - acc)))

@@ -1,4 +1,5 @@
-"""Associative memory: block partitions, inference oracles, persistence."""
+"""Associative memory: block partitions, distance-kernel oracles, training,
+persistence."""
 
 import json
 
@@ -12,22 +13,28 @@ from hdtcam import am as am_module
 from hdtcam.am import (
     AssociativeMemory,
     BlockConfig,
-    block_distances,
     distance_histogram,
     ideal_argmin,
-    infer_blocked,
-    infer_ideal,
     load_model,
     save_model,
     train,
 )
-from hdtcam.core import hamming, random_hypervector
 from hdtcam.errors import DimensionMismatchError, FormatError, InvalidStateError
 
 
+def _random_bits(rng, dimension):
+    return rng.integers(0, 2, size=dimension, dtype=np.uint8)
+
+
 def _random_am(rng, classes=4, dimension=64):
-    rows = np.stack([random_hypervector(dimension, rng) for _ in range(classes)])
+    rows = np.stack([_random_bits(rng, dimension) for _ in range(classes)])
     return AssociativeMemory([f"c{i}" for i in range(classes)], rows)
+
+
+def _totals(queries, classes, cfg):
+    """Per (query, class) sum of the block distances clamped at P."""
+    hist = distance_histogram(queries, classes, cfg.dimension, cfg.block_size, cfg.precision)
+    return hist @ np.arange(cfg.precision + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -37,9 +44,10 @@ def _random_am(rng, classes=4, dimension=64):
 def test_block_config_non_dividing_partition():
     cfg = BlockConfig(dimension=10, block_size=3, precision=2)
     assert cfg.num_blocks == 4
-    assert cfg.block_starts.tolist() == [0, 3, 6, 9]
-    assert cfg.block_sizes.tolist() == [3, 3, 3, 1]
-    assert cfg.block_caps.tolist() == [2, 2, 2, 1]  # last block: min(P, size)
+    # three full blocks at distance 3 clamp at P = 2; the 1-bit last block
+    # reads 1, its cap being min(P, size)
+    hist = distance_histogram(np.zeros(10, np.uint8), np.ones(10, np.uint8), 10, 3, 2)
+    assert hist.tolist() == [[[0, 1, 3]]]
 
 
 def test_block_config_validation():
@@ -58,27 +66,25 @@ def test_block_config_validation():
 def test_partition_identity_property(block_size, dimension, seed):
     """With P=N the clamped block sum equals the full Hamming distance."""
     rng = np.random.default_rng(seed)
-    a = random_hypervector(dimension, rng)
-    b = random_hypervector(dimension, rng)
-    cfg = BlockConfig(dimension, block_size, block_size)
-    assert int(block_distances(a, b, cfg).sum()) == hamming(a, b)
+    a = _random_bits(rng, dimension)
+    b = _random_bits(rng, dimension)
+    hist = distance_histogram(a, b, dimension, block_size)
+    assert (hist @ np.arange(block_size + 1))[0, 0] == np.count_nonzero(a != b)
 
 
 def test_blocked_distances_clamped_at_caps(rng):
     a = np.zeros(12, dtype=np.uint8)
     b = np.ones(12, dtype=np.uint8)
-    cfg = BlockConfig(12, 4, 2)
-    assert block_distances(a, b, cfg)[0, 0].tolist() == [2, 2, 2]
+    assert distance_histogram(a, b, 12, 4, 2)[0, 0].tolist() == [0, 0, 3]
 
 
 def test_blocked_totals_monotone_in_precision(rng):
     """Lower precision clamps more, so totals can only shrink."""
     am = _random_am(rng, classes=3, dimension=100)
-    q = random_hypervector(100, rng)
+    q = _random_bits(rng, 100)
     prev = None
     for p in range(1, 8):
-        cfg = BlockConfig(100, 7, p)
-        total = block_distances(q, am.class_matrix, cfg)[0].sum()
+        total = _totals(q, am.class_matrix, BlockConfig(100, 7, p))[0].sum()
         if prev is not None:
             assert total >= prev
         prev = total
@@ -86,16 +92,15 @@ def test_blocked_totals_monotone_in_precision(rng):
 
 def test_blocked_matrix_agrees_with_single(rng, monkeypatch):
     am = _random_am(rng, classes=5, dimension=33)
-    queries = np.stack([random_hypervector(33, rng) for _ in range(7)])
-    cfg = BlockConfig(33, 4, 3)
-    mat = block_distances(queries, am.class_matrix, cfg)
-    assert mat.shape == (7, 5, 9) and mat.dtype == np.int16
+    queries = np.stack([_random_bits(rng, 33) for _ in range(7)])
+    mat = distance_histogram(queries, am.class_matrix, 33, 4, 3)
+    assert mat.shape == (7, 5, 4) and mat.dtype == np.int64
     for i in range(7):
         for c in range(5):
-            single = block_distances(queries[i], am.class_matrix[c], cfg)[0, 0]
+            single = distance_histogram(queries[i], am.class_matrix[c], 33, 4, 3)[0, 0]
             assert np.array_equal(mat[i, c], single)
     monkeypatch.setattr(am_module, "CHUNK_ELEMS", 2 * 5 * 9)  # two queries per chunk
-    assert np.array_equal(block_distances(queries, am.class_matrix, cfg), mat)
+    assert np.array_equal(distance_histogram(queries, am.class_matrix, 33, 4, 3), mat)
 
 
 # Word edges of the packed layout: uint8/uint16, uint16/uint32, uint32/uint64
@@ -114,8 +119,8 @@ def test_blocked_matrix_agrees_with_single(rng, monkeypatch):
 @example(dimension=1, block_size=70, queries=2, classes=2, chunk=1, seed=9)
 def test_packed_kernels_equal_unpacked_oracle(dimension, block_size, queries, classes,
                                               chunk, seed):
-    """Packed block distances, histograms and ideal argmin equal the int16
-    difference-tensor oracle at every precision, whatever the chunking."""
+    """Packed histograms and ideal argmin equal the int16 difference-tensor
+    oracle at every precision, whatever the chunking."""
     rng = np.random.default_rng(seed)
     qs = rng.integers(0, 2, (queries, dimension), dtype=np.uint8)
     cs = rng.integers(0, 2, (classes, dimension), dtype=np.uint8)
@@ -128,10 +133,6 @@ def test_packed_kernels_equal_unpacked_oracle(dimension, block_size, queries, cl
         assert np.array_equal(hist, distance_oracle.distance_histogram(qs, cs, dimension,
                                                                        block_size))
         for p in range(1, block_size + 1):
-            cfg = BlockConfig(dimension, block_size, p)
-            got = block_distances(qs, cs, cfg)
-            assert got.dtype == np.int16
-            assert np.array_equal(got, distance_oracle.block_distances(qs, cs, cfg)), p
             assert np.array_equal(
                 distance_histogram(qs, cs, dimension, block_size, p),
                 distance_oracle.distance_histogram(qs, cs, dimension, block_size, p)), p
@@ -143,9 +144,9 @@ def test_packed_kernels_equal_unpacked_oracle(dimension, block_size, queries, cl
 def test_blocked_distances_dimension_mismatch(rng):
     am = _random_am(rng, classes=2, dimension=16)
     with pytest.raises(DimensionMismatchError):
-        block_distances(np.zeros(16, dtype=np.uint8), am.class_matrix, BlockConfig(12, 4, 4))
+        distance_histogram(np.zeros(16, dtype=np.uint8), am.class_matrix, 12, 4, 4)
     with pytest.raises(DimensionMismatchError):
-        block_distances(np.zeros(12, dtype=np.uint8), am.class_matrix, BlockConfig(12, 4, 4))
+        distance_histogram(np.zeros(12, dtype=np.uint8), am.class_matrix, 12, 4, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -155,47 +156,48 @@ def test_blocked_distances_dimension_mismatch(rng):
 def test_infer_ideal_matches_brute_force(rng):
     am = _random_am(rng, classes=6, dimension=80)
     for _ in range(20):
-        q = random_hypervector(80, rng)
-        dists = [hamming(q, am.class_matrix[c]) for c in range(6)]
-        label, dist = infer_ideal(q, am)
-        assert dist == min(dists)
-        assert label == am.labels[int(np.argmin(dists))]
+        q = _random_bits(rng, 80)
+        dists = [np.count_nonzero(q != am.class_matrix[c]) for c in range(6)]
+        best, dist = ideal_argmin(q, am)
+        assert dist[0] == min(dists)
+        assert best[0] == int(np.argmin(dists))
 
 
 def test_ideal_argmin_matches_per_query(rng, monkeypatch):
     am = _random_am(rng, classes=4, dimension=140)
-    qs = np.stack([random_hypervector(140, rng) for _ in range(60)])
-    want = [infer_ideal(q, am) for q in qs]
+    qs = np.stack([_random_bits(rng, 140) for _ in range(60)])
+    want = [tuple(int(x[0]) for x in ideal_argmin(q, am)) for q in qs]
     monkeypatch.setattr(am_module, "CHUNK_ELEMS", 7 * 4 * 3)  # uneven chunks of 3 words a row
     best, dists = ideal_argmin(qs, am)
-    assert [(am.labels[b], int(d)) for b, d in zip(best, dists)] == want
+    assert [(int(b), int(d)) for b, d in zip(best, dists)] == want
 
 
 def test_infer_ideal_tie_break_first_stored():
     v = np.array([0, 0, 0, 0], dtype=np.uint8)
     am = AssociativeMemory(["first", "second"], np.stack([v, v]))
-    label, dist = infer_ideal(np.array([1, 0, 0, 0], dtype=np.uint8), am)
-    assert label == "first" and dist == 1
+    best, dist = ideal_argmin(np.array([1, 0, 0, 0], dtype=np.uint8), am)
+    assert am.labels[best[0]] == "first" and dist[0] == 1
 
 
 def test_infer_blocked_full_precision_equals_ideal(rng):
     am = _random_am(rng, classes=4, dimension=50)
     cfg = BlockConfig(50, 7, 7)
     for _ in range(20):
-        q = random_hypervector(50, rng)
-        assert infer_blocked(q, am, cfg)[0] == infer_ideal(q, am)[0]
+        q = _random_bits(rng, 50)
+        blocked = np.argmin(_totals(q, am.class_matrix, cfg), axis=1)
+        assert np.array_equal(blocked, ideal_argmin(q, am)[0])
 
 
 def test_infer_dimension_mismatch(rng):
     am = _random_am(rng, dimension=16)
     with pytest.raises(DimensionMismatchError):
-        infer_ideal(np.zeros(8, dtype=np.uint8), am)
+        ideal_argmin(np.zeros(8, dtype=np.uint8), am)
 
 
 def test_infer_empty_memory():
     am = AssociativeMemory([], np.zeros((0, 8), dtype=np.uint8))
     with pytest.raises(InvalidStateError):
-        infer_ideal(np.zeros(8, dtype=np.uint8), am)
+        ideal_argmin(np.zeros(8, dtype=np.uint8), am)
 
 
 # ---------------------------------------------------------------------------
@@ -203,14 +205,12 @@ def test_infer_empty_memory():
 
 
 def test_train_bundles_each_class(rng):
-    vs = {"a": [random_hypervector(32, rng) for _ in range(3)],
-          "b": [random_hypervector(32, rng) for _ in range(5)]}
+    vs = {"a": [_random_bits(rng, 32) for _ in range(3)],
+          "b": [_random_bits(rng, 32) for _ in range(5)]}
     am = train(vs)
     assert am.labels == ["a", "b"]
-    from hdtcam.core import bundle
-
-    assert np.array_equal(am.class_vector("a"), bundle(vs["a"]))
-    assert np.array_equal(am.class_vector("b"), bundle(vs["b"]))
+    for row, vectors in zip(am.class_matrix, vs.values()):
+        assert np.array_equal(row, 2 * np.sum(vectors, axis=0) > len(vectors))  # odd counts
 
 
 def test_train_rejects_empty():

@@ -1,11 +1,15 @@
 """CLI: end-to-end runs over on-disk fixtures, determinism, resume, errors."""
 
+import contextlib
+import io
 import json
 import re
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdtcam import cli, explorer, synth
 from hdtcam.am import load_model
@@ -150,24 +154,23 @@ def test_sweep_deterministic_and_pareto(small_corpus_dir, tmp_path, capsys):
 
 
 def test_sweep_jobs_byte_identical(small_corpus_dir, tmp_path, capsys):
-    """Threads share each (D, N) histogram read-only: --jobs 2 writes the
-    bytes --jobs 1 does, but for the config hash, which covers --jobs."""
+    """Threads share each (D, N) histogram read-only, and the config hash
+    leaves the worker count out: without --jobs, with --jobs 1 and with
+    --jobs 2 a sweep writes the same bytes."""
     train_dir, queries_csv = small_corpus_dir
     outputs = {}
-    for jobs in ("1", "2"):
-        out = tmp_path / f"r{jobs}.csv"
+    for jobs in ([], ["--jobs", "1"], ["--jobs", "2"]):
+        out = tmp_path / f"r{len(outputs)}.csv"
         assert run_cli("sweep", "--task", "language", "--train-dir", str(train_dir),
                        "--queries", str(queries_csv), "--technologies", "sram,fefinfet",
                        "--voltages", "0.5,0.7", "--block-sizes", "7,15", "--precisions", "3,7",
                        "--dimensions", "300,1000", "--replicas", "1,3", "--trials", "2",
-                       "--jobs", jobs, "--deterministic", "--output", str(out)) == 0
-        outputs[jobs] = [
-            [l for l in path.read_bytes().splitlines(keepends=True)
-             if not l.startswith(b"# config_hash=")]
-            for path in (out, tmp_path / f"r{jobs}_pareto.csv")
-        ]
-    assert len(outputs["1"][0]) == 3 + 2 * 2 * 2 * 2 * 2 * 2
-    assert outputs["1"] == outputs["2"]
+                       *jobs, "--deterministic", "--output", str(out)) == 0
+        front = out.with_name(f"{out.stem}_pareto.csv")
+        outputs[tuple(jobs)] = [out.read_bytes(), front.read_bytes()]
+    want = outputs[()]
+    assert len(want[0].splitlines()) == 4 + 2 * 2 * 2 * 2 * 2 * 2  # 3 metadata lines, header
+    assert outputs[("--jobs", "1")] == want and outputs[("--jobs", "2")] == want
 
 
 def _partial_header(results_csv):
@@ -268,6 +271,101 @@ def test_sweep_resume_rejects_malformed_point(body, small_corpus_dir, tmp_path, 
     assert err.startswith("error: E-FORMAT:") and str(partial) in err and "line 3" in err
     assert partial.read_text() == contents
     assert not (tmp_path / "resumed.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# results CSV loader
+
+
+@pytest.fixture(scope="module")
+def results_lines():
+    """Lines of a small results CSV as a sweep writes it, metadata included."""
+    points = [explorer.DesignPoint("sram", v, n, 7, 1000, 1, 2, 0.9 - 0.01 * n, 0.01,
+                                   0.01 * n, v * n, 0.2)
+              for v in (0.5, 1.0) for n in (7, 15)]
+    buf = io.StringIO()
+    explorer.write_results_csv(explorer.flag_pareto(points), buf,
+                               metadata_lines=["tool=hdtcam", "seed=0"])
+    return buf.getvalue().splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("accuracy_mean", "abc"), ("energy_pJ", "nan"), ("latency_ns", "inf"),
+    ("voltage_V", "-inf"), ("accuracy_loss", "1e999"), ("block_size", "7.5"),
+])
+def test_pareto_rejects_malformed_row(results_lines, tmp_path, capsys, field, value):
+    """A row with a field that is not a finite number exits E-FORMAT naming
+    the file and the row."""
+    lines = list(results_lines)
+    fields = lines[3].rstrip("\n").split(",")
+    fields[explorer.CSV_COLUMNS.split(",").index(field)] = value
+    lines[3] = ",".join(fields) + "\n"
+    path = tmp_path / "results.csv"
+    path.write_text("".join(lines))
+    assert run_cli("pareto", "--input", str(path), "--output", str(tmp_path / "f.csv")) != 0
+    err = capsys.readouterr().err
+    assert err.startswith("error: E-FORMAT:") and str(path) in err and "row 4" in err, err
+    assert not (tmp_path / "f.csv").exists()
+
+
+_FIELD_VALUES = st.sampled_from(["nan", "NaN", "inf", "-Infinity", "1e999", "abc", "",
+                                 "1.5", "-0", "7", "#"]) | st.text(max_size=6)
+_RESULTS_OPS = ["field", "columns", "line", "byte", "truncate"]
+
+
+def _mutate_results(lines, op, data):
+    """Apply one mutation to the lines (a list of str), or to their bytes."""
+    i = data.draw(st.integers(0, len(lines) - 1)) if lines else 0
+    if op in ("field", "columns") and lines:
+        fields = lines[i].rstrip("\n").split(",")
+        k = data.draw(st.integers(0, len(fields) - 1))
+        if op == "field":
+            fields[k] = data.draw(_FIELD_VALUES)
+        elif data.draw(st.booleans()):
+            fields.pop(k)
+        else:
+            fields.insert(k, data.draw(_FIELD_VALUES))
+        lines[i] = ",".join(fields) + "\n"
+    elif op == "line":
+        edit = data.draw(st.sampled_from(["drop", "duplicate", "insert"]))
+        if edit == "drop" and lines:
+            lines.pop(i)
+        elif edit == "duplicate" and lines:
+            lines.insert(i, lines[i])
+        else:
+            lines.insert(i, data.draw(st.text(max_size=20)) + "\n")
+    blob = "".join(lines).encode()
+    if op == "byte" and blob:
+        k = data.draw(st.integers(0, len(blob) - 1))
+        blob = blob[:k] + bytes([data.draw(st.integers(0, 255))]) + blob[k + 1:]
+    elif op == "truncate":
+        blob = blob[:data.draw(st.integers(0, len(blob)))]
+    return blob
+
+
+@pytest.mark.parametrize("op", _RESULTS_OPS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_results_csv_fuzz(op, results_lines, tmp_path_factory, data):
+    """A results CSV mutated by ``op`` and maybe one more mutation either
+    exits E-FORMAT or exits 0 with a front that reads back."""
+    lines = list(results_lines)
+    blob = b""
+    for op in [op] + data.draw(st.lists(st.sampled_from(_RESULTS_OPS), max_size=1)):
+        blob = _mutate_results(lines, op, data)
+        lines = blob.decode("utf-8", "replace").splitlines(keepends=True)
+    path = tmp_path_factory.getbasetemp() / "fuzz_results.csv"
+    out = tmp_path_factory.getbasetemp() / "fuzz_front.csv"
+    path.write_bytes(blob)
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run_cli("pareto", "--input", str(path), "--output", str(out))
+    if code != 0:
+        assert err.getvalue().startswith("error: E-FORMAT:"), err.getvalue()
+        return
+    points, _ = cli._read_results_csv(out)
+    assert points and all(p.pareto for p in points)
 
 
 @pytest.fixture()
@@ -385,7 +483,7 @@ def test_export_and_reload_hw_tables(tmp_path, capsys):
     path = tmp_path / "tables.json"
     assert run_cli("export", "hw-tables", "--output", str(path)) == 0
     cat = load_hw_tables(path)
-    assert ("sram", 0.7, 15) in cat and ("fefinfet", 0.5, 7) in cat
+    assert ("sram", 0.7, 15) in cat.keys and ("fefinfet", 0.5, 7) in cat.keys
 
 
 def test_malformed_model_and_tables_exit_codes(tmp_path, capsys):

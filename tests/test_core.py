@@ -1,22 +1,17 @@
-"""Hypervector algebra: algebraic laws as property tests plus edge cases."""
+"""Hypervector algebra as the package performs it: majority bundling
+(``majority_from_counts`` and ``am.train``), the encoder's rotation and
+binding (``ItemMemory``, ``encode_text_ngram``) and Hamming distance through
+the packed kernel (``am.ideal_argmin``), as property tests plus edge cases."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdtcam.core import (
-    BundleAccumulator,
-    as_hypervector,
-    bind,
-    bundle,
-    hamming,
-    majority_from_counts,
-    normalized_hamming,
-    permute,
-    random_hypervector,
-)
-from hdtcam.errors import DimensionMismatchError, InvalidStateError
+from hdtcam.am import AssociativeMemory, ideal_argmin, train
+from hdtcam.core import majority_from_counts
+from hdtcam.encoders import ALPHABET, ItemMemory, encode_text_ngram
+from hdtcam.errors import DimensionMismatchError
 
 
 def hv_strategy(dimension):
@@ -40,103 +35,108 @@ def hv_triple(draw):
     return tuple(draw(hv_strategy(d)) for _ in range(3))
 
 
-@given(hv_pair())
-def test_bind_commutative(pair):
-    a, b = pair
-    assert np.array_equal(bind(a, b), bind(b, a))
+def _hamming(a, b):
+    """Full Hamming distance through the packed kernel."""
+    return int(ideal_argmin(a, AssociativeMemory(["b"], b[None]))[1][0])
 
 
-@given(hv_triple())
-def test_bind_associative(triple):
-    a, b, c = triple
-    assert np.array_equal(bind(bind(a, b), c), bind(a, bind(b, c)))
+def _random_bits(rng, dimension):
+    return rng.integers(0, 2, size=dimension, dtype=np.uint8)
 
 
-@given(hv_pair())
-def test_bind_self_inverse(pair):
-    a, b = pair
-    assert np.array_equal(bind(bind(a, b), b), a)
+# ---------------------------------------------------------------------------
+# Binding and rotation in the n-gram encoder
 
 
-@given(hv_strategy(16))
-def test_bind_identity_is_zero_vector(a):
-    zero = np.zeros(16, dtype=np.uint8)
-    assert np.array_equal(bind(a, zero), a)
+@given(dims, st.integers(0, 2**31), st.sampled_from(ALPHABET), st.sampled_from(ALPHABET))
+def test_bind_self_inverse(dimension, seed, first, second):
+    """A one-window bigram is item[c0] xor roll(item[c1], 1); binding it with
+    the rotated second letter again recovers the first."""
+    im = ItemMemory.for_alphabet(dimension, seed)
+    code = encode_text_ngram(first + second, 2, im, pre_normalized=True)
+    assert np.array_equal(code ^ np.roll(im[second], 1), im[first])
 
 
-@given(hv_pair(), st.integers(0, 200))
-def test_permute_distributes_over_bind(pair, k):
-    a, b = pair
-    assert np.array_equal(permute(bind(a, b), k), bind(permute(a, k), permute(b, k)))
+@given(dims, st.integers(0, 2**31), st.integers(0, 200))
+def test_permute_distributes_over_bind(dimension, seed, k):
+    im = ItemMemory.for_alphabet(dimension, seed)
+    rotated = im.rotated(k)
+    assert np.array_equal(np.roll(im["a"] ^ im["b"], k), rotated[0] ^ rotated[1])
 
 
-@given(hv_strategy(12), st.integers(0, 5))
-def test_permute_preserves_popcount_and_inverts(a, k):
-    p = permute(a, k)
-    assert p.sum() == a.sum()
-    assert np.array_equal(permute(p, (12 - k % 12) % 12), a)
+@given(st.integers(0, 2**31), st.integers(0, 5))
+def test_permute_preserves_popcount_and_inverts(seed, k):
+    im = ItemMemory.for_alphabet(12, seed)
+    p = im.rotated(k)
+    assert np.array_equal(p.sum(axis=1), im.matrix.sum(axis=1))
+    assert np.array_equal(p[:, (np.arange(12) + k) % 12], im.matrix)
 
 
 def test_permute_moves_bits_forward():
-    v = np.array([1, 0, 0, 0], dtype=np.uint8)
-    assert np.array_equal(permute(v, 1), [0, 1, 0, 0])
-    assert np.array_equal(permute(v, 4), v)
+    im = ItemMemory(4, ["v"], seed=5)
+    v = im.matrix[0]
+    assert np.array_equal(im.rotated(1)[0], [v[3], v[0], v[1], v[2]])
+    assert np.array_equal(im.rotated(4), im.matrix)
 
 
-def test_permute_rejects_negative_shift():
-    with pytest.raises(ValueError):
-        permute(np.zeros(4, dtype=np.uint8), -1)
+# ---------------------------------------------------------------------------
+# Hamming distance
 
 
 @given(hv_pair())
 def test_hamming_brute_force_oracle(pair):
     a, b = pair
     expected = sum(1 for x, y in zip(a.tolist(), b.tolist()) if x != y)
-    assert hamming(a, b) == expected
+    assert _hamming(a, b) == expected
 
 
 @given(hv_pair())
 def test_hamming_symmetric_and_zero_iff_equal(pair):
     a, b = pair
-    assert hamming(a, b) == hamming(b, a)
-    assert (hamming(a, b) == 0) == np.array_equal(a, b)
+    assert _hamming(a, b) == _hamming(b, a)
+    assert (_hamming(a, b) == 0) == np.array_equal(a, b)
 
 
 @given(hv_triple())
 def test_hamming_triangle_inequality(triple):
     a, b, c = triple
-    assert hamming(a, c) <= hamming(a, b) + hamming(b, c)
+    assert _hamming(a, c) <= _hamming(a, b) + _hamming(b, c)
 
 
 @given(hv_pair())
 def test_normalized_hamming_in_unit_interval(pair):
     a, b = pair
-    x = normalized_hamming(a, b)
+    x = _hamming(a, b) / a.shape[-1]
     assert 0.0 <= x <= 1.0
-    assert x == hamming(a, b) / a.shape[-1]
+    assert x == np.count_nonzero(a != b) / a.shape[-1]
 
 
 def test_hamming_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        hamming(np.zeros(4, dtype=np.uint8), np.zeros(5, dtype=np.uint8))
+        _hamming(np.zeros(4, dtype=np.uint8), np.zeros(5, dtype=np.uint8))
+
+
+# ---------------------------------------------------------------------------
+# Majority bundling: am.train
 
 
 @settings(max_examples=40)
 @given(st.integers(1, 9).filter(lambda n: n % 2 == 1), st.integers(0, 1000))
 def test_bundle_streaming_equals_batch(count, seed):
+    """A class vector equals the majority of its vectors tallied one by one."""
     rng = np.random.default_rng(seed)
-    vectors = [random_hypervector(32, rng) for _ in range(count)]
-    acc = BundleAccumulator(32)
+    vectors = [_random_bits(rng, 32) for _ in range(count)]
+    counts = np.zeros(32, dtype=np.int64)
     for v in vectors:
-        acc.add(v)
-    assert np.array_equal(acc.finalize(), bundle(vectors))
+        counts += v
+    assert np.array_equal(train({"a": vectors}).class_matrix[0], 2 * counts > count)
 
 
 def test_bundle_even_count_tie_break_reproducible():
     rng = np.random.default_rng(7)
-    vectors = [random_hypervector(64, rng) for _ in range(4)]
-    out1 = bundle(vectors, np.random.default_rng(99))
-    out2 = bundle(vectors, np.random.default_rng(99))
+    vectors = [_random_bits(rng, 64) for _ in range(4)]
+    out1 = train({"a": vectors}, np.random.default_rng(99)).class_matrix
+    out2 = train({"a": vectors}, np.random.default_rng(99)).class_matrix
     assert np.array_equal(out1, out2)
 
 
@@ -144,13 +144,13 @@ def test_bundle_even_count_without_tie_rng_raises():
     a = np.array([0, 1], dtype=np.uint8)
     b = np.array([1, 0], dtype=np.uint8)
     with pytest.raises(ValueError, match="tie_rng"):
-        bundle([a, b])
+        train({"x": [a, b]})
 
 
 @given(st.integers(1, 7).filter(lambda n: n % 2 == 1))
 def test_bundle_of_identical_vectors_is_identity(count):
     v = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
-    assert np.array_equal(bundle([v] * count), v)
+    assert np.array_equal(train({"a": [v] * count}).class_matrix[0], v)
 
 
 def test_bundle_majority_oracle():
@@ -159,27 +159,30 @@ def test_bundle_majority_oracle():
         np.array([1, 0, 1, 0], dtype=np.uint8),
         np.array([1, 1, 1, 0], dtype=np.uint8),
     ]
-    assert np.array_equal(bundle(vs), [1, 1, 1, 0])
+    assert np.array_equal(train({"a": vs}).class_matrix[0], [1, 1, 1, 0])
 
 
 def test_add_counts_matches_individual_adds(rng):
-    vectors = [random_hypervector(16, rng) for _ in range(5)]
-    a = BundleAccumulator(16)
-    for v in vectors:
-        a.add(v)
-    b = BundleAccumulator(16)
-    b.add_counts(np.sum(vectors, axis=0), len(vectors))
-    assert np.array_equal(a.finalize(), b.finalize())
+    """Even counts: each class's tally, thresholded with ties drawn from one
+    stream in class order, gives the class vectors bit for bit."""
+    classes = {"a": [_random_bits(rng, 16) for _ in range(4)],
+               "b": [_random_bits(rng, 16) for _ in range(2)]}
+    tie = np.random.default_rng(5)
+    want = []
+    for vectors in classes.values():
+        counts = np.zeros(16, dtype=np.int64)
+        for v in vectors:
+            counts += v
+        want.append(majority_from_counts(counts, len(vectors), tie))
+    assert np.array_equal(train(classes, np.random.default_rng(5)).class_matrix, want)
 
 
-def test_empty_accumulator_raises():
-    with pytest.raises(InvalidStateError):
-        BundleAccumulator(8).finalize()
-
-
-def test_bundle_empty_list_raises():
-    with pytest.raises(ValueError):
-        bundle([])
+def test_train_rejects_ragged_vectors():
+    v4, v5 = np.zeros(4, dtype=np.uint8), np.zeros(5, dtype=np.uint8)
+    with pytest.raises(DimensionMismatchError):
+        train({"a": [v4, v5, v4]})
+    with pytest.raises(DimensionMismatchError):
+        train({"a": [v4], "b": [v5]})
 
 
 def test_majority_from_counts_threshold():
@@ -188,18 +191,9 @@ def test_majority_from_counts_threshold():
 
 
 def test_random_hypervector_deterministic_and_balanced():
-    a = random_hypervector(10000, np.random.default_rng(3))
-    b = random_hypervector(10000, np.random.default_rng(3))
+    """Item-memory rows, the package's random hypervectors."""
+    a = ItemMemory(10000, ["v"], seed=3).matrix[0]
+    b = ItemMemory(10000, ["v"], seed=3).matrix[0]
     assert np.array_equal(a, b)
     assert a.dtype == np.uint8
     assert 0.45 < a.mean() < 0.55
-
-
-def test_as_hypervector_validation():
-    assert np.array_equal(as_hypervector([1, 0, 1]), [1, 0, 1])
-    with pytest.raises(ValueError):
-        as_hypervector([0, 2])
-    with pytest.raises(ValueError):
-        as_hypervector([])
-    with pytest.raises(ValueError):
-        as_hypervector([[0, 1], [1, 0]])

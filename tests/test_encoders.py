@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdtcam import encoders
-from hdtcam.core import bundle, majority_from_counts
+from hdtcam.core import majority_from_counts
 from hdtcam.encoders import (
     ALPHABET,
     ItemMemory,
     LabeledSet,
     Task,
-    encode_image,
     encode_images,
     encode_text_ngram,
     load_hypervector_csv,
@@ -24,6 +23,19 @@ from hdtcam.encoders import (
 from hdtcam.errors import ConfigError, DegenerateInputError, DimensionMismatchError, FormatError
 
 
+def _majority(vectors):
+    """Componentwise majority of an odd number of vectors."""
+    return (2 * np.sum(vectors, axis=0) > len(vectors)).astype(np.uint8)
+
+
+def encode_image(pixels, threshold, position_im, tie_rng=None):
+    """One image at a time: the majority of the position hypervectors of all
+    pixels at or above ``threshold``; the oracle of ``encode_images``."""
+    white = np.flatnonzero(np.asarray(pixels).ravel() >= threshold)
+    counts = position_im.matrix[white].sum(axis=0, dtype=np.int64)
+    return majority_from_counts(counts, int(white.size), tie_rng)
+
+
 # ---------------------------------------------------------------------------
 # Item memory
 
@@ -32,7 +44,7 @@ def test_item_memory_deterministic():
     a = ItemMemory.for_alphabet(256, seed=5)
     b = ItemMemory.for_alphabet(256, seed=5)
     assert np.array_equal(a.matrix, b.matrix)
-    assert len(a) == 27 and "a" in a and " " in a
+    assert len(a) == 27 and "a" in a.symbols and " " in a.symbols
 
 
 def test_item_memory_unknown_symbol():
@@ -78,7 +90,7 @@ def test_encode_text_ngram_manual_composition_oracle():
         v0 = im[text[i]]
         v1 = np.roll(im[text[i + 1]], 1)
         windows.append(np.bitwise_xor(v0, v1))
-    expected = bundle(windows)  # 3 windows: no ties
+    expected = _majority(windows)  # 3 windows: no ties
     got = encode_text_ngram(text, 2, im)
     assert np.array_equal(got, expected)
 
@@ -176,20 +188,20 @@ def test_encode_image_three_pixel_oracle():
     im = ItemMemory.for_positions(64, 9, seed=11)
     pixels = np.zeros(9, dtype=np.uint8)
     pixels[[1, 4, 7]] = 255
-    expected = bundle([im[1], im[4], im[7]])  # odd count: deterministic
-    assert np.array_equal(encode_image(pixels.reshape(3, 3), 128, im), expected)
+    expected = _majority([im[1], im[4], im[7]])  # odd count: deterministic
+    assert np.array_equal(encode_images(pixels.reshape(1, 3, 3), 128, im, seed=0)[0], expected)
 
 
 def test_encode_image_all_black_raises():
     im = ItemMemory.for_positions(32, 4, seed=0)
     with pytest.raises(DegenerateInputError):
-        encode_image(np.zeros((2, 2), dtype=np.uint8), 128, im)
+        encode_images(np.zeros((1, 2, 2), dtype=np.uint8), 128, im, seed=0)
 
 
 def test_encode_image_wrong_pixel_count():
     im = ItemMemory.for_positions(32, 4, seed=0)
     with pytest.raises(DimensionMismatchError):
-        encode_image(np.ones((3, 3), dtype=np.uint8) * 255, 128, im)
+        encode_images(np.ones((1, 3, 3), dtype=np.uint8) * 255, 128, im, seed=0)
 
 
 def test_encode_images_matches_single_image_path():
@@ -208,7 +220,7 @@ def test_binarize_and_average_is_majority():
     rng = np.random.default_rng(0)
     vs = [(rng.random(32) < 0.5).astype(np.uint8) for _ in range(5)]
     binarized_average = (np.mean(vs, axis=0) > 0.5).astype(np.uint8)
-    assert np.array_equal(binarized_average, bundle(vs))
+    assert np.array_equal(binarized_average, majority_from_counts(np.sum(vs, axis=0), 5))
 
 
 def test_task_defaults_and_validation():

@@ -9,7 +9,6 @@ from gaussian_oracle import evaluate_trials
 
 from hdtcam import explorer, hwmodel
 from hdtcam.am import AssociativeMemory, BlockConfig
-from hdtcam.core import random_hypervector
 from hdtcam.errors import ConfigError, DimensionMismatchError, NoFeasiblePointError
 from hdtcam.explorer import (
     CSV_COLUMNS,
@@ -39,7 +38,8 @@ def _point(energy, loss, **kw):
 
 
 def _toy_dataset(rng, classes=4, dimension=140, queries=60, flip=0.08):
-    rows = np.stack([random_hypervector(dimension, rng) for _ in range(classes)])
+    rows = np.stack([rng.integers(0, 2, size=dimension, dtype=np.uint8)
+                     for _ in range(classes)])
     am = AssociativeMemory([f"c{i}" for i in range(classes)], rows)
     qs, labels = [], []
     for i in range(queries):

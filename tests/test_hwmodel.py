@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 from calibration_oracle import build_latency, calibrated_spread, confusion_loop
-from gaussian_oracle import sample_replicas
+from gaussian_oracle import report_from_latency, sample, sample_replicas
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -68,24 +68,24 @@ def test_thresholds_ascending_and_decision_rule():
     t = lm.thresholds_ns
     assert np.all(np.diff(t) > 0)
     # nominal latencies decode back to their own distance
-    rep = lm.report_from_latency(lm.mu_ns)
+    rep = report_from_latency(lm, lm.mu_ns)
     assert rep.tolist() == [1, 2, 3, 4]
     # beyond the timeout reads as a full match
-    assert lm.report_from_latency(np.array([lm.match_timeout_ns + 1.0])).tolist() == [0]
+    assert report_from_latency(lm, np.array([lm.match_timeout_ns + 1.0])).tolist() == [0]
     # implausibly fast discharge saturates at P
-    assert lm.report_from_latency(np.array([0.0])).tolist() == [4]
+    assert report_from_latency(lm, np.array([0.0])).tolist() == [4]
 
 
 def test_degenerate_sigma_reports_identity(rng):
     lm = _tight_model()
     h = rng.integers(0, 5, size=1000)
-    assert np.array_equal(lm.report_distances(h, rng), h)
+    assert np.array_equal(sample(lm, h, rng)[0], h)
 
 
 def test_zero_distance_is_error_free():
     lm = default_entry("sram", 0.7, 15).latency
     rng = np.random.default_rng(0)
-    rep = lm.report_distances(np.zeros(10000, dtype=int), rng)
+    rep, _ = sample(lm, np.zeros(10000, dtype=int), rng)
     assert np.all(rep == 0)
 
 
@@ -121,7 +121,7 @@ def test_confusion_matches_monte_carlo_single_entry():
     rng = np.random.default_rng(42)
     n = 200_000
     for h in (1, 4, 7):
-        rep = lm.report_distances(np.full(n, h), rng)
+        rep, _ = sample(lm, np.full(n, h), rng)
         freq = np.bincount(rep, minlength=8) / n
         assert np.abs(freq - cm[h]).max() < 0.005
 
@@ -251,11 +251,11 @@ def test_replica_model_r1_identical_to_plain():
     lm = default_entry("sram", 0.5, 15).latency
     h = np.random.default_rng(0).integers(0, 8, size=(40, 3, 11))
     a, _ = sample_replicas(lm, h, np.random.default_rng(5))
-    b = lm.report_distances(h, np.random.default_rng(5))
+    b, _ = sample(lm, h, np.random.default_rng(5))
     assert np.array_equal(a, b)
     reported, latency = sample_replicas(lm, h, np.random.default_rng(6), replicas=3)
     rng = np.random.default_rng(6)
-    draws = [lm.sample(h, rng) for _ in range(3)]
+    draws = [sample(lm, h, rng) for _ in range(3)]
     assert np.array_equal(reported, np.median([d for d, _ in draws], axis=0))
     assert np.array_equal(latency, np.max([t for _, t in draws], axis=0))
     cm = confusion_from_latency(lm)
@@ -310,7 +310,7 @@ def test_slowest_latency_matches_monte_carlo(reads):
     samples = 4000 if reads.sum() > 100 else 20_000
     true_h = np.repeat(np.arange(lm.precision + 1), reads)
     rng = np.random.default_rng(int(reads.sum()))
-    _, latency = lm.sample(np.broadcast_to(true_h, (samples, true_h.size)), rng)
+    _, latency = sample(lm, np.broadcast_to(true_h, (samples, true_h.size)), rng)
     monte_carlo = latency.max(axis=1)
     drawn = lm.slowest_latency(np.broadcast_to(reads, (samples, reads.size)), rng)
     assert _ks_distance(drawn, monte_carlo) <= 1.949 * np.sqrt(2.0 / samples)
@@ -338,7 +338,7 @@ def test_slowest_latency_uniform_at_range_ends(u):
 
 def test_rram_shift_examples():
     m = RramShiftModel(4)
-    assert m.report_distances(np.array([0, 1, 2, 3, 4])).tolist() == [1, 2, 3, 4, 4]
+    assert (m.confusion(4) @ np.arange(5)).tolist() == [1, 2, 3, 4, 4]
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +390,7 @@ def test_catalog_lookup_and_miss():
     cat = default_catalog(block_sizes=(7, 15))
     entry = cat.get("sram", 0.7, 15)
     assert entry.latency.block_size == 15
-    assert ("sram", 0.7, 15) in cat
+    assert ("sram", 0.7, 15) in cat.keys
     with pytest.raises(ConfigError, match="no entry"):
         cat.get("sram", 0.7, 9)
 
