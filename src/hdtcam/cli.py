@@ -119,7 +119,7 @@ def _read_language_train(train_dir: str) -> dict:
 
 
 def _read_language_queries(path: str) -> list:
-    """CSV of label,text rows -> [(text, label)]. Text may contain commas."""
+    """CSV of label,text rows -> [(text, label, row name)]. Text may contain commas."""
     queries = []
     with open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
@@ -131,7 +131,7 @@ def _read_language_queries(path: str) -> list:
             label, text = line.split(",", 1)
             if lineno == 1 and label.strip().lower() == "label":
                 continue
-            queries.append((text, label.strip()))
+            queries.append((text, label.strip(), f"query in {path} row {lineno}"))
     if not queries:
         raise ConfigError(f"{path}: no query rows found")
     return queries
@@ -174,23 +174,23 @@ def _train_data(task: encoders.Task, cfg: dict):
 
 
 def _query_data(task: encoders.Task, cfg: dict):
-    """(encoder input, labels) of the task's query set."""
+    """(encoder input, labels, names of the texts or None) of the task's query set."""
     if task.kind == "language":
-        pairs = _read_language_queries(_data_path(cfg, "queries"))
-        return [text for text, _ in pairs], [label for _, label in pairs]
+        texts, labels, names = zip(*_read_language_queries(_data_path(cfg, "queries")))
+        return list(texts), list(labels), names
     if task.kind == "mnist":
         images, labels = encoders.load_mnist(_data_path(cfg, "test_images"),
                                              _data_path(cfg, "test_labels"))
-        return images, [str(int(c)) for c in labels]
+        return images, [str(int(c)) for c in labels], None
     labeled = encoders.load_hypervector_csv(_data_path(cfg, "test_csv"))
-    return [hv for hv, _ in labeled.items], [label for _, label in labeled.items]
+    return [hv for hv, _ in labeled.items], [label for _, label in labeled.items], None
 
 
 def _sweep_dataset(task: encoders.Task, cfg: dict, dimension: int):
     """(memory, queries, labels); queries go on with the training's tie stream."""
     memory, im, tie = task.train(_train_data(task, cfg), dimension)
-    data, labels = _query_data(task, cfg)
-    return memory, task.encode(data, im, tie), labels
+    data, labels, names = _query_data(task, cfg)
+    return memory, task.encode(data, im, tie, names), labels
 
 
 def _load_catalog(path) -> hwmodel.Catalog:
@@ -229,9 +229,9 @@ def cmd_eval(args) -> int:
     cfg = _effective_config(args)
     memory, meta = am_mod.load_model(args.model)
     task = _task(cfg, meta)
-    data, labels = _query_data(task, cfg)
+    data, labels, names = _query_data(task, cfg)
     im = task.item_memory(memory.dimension, data)
-    queries = task.encode(data, im, task.tie_stream(memory.dimension))
+    queries = task.encode(data, im, task.tie_stream(memory.dimension), names)
     if queries.shape[1] != memory.dimension:
         raise DimensionMismatchError(
             f"queries have dimension {queries.shape[1]}, model has {memory.dimension}"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass, field
 
@@ -22,10 +23,9 @@ ALPHABET = "abcdefghijklmnopqrstuvwxyz "
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
-# Integers up to 2**24 are exact in float32 (float64 holds them up to 2**53).
-FLOAT32_EXACT_LIMIT = 2**24
-# Bytes of one float block of distinct-gram vectors in ``encode_text_ngram``.
-NGRAM_CHUNK_BYTES = 4_000_000
+# Working-set cap of ``encode_text_ngram``: bytes of packed gram rows held at
+# once, and bytes of int64 window codes per batch of texts.
+NGRAM_CHUNK_BYTES = 2_000_000
 
 # Task kind -> default (item-memory seed, tie-break seed).
 TASK_SEEDS = {"language": (42, 7), "mnist": (43, 8), "csv": (0, 0)}
@@ -42,13 +42,14 @@ class ItemMemory:
         if dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {dimension}")
         self.dimension = dimension
-        self.seed = seed
         self.symbols = list(symbols)
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        self._matrix = rng.integers(
-            0, 2, size=(len(self.symbols), dimension), dtype=np.uint8
-        )
-        self._index = {s: i for i, s in enumerate(self.symbols)}
+        # (num_symbols, dimension) uint8 entries in symbol order.
+        self.matrix = rng.integers(0, 2, size=(len(self.symbols), dimension), dtype=np.uint8)
+        # Symbol index by code point (-1: none; larger code points read the last entry).
+        chars = {ord(s): i for i, s in enumerate(self.symbols) if isinstance(s, str)}
+        self._by_code_point = np.full(max(chars, default=0) + 2, -1, dtype=np.intp)
+        self._by_code_point[list(chars)] = list(chars.values())
         self._rotated = {}
 
     @classmethod
@@ -64,22 +65,19 @@ class ItemMemory:
     def __len__(self):
         return len(self.symbols)
 
-    def __getitem__(self, symbol) -> np.ndarray:
-        try:
-            return self._matrix[self._index[symbol]]
-        except KeyError:
-            raise ValueError(f"symbol {symbol!r} not present in item memory") from None
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """(num_symbols, dimension) uint8 view of all entries in symbol order."""
-        return self._matrix
+    def indices(self, text: str) -> np.ndarray:
+        """Symbol index of each character of ``text``; ValueError names the first unknown."""
+        codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        idx = self._by_code_point[np.minimum(codes, len(self._by_code_point) - 1)]
+        if (idx < 0).any():
+            raise ValueError(f"symbol {text[np.argmax(idx < 0)]!r} not present in item memory")
+        return idx
 
     def rotated(self, shift: int) -> np.ndarray:
         """Read-only ``np.roll(matrix, shift, axis=1)``, built once per shift."""
         out = self._rotated.get(shift)
         if out is None:
-            out = np.roll(self._matrix, shift, axis=1)
+            out = np.roll(self.matrix, shift, axis=1)
             out.flags.writeable = False
             self._rotated[shift] = out
         return out
@@ -113,78 +111,71 @@ class LabeledSet:
 
 def normalize_text(text: str) -> str:
     """Lowercase, drop anything outside a-z and space, collapse whitespace runs."""
-    kept = []
-    prev_space = True
-    for ch in text.lower():
-        if ch.isspace():
-            ch = " "
-        if ch in ALPHABET:
-            if ch == " ":
-                if prev_space:
-                    continue
-                prev_space = True
-            else:
-                prev_space = False
-            kept.append(ch)
-    out = "".join(kept)
-    return out.rstrip(" ")
+    words = " ".join(text.lower().split())
+    return " ".join(re.sub("[^a-z ]+", "", words).split())
 
 
-def encode_text_ngram(
-    text: str,
-    n: int,
-    im: ItemMemory,
-    tie_rng: np.random.Generator | None = None,
-    *,
-    pre_normalized: bool = False,
-) -> np.ndarray:
-    """Encode text as the majority bundle of all length-n sliding windows.
-
-    Each window contributes the XOR of the j-th letter's vector rotated by j
-    positions (j = 0..n-1). Default n for language recognition is 4. Each
-    distinct gram is composed once and counted with its multiplicity.
-    """
+def encode_text_ngram(texts, n: int, im: ItemMemory, tie_rng: np.random.Generator | None = None,
+                      *, pre_normalized: bool = False, names=None) -> np.ndarray:
+    """Encode each text as the majority bundle of its length-n sliding windows
+    into a (len(texts), dimension) uint8 matrix. A window is the XOR of its j-th
+    letter's vector rotated by j (j = 0..n-1); each distinct gram of a text is
+    composed once, in packed bits, and counted with its multiplicity. Ties are drawn
+    from ``tie_rng`` text by text, in order; ``names`` label texts in errors."""
     if n < 1:
         raise ValueError(f"n-gram size must be >= 1, got {n}")
     if not pre_normalized:
-        text = normalize_text(text)
-    if len(text) < n:
-        raise ValueError(
-            f"text has only {len(text)} usable characters, need at least {n}"
-        )
-    try:
-        idx = np.array([im._index[c] for c in text], dtype=np.intp)
-    except KeyError as exc:
-        raise ValueError(f"symbol {exc.args[0]!r} not present in item memory") from None
+        texts = [normalize_text(text) for text in texts]
+    lengths = np.array([len(text) for text in texts], dtype=np.int64)
+    for i in np.flatnonzero(lengths < n):
+        raise DegenerateInputError(f"{names[i] if names else f'text {i}'} has only "
+                                   f"{lengths[i]} usable characters, need at least {n}")
+    packed = [np.packbits(im.rotated(j), axis=1) for j in range(n)]
+    out = np.empty((len(texts), im.dimension), dtype=np.uint8)
+    # Batches of texts ending in one span of NGRAM_CHUNK_BYTES / 8 characters bound the codes.
+    batch = (np.cumsum(lengths) - 1) // max(1, NGRAM_CHUNK_BYTES // 8)
+    cuts = [0, *(np.flatnonzero(np.diff(batch)) + 1), len(texts)]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        _encode_batch(texts[lo:hi], lengths[lo:hi], n, im, packed, tie_rng, out[lo:hi])
+    return out
 
-    num_windows = len(text) - n + 1
-    # Window code in base len(im); re-ranked whenever the next digit could
-    # overflow int64, which keeps distinct windows distinct.
-    base = len(im)
-    code = idx[:num_windows].astype(np.int64)
-    bound = base
-    for j in range(1, n):
-        if bound * base > 2**63:
+
+def _encode_batch(texts, lengths, n, im, packed, tie_rng, out) -> None:
+    """``encode_text_ngram`` of one batch of texts, written into ``out``."""
+    idx = im.indices("".join(texts))
+    num_windows = lengths - n + 1
+    text = np.repeat(np.arange(len(texts)), num_windows)
+    starts = np.arange(len(text)) + (n - 1) * text
+    # Window code in base len(im) behind a leading text digit, re-ranked whenever
+    # the next digit could overflow int64: distinct (text, gram) pairs stay distinct.
+    code, bound = text.astype(np.int64), len(texts)
+    for j in range(n):
+        if bound * len(im) > 2**63:
             _, code = np.unique(code, return_inverse=True)
             bound = int(code.max()) + 1
-        code = code * base + idx[j : j + num_windows]
-        bound *= base
+        code = code * len(im) + idx[starts + j]
+        bound *= len(im)
     _, first, weights = np.unique(code, return_index=True, return_counts=True)
-
-    # Every partial sum of the weighted bits is an integer <= num_windows, so
-    # the float sum is exact.
-    dtype = np.float32 if num_windows < FLOAT32_EXACT_LIMIT else np.float64
-    weights = weights.astype(dtype)
-    d = im.dimension
-    counts = np.zeros(d, dtype=dtype)
-    chunk = max(1, NGRAM_CHUNK_BYTES // (d * np.dtype(dtype).itemsize))
-    for start in range(0, len(first), chunk):
-        rows = first[start : start + chunk]
-        grams = im.rotated(0)[idx[rows]]
-        for j in range(1, n):
-            grams ^= im.rotated(j)[idx[rows + j]]
-        counts += weights[start : start + chunk] @ grams.astype(dtype)
-    return majority_from_counts(counts.astype(np.int64), num_windows, tie_rng)
+    order = np.lexsort((weights, text[first]))
+    rows, text, weights = starts[first[order]], text[first[order]], weights[order]
+    # Grams are composed NGRAM_CHUNK_BYTES of packed rows at a time and summed in
+    # slabs of one (text, weight) of at most 255 rows, so uint8 sums cannot overflow.
+    chunk = max(1, NGRAM_CHUNK_BYTES // packed[0].shape[1])
+    pos = np.arange(len(rows))
+    new_group = np.r_[True, (text[1:] != text[:-1]) | (weights[1:] != weights[:-1])]
+    group_start = np.maximum.accumulate(np.where(new_group, pos, 0))
+    edges = np.flatnonzero(((pos - group_start) % 255 == 0) | (pos % chunk == 0))
+    counts = np.zeros(im.dimension, dtype=np.int64)
+    for s, e in zip(edges, [*edges[1:], len(rows)]):
+        if s % chunk == 0:
+            grams = packed[0][idx[rows[s : s + chunk]]]
+            for j in range(1, n):
+                grams ^= packed[j][idx[rows[s : s + chunk] + j]]
+        bits = np.unpackbits(grams[s % chunk : s % chunk + e - s], axis=1, count=im.dimension)
+        counts += weights[s] * np.add.reduce(bits, axis=0, dtype=np.uint8)
+        if e == len(rows) or text[e] != text[s]:
+            out[text[s]] = majority_from_counts(counts, int(num_windows[text[s]]), tie_rng)
+            counts[:] = 0
 
 
 def encode_images(
@@ -296,7 +287,7 @@ def load_hypervector_csv(path) -> LabeledSet:
             label, bits = label.strip(), bits.strip()
             if lineno == 1 and label.lower() == "label":
                 continue
-            if not bits or set(bits) - {"0", "1"}:
+            if not re.fullmatch("[01]+", bits):
                 raise FormatError(
                     f"{path}: bitstring must be non-empty over {{0,1}}", location=f"row {lineno}"
                 )
@@ -373,8 +364,9 @@ class Task:
         im = None
         if self.kind == "language":
             im = self.item_memory(dimension)
-            classes = {label: [encode_text_ngram(text, self.ngram, im, tie)]
-                       for label, text in data.items()}
+            hvs = encode_text_ngram(list(data.values()), self.ngram, im, tie,
+                                    names=[f"corpus {label!r}" for label in data])
+            classes = {label: [hv] for label, hv in zip(data, hvs)}
         elif self.kind == "mnist":
             images, labels = data
             im = self.item_memory(dimension, images)
@@ -389,10 +381,11 @@ class Task:
             classes = data.by_label()
         return am_mod.train(classes, tie), im, tie
 
-    def encode(self, data, im, tie: np.random.Generator) -> np.ndarray:
-        """Query matrix from texts, an image stack, or a list of hypervectors."""
+    def encode(self, data, im, tie: np.random.Generator, names=None) -> np.ndarray:
+        """Query matrix from texts (``names`` label them in errors), an image
+        stack, or a list of hypervectors."""
         if self.kind == "language":
-            return np.stack([encode_text_ngram(text, self.ngram, im, tie) for text in data])
+            return encode_text_ngram(data, self.ngram, im, tie, names=names)
         if self.kind == "mnist":
             return encode_images(data, self.threshold, im, seed=self.tie_seed + 1)
         return np.stack(data)

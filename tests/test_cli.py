@@ -118,6 +118,26 @@ def test_eval_ideal_and_noisy(trained_model, small_corpus_dir, tmp_path, capsys)
     assert any("generated=" in line for line in lines) is False  # deterministic
 
 
+def test_too_short_texts_are_degenerate_and_named(small_corpus_dir, trained_model,
+                                                   tmp_path, capsys):
+    train_dir = tmp_path / "train"
+    train_dir.mkdir()
+    (train_dir / "ok.txt").write_text("a long enough corpus")
+    (train_dir / "tiny.txt").write_text("Hi!")
+    assert run_cli("train", "--task", "language", "--train-dir", str(train_dir),
+                   "--dimension", "100", "--output", str(tmp_path / "m.json")) != 0
+    err = capsys.readouterr().err
+    assert err.startswith("error: E-DEGENERATE:")
+    assert "corpus 'tiny' has only 2 usable characters" in err
+    queries_csv = tmp_path / "queries.csv"
+    queries_csv.write_text("label,text\nlang00,long enough\n\nlang01,a b\n")
+    assert run_cli("eval", "--model", str(trained_model), "--task", "language",
+                   "--queries", str(queries_csv)) != 0
+    err = capsys.readouterr().err
+    assert err.startswith("error: E-DEGENERATE:")
+    assert f"query in {queries_csv} row 4 has only 3 usable characters" in err
+
+
 def test_eval_missing_model(tmp_path, capsys):
     assert run_cli("eval", "--model", str(tmp_path / "no.json"),
                    "--task", "language", "--queries", "x.csv") != 0

@@ -53,15 +53,17 @@ def test_bind_self_inverse(dimension, seed, first, second):
     """A one-window bigram is item[c0] xor roll(item[c1], 1); binding it with
     the rotated second letter again recovers the first."""
     im = ItemMemory.for_alphabet(dimension, seed)
-    code = encode_text_ngram(first + second, 2, im, pre_normalized=True)
-    assert np.array_equal(code ^ np.roll(im[second], 1), im[first])
+    code = encode_text_ngram([first + second], 2, im, pre_normalized=True)[0]
+    first_hv, second_hv = im.matrix[im.indices(first + second)]
+    assert np.array_equal(code ^ np.roll(second_hv, 1), first_hv)
 
 
 @given(dims, st.integers(0, 2**31), st.integers(0, 200))
 def test_permute_distributes_over_bind(dimension, seed, k):
     im = ItemMemory.for_alphabet(dimension, seed)
     rotated = im.rotated(k)
-    assert np.array_equal(np.roll(im["a"] ^ im["b"], k), rotated[0] ^ rotated[1])
+    a, b = im.matrix[im.indices("ab")]
+    assert np.array_equal(np.roll(a ^ b, k), rotated[0] ^ rotated[1])
 
 
 @given(st.integers(0, 2**31), st.integers(0, 5))

@@ -1,11 +1,13 @@
 """Encoders: composition oracles, file-format round trips, failure modes."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdtcam import encoders
+from hdtcam import encoders, synth
 from hdtcam.core import majority_from_counts
 from hdtcam.encoders import (
     ALPHABET,
@@ -50,7 +52,17 @@ def test_item_memory_deterministic():
 def test_item_memory_unknown_symbol():
     im = ItemMemory.for_alphabet(64, seed=0)
     with pytest.raises(ValueError, match="not present"):
-        im["!"]
+        im.indices("!")
+
+
+def test_item_memory_indices():
+    im = ItemMemory.for_alphabet(64, seed=0)
+    assert im.indices("a z").tolist() == [ALPHABET.index(c) for c in "a z"]
+    assert im.indices("").size == 0
+    with pytest.raises(ValueError, match="symbol '!' not present"):
+        im.indices("ab!c\u20ac")
+    with pytest.raises(ValueError, match="symbol '\u20ac' not present"):
+        im.indices("ab\u20ac!")
 
 
 def test_position_memory_size():
@@ -81,33 +93,60 @@ def test_normalize_text():
     assert normalize_text("123!@#") == ""
 
 
+def _normalize_text_oracle(text):
+    """Character by character: whitespace is a space, anything outside the
+    alphabet is dropped, and a kept space after a kept space or at either
+    end is dropped."""
+    kept = []
+    for ch in text.lower():
+        ch = " " if ch.isspace() else ch
+        if ch in ALPHABET and not (ch == " " and (not kept or kept[-1] == " ")):
+            kept.append(ch)
+    return "".join(kept).rstrip(" ")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.text(st.sampled_from("aBz Z\t\n\x0b\x1c\x85\xa0\u3000\u0130K!,.\u00e9"))))
+def test_normalize_text_matches_per_character_oracle(text):
+    assert normalize_text(text) == _normalize_text_oracle(text)
+
+
 def test_encode_text_ngram_manual_composition_oracle():
     """n=2 windows composed by hand: window = item[c0] xor roll(item[c1], 1)."""
     im = ItemMemory.for_alphabet(16, seed=9)
     text = "abca"
+    rows = im.matrix[im.indices(text)]
     windows = []
     for i in range(len(text) - 1):
-        v0 = im[text[i]]
-        v1 = np.roll(im[text[i + 1]], 1)
+        v0 = rows[i]
+        v1 = np.roll(rows[i + 1], 1)
         windows.append(np.bitwise_xor(v0, v1))
     expected = _majority(windows)  # 3 windows: no ties
-    got = encode_text_ngram(text, 2, im)
+    got = encode_text_ngram([text], 2, im)[0]
     assert np.array_equal(got, expected)
 
 
 def test_encode_text_ngram_applies_normalization():
     im = ItemMemory.for_alphabet(64, seed=2)
     tie = np.random.default_rng(0)
-    a = encode_text_ngram("AB, cd!", 2, im, tie)
+    a = encode_text_ngram(["AB, cd!"], 2, im, tie)
     tie = np.random.default_rng(0)
-    b = encode_text_ngram("ab cd", 2, im, tie)
+    b = encode_text_ngram(["ab cd"], 2, im, tie)
     assert np.array_equal(a, b)
 
 
 def test_encode_text_too_short_raises():
     im = ItemMemory.for_alphabet(32, seed=0)
     with pytest.raises(ValueError, match="usable characters"):
-        encode_text_ngram("ab", 4, im)
+        encode_text_ngram(["ab"], 4, im)
+
+
+def test_encode_text_too_short_names_the_text():
+    im = ItemMemory.for_alphabet(32, seed=0)
+    with pytest.raises(DegenerateInputError, match="text 1 has only 2 usable characters"):
+        encode_text_ngram(["abcde", "Ab!"], 4, im)
+    with pytest.raises(DegenerateInputError, match="corpus 'b' has only 0 usable characters"):
+        Task("language").train({"a": "abcde", "b": "!!"}, 32)
 
 
 def _encode_text_ngram_oracle(text, n, im, tie_rng):
@@ -136,22 +175,17 @@ _texts = st.one_of(
 
 @settings(max_examples=150, deadline=None)
 @given(text=_texts, n=st.integers(1, 5), dimension=st.sampled_from([7, 32, 65]),
-       chunk_rows=st.sampled_from([1, 3, 1000]), float64=st.booleans(),
-       seed=st.integers(0, 2**16))
-def test_encode_text_ngram_matches_per_window_oracle(text, n, dimension, chunk_rows,
-                                                     float64, seed):
+       chunk_rows=st.sampled_from([1, 3, 1000]), seed=st.integers(0, 2**16))
+def test_encode_text_ngram_matches_per_window_oracle(text, n, dimension, chunk_rows, seed):
     """Counting distinct grams with their multiplicity gives the same vector and
-    draws the same tie bits; chunk size and float width are invisible."""
+    draws the same tie bits; chunk size is invisible."""
     if len(text) < n:
         text = text * n
     im = ItemMemory.for_alphabet(dimension, seed=seed)
     got_tie, want_tie = np.random.default_rng(seed), np.random.default_rng(seed)
-    itemsize = 8 if float64 else 4
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(encoders, "NGRAM_CHUNK_BYTES", chunk_rows * dimension * itemsize)
-        if float64:
-            mp.setattr(encoders, "FLOAT32_EXACT_LIMIT", 1)
-        got = encode_text_ngram(text, n, im, got_tie, pre_normalized=True)
+        mp.setattr(encoders, "NGRAM_CHUNK_BYTES", chunk_rows * ((dimension + 7) // 8))
+        got = encode_text_ngram([text], n, im, got_tie, pre_normalized=True)[0]
     want = _encode_text_ngram_oracle(text, n, im, want_tie)
     assert got.dtype == want.dtype == np.uint8
     assert np.array_equal(got, want)
@@ -165,19 +199,70 @@ def test_encode_text_ngram_long_grams_match_oracle(n):
     text = "".join(rng.choice(list(ALPHABET), size=200)) * 2
     im = ItemMemory.for_alphabet(33, seed=1)
     got_tie, want_tie = np.random.default_rng(0), np.random.default_rng(0)
-    got = encode_text_ngram(text, n, im, got_tie, pre_normalized=True)
+    got = encode_text_ngram([text], n, im, got_tie, pre_normalized=True)[0]
     assert np.array_equal(got, _encode_text_ngram_oracle(text, n, im, want_tie))
     assert got_tie.integers(0, 2**32) == want_tie.integers(0, 2**32)
 
 
-def test_encode_text_chunking_is_invisible():
+def _random_text(seed, length):
+    return "".join(np.random.default_rng(seed).choice(list(ALPHABET), size=length))
+
+
+_batch_texts = st.lists(st.one_of(
+    _texts,
+    # more than 255 distinct grams of weight 1: crosses a uint8 slab
+    st.builds(_random_text, st.integers(0, 2**16), st.integers(300, 700)),
+    # one gram with more than 255 occurrences
+    st.builds(lambda unit, reps: unit * reps,
+              st.text(_letters, min_size=1, max_size=2), st.integers(130, 300)),
+), min_size=1, max_size=6)
+
+
+@settings(max_examples=120, deadline=None)
+@given(texts=_batch_texts, n=st.sampled_from([1, 2, 3, 4, 5, 13, 14, 30]),
+       dimension=st.sampled_from([7, 32, 65]), chunk_bytes=st.sampled_from([1, 24, 600, 10**6]),
+       duplicate=st.booleans(), seed=st.integers(0, 2**16))
+def test_encode_text_ngram_batch_matches_per_text_oracle(texts, n, dimension, chunk_bytes,
+                                                         duplicate, seed):
+    """A batch of texts equals the per-window oracle applied text by text on one
+    shared tie stream, across row chunks, text batches and int64 re-ranking."""
+    texts = [text if len(text) >= n else (text * n)[:n] for text in texts]
+    if duplicate:
+        texts.insert(len(texts) // 2, texts[0])
+    im = ItemMemory.for_alphabet(dimension, seed=seed)
+    got_tie, want_tie = np.random.default_rng(seed), np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(encoders, "NGRAM_CHUNK_BYTES", chunk_bytes)
+        got = encode_text_ngram(texts, n, im, got_tie, pre_normalized=True)
+    want = np.stack([_encode_text_ngram_oracle(text, n, im, want_tie) for text in texts])
+    assert got.dtype == np.uint8 and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert got_tie.integers(0, 2**32) == want_tie.integers(0, 2**32)
+
+
+def test_language_task_vectors_pinned():
+    """Class and query vectors of the language task, and the tie stream after
+    them, as recorded from the per-text encoder."""
+    bench = synth.make_language_benchmark(train_chars=20_000, queries_per_language=25, seed=3)
+    task = Task("language")
+    memory, im, tie = task.train(bench.train_texts, 2000)
+    queries = task.encode([text for text, _ in bench.queries], im, tie)
+    assert hashlib.sha256(memory.class_matrix.tobytes()).hexdigest() == (
+        "059d977b7e16c35ecb831e840bbe9c1cbc219cc1ed2a874d74b3a326c7887c82")
+    assert hashlib.sha256(queries.tobytes()).hexdigest() == (
+        "e7ea42011a975a33e58db4c8d3e7c03c4538f7912cbce869b27d644f2c45b514")
+    assert tie.integers(0, 2**32) == 1976264293
+
+
+def test_encode_text_chunking_is_invisible(monkeypatch):
     """Long texts cross the internal chunk boundary without changing results."""
     rng = np.random.default_rng(4)
     text = "".join(rng.choice(list(ALPHABET), size=3000))
     im = ItemMemory.for_alphabet(2000, seed=3)
-    full = encode_text_ngram(text, 4, im, np.random.default_rng(1))
-    again = encode_text_ngram(text, 4, im, np.random.default_rng(1))
-    assert np.array_equal(full, again)
+    monkeypatch.setattr(encoders, "NGRAM_CHUNK_BYTES", 100 * 2000 // 8)  # 100 packed rows
+    got = encode_text_ngram([text], 4, im, np.random.default_rng(1), pre_normalized=True)[0]
+    want = _encode_text_ngram_oracle(text, 4, im, np.random.default_rng(1))
+    assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +273,7 @@ def test_encode_image_three_pixel_oracle():
     im = ItemMemory.for_positions(64, 9, seed=11)
     pixels = np.zeros(9, dtype=np.uint8)
     pixels[[1, 4, 7]] = 255
-    expected = _majority([im[1], im[4], im[7]])  # odd count: deterministic
+    expected = _majority(im.matrix[[1, 4, 7]])  # odd count: deterministic
     assert np.array_equal(encode_images(pixels.reshape(1, 3, 3), 128, im, seed=0)[0], expected)
 
 
