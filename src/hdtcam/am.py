@@ -9,13 +9,12 @@ sum of the reported block distances.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import majority_from_counts
-from .errors import DimensionMismatchError, FormatError, InvalidStateError, load_json
+from .errors import DimensionMismatchError, FormatError, InvalidStateError, atomic_open, load_json
 
 MODEL_FORMAT_VERSION = 1
 
@@ -218,11 +217,9 @@ def save_model(path, am: AssociativeMemory, seed_metadata: dict | None = None) -
             for label, row in zip(am.labels, am.class_matrix)
         ],
     }
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
+    with atomic_open(path) as f:
         json.dump(doc, f, indent=1, sort_keys=True)
         f.write("\n")
-    os.replace(tmp, path)
 
 
 def load_model(path):
@@ -240,6 +237,9 @@ def load_model(path):
         memory = AssociativeMemory(labels, np.stack(rows))
     except KeyError as exc:
         raise FormatError(f"{path}: missing key {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: {exc}") from None
-    return memory, doc.get("seed_metadata", {})
+    meta = doc.get("seed_metadata", {})
+    if not isinstance(meta, dict):
+        raise FormatError(f"{path}: seed_metadata must be a JSON object")
+    return memory, meta

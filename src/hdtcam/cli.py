@@ -10,8 +10,8 @@ are written to a temp file and renamed into place on success.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
-import io
 import json
 import os
 import sys
@@ -32,6 +32,7 @@ from .errors import (
     HdtcamError,
     InvalidStateError,
     NoFeasiblePointError,
+    atomic_open,
     load_json,
     open_text,
 )
@@ -54,13 +55,6 @@ def _error_code(exc: Exception) -> str:
         if isinstance(exc, cls):
             return code
     return "E-INTERNAL"
-
-
-def _atomic_write_text(path, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        f.write(text)
-    os.replace(tmp, path)
 
 
 def _config_hash(doc: dict) -> str:
@@ -278,9 +272,8 @@ def cmd_eval(args) -> int:
         print(f"accuracy {point.accuracy_mean:.4f} over {len(labels)} queries")
     if args.output:
         lines = _metadata_lines(_config_hash(cfg), seed, args.deterministic)
-        buf = io.StringIO()
-        explorer.write_results_csv([point], buf, metadata_lines=lines)
-        _atomic_write_text(args.output, buf.getvalue())
+        with atomic_open(args.output) as f:
+            explorer.write_results_csv([point], f, metadata_lines=lines)
         print(f"wrote {args.output}")
     return 0
 
@@ -321,7 +314,8 @@ def _resume_points(partial_path: str, config_hash: str) -> list:
                                   location=f"line {lineno}") from None
             # An interrupted write leaves a torn final line; drop it so that
             # appended points start on a line of their own.
-            _atomic_write_text(partial_path, "".join(l + "\n" for _, l in lines[:-1]))
+            with atomic_open(partial_path) as f:
+                f.writelines(l + "\n" for _, l in lines[:-1])
             print("resuming: skipped a torn final line")
     print(f"resuming: {len(done)} points already evaluated")
     return done
@@ -330,17 +324,8 @@ def _resume_points(partial_path: str, config_hash: str) -> list:
 def cmd_sweep(args) -> int:
     cfg = _effective_config(args)
     task = _task(cfg)
-    seed = int(cfg.get("seed", 0))
-    space = explorer.SweepSpace(
-        technologies=tuple(cfg.get("technologies", ("sram",))),
-        voltages=tuple(float(v) for v in cfg.get("voltages", (0.5, 0.7, 1.0))),
-        block_sizes=tuple(int(n) for n in cfg.get("block_sizes", (7, 15))),
-        precisions=tuple(int(p) for p in cfg.get("precisions", (7,))),
-        dimensions=tuple(int(d) for d in cfg.get("dimensions", (10000,))),
-        replicas=tuple(int(r) for r in cfg.get("replicas", (1,))),
-        trials=int(cfg.get("trials", 10)),
-        seed=seed,
-    )
+    axes = {f.name for f in dataclasses.fields(explorer.SweepSpace)}
+    space = explorer.SweepSpace(**{k: v for k, v in cfg.items() if k in axes})
     partial_path = f"{args.output}.partial.jsonl"
     # Worker count does not change results: the resume header and the metadata
     # line hash the configuration without it.
@@ -349,12 +334,9 @@ def cmd_sweep(args) -> int:
     catalog = _load_catalog(cfg.get("hw_tables"))
     datasets = {d: _sweep_dataset(task, cfg, d) for d in space.dimensions}
 
-    done_keys = {p.config_key for p in done}
-    skip = [c for c in space.configurations()
-            if (c[0], round(c[1], 2), c[2], c[3], c[4], c[5]) in done_keys]
-
     if not os.path.exists(partial_path):
-        _atomic_write_text(partial_path, json.dumps({"config_hash": config_hash}) + "\n")
+        with atomic_open(partial_path) as f:
+            f.write(json.dumps({"config_hash": config_hash}) + "\n")
     partial = open(partial_path, "a", encoding="utf-8")
     total = len(list(space.configurations()))
     lock = threading.Lock()
@@ -372,65 +354,29 @@ def cmd_sweep(args) -> int:
         points = done + explorer.sweep(
             space, datasets, catalog,
             jobs=int(cfg.get("jobs") or 1),
-            skip_keys=skip, progress=progress,
+            done=done, progress=progress,
         )
     finally:
         partial.close()
 
     points = explorer.flag_pareto(points)
-    lines = _metadata_lines(config_hash, seed, args.deterministic)
-    buf = io.StringIO()
-    explorer.write_results_csv(points, buf, metadata_lines=lines)
-    _atomic_write_text(args.output, buf.getvalue())
+    lines = _metadata_lines(config_hash, space.seed, args.deterministic)
     front = [p for p in points if p.pareto]
-    buf = io.StringIO()
-    explorer.write_results_csv(front, buf, metadata_lines=lines)
-    _atomic_write_text(_pareto_path(args.output), buf.getvalue())
+    for path, rows in ((args.output, points), (_pareto_path(args.output), front)):
+        with atomic_open(path) as f:
+            explorer.write_results_csv(rows, f, metadata_lines=lines)
     os.remove(partial_path)
     print(f"swept {total} configurations; {len(front)} on the Pareto front")
     print(f"wrote {args.output} and {_pareto_path(args.output)}")
     return 0
 
 
-def _read_results_csv(path) -> tuple:
-    """Parse a results CSV back into (points, metadata lines)."""
-    points, meta = [], []
-    header = explorer.CSV_COLUMNS.split(",")
-    with open_text(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                meta.append(line[1:].strip())
-                continue
-            fields = line.split(",")
-            if fields == header:
-                continue
-            if len(fields) != len(header):
-                raise FormatError(
-                    f"{path}: expected {len(header)} columns, got {len(fields)}",
-                    location=f"row {lineno}",
-                )
-            doc = dict(zip(header, fields))
-            doc["pareto"] = doc["pareto"] == "1"
-            try:
-                points.append(explorer.point_from_dict(doc))
-            except ValueError as exc:
-                raise FormatError(f"{path}: not a design point ({exc})",
-                                  location=f"row {lineno}") from None
-    if not points:
-        raise FormatError(f"{path}: no result rows found")
-    return points, meta
-
-
 def cmd_pareto(args) -> int:
-    points, meta = _read_results_csv(args.input)
+    points, meta = explorer.read_results_csv(args.input)
     points = explorer.flag_pareto(points)
     front = [p for p in points if p.pareto]
-    buf = io.StringIO()
-    explorer.write_results_csv(front, buf, metadata_lines=meta)
-    _atomic_write_text(args.output, buf.getvalue())
+    with atomic_open(args.output) as f:
+        explorer.write_results_csv(front, f, metadata_lines=meta)
     print(f"{len(front)} of {len(points)} points on the Pareto front -> {args.output}")
     return 0
 
@@ -482,7 +428,8 @@ def cmd_hwmodel(args) -> int:
                            f"{h},{hwmodel.error_probability(cm, h):.6f}")
     text = "\n".join(out) + "\n"
     if args.output:
-        _atomic_write_text(args.output, text)
+        with atomic_open(args.output) as f:
+            f.write(text)
         print(f"wrote {args.output}")
     else:
         sys.stdout.write(text)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import os
 import re
+import stat
 import struct
 from dataclasses import dataclass, field
 
@@ -15,6 +17,7 @@ from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
     FormatError,
+    atomic_open,
     open_text,
 )
 
@@ -217,7 +220,11 @@ def encode_images(
 
 
 def _read_exact(f, count: int, path: str):
-    data = f.read(count)
+    """``count`` bytes of ``f``, or FormatError naming the offset; a regular
+    file too short for them is caught from its size, before any read."""
+    info = os.fstat(f.fileno())
+    fits = not stat.S_ISREG(info.st_mode) or count <= info.st_size - f.tell()
+    data = f.read(count) if fits else b""
     if len(data) != count:
         raise FormatError(
             f"{path}: truncated file, expected {count} more bytes",
@@ -307,7 +314,7 @@ def load_hypervector_csv(path) -> LabeledSet:
 
 
 def save_hypervector_csv(path, labeled: LabeledSet) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_open(path) as f:
         f.write("label,bits\n")
         for hv, label in labeled.items:
             bits = np.where(hv != 0, ord("1"), ord("0")).astype(np.uint8).tobytes().decode()
@@ -331,13 +338,16 @@ class Task:
     threshold: int | None = None
 
     def __post_init__(self):
-        if self.kind not in TASK_SEEDS:
+        if not isinstance(self.kind, str) or self.kind not in TASK_SEEDS:
             raise ConfigError(f"task must be one of {sorted(TASK_SEEDS)}, got {self.kind!r}")
         item_seed, tie_seed = TASK_SEEDS[self.kind]
         for name, default in (("item_seed", item_seed), ("tie_seed", tie_seed),
                               ("ngram", 4), ("threshold", 128)):
             value = getattr(self, name)
-            object.__setattr__(self, name, default if value is None else int(value))
+            try:
+                object.__setattr__(self, name, default if value is None else int(value))
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
     def item_memory(self, dimension: int, data=None):
         """The task's item memory; ``mnist`` sizes it from the geometry of the

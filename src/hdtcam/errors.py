@@ -1,8 +1,9 @@
-"""Exception types shared across the package, and the text readers that
-report malformed files with them."""
+"""Exception types shared across the package, the text readers that report
+malformed files with them, and the atomic writer behind every output file."""
 
 import json
-from contextlib import contextmanager
+import os
+from contextlib import contextmanager, suppress
 
 
 class HdtcamError(Exception):
@@ -63,3 +64,18 @@ def load_json(path):
             return json.load(f)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: not valid JSON ({exc})") from None
+
+
+@contextmanager
+def atomic_open(path):
+    """Write UTF-8 text to ``path.tmp`` and rename it onto ``path`` when the
+    block succeeds; on failure remove it, so ``path`` keeps its old contents."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise

@@ -5,26 +5,23 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .am import AssociativeMemory, BlockConfig, distance_histogram, ideal_argmin
-from .errors import ConfigError, NoFeasiblePointError
+from .errors import ConfigError, FormatError, NoFeasiblePointError, open_text
 from .hwmodel import Catalog, HwEntry, RramShiftModel, energy_pj
 
 NO_LOSS_EPSILON = 5e-4  # noise floor of HDC accuracy fluctuations
 
-CSV_COLUMNS = (
-    "technology,voltage_V,block_size,precision,dimension,replicas,trials,"
-    "accuracy_mean,accuracy_std,accuracy_loss,energy_pJ,latency_ns,pareto"
-)
-
 
 @dataclass(frozen=True)
 class SweepSpace:
-    """Cross product of swept configuration axes."""
+    """Cross product of swept configuration axes; ConfigError naming the
+    field for a value that does not convert to the field's element type."""
 
     technologies: tuple = ("sram",)
     voltages: tuple = (0.5, 0.7, 1.0)
@@ -36,11 +33,16 @@ class SweepSpace:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("technologies", "voltages", "block_sizes", "precisions",
-                     "dimensions", "replicas"):
-            value = tuple(getattr(self, name))
+        for name, kind in (("technologies", str), ("voltages", float), ("block_sizes", int),
+                           ("precisions", int), ("dimensions", int), ("replicas", int),
+                           ("trials", int), ("seed", int)):
+            value, axis = getattr(self, name), name not in ("trials", "seed")
+            try:
+                value = tuple(map(kind, value)) if axis else kind(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"sweep {name!r}: not {kind.__name__} values ({exc})") from None
             object.__setattr__(self, name, value)
-            if not value:
+            if axis and not value:
                 raise ValueError(f"sweep axis {name!r} must be non-empty")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
@@ -56,7 +58,12 @@ class SweepSpace:
             self.precisions, self.dimensions, self.replicas,
         ):
             if p <= n:
-                yield (tech, float(v), int(n), int(p), int(d), int(r))
+                yield (tech, v, n, p, d, r)
+
+
+def config_key(technology, voltage, block_size, precision, dimension, replicas) -> tuple:
+    """The identity of a configuration: voltages equal to 10 mV are one."""
+    return (technology, round(voltage, 2), block_size, precision, dimension, replicas)
 
 
 @dataclass
@@ -79,8 +86,8 @@ class DesignPoint:
 
     @property
     def config_key(self):
-        return (self.technology, round(self.voltage, 2), self.block_size,
-                self.precision, self.dimension, self.replicas)
+        return config_key(self.technology, self.voltage, self.block_size,
+                          self.precision, self.dimension, self.replicas)
 
 
 def derive_point_seed(master_seed: int, config_key) -> int:
@@ -93,13 +100,6 @@ def ideal_accuracy(am: AssociativeMemory, queries: np.ndarray, labels) -> float:
     """Noise-free full-Hamming accuracy; the loss baseline at this dimension."""
     best, _ = ideal_argmin(queries, am)
     return float(np.mean([am.labels[i] == t for i, t in zip(best, labels)]))
-
-
-def _label_indices(am: AssociativeMemory, labels) -> np.ndarray:
-    """Class index of each label; -1, which no prediction matches, for a
-    label the memory does not hold."""
-    index = {label: i for i, label in enumerate(am.labels)}
-    return np.array([index.get(label, -1) for label in labels], dtype=np.intp)
 
 
 def _fold_histogram(hist: np.ndarray, precision: int) -> np.ndarray:
@@ -145,7 +145,10 @@ def evaluate(
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.uint8))
     labels = list(labels)
-    label_idx = _label_indices(am, labels)
+    # Class index of each label; -1, which no prediction matches, for a label
+    # the memory does not hold.
+    index = {label: i for i, label in enumerate(am.labels)}
+    label_idx = np.array([index.get(label, -1) for label in labels], dtype=np.intp)
     precision = cfg.precision
     lm = None
     if isinstance(hw, HwEntry):
@@ -210,8 +213,10 @@ def evaluate(
 
 
 def sweep(space: SweepSpace, datasets: dict, catalog: Catalog, jobs: int = 1,
-          skip_keys=(), progress=None) -> list:
-    """Evaluate the full configuration cross product.
+          done=(), progress=None) -> list:
+    """Evaluate the configuration cross product, apart from the configurations
+    of the points in ``done`` (those of a resumed sweep), and return the new
+    points in configuration order.
 
     ``datasets`` maps dimension -> (AssociativeMemory, queries, labels).
     Fails fast if the catalog misses any requested operating point. Results
@@ -226,8 +231,8 @@ def sweep(space: SweepSpace, datasets: dict, catalog: Catalog, jobs: int = 1,
         d: ideal_accuracy(am, q, l) for d, (am, q, l) in datasets.items()
         if any(c[4] == d for c in configs)
     }
-    skip = set(skip_keys)
-    todo = [c for c in configs if c not in skip]
+    skip = {p.config_key for p in done}
+    todo = [c for c in configs if config_key(*c) not in skip]
     # The pair histogram depends only on (D, N): build it once per group,
     # clamped at the group's largest precision, and fold it for each point.
     groups = {}
@@ -338,64 +343,47 @@ def precision_sweep_report(am, queries, labels, block_sizes, precisions,
                            baseline_accuracy=None):
     """Noise-free accuracy loss per (N, P) pair vs the full-Hamming baseline.
 
-    Returns a list of (block_size, precision, accuracy, loss) rows.
+    Returns a list of (block_size, precision, accuracy, loss) rows: one
+    noise-free ``evaluate`` per pair, on one distance histogram per N.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.uint8))
     labels = list(labels)
     if baseline_accuracy is None:
         baseline_accuracy = ideal_accuracy(am, queries, labels)
-    label_idx = _label_indices(am, labels)
     rows = []
     for n in block_sizes:
         fitting = [p for p in precisions if p <= n]
         if not fitting:
             continue
         hist = distance_histogram(queries, am.class_matrix, am.dimension, n, max(fitting))
-        distance = np.arange(hist.shape[2])
         for p in fitting:
-            totals = hist @ np.minimum(distance, p)
-            preds = np.argmin(totals, axis=1)
-            acc = float(np.mean(preds == label_idx))
-            rows.append((int(n), int(p), acc, float(baseline_accuracy - acc)))
+            point = evaluate(am, queries, labels, BlockConfig(am.dimension, n, p), trials=1,
+                             baseline_accuracy=baseline_accuracy, histogram=hist)
+            rows.append((int(n), int(p), point.accuracy_mean, point.accuracy_loss))
     return rows
 
 
 # ---------------------------------------------------------------------------
 # Result serialization
 
-
-def _point_row(p: DesignPoint) -> str:
-    return (
-        f"{p.technology},{p.voltage:g},{p.block_size},{p.precision},{p.dimension},"
-        f"{p.replicas},{p.trials},{p.accuracy_mean:.6f},{p.accuracy_std:.6f},"
-        f"{p.accuracy_loss:.6f},{p.energy_pj:.6f},{p.latency_ns:.6f},{int(p.pareto)}"
-    )
-
-
-def write_results_csv(points, f, metadata_lines=()) -> None:
-    for line in metadata_lines:
-        f.write(f"# {line}\n")
-    f.write(CSV_COLUMNS + "\n")
-    for p in sorted(points, key=lambda p: p.config_key):
-        f.write(_point_row(p) + "\n")
-
-
-def point_to_dict(p: DesignPoint) -> dict:
-    return {
-        "technology": p.technology,
-        "voltage_V": p.voltage,
-        "block_size": p.block_size,
-        "precision": p.precision,
-        "dimension": p.dimension,
-        "replicas": p.replicas,
-        "trials": p.trials,
-        "accuracy_mean": p.accuracy_mean,
-        "accuracy_std": p.accuracy_std,
-        "accuracy_loss": p.accuracy_loss,
-        "energy_pJ": p.energy_pj,
-        "latency_ns": p.latency_ns,
-        "pareto": bool(p.pareto),
-    }
+# The results format: per DesignPoint field, its CSV column (also its key in
+# a resumed sweep's JSON lines) and how a CSV row formats it.
+COLUMNS = (
+    ("technology", "technology", "{}"),
+    ("voltage", "voltage_V", "{:g}"),
+    ("block_size", "block_size", "{}"),
+    ("precision", "precision", "{}"),
+    ("dimension", "dimension", "{}"),
+    ("replicas", "replicas", "{}"),
+    ("trials", "trials", "{}"),
+    ("accuracy_mean", "accuracy_mean", "{:.6f}"),
+    ("accuracy_std", "accuracy_std", "{:.6f}"),
+    ("accuracy_loss", "accuracy_loss", "{:.6f}"),
+    ("energy_pj", "energy_pJ", "{:.6f}"),
+    ("latency_ns", "latency_ns", "{:.6f}"),
+    ("pareto", "pareto", "{:d}"),
+)
+CSV_COLUMNS = ",".join(column for _, column, _ in COLUMNS)
 
 
 def _finite(value) -> float:
@@ -405,20 +393,57 @@ def _finite(value) -> float:
     return x
 
 
+_CONVERT = {str: str, int: int, float: _finite, bool: lambda v: bool(int(v))}
+_TYPES = typing.get_type_hints(DesignPoint)
+
+
+def write_results_csv(points, f, metadata_lines=()) -> None:
+    for line in metadata_lines:
+        f.write(f"# {line}\n")
+    f.write(CSV_COLUMNS + "\n")
+    for p in sorted(points, key=lambda p: p.config_key):
+        f.write(",".join(fmt.format(getattr(p, field)) for field, _, fmt in COLUMNS) + "\n")
+
+
+def point_to_dict(p: DesignPoint) -> dict:
+    return {column: getattr(p, field) for field, column, _ in COLUMNS}
+
+
 def point_from_dict(doc: dict) -> DesignPoint:
-    """Inverse of ``point_to_dict``; ValueError for a number that is not finite."""
-    return DesignPoint(
-        technology=doc["technology"],
-        voltage=_finite(doc["voltage_V"]),
-        block_size=int(doc["block_size"]),
-        precision=int(doc["precision"]),
-        dimension=int(doc["dimension"]),
-        replicas=int(doc["replicas"]),
-        trials=int(doc["trials"]),
-        accuracy_mean=_finite(doc["accuracy_mean"]),
-        accuracy_std=_finite(doc["accuracy_std"]),
-        accuracy_loss=_finite(doc["accuracy_loss"]),
-        energy_pj=_finite(doc["energy_pJ"]),
-        latency_ns=_finite(doc["latency_ns"]),
-        pareto=bool(doc.get("pareto", False)),
-    )
+    """Inverse of ``point_to_dict``, and the reader of a CSV row keyed by
+    column; KeyError for a missing column, ValueError for a value that does
+    not convert or a number that is not finite."""
+    return DesignPoint(**{field: _CONVERT[_TYPES[field]](doc[column])
+                          for field, column, _ in COLUMNS})
+
+
+def read_results_csv(path) -> tuple:
+    """Parse a results CSV back into (points, metadata lines); FormatError
+    naming the file, and the row when there is one, if it holds no point or
+    a row that is not one."""
+    points, meta = [], []
+    header = CSV_COLUMNS.split(",")
+    with open_text(path) as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            if line.startswith("#"):
+                meta.append(line[1:].strip())
+                continue
+            cells = line.split(",")
+            if cells == header:
+                continue
+            if len(cells) != len(header):
+                raise FormatError(
+                    f"{path}: expected {len(header)} columns, got {len(cells)}",
+                    location=f"row {lineno}",
+                )
+            try:
+                points.append(point_from_dict(dict(zip(header, cells))))
+            except ValueError as exc:
+                raise FormatError(f"{path}: not a design point ({exc})",
+                                  location=f"row {lineno}") from None
+    if not points:
+        raise FormatError(f"{path}: no result rows found")
+    return points, meta

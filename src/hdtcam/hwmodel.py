@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import statistics
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, load_json
+from .errors import ConfigError, atomic_open, load_json
 
 TECH_SRAM = "sram"
 TECH_FEFET = "fefinfet"
@@ -495,8 +494,6 @@ def load_hw_tables(path) -> Catalog:
 
 def save_hw_tables(path, catalog: Catalog) -> None:
     docs = [_entry_to_doc(catalog.get(*key)) for key in catalog.keys]
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
+    with atomic_open(path) as f:
         json.dump({"tables": docs}, f, indent=1, sort_keys=True)
         f.write("\n")
-    os.replace(tmp, path)

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import re
+import struct
 import sys
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdtcam import cli, explorer, synth
+from hdtcam import cli, encoders, explorer, synth
 from hdtcam.am import load_model
 from hdtcam.encoders import save_mnist
 
@@ -384,7 +385,7 @@ def test_results_csv_fuzz(op, results_lines, tmp_path_factory, data):
     if code != 0:
         assert err.getvalue().startswith("error: E-FORMAT:"), err.getvalue()
         return
-    points, _ = cli._read_results_csv(out)
+    points, _ = explorer.read_results_csv(out)
     assert points and all(p.pareto for p in points)
 
 
@@ -452,6 +453,18 @@ def test_sweep_jobs_progress_lines_whole(small_corpus_dir, tmp_path, capsys, mon
     assert len(progress) == 2 * 6 * 7 * 4 * 5
     assert all(re.fullmatch(r"\[sweep\] (sram|fefinfet) [0-9.]+ V N=[0-9]+ P=[0-9] "
                             r"D=100 r=[0-9]: loss 0.000 %, 1.00 pJ", l) for l in progress)
+
+
+@pytest.mark.parametrize("value", [[None], 0.7], ids=["null-element", "not-a-list"])
+def test_sweep_axis_that_does_not_convert_is_a_config_error(value, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"voltages": value}))
+    out = tmp_path / "r.csv"
+    assert run_cli("sweep", "--config", str(config), "--task", "csv",
+                   "--output", str(out)) != 0
+    err = capsys.readouterr().err
+    assert err.startswith("error: E-CONFIG:") and "'voltages'" in err, err
+    assert not out.exists()
 
 
 def test_sweep_catalog_gap_fails_fast(small_corpus_dir, tmp_path, capsys):
@@ -585,3 +598,159 @@ def test_export_model_csv(trained_model, tmp_path):
     assert [label for _, label in labeled.items] == memory.labels
     got = np.stack([hv for hv, _ in labeled.items])
     assert np.array_equal(got, memory.class_matrix)
+
+
+class _TornRows(list):
+    """Rows whose iteration fails after the first, as a full disk would."""
+
+    def __iter__(self):
+        yield self[0]
+        raise OSError(28, "No space left on device")
+
+
+def test_export_failing_mid_write_keeps_the_old_file(trained_model, tmp_path, monkeypatch,
+                                                     capsys):
+    out = tmp_path / "classes.csv"
+    assert run_cli("export", "model-csv", "--model", str(trained_model),
+                   "--output", str(out)) == 0
+    old = out.read_bytes()
+    labeled_set = encoders.LabeledSet
+    monkeypatch.setattr(encoders, "LabeledSet",
+                        lambda dimension: labeled_set(dimension, _TornRows()))
+    assert run_cli("export", "model-csv", "--model", str(trained_model),
+                   "--output", str(out)) != 0
+    assert capsys.readouterr().err.startswith("error: E-IO:")
+    assert out.read_bytes() == old
+    assert not (tmp_path / "classes.csv.tmp").exists()
+
+
+# ---------------------------------------------------------------------------
+# model and IDX loaders
+
+
+@pytest.mark.parametrize("doc", [
+    '{"version": 1, "dimension": 1e400, "classes": [{"label": "a", "bits": "ffff"}]}',
+    '{"version": 1, "dimension": 16, "classes": [{"label": "a", "bits": "ffff"}], '
+    '"seed_metadata": [1]}',
+], ids=["dimension-overflows", "metadata-not-an-object"])
+def test_malformed_model_is_a_format_error(doc, tmp_path, capsys):
+    model, test = tmp_path / "m.json", tmp_path / "test.csv"
+    model.write_text(doc)
+    test.write_text("label,bits\na," + "01" * 8 + "\n")
+    assert run_cli("eval", "--model", str(model), "--task", "csv", "--test-csv", str(test)) != 0
+    err = capsys.readouterr().err
+    assert err.startswith("error: E-FORMAT:") and str(model) in err, err
+
+
+def _assert_documented_exit(argv):
+    """Run the CLI quietly; it exits 0 or with a documented E-code."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run_cli(*argv)
+    assert code == 0 or re.match(r"error: E-(?!INTERNAL)[A-Z]+: ", err.getvalue()), err.getvalue()
+
+
+_JSON_VALUES = st.sampled_from([None, True, False, 0, -1, 1, 7.5, 2**70, float("inf"),
+                                float("nan"), "", "x", "csv", "ff", [], {}, [1], {"a": 1}])
+
+
+def _json_paths(node, path=()):
+    """The path of every value under ``node`` (the root excluded)."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield path + (key,)
+        yield from _json_paths(value, path + (key,))
+
+
+@pytest.fixture(scope="module")
+def csv_model(tmp_path_factory):
+    """A 64-bit csv task: its model's JSON and a test set."""
+    root = tmp_path_factory.mktemp("csv_model")
+    rows = ["".join(r) for r in np.random.default_rng(9).integers(0, 2, size=(3, 64)).astype(str)]
+    train, test, model = root / "train.csv", root / "test.csv", root / "model.json"
+    train.write_text("label,bits\n" + "".join(f"{c},{r}\n" for c, r in zip("abc", rows)))
+    test.write_text("label,bits\n" + "".join(f"{c},{r}\n" for c, r in zip("acb", rows)))
+    assert run_cli("train", "--task", "csv", "--train-csv", str(train), "--dimension", "64",
+                   "--output", str(model)) == 0
+    return json.loads(model.read_text()), test
+
+
+@pytest.mark.parametrize("op", ["value", "drop", "byte", "truncate"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_model_json_fuzz(op, csv_model, tmp_path_factory, data):
+    """A model JSON with a value replaced or dropped, a byte changed or its
+    end cut exits 0 or a documented E-code from eval (task and seeds from
+    the model's metadata) and from export, never E-INTERNAL."""
+    doc, test = csv_model
+    doc = json.loads(json.dumps(doc))
+    if op in ("value", "drop"):
+        *parents, key = data.draw(st.sampled_from(list(_json_paths(doc))))
+        node = doc
+        for k in parents:
+            node = node[k]
+        if op == "drop":
+            del node[key]
+        else:
+            node[key] = data.draw(_JSON_VALUES)
+    blob = json.dumps(doc, indent=1).encode()
+    if op == "byte":
+        k = data.draw(st.integers(0, len(blob) - 1))
+        blob = blob[:k] + bytes([data.draw(st.integers(0, 255))]) + blob[k + 1:]
+    elif op == "truncate":
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
+    root = tmp_path_factory.getbasetemp()
+    model = root / "fuzz_model.json"
+    model.write_bytes(blob)
+    _assert_documented_exit(["eval", "--model", str(model), "--test-csv", str(test)])
+    _assert_documented_exit(["export", "model-csv", "--model", str(model),
+                             "--output", str(root / "fuzz_classes.csv")])
+
+
+@pytest.fixture(scope="module")
+def idx_files():
+    """The bytes of a small IDX image file and its label file."""
+    rng = np.random.default_rng(3)
+    images = rng.integers(0, 256, size=(6, 4, 4), dtype=np.uint8)
+    labels = np.array([0, 1, 2, 0, 1, 2], dtype=np.uint8)
+    return (struct.pack(">IIII", 0x803, 6, 4, 4) + images.tobytes(),
+            struct.pack(">II", 0x801, 6) + labels.tobytes())
+
+
+_HEADER_WORDS = st.sampled_from([0, 1, 2, 3, 4, 6, 16, 96, 0x801, 0x803, 2**16, 2**31,
+                                 2**32 - 1])
+
+
+@pytest.mark.parametrize("op", ["header", "byte", "truncate", "append"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_idx_fuzz(op, idx_files, tmp_path_factory, data):
+    """An IDX image or label file with a header word replaced, a byte
+    changed, its end cut or bytes appended trains to a model or exits a
+    documented E-code, never E-INTERNAL."""
+    blobs = list(idx_files)
+    i = data.draw(st.integers(0, 1))
+    blob = blobs[i]
+    if op == "header":
+        k = data.draw(st.integers(0, 3 if i == 0 else 1))
+        blob = blob[:4 * k] + struct.pack(">I", data.draw(_HEADER_WORDS)) + blob[4 * k + 4:]
+    elif op == "byte":
+        k = data.draw(st.integers(0, len(blob) - 1))
+        blob = blob[:k] + bytes([data.draw(st.integers(0, 255))]) + blob[k + 1:]
+    elif op == "truncate":
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
+    else:
+        blob += data.draw(st.binary(min_size=1, max_size=20))
+    blobs[i] = blob
+    root = tmp_path_factory.getbasetemp()
+    images, labels = root / "fuzz_images.idx", root / "fuzz_labels.idx"
+    images.write_bytes(blobs[0])
+    labels.write_bytes(blobs[1])
+    _assert_documented_exit(["train", "--task", "mnist", "--train-images", str(images),
+                             "--train-labels", str(labels), "--dimension", "64",
+                             "--output", str(root / "fuzz_model.json")])

@@ -1,6 +1,7 @@
 """Encoders: composition oracles, file-format round trips, failure modes."""
 
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -314,6 +315,10 @@ def test_task_defaults_and_validation():
     assert Task("csv", item_seed="5").item_seed == 5
     with pytest.raises(ConfigError, match="task must be one of"):
         Task("speech")
+    with pytest.raises(ConfigError, match="task must be one of"):
+        Task(["csv"])
+    with pytest.raises(ConfigError, match="tie_seed must be an integer"):
+        Task("csv", tie_seed=float("inf"))
     labeled = LabeledSet(dimension=8)
     labeled.add(np.zeros(8, dtype=np.uint8), "a")
     with pytest.raises(DimensionMismatchError):
@@ -357,6 +362,21 @@ def test_idx_truncated(tmp_path):
     save_mnist(ip, lp, images, labels)
     ip.write_bytes(ip.read_bytes()[:-5])
     with pytest.raises(FormatError, match="truncated"):
+        load_mnist(ip, lp)
+
+
+@pytest.mark.parametrize("count, rows, cols", [(2**32 - 1,) * 3, (2**16, 2**12, 2**12)],
+                         ids=["overflows-an-index", "exceeds-the-file"])
+def test_idx_header_claims_more_than_the_file(tmp_path, count, rows, cols):
+    """A header claiming more pixels than the file holds, even more than an
+    index fits, is a truncated file at the offset of the pixel data; the
+    claimed bytes are never read."""
+    images, labels = _toy_images()
+    ip, lp = tmp_path / "img.idx", tmp_path / "lab.idx"
+    save_mnist(ip, lp, images, labels)
+    header = struct.pack(">IIII", encoders.IDX_IMAGE_MAGIC, count, rows, cols)
+    ip.write_bytes(header + ip.read_bytes()[16:])
+    with pytest.raises(FormatError, match=r"img\.idx: truncated .*offset 16"):
         load_mnist(ip, lp)
 
 

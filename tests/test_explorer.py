@@ -63,6 +63,10 @@ def test_sweep_space_validation():
         SweepSpace(block_sizes=(4,), precisions=(7,))
     with pytest.raises(ValueError, match="trials"):
         SweepSpace(trials=0)
+    with pytest.raises(ConfigError, match="'voltages'"):
+        SweepSpace(voltages=[None])
+    space = SweepSpace(voltages=[1], block_sizes=["7"], trials=2.0, seed="3")
+    assert (space.voltages, space.block_sizes, space.trials, space.seed) == ((1.0,), (7,), 2, 3)
 
 
 def test_configurations_skip_invalid_pairs():
@@ -302,13 +306,16 @@ def test_sweep_requires_datasets_for_all_dimensions(rng):
         sweep(space, {140: (am, qs, labels)}, cat)
 
 
-def test_sweep_skip_keys(rng):
+def test_sweep_skips_done_points(rng):
+    """A resumed point is matched by its configuration key, voltage rounded
+    to 10 mV, and its configuration is not evaluated again."""
     am, qs, labels = _toy_dataset(rng)
     space = SweepSpace(voltages=(0.5, 1.0), block_sizes=(7,), dimensions=(140,),
                        trials=1)
     cat = hwmodel.default_catalog(block_sizes=(7,))
     configs = list(space.configurations())
-    points = sweep(space, {140: (am, qs, labels)}, cat, skip_keys=configs[:1])
+    done = [_point(1.0, 0.0, voltage=configs[0][1] + 1e-9, dimension=140)]
+    points = sweep(space, {140: (am, qs, labels)}, cat, done=done)
     assert len(points) == 1
     assert points[0].voltage == configs[1][1]
 
@@ -399,7 +406,9 @@ def test_results_csv_shape():
     write_results_csv(pts, buf, metadata_lines=["seed=0"])
     lines = buf.getvalue().splitlines()
     assert lines[0] == "# seed=0"
-    assert lines[1] == CSV_COLUMNS
+    assert lines[1] == CSV_COLUMNS == (
+        "technology,voltage_V,block_size,precision,dimension,replicas,trials,"
+        "accuracy_mean,accuracy_std,accuracy_loss,energy_pJ,latency_ns,pareto")
     # rows sorted by configuration key: 0.5 V before 1.0 V
-    assert lines[2].startswith("sram,0.5")
-    assert lines[3].startswith("sram,1")
+    assert lines[2] == "sram,0.5,7,7,100,1,1,0.800000,0.000000,0.200000,1.000000,1.000000,0"
+    assert lines[3].startswith("sram,1,")
