@@ -1,4 +1,4 @@
-"""Command-line front end: ingestion, training, evaluation, sweeps, reports.
+"""Command-line front end for training, evaluation, sweeps and reports.
 
 Configuration comes from an optional JSON file (--config) plus command-line
 flags; flags win. Every emitted artifact records the tool version, the
@@ -15,7 +15,6 @@ import hashlib
 import json
 import os
 import sys
-import threading
 import time
 
 import numpy as np
@@ -23,7 +22,6 @@ import numpy as np
 from . import __version__
 from . import am as am_mod
 from . import encoders, explorer, hwmodel
-from .am import BlockConfig
 from .errors import (
     ConfigError,
     DegenerateInputError,
@@ -34,7 +32,6 @@ from .errors import (
     NoFeasiblePointError,
     atomic_open,
     load_json,
-    open_text,
 )
 
 
@@ -46,7 +43,6 @@ def _error_code(exc: Exception) -> str:
         (DegenerateInputError, "E-DEGENERATE"),
         (NoFeasiblePointError, "E-INFEASIBLE"),
         (InvalidStateError, "E-STATE"),
-        (FileNotFoundError, "E-IO"),
         (OSError, "E-IO"),
         (json.JSONDecodeError, "E-FORMAT"),
         (HdtcamError, "E-USAGE"),
@@ -73,20 +69,15 @@ def _metadata_lines(config_hash: str, seed: int, deterministic: bool) -> list:
     return lines
 
 
-def _load_json(path) -> dict:
-    doc = load_json(path)
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    return doc
-
-
 def _effective_config(args) -> dict:
     """Config file values overridden by every flag given on the command line.
 
     The subcommand, --config, --deterministic and the model and output paths
     are not configuration values.
     """
-    doc = _load_json(args.config) if args.config else {}
+    doc = load_json(args.config) if args.config else {}
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{args.config}: config must be a JSON object")
     for name, value in vars(args).items():
         if value is not None and name not in (
                 "command", "func", "config", "deterministic", "output", "model"):
@@ -94,41 +85,15 @@ def _effective_config(args) -> dict:
     return doc
 
 
-# ---------------------------------------------------------------------------
-# Dataset ingestion
-
-
-def _read_language_train(train_dir: str) -> dict:
-    """Directory of <label>.txt corpus files -> {label: text}."""
-    if not os.path.isdir(train_dir):
-        raise ConfigError(f"training corpus directory not found: {train_dir}")
-    texts = {}
-    for name in sorted(os.listdir(train_dir)):
-        if name.endswith(".txt"):
-            with open_text(os.path.join(train_dir, name)) as f:
-                texts[name[:-4]] = f.read()
-    if not texts:
-        raise ConfigError(f"no .txt corpus files in {train_dir}")
-    return texts
-
-
-def _read_language_queries(path: str) -> list:
-    """CSV of label,text rows -> [(text, label, row name)]. Text may contain commas."""
-    queries = []
-    with open_text(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if "," not in line:
-                raise FormatError(f"{path}: expected 'label,text'", location=f"row {lineno}")
-            label, text = line.split(",", 1)
-            if lineno == 1 and label.strip().lower() == "label":
-                continue
-            queries.append((text, label.strip(), f"query in {path} row {lineno}"))
-    if not queries:
-        raise ConfigError(f"{path}: no query rows found")
-    return queries
+def _setting(cfg: dict, key: str, kind: type, default=None):
+    """``cfg[key]`` as ``kind`` (int, float or str), or ``default`` without it;
+    E-CONFIG naming the key for a value of another JSON type, null included."""
+    if key not in cfg:
+        return default
+    value = cfg[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ConfigError(f"setting {key!r} must be {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 def _task(cfg: dict, meta: dict | None = None) -> encoders.Task:
@@ -150,43 +115,6 @@ def _task(cfg: dict, meta: dict | None = None) -> encoders.Task:
     return task
 
 
-def _data_path(cfg: dict, name: str):
-    """``cfg[name]``; E-CONFIG naming the flag that sets it when it is absent."""
-    path = cfg.get(name)
-    if path is None:
-        raise ConfigError(f"missing --{name.replace('_', '-')} (or {name!r} in --config)")
-    return path
-
-
-def _train_data(task: encoders.Task, cfg: dict):
-    if task.kind == "language":
-        return _read_language_train(_data_path(cfg, "train_dir"))
-    if task.kind == "mnist":
-        return encoders.load_mnist(_data_path(cfg, "train_images"),
-                                   _data_path(cfg, "train_labels"))
-    return encoders.load_hypervector_csv(_data_path(cfg, "train_csv"))
-
-
-def _query_data(task: encoders.Task, cfg: dict):
-    """(encoder input, labels, names of the texts or None) of the task's query set."""
-    if task.kind == "language":
-        texts, labels, names = zip(*_read_language_queries(_data_path(cfg, "queries")))
-        return list(texts), list(labels), names
-    if task.kind == "mnist":
-        images, labels = encoders.load_mnist(_data_path(cfg, "test_images"),
-                                             _data_path(cfg, "test_labels"))
-        return images, [str(int(c)) for c in labels], None
-    labeled = encoders.load_hypervector_csv(_data_path(cfg, "test_csv"))
-    return [hv for hv, _ in labeled.items], [label for _, label in labeled.items], None
-
-
-def _sweep_dataset(task: encoders.Task, cfg: dict, dimension: int):
-    """(memory, queries, labels); queries go on with the training's tie stream."""
-    memory, im, tie = task.train(_train_data(task, cfg), dimension)
-    data, labels, names = _query_data(task, cfg)
-    return memory, task.encode(data, im, tie, names), labels
-
-
 def _load_catalog(path) -> hwmodel.Catalog:
     """The tables in ``path``, or the built-in ones without a path."""
     return hwmodel.load_hw_tables(path) if path else hwmodel.default_catalog()
@@ -199,16 +127,16 @@ def _load_catalog(path) -> hwmodel.Catalog:
 def cmd_train(args) -> int:
     cfg = _effective_config(args)
     task = _task(cfg)
-    dimension = int(cfg.get("dimension", 10000))
+    dimension = _setting(cfg, "dimension", int, 10000)
     if dimension < 1:
         raise ConfigError(f"dimension must be >= 1, got {dimension}")
     started = time.perf_counter()
-    memory, _im, _tie = task.train(_train_data(task, cfg), dimension)
+    memory = task.train_split(cfg, dimension)
     elapsed = time.perf_counter() - started
     meta = {
         "tool": f"hdtcam {__version__}",
         "task": task.kind,
-        "seed": int(cfg.get("seed", 0)),
+        "seed": _setting(cfg, "seed", int, 0),
         "item_seed": task.item_seed,
         "tie_seed": task.tie_seed,
         "config_hash": _config_hash(cfg),
@@ -223,52 +151,42 @@ def cmd_eval(args) -> int:
     cfg = _effective_config(args)
     memory, meta = am_mod.load_model(args.model)
     task = _task(cfg, meta)
-    data, labels, names = _query_data(task, cfg)
-    im = task.item_memory(memory.dimension, data)
-    queries = task.encode(data, im, task.tie_stream(memory.dimension), names)
-    if queries.shape[1] != memory.dimension:
-        raise DimensionMismatchError(
-            f"queries have dimension {queries.shape[1]}, model has {memory.dimension}"
-        )
+    queries, labels = task.encode_split(cfg, memory.dimension)
 
-    technology = cfg.get("technology")
-    seed = int(cfg.get("seed", 0))
-    if technology:
-        voltage = float(cfg.get("voltage", 0.7))
-        block_size = int(cfg.get("block_size", 15))
-        entry = _load_catalog(cfg.get("hw_tables")).get(technology, voltage, block_size)
-        precision = int(cfg.get("precision", entry.latency.precision))
+    seed = _setting(cfg, "seed", int, 0)
+    technology = _setting(cfg, "technology", str)
+    if technology or "block_size" in cfg:
+        # Blocked inference: under the technology's hardware table, else noise-free.
+        block_size = _setting(cfg, "block_size", int, 15)
+        voltage = _setting(cfg, "voltage", float, 0.7) if technology else 0.0
+        hw = (_load_catalog(_setting(cfg, "hw_tables", str)).get(technology, voltage, block_size)
+              if technology else None)
+        precision = _setting(cfg, "precision", int,
+                             hw.latency.precision if hw else min(block_size, 7))
         point = explorer.evaluate(
             memory, queries, labels,
-            BlockConfig(memory.dimension, block_size, precision),
-            hw=entry,
-            replicas=int(cfg.get("replicas", 1)),
-            trials=int(cfg.get("trials", 10)),
+            am_mod.BlockConfig(memory.dimension, block_size, precision),
+            hw=hw,
+            replicas=_setting(cfg, "replicas", int, 1) if hw else 1,
+            trials=_setting(cfg, "trials", int, 10) if hw else 1,
             seed=seed,
-            technology=technology,
+            technology=technology or "",
             voltage=voltage,
         )
+    else:
+        acc = explorer.ideal_accuracy(memory, queries, labels)
+        point = explorer.DesignPoint(
+            technology="", voltage=0.0, block_size=memory.dimension,
+            precision=memory.dimension, dimension=memory.dimension,
+            replicas=1, trials=1, accuracy_mean=acc, accuracy_std=0.0,
+            accuracy_loss=0.0, energy_pj=0.0, latency_ns=0.0,
+        )
+    if technology:
         print(f"accuracy {point.accuracy_mean:.4f} ± {point.accuracy_std:.4f} "
               f"(loss {100 * point.accuracy_loss:.3f} % vs ideal), "
               f"energy {point.energy_pj:.3f} pJ/query, "
               f"latency {point.latency_ns:.3f} ns/query")
     else:
-        block_size = cfg.get("block_size")
-        if block_size is not None:
-            precision = int(cfg.get("precision", min(block_size, 7)))
-            point = explorer.evaluate(
-                memory, queries, labels,
-                BlockConfig(memory.dimension, int(block_size), precision),
-                hw=None, trials=1, seed=seed,
-            )
-        else:
-            acc = explorer.ideal_accuracy(memory, queries, labels)
-            point = explorer.DesignPoint(
-                technology="", voltage=0.0, block_size=memory.dimension,
-                precision=memory.dimension, dimension=memory.dimension,
-                replicas=1, trials=1, accuracy_mean=acc, accuracy_std=0.0,
-                accuracy_loss=0.0, energy_pj=0.0, latency_ns=0.0,
-            )
         print(f"accuracy {point.accuracy_mean:.4f} over {len(labels)} queries")
     if args.output:
         lines = _metadata_lines(_config_hash(cfg), seed, args.deterministic)
@@ -283,90 +201,45 @@ def _pareto_path(output: str) -> str:
     return f"{root}_pareto{ext or '.csv'}"
 
 
-def _resume_points(partial_path: str, config_hash: str) -> list:
-    """Points of an interrupted sweep, if its partial file's header carries
-    this sweep's configuration hash; E-CONFIG otherwise, E-FORMAT naming the
-    line for a body line (other than a torn final one) that is not a point."""
-    with open_text(partial_path) as f:
-        lines = [(n, line) for n, line in enumerate(f.read().splitlines(), start=1)
-                 if line.strip()]
-    try:
-        header = json.loads(lines[0][1]) if lines else None
-    except json.JSONDecodeError:
-        header = None
-    if not isinstance(header, dict) or "config_hash" not in header:
-        raise ConfigError(
-            f"{partial_path}: no configuration header (written by an older hdtcam); "
-            "delete it to start the sweep over"
-        )
-    if header["config_hash"] != config_hash:
-        raise ConfigError(
-            f"{partial_path}: written by a sweep with config_hash {header['config_hash']}, "
-            f"this sweep has {config_hash}; rerun with the same settings or delete it"
-        )
-    done = []
-    for lineno, line in lines[1:]:
-        try:
-            done.append(explorer.point_from_dict(json.loads(line)))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            if not (isinstance(exc, json.JSONDecodeError) and lineno == lines[-1][0]):
-                raise FormatError(f"{partial_path}: not a design point ({exc!r})",
-                                  location=f"line {lineno}") from None
-            # An interrupted write leaves a torn final line; drop it so that
-            # appended points start on a line of their own.
-            with atomic_open(partial_path) as f:
-                f.writelines(l + "\n" for _, l in lines[:-1])
-            print("resuming: skipped a torn final line")
-    print(f"resuming: {len(done)} points already evaluated")
-    return done
-
-
 def cmd_sweep(args) -> int:
     cfg = _effective_config(args)
     task = _task(cfg)
     axes = {f.name for f in dataclasses.fields(explorer.SweepSpace)}
     space = explorer.SweepSpace(**{k: v for k, v in cfg.items() if k in axes})
-    partial_path = f"{args.output}.partial.jsonl"
+    jobs = _setting(cfg, "jobs", int, 1)
     # Worker count does not change results: the resume header and the metadata
     # line hash the configuration without it.
     config_hash = _config_hash({k: v for k, v in cfg.items() if k != "jobs"})
-    done = _resume_points(partial_path, config_hash) if os.path.exists(partial_path) else []
-    catalog = _load_catalog(cfg.get("hw_tables"))
-    datasets = {d: _sweep_dataset(task, cfg, d) for d in space.dimensions}
+    log = explorer.SweepLog(args.output, config_hash)
+    done = []
+    if (resumed := log.read()) is not None:
+        done, torn = resumed
+        if torn:
+            print("resuming: skipped a torn final line")
+        print(f"resuming: {len(done)} points already evaluated")
+    catalog = _load_catalog(_setting(cfg, "hw_tables", str))
+    datasets = {}
+    for d in space.dimensions:
+        memory = task.train_split(cfg, d)
+        datasets[d] = (memory, *task.encode_split(cfg, d))
 
-    if not os.path.exists(partial_path):
-        with atomic_open(partial_path) as f:
-            f.write(json.dumps({"config_hash": config_hash}) + "\n")
-    partial = open(partial_path, "a", encoding="utf-8")
-    total = len(list(space.configurations()))
-    lock = threading.Lock()
-
-    def progress(point):
-        with lock:
-            partial.write(json.dumps(explorer.point_to_dict(point), sort_keys=True) + "\n")
-            partial.flush()
+    with log.appending() as append:
+        def progress(point):
+            append(point)
             print(f"[sweep] {point.technology} "
                   f"{point.voltage:g} V N={point.block_size} P={point.precision} "
                   f"D={point.dimension} r={point.replicas}: "
                   f"loss {100 * point.accuracy_loss:.3f} %, {point.energy_pj:.2f} pJ")
 
-    try:
-        points = done + explorer.sweep(
-            space, datasets, catalog,
-            jobs=int(cfg.get("jobs") or 1),
-            done=done, progress=progress,
-        )
-    finally:
-        partial.close()
-
-    points = explorer.flag_pareto(points)
-    lines = _metadata_lines(config_hash, space.seed, args.deterministic)
-    front = [p for p in points if p.pareto]
-    for path, rows in ((args.output, points), (_pareto_path(args.output), front)):
-        with atomic_open(path) as f:
-            explorer.write_results_csv(rows, f, metadata_lines=lines)
-    os.remove(partial_path)
-    print(f"swept {total} configurations; {len(front)} on the Pareto front")
+        points = explorer.flag_pareto(done + explorer.sweep(
+            space, datasets, catalog, jobs=jobs, done=done, progress=progress))
+        lines = _metadata_lines(config_hash, space.seed, args.deterministic)
+        front = [p for p in points if p.pareto]
+        for path, rows in ((args.output, points), (_pareto_path(args.output), front)):
+            with atomic_open(path) as f:
+                explorer.write_results_csv(rows, f, metadata_lines=lines)
+    print(f"swept {len(list(space.configurations()))} configurations; "
+          f"{len(front)} on the Pareto front")
     print(f"wrote {args.output} and {_pareto_path(args.output)}")
     return 0
 
@@ -381,22 +254,8 @@ def cmd_pareto(args) -> int:
     return 0
 
 
-def _select_entries(catalog, args):
-    entries = list(catalog)
-    if args.technology:
-        entries = [e for e in entries if e.latency.technology == args.technology]
-    if args.voltage is not None:
-        entries = [e for e in entries if abs(e.latency.voltage - args.voltage) < 1e-9]
-    if args.block_size is not None:
-        entries = [e for e in entries if e.latency.block_size == args.block_size]
-    if not entries:
-        raise ConfigError("no hardware table entries match the given filters")
-    return sorted(entries, key=lambda e: (e.latency.technology, e.latency.voltage,
-                                          e.latency.block_size))
-
-
 def cmd_hwmodel(args) -> int:
-    entries = _select_entries(_load_catalog(args.tables), args)
+    entries = _load_catalog(args.tables).select(args.technology, args.voltage, args.block_size)
     out = []
     if args.action == "validate":
         # Structural invariants are enforced on construction; re-check the

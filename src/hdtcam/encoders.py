@@ -280,27 +280,36 @@ def save_mnist(images_path, labels_path, images: np.ndarray, labels: np.ndarray)
         f.write(labels.tobytes())
 
 
-def load_hypervector_csv(path) -> LabeledSet:
-    """Read ``label,bitstring`` rows into a LabeledSet. Header row optional."""
+def _read_rows(path, payload: str) -> list:
+    """(row number, label, payload) of each non-blank ``label,<payload>`` row
+    of the text file ``path``, label and payload stripped of surrounding
+    whitespace; a first row labelled ``label`` is a header. FormatError naming
+    the file for a row without a comma, and for a file without rows."""
     rows = []
     with open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
+            if line.isspace():
                 continue
-            if "," not in line:
-                raise FormatError(f"{path}: expected 'label,bitstring'", location=f"row {lineno}")
-            label, bits = line.split(",", 1)
-            label, bits = label.strip(), bits.strip()
+            label, comma, rest = line.partition(",")
+            if not comma:
+                raise FormatError(f"{path}: expected 'label,{payload}'", location=f"row {lineno}")
+            label = label.strip()
             if lineno == 1 and label.lower() == "label":
                 continue
-            if not re.fullmatch("[01]+", bits):
-                raise FormatError(
-                    f"{path}: bitstring must be non-empty over {{0,1}}", location=f"row {lineno}"
-                )
-            rows.append((lineno, label, bits))
+            rows.append((lineno, label, rest.strip()))
     if not rows:
-        raise ValueError(f"{path}: no hypervector rows found")
+        raise FormatError(f"{path}: no 'label,{payload}' rows found")
+    return rows
+
+
+def load_hypervector_csv(path) -> LabeledSet:
+    """Read ``label,bitstring`` rows into a LabeledSet. Header row optional."""
+    rows = _read_rows(path, "bitstring")
+    for lineno, _, bits in rows:
+        if not re.fullmatch("[01]+", bits):
+            raise FormatError(
+                f"{path}: bitstring must be non-empty over {{0,1}}", location=f"row {lineno}"
+            )
     dimension = len(rows[0][2])
     out = LabeledSet(dimension=dimension)
     for lineno, label, bits in rows:
@@ -314,14 +323,30 @@ def load_hypervector_csv(path) -> LabeledSet:
 
 
 def save_hypervector_csv(path, labeled: LabeledSet) -> None:
+    """Write ``label,bits`` rows; FormatError naming a label that
+    ``load_hypervector_csv`` would not read back unchanged (one holding a
+    comma, a line break or surrounding whitespace), leaving no file behind."""
     with atomic_open(path) as f:
         f.write("label,bits\n")
         for hv, label in labeled.items:
+            if not (isinstance(label, str) and label == label.strip()
+                    and not any(c in label for c in ",\r\n")):
+                raise FormatError(f"{path}: label {label!r} would not read back from a "
+                                  "'label,bits' row")
             bits = np.where(hv != 0, ord("1"), ord("0")).astype(np.uint8).tobytes().decode()
             f.write(f"{label},{bits}\n")
 
 
-@dataclass(frozen=True)
+def _path(files: dict, name: str) -> str:
+    """``files[name]``; E-CONFIG naming the flag that sets it when it is not a path."""
+    path = files.get(name)
+    if not isinstance(path, str):
+        what = "missing" if path is None else f"not a path ({path!r}):"
+        raise ConfigError(f"{what} --{name.replace('_', '-')} (or {name!r} in --config)")
+    return path
+
+
+@dataclass
 class Task:
     """Encoder set-up of one task, shared by the CLI and ``synth``.
 
@@ -329,6 +354,11 @@ class Task:
     encoding), pixel positions for ``mnist`` (thresholded images), none for
     ``csv`` (pre-encoded hypervectors). Unset seeds take the kind's defaults
     from TASK_SEEDS.
+
+    ``train`` starts a tie-break stream for its dimension and keeps it with
+    the item memory; ``encode`` at that dimension goes on with them (how
+    ``sweep`` and ``synth`` encode queries), and otherwise starts afresh (how
+    ``eval`` encodes them for a model trained elsewhere).
     """
 
     kind: str
@@ -345,42 +375,68 @@ class Task:
                               ("ngram", 4), ("threshold", 128)):
             value = getattr(self, name)
             try:
-                object.__setattr__(self, name, default if value is None else int(value))
+                setattr(self, name, default if value is None else int(value))
             except (TypeError, ValueError, OverflowError):
                 raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+        self._dimension = None
 
-    def item_memory(self, dimension: int, data=None):
-        """The task's item memory; ``mnist`` sizes it from the geometry of the
-        image stack ``data``."""
-        if self.kind == "language":
-            return ItemMemory.for_alphabet(dimension, self.item_seed)
+    def train_split(self, files: dict, dimension: int) -> am_mod.AssociativeMemory:
+        """``train`` on the training split named in ``files`` (setting -> path);
+        ``language`` reads a directory of <label>.txt corpus files."""
         if self.kind == "mnist":
-            return ItemMemory.for_positions(dimension, data.shape[1] * data.shape[2],
-                                            self.item_seed)
-        return None
+            data = load_mnist(_path(files, "train_images"), _path(files, "train_labels"))
+            return self.train(data, dimension)
+        if self.kind == "csv":
+            return self.train(load_hypervector_csv(_path(files, "train_csv")), dimension)
+        train_dir = _path(files, "train_dir")
+        if not os.path.isdir(train_dir):
+            raise ConfigError(f"training corpus directory not found: {train_dir}")
+        texts = {}
+        for name in sorted(os.listdir(train_dir)):
+            if name.endswith(".txt"):
+                with open_text(os.path.join(train_dir, name)) as f:
+                    texts[name[:-4]] = f.read()
+        if not texts:
+            raise ConfigError(f"no .txt corpus files in {train_dir}")
+        return self.train(texts, dimension)
 
-    def tie_stream(self, dimension: int) -> np.random.Generator:
-        """Fresh tie-break stream for this dimension."""
-        return np.random.default_rng(np.random.SeedSequence([self.tie_seed, dimension]))
-
-    def train(self, data, dimension: int):
-        """Encode and bundle a training set: {label: text} for ``language``,
-        (images, labels) for ``mnist``, a LabeledSet for ``csv``.
-
-        Returns (memory, item memory, tie stream); the stream has been used
-        for training, and callers may go on encoding queries with it.
-        """
-        tie = self.tie_stream(dimension)
-        im = None
+    def encode_split(self, files: dict, dimension: int) -> tuple:
+        """(query matrix, labels) of the query split named in ``files``, by
+        ``encode``; ``language`` reads ``label,text`` rows, naming them in errors."""
         if self.kind == "language":
-            im = self.item_memory(dimension)
-            hvs = encode_text_ngram(list(data.values()), self.ngram, im, tie,
-                                    names=[f"corpus {label!r}" for label in data])
+            path = _path(files, "queries")
+            rows = _read_rows(path, "text")
+            queries = self.encode([text for _, _, text in rows], dimension,
+                                  [f"query in {path} row {lineno}" for lineno, _, _ in rows])
+            return queries, [label for _, label, _ in rows]
+        if self.kind == "mnist":
+            images, labels = load_mnist(_path(files, "test_images"), _path(files, "test_labels"))
+            return self.encode(images, dimension), [str(int(c)) for c in labels]
+        labeled = load_hypervector_csv(_path(files, "test_csv"))
+        return self.encode(labeled, dimension), [label for _, label in labeled.items]
+
+    def _start(self, dimension: int, images=None) -> None:
+        """A fresh tie-break stream and item memory for ``dimension``: letters,
+        or for ``mnist`` one entry per pixel of the geometry of ``images``."""
+        self._dimension, self._im = dimension, None
+        self._tie = np.random.default_rng(np.random.SeedSequence([self.tie_seed, dimension]))
+        if self.kind == "language":
+            self._im = ItemMemory.for_alphabet(dimension, self.item_seed)
+        elif self.kind == "mnist":
+            self._im = ItemMemory.for_positions(dimension, images.shape[1] * images.shape[2],
+                                                self.item_seed)
+
+    def train(self, data, dimension: int) -> am_mod.AssociativeMemory:
+        """Encode and bundle a training set: {label: text} for ``language``,
+        (images, labels) for ``mnist``, a LabeledSet for ``csv``."""
+        self._start(dimension, data[0] if self.kind == "mnist" else None)
+        if self.kind == "language":
+            hvs = self.encode(list(data.values()), dimension,
+                              names=[f"corpus {label!r}" for label in data])
             classes = {label: [hv] for label, hv in zip(data, hvs)}
         elif self.kind == "mnist":
             images, labels = data
-            im = self.item_memory(dimension, images)
-            hvs = encode_images(images, self.threshold, im, seed=self.tie_seed)
+            hvs = encode_images(images, self.threshold, self._im, seed=self.tie_seed)
             classes = {str(int(c)): [hv for hv, l in zip(hvs, labels) if l == c]
                        for c in np.unique(labels)}
         else:
@@ -389,13 +445,15 @@ class Task:
                     f"csv vectors have dimension {data.dimension}, requested {dimension}"
                 )
             classes = data.by_label()
-        return am_mod.train(classes, tie), im, tie
+        return am_mod.train(classes, self._tie)
 
-    def encode(self, data, im, tie: np.random.Generator, names=None) -> np.ndarray:
-        """Query matrix from texts (``names`` label them in errors), an image
-        stack, or a list of hypervectors."""
+    def encode(self, data, dimension: int, names=None) -> np.ndarray:
+        """Query matrix at ``dimension`` from texts (``names`` label them in
+        errors), an image stack, or a LabeledSet."""
+        if dimension != self._dimension:
+            self._start(dimension, data)
         if self.kind == "language":
-            return encode_text_ngram(data, self.ngram, im, tie, names=names)
+            return encode_text_ngram(data, self.ngram, self._im, self._tie, names=names)
         if self.kind == "mnist":
-            return encode_images(data, self.threshold, im, seed=self.tie_seed + 1)
-        return np.stack(data)
+            return encode_images(data, self.threshold, self._im, seed=self.tie_seed + 1)
+        return np.stack([hv for hv, _ in data.items])

@@ -4,15 +4,19 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import math
+import os
+import threading
 import typing
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .am import AssociativeMemory, BlockConfig, distance_histogram, ideal_argmin
-from .errors import ConfigError, FormatError, NoFeasiblePointError, open_text
+from .errors import ConfigError, FormatError, NoFeasiblePointError, atomic_open, open_text
 from .hwmodel import Catalog, HwEntry, RramShiftModel, energy_pj
 
 NO_LOSS_EPSILON = 5e-4  # noise floor of HDC accuracy fluctuations
@@ -216,7 +220,8 @@ def sweep(space: SweepSpace, datasets: dict, catalog: Catalog, jobs: int = 1,
           done=(), progress=None) -> list:
     """Evaluate the configuration cross product, apart from the configurations
     of the points in ``done`` (those of a resumed sweep), and return the new
-    points in configuration order.
+    points in configuration order. ``progress`` is called with each new point,
+    one call at a time.
 
     ``datasets`` maps dimension -> (AssociativeMemory, queries, labels).
     Fails fast if the catalog misses any requested operating point. Results
@@ -247,6 +252,8 @@ def sweep(space: SweepSpace, datasets: dict, catalog: Catalog, jobs: int = 1,
             for i in members:
                 yield i, hist
 
+    lock = threading.Lock()
+
     def run(task):
         i, hist = task
         tech, v, n, p, d, r = config = todo[i]
@@ -264,7 +271,8 @@ def sweep(space: SweepSpace, datasets: dict, catalog: Catalog, jobs: int = 1,
             histogram=hist,
         )
         if progress is not None:
-            progress(point)
+            with lock:
+                progress(point)
         return i, point
 
     if jobs > 1:
@@ -405,14 +413,10 @@ def write_results_csv(points, f, metadata_lines=()) -> None:
         f.write(",".join(fmt.format(getattr(p, field)) for field, _, fmt in COLUMNS) + "\n")
 
 
-def point_to_dict(p: DesignPoint) -> dict:
-    return {column: getattr(p, field) for field, column, _ in COLUMNS}
-
-
-def point_from_dict(doc: dict) -> DesignPoint:
-    """Inverse of ``point_to_dict``, and the reader of a CSV row keyed by
-    column; KeyError for a missing column, ValueError for a value that does
-    not convert or a number that is not finite."""
+def _point_from_dict(doc: dict) -> DesignPoint:
+    """The point of a CSV row or a resume-log line keyed by column; KeyError
+    for a missing column, ValueError for a value that does not convert or a
+    number that is not finite."""
     return DesignPoint(**{field: _CONVERT[_TYPES[field]](doc[column])
                           for field, column, _ in COLUMNS})
 
@@ -440,10 +444,77 @@ def read_results_csv(path) -> tuple:
                     location=f"row {lineno}",
                 )
             try:
-                points.append(point_from_dict(dict(zip(header, cells))))
+                points.append(_point_from_dict(dict(zip(header, cells))))
             except ValueError as exc:
                 raise FormatError(f"{path}: not a design point ({exc})",
                                   location=f"row {lineno}") from None
     if not points:
         raise FormatError(f"{path}: no result rows found")
     return points, meta
+
+
+class SweepLog:
+    """The resume log of the sweep writing ``output``: ``<output>.partial.jsonl``
+    holds a header line with the sweep's configuration hash, then one JSON
+    line per evaluated point, keyed by column."""
+
+    def __init__(self, output: str, config_hash: str):
+        self.path = f"{output}.partial.jsonl"
+        self.config_hash = config_hash
+
+    def read(self):
+        """(points, whether a torn final line was dropped) of an interrupted
+        sweep, or None without a log. E-CONFIG when its header is missing or
+        carries another configuration hash; E-FORMAT naming the line for a
+        body line, other than a torn final one, that is not a point."""
+        if not os.path.exists(self.path):
+            return None
+        with open_text(self.path) as f:
+            lines = [(n, line) for n, line in enumerate(f.read().splitlines(), start=1)
+                     if line.strip()]
+        try:
+            header = json.loads(lines[0][1]) if lines else None
+        except json.JSONDecodeError:
+            header = None
+        if not isinstance(header, dict) or "config_hash" not in header:
+            raise ConfigError(
+                f"{self.path}: no configuration header (written by an older hdtcam); "
+                "delete it to start the sweep over"
+            )
+        if header["config_hash"] != self.config_hash:
+            raise ConfigError(
+                f"{self.path}: written by a sweep with config_hash {header['config_hash']}, "
+                f"this sweep has {self.config_hash}; rerun with the same settings or delete it"
+            )
+        done, torn = [], False
+        for lineno, line in lines[1:]:
+            try:
+                done.append(_point_from_dict(json.loads(line)))
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                if not (isinstance(exc, json.JSONDecodeError) and lineno == lines[-1][0]):
+                    raise FormatError(f"{self.path}: not a design point ({exc!r})",
+                                      location=f"line {lineno}") from None
+                # An interrupted write leaves a torn final line; drop it so that
+                # appended points start on a line of their own.
+                with atomic_open(self.path) as f:
+                    f.writelines(l + "\n" for _, l in lines[:-1])
+                torn = True
+        return done, torn
+
+    @contextmanager
+    def appending(self):
+        """Yield ``append(point)``, which writes the point's line and flushes
+        it (one caller at a time: ``sweep`` serializes its ``progress`` calls);
+        a new log gets the header first. The log is deleted when the block
+        completes, and kept for a resume when it fails."""
+        if not os.path.exists(self.path):
+            with atomic_open(self.path) as f:
+                f.write(json.dumps({"config_hash": self.config_hash}) + "\n")
+        with open(self.path, "a", encoding="utf-8") as f:
+            def append(point):
+                f.write(json.dumps({column: getattr(point, field) for field, column, _ in COLUMNS},
+                                   sort_keys=True) + "\n")
+                f.flush()
+
+            yield append
+        os.remove(self.path)

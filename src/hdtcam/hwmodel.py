@@ -402,6 +402,17 @@ class Catalog:
                 f"voltage_V={key[1]} block_size={key[2]}"
             ) from None
 
+    def select(self, technology=None, voltage=None, block_size=None) -> list:
+        """The entries of a technology, voltage and block size (None: any), in
+        key order; a voltage matches as ``get`` looks it up, to 10 mV.
+        ConfigError when none match."""
+        found = [entry for key, entry in sorted(self._entries.items())
+                 if technology in (None, key[0]) and block_size in (None, key[2])
+                 and (voltage is None or self._key(key[0], voltage, key[2]) == key)]
+        if not found:
+            raise ConfigError("no hardware table entries match the given filters")
+        return found
+
     def __len__(self):
         return len(self._entries)
 

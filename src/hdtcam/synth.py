@@ -91,8 +91,8 @@ def encode_language_benchmark(
     Returns (AssociativeMemory, query matrix, query labels).
     """
     task = Task("language", item_seed, tie_seed, ngram=ngram)
-    memory, im, tie = task.train(bench.train_texts, dimension)
-    queries = task.encode([text for text, _ in bench.queries], im, tie)
+    memory = task.train(bench.train_texts, dimension)
+    queries = task.encode([text for text, _ in bench.queries], dimension)
     return memory, queries, [label for _, label in bench.queries]
 
 
@@ -145,6 +145,6 @@ def encode_image_benchmark(
     """Train an associative memory on the image benchmark and encode test
     queries; unset parameters take the ``mnist`` task defaults."""
     task = Task("mnist", item_seed, tie_seed, threshold=threshold)
-    memory, im, tie = task.train((bench.train_images, bench.train_labels), dimension)
-    queries = task.encode(bench.test_images, im, tie)
+    memory = task.train((bench.train_images, bench.train_labels), dimension)
+    queries = task.encode(bench.test_images, dimension)
     return memory, queries, [str(int(c)) for c in bench.test_labels]

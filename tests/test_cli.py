@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdtcam import cli, encoders, explorer, synth
-from hdtcam.am import load_model
+from hdtcam.am import AssociativeMemory, load_model, save_model
 from hdtcam.encoders import save_mnist
 
 
@@ -331,21 +331,22 @@ def test_pareto_rejects_malformed_row(results_lines, tmp_path, capsys, field, va
 
 _FIELD_VALUES = st.sampled_from(["nan", "NaN", "inf", "-Infinity", "1e999", "abc", "",
                                  "1.5", "-0", "7", "#"]) | st.text(max_size=6)
-_RESULTS_OPS = ["field", "columns", "line", "byte", "truncate"]
+_CSV_OPS = ["field", "columns", "line", "byte", "truncate"]
 
 
-def _mutate_results(lines, op, data):
-    """Apply one mutation to the lines (a list of str), or to their bytes."""
+def _mutate_csv(lines, op, data, values=_FIELD_VALUES):
+    """Apply one mutation to the lines of a CSV (a list of str), or to their
+    bytes; a replaced or inserted field is drawn from ``values``."""
     i = data.draw(st.integers(0, len(lines) - 1)) if lines else 0
     if op in ("field", "columns") and lines:
         fields = lines[i].rstrip("\n").split(",")
         k = data.draw(st.integers(0, len(fields) - 1))
         if op == "field":
-            fields[k] = data.draw(_FIELD_VALUES)
+            fields[k] = data.draw(values)
         elif data.draw(st.booleans()):
             fields.pop(k)
         else:
-            fields.insert(k, data.draw(_FIELD_VALUES))
+            fields.insert(k, data.draw(values))
         lines[i] = ",".join(fields) + "\n"
     elif op == "line":
         edit = data.draw(st.sampled_from(["drop", "duplicate", "insert"]))
@@ -364,7 +365,7 @@ def _mutate_results(lines, op, data):
     return blob
 
 
-@pytest.mark.parametrize("op", _RESULTS_OPS)
+@pytest.mark.parametrize("op", _CSV_OPS)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_results_csv_fuzz(op, results_lines, tmp_path_factory, data):
@@ -372,8 +373,8 @@ def test_results_csv_fuzz(op, results_lines, tmp_path_factory, data):
     exits E-FORMAT or exits 0 with a front that reads back."""
     lines = list(results_lines)
     blob = b""
-    for op in [op] + data.draw(st.lists(st.sampled_from(_RESULTS_OPS), max_size=1)):
-        blob = _mutate_results(lines, op, data)
+    for op in [op] + data.draw(st.lists(st.sampled_from(_CSV_OPS), max_size=1)):
+        blob = _mutate_csv(lines, op, data)
         lines = blob.decode("utf-8", "replace").splitlines(keepends=True)
     path = tmp_path_factory.getbasetemp() / "fuzz_results.csv"
     out = tmp_path_factory.getbasetemp() / "fuzz_front.csv"
@@ -467,6 +468,47 @@ def test_sweep_axis_that_does_not_convert_is_a_config_error(value, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, setting", [
+    ("train", {"dimension": None}),
+    ("train", {"dimension": [1]}),
+    ("train", {"train_csv": ["train.csv"]}),
+    ("eval-hw", {"voltage": None}),
+    ("eval-hw", {"trials": None}),
+    ("eval-hw", {"seed": None}),
+    ("eval-hw", {"hw_tables": 987654}),
+    ("eval", {"precision": [7], "block_size": 15}),
+    ("eval", {"block_size": "15"}),
+    ("sweep", {"jobs": [2]}),
+    ("sweep", {"hw_tables": ["tables.json"]}),
+], ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}={v[k]!r}" for k in v))
+def test_config_value_of_wrong_type_is_a_config_error(command, setting, unseen_label_csv,
+                                                      tmp_path, capsys):
+    """A --config value of another JSON type than its setting's (null, a
+    list, a number given as a string, a path that is not a string) exits
+    E-CONFIG naming the key, and writes nothing."""
+    train, test, model = unseen_label_csv
+    base = {
+        "train": {"task": "csv", "train_csv": str(train), "dimension": 64},
+        "eval": {"task": "csv", "test_csv": str(test)},
+        "eval-hw": {"task": "csv", "test_csv": str(test), "technology": "sram",
+                    "voltage": 1.0, "block_size": 8, "trials": 2},
+        "sweep": {"task": "csv", "train_csv": str(train), "test_csv": str(test),
+                  "voltages": [1.0], "block_sizes": [8], "precisions": [4],
+                  "dimensions": [64], "trials": 2},
+    }[command]
+    config, out = tmp_path / "config.json", tmp_path / "out.csv"
+    config.write_text(json.dumps({**base, **setting}))
+    argv = {"train": ["train", "--output", str(tmp_path / "trained.json")],
+            "sweep": ["sweep", "--output", str(out)]}.get(
+                command, ["eval", "--model", str(model), "--output", str(out)])
+    assert run_cli(*argv, "--config", str(config)) != 0
+    err = capsys.readouterr().err
+    key = repr(list(setting)[0])
+    assert err.startswith("error: E-CONFIG:") and key in err, err
+    assert not out.exists() and not (tmp_path / "trained.json").exists()
+    assert not (tmp_path / "out.csv.partial.jsonl").exists()
+
+
 def test_sweep_catalog_gap_fails_fast(small_corpus_dir, tmp_path, capsys):
     train_dir, queries_csv = small_corpus_dir
     code = run_cli("sweep", "--task", "language", "--train-dir", str(train_dir),
@@ -508,6 +550,17 @@ def test_hwmodel_confusion_rows_sum_to_one(capsys):
 def test_hwmodel_bad_filter(capsys):
     assert run_cli("hwmodel", "validate", "--block-size", "99") != 0
     assert capsys.readouterr().err.startswith("error: E-CONFIG:")
+
+
+def test_hwmodel_voltage_filter_matches_to_10_mv(capsys):
+    """--voltage selects tables as the catalog looks them up for eval: voltages
+    equal to 10 mV are one."""
+    outputs = []
+    for voltage in ("0.7", "0.701"):
+        assert run_cli("hwmodel", "errorprob", "--technology", "sram", "--voltage", voltage,
+                       "--block-size", "15") == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and "\nsram,0.7,15,0,0.000000\n" in outputs[0]
 
 
 def test_export_and_reload_hw_tables(tmp_path, capsys):
@@ -598,6 +651,18 @@ def test_export_model_csv(trained_model, tmp_path):
     assert [label for _, label in labeled.items] == memory.labels
     got = np.stack([hv for hv, _ in labeled.items])
     assert np.array_equal(got, memory.class_matrix)
+
+
+@pytest.mark.parametrize("label", ["a,b", " c", "c ", "c\nd", "c\rd", "c\td "])
+def test_export_model_csv_refuses_a_label_that_does_not_read_back(label, tmp_path, capsys):
+    """A label the label,bits reader would not read back unchanged exits
+    E-FORMAT naming it, and no file is left behind."""
+    model, out = tmp_path / "m.json", tmp_path / "classes.csv"
+    save_model(model, AssociativeMemory(["ok", label], np.eye(2, 16, dtype=np.uint8)))
+    assert run_cli("export", "model-csv", "--model", str(model), "--output", str(out)) != 0
+    err = capsys.readouterr().err
+    assert err.startswith("error: E-FORMAT:") and repr(label) in err, err
+    assert not out.exists() and not (tmp_path / "classes.csv.tmp").exists()
 
 
 class _TornRows(list):
@@ -754,3 +819,60 @@ def test_idx_fuzz(op, idx_files, tmp_path_factory, data):
     _assert_documented_exit(["train", "--task", "mnist", "--train-images", str(images),
                              "--train-labels", str(labels), "--dimension", "64",
                              "--output", str(root / "fuzz_model.json")])
+
+
+# ---------------------------------------------------------------------------
+# label,<payload> row files
+
+
+@pytest.fixture(scope="module")
+def row_csvs(small_corpus_dir, tmp_path_factory):
+    """The lines of a 64-bit ``label,bits`` training set, and of a
+    ``label,text`` query set with a language model to evaluate it."""
+    train_dir, queries_csv = small_corpus_dir
+    model = tmp_path_factory.mktemp("row_csvs") / "model.json"
+    assert run_cli("train", "--task", "language", "--train-dir", str(train_dir),
+                   "--dimension", "256", "--output", str(model)) == 0
+    rows = np.random.default_rng(5).integers(0, 2, size=(4, 64)).astype(str)
+    bits = ["label,bits\n"] + [f"{c},{''.join(r)}\n" for c, r in zip("abca", rows)]
+    return bits, queries_csv.read_text().splitlines(keepends=True)[:6], model
+
+
+@pytest.mark.parametrize("content", ["", "label,text\n \n\n"], ids=["empty", "header-only"])
+@pytest.mark.parametrize("flag", ["--train-csv", "--queries"])
+def test_row_file_without_rows_is_a_format_error(flag, content, row_csvs, tmp_path, capsys):
+    path = tmp_path / "rows.csv"
+    path.write_text(content)
+    argv = {"--train-csv": ["train", "--task", "csv", "--output", str(tmp_path / "m.json")],
+            "--queries": ["eval", "--model", str(row_csvs[2]), "--task", "language"]}[flag]
+    assert run_cli(*argv, flag, str(path)) != 0
+    err = capsys.readouterr().err
+    assert err.startswith("error: E-FORMAT:") and str(path) in err, err
+
+
+_BITS = st.text("01", min_size=62, max_size=66)
+
+
+@pytest.mark.parametrize("op", _CSV_OPS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_bits_csv_fuzz(op, row_csvs, tmp_path_factory, data):
+    """A ``label,bits`` training set mutated by ``op`` trains to a model or
+    exits a documented E-code, never E-INTERNAL."""
+    root = tmp_path_factory.getbasetemp()
+    path = root / "fuzz_bits.csv"
+    path.write_bytes(_mutate_csv(list(row_csvs[0]), op, data, _FIELD_VALUES | _BITS))
+    _assert_documented_exit(["train", "--task", "csv", "--train-csv", str(path),
+                             "--dimension", "64", "--output", str(root / "fuzz_bits.json")])
+
+
+@pytest.mark.parametrize("op", _CSV_OPS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_query_csv_fuzz(op, row_csvs, tmp_path_factory, data):
+    """A ``label,text`` query set mutated by ``op`` evaluates or exits a
+    documented E-code, never E-INTERNAL."""
+    path = tmp_path_factory.getbasetemp() / "fuzz_queries.csv"
+    path.write_bytes(_mutate_csv(list(row_csvs[1]), op, data))
+    _assert_documented_exit(["eval", "--model", str(row_csvs[2]), "--task", "language",
+                             "--queries", str(path)])

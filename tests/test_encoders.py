@@ -246,13 +246,13 @@ def test_language_task_vectors_pinned():
     them, as recorded from the per-text encoder."""
     bench = synth.make_language_benchmark(train_chars=20_000, queries_per_language=25, seed=3)
     task = Task("language")
-    memory, im, tie = task.train(bench.train_texts, 2000)
-    queries = task.encode([text for text, _ in bench.queries], im, tie)
+    memory = task.train(bench.train_texts, 2000)
+    queries = task.encode([text for text, _ in bench.queries], 2000)
     assert hashlib.sha256(memory.class_matrix.tobytes()).hexdigest() == (
         "059d977b7e16c35ecb831e840bbe9c1cbc219cc1ed2a874d74b3a326c7887c82")
     assert hashlib.sha256(queries.tobytes()).hexdigest() == (
         "e7ea42011a975a33e58db4c8d3e7c03c4538f7912cbce869b27d644f2c45b514")
-    assert tie.integers(0, 2**32) == 1976264293
+    assert task._tie.integers(0, 2**32) == 1976264293
 
 
 def test_encode_text_chunking_is_invisible(monkeypatch):

@@ -1,6 +1,7 @@
 """Explorer: sweeps, evaluation equivalences, Pareto front, serialization."""
 
 import io
+from dataclasses import asdict, replace
 
 import distance_oracle
 import numpy as np
@@ -13,6 +14,7 @@ from hdtcam.errors import ConfigError, DimensionMismatchError, NoFeasiblePointEr
 from hdtcam.explorer import (
     CSV_COLUMNS,
     DesignPoint,
+    SweepLog,
     SweepSpace,
     derive_point_seed,
     energy_savings,
@@ -20,8 +22,6 @@ from hdtcam.explorer import (
     flag_pareto,
     ideal_accuracy,
     pareto_front,
-    point_from_dict,
-    point_to_dict,
     precision_sweep_report,
     sweep,
     write_results_csv,
@@ -286,8 +286,7 @@ def test_sweep_results_independent_of_jobs(rng):
     cat = hwmodel.default_catalog(block_sizes=(7,))
     serial = sweep(space, {140: (am, qs, labels)}, cat, jobs=1)
     parallel = sweep(space, {140: (am, qs, labels)}, cat, jobs=4)
-    assert sorted(map(point_to_dict, serial), key=str) == \
-        sorted(map(point_to_dict, parallel), key=str)
+    assert sorted(map(asdict, serial), key=str) == sorted(map(asdict, parallel), key=str)
 
 
 def test_sweep_fails_fast_on_catalog_gap(rng):
@@ -395,9 +394,20 @@ def test_energy_savings_infeasible():
 # Serialization
 
 
-def test_point_dict_round_trip():
+def test_sweep_log_round_trip(tmp_path):
+    """A point appended to a sweep's resume log reads back equal; the log is
+    kept when the block fails and deleted when it completes."""
     p = _point(3.5, 0.01, pareto=True)
-    assert point_from_dict(point_to_dict(p)) == p
+    log = SweepLog(str(tmp_path / "results.csv"), "abc")
+    assert log.read() is None
+    with pytest.raises(KeyboardInterrupt):
+        with log.appending() as append:
+            append(p)
+            raise KeyboardInterrupt
+    assert log.read() == ([p], False)
+    with log.appending() as append:
+        append(replace(p, voltage=0.5))
+    assert log.read() is None
 
 
 def test_results_csv_shape():
