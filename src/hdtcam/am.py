@@ -233,6 +233,9 @@ def load_model(path):
         if dimension < 1 or not doc["classes"]:
             raise FormatError("a model needs dimension >= 1 and at least one class")
         labels = [entry["label"] for entry in doc["classes"]]
+        for i, label in enumerate(labels):
+            if not (isinstance(label, str) and label):
+                raise FormatError(f"label {label!r} is not a non-empty string", f"classes[{i}]")
         rows = [_hex_to_bits(entry["bits"], dimension) for entry in doc["classes"]]
         memory = AssociativeMemory(labels, np.stack(rows))
     except KeyError as exc:

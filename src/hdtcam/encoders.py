@@ -284,16 +284,17 @@ def _read_rows(path, payload: str) -> list:
     """(row number, label, payload) of each non-blank ``label,<payload>`` row
     of the text file ``path``, label and payload stripped of surrounding
     whitespace; a first row labelled ``label`` is a header. FormatError naming
-    the file for a row without a comma, and for a file without rows."""
+    the file for a row without a comma or a label, and for a file without rows."""
     rows = []
     with open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
             if line.isspace():
                 continue
             label, comma, rest = line.partition(",")
-            if not comma:
-                raise FormatError(f"{path}: expected 'label,{payload}'", location=f"row {lineno}")
             label = label.strip()
+            if not (comma and label):
+                raise FormatError(f"{path}: expected 'label,{payload}' with a non-empty label",
+                                  location=f"row {lineno}")
             if lineno == 1 and label.lower() == "label":
                 continue
             rows.append((lineno, label, rest.strip()))
@@ -392,10 +393,11 @@ class Task:
         if not os.path.isdir(train_dir):
             raise ConfigError(f"training corpus directory not found: {train_dir}")
         texts = {}
-        for name in sorted(os.listdir(train_dir)):
-            if name.endswith(".txt"):
-                with open_text(os.path.join(train_dir, name)) as f:
-                    texts[name[:-4]] = f.read()
+        for name in sorted(n for n in os.listdir(train_dir) if n.endswith(".txt")):
+            if not name[:-4].strip():
+                raise FormatError(f"{os.path.join(train_dir, name)}: empty corpus label")
+            with open_text(os.path.join(train_dir, name)) as f:
+                texts[name[:-4]] = f.read()
         if not texts:
             raise ConfigError(f"no .txt corpus files in {train_dir}")
         return self.train(texts, dimension)

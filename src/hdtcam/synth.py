@@ -12,6 +12,7 @@ which keeps every experiment replayable.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,13 +36,14 @@ def _paired_markov_chains(num_languages, base_divergence, pair_divergence, rng):
 
 
 def _sample_text(cum_chain: np.ndarray, length: int, rng: np.random.Generator) -> str:
-    u = rng.random(length)
-    out = np.empty(length, dtype=np.intp)
+    u = rng.random(length).tolist()
+    rows, last = cum_chain.tolist(), cum_chain.shape[0] - 1
     state = rng.integers(0, cum_chain.shape[0])
-    for i in range(length):
-        state = min(int(np.searchsorted(cum_chain[state], u[i])), cum_chain.shape[0] - 1)
-        out[i] = state
-    return "".join(ALPHABET[i] for i in out)
+    out = []
+    for x in u:
+        state = min(bisect_left(rows[state], x), last)
+        out.append(ALPHABET[state])
+    return "".join(out)
 
 
 @dataclass

@@ -1,11 +1,12 @@
 """Scalar calibration of the default tables, the reference for the batched one.
 
-``hwmodel`` bisects the sigma scale of every default table at once and
-reads all confusion matrices of a bisection step from one array kernel.
-This module keeps the per-entry code those shortcuts must reproduce bit for
-bit: one 80-step bisection per (technology, voltage, block size, precision)
-key, one latency model per step, and the confusion matrix filled cell by
-cell from ``np.vectorize(math.erf)``.
+``hwmodel`` bisects the sigma scale of every default table at once, reads
+only the diagonal of each step's confusion matrices and stops at the
+bisection's fixed point. This module keeps the per-entry code those
+shortcuts must reproduce bit for bit: one full 80-step bisection per
+(technology, voltage, block size, precision) key, one latency model per
+step, the confusion matrix filled cell by cell from ``np.vectorize(math.erf)``
+and its largest misread probability read from the whole diagonal.
 """
 
 import math
@@ -13,6 +14,11 @@ import math
 import numpy as np
 
 from hdtcam.hwmodel import _MAX_ERROR_TARGET, _T1_NS
+
+
+def max_error_probability(cm):
+    """Largest misread probability per matrix of a (..., P+1, P+1) stack."""
+    return np.max(1.0 - np.diagonal(cm, axis1=-2, axis2=-1), axis=-1)
 
 
 def norm_cdf(x):

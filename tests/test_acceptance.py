@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from calibration_oracle import max_error_probability
 from gaussian_oracle import sample
 
 from hdtcam import cli, hwmodel
@@ -208,7 +209,7 @@ def test_criterion_07_calibration_envelope(hw_catalog):
     0.5 V and 1.0 V strictly lower; Fe-FinFET max 0.78 +- 0.04."""
     def max_err(tech, v, n):
         cm = hwmodel.confusion_from_latency(hw_catalog.get(tech, v, n).latency)
-        return hwmodel.max_error_probability(cm)
+        return max_error_probability(cm)
 
     ok = True
     details = []
@@ -225,7 +226,7 @@ def test_criterion_07_calibration_envelope(hw_catalog):
         if n == 15:
             details.append(f"N=15: sram@0.7V {worst_sram:.3f}, fefinfet max {fef:.3f}")
     fef_all = max(
-        hwmodel.max_error_probability(hwmodel.confusion_from_latency(e.latency))
+        max_error_probability(hwmodel.confusion_from_latency(e.latency))
         for e in hw_catalog if e.latency.technology == "fefinfet"
     )
     ok &= abs(fef_all - 0.78) <= 0.04

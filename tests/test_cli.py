@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import re
+import shutil
 import struct
 import sys
 
@@ -707,12 +708,35 @@ def test_malformed_model_is_a_format_error(doc, tmp_path, capsys):
     assert err.startswith("error: E-FORMAT:") and str(model) in err, err
 
 
-def _assert_documented_exit(argv):
-    """Run the CLI quietly; it exits 0 or with a documented E-code."""
+def _assert_documented_exit(argv, refuse=False):
+    """Run the CLI quietly; it exits with a documented E-code, or with 0
+    unless ``refuse`` (the input is known to be malformed)."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = run_cli(*argv)
+    assert code != 0 or not refuse, f"exit 0 on malformed input: {argv}"
     assert code == 0 or re.match(r"error: E-(?!INTERNAL)[A-Z]+: ", err.getvalue()), err.getvalue()
+
+
+def _bad_model_label(blob):
+    """Whether a model JSON parses to a class whose label is not a
+    non-empty string."""
+    try:
+        return any(not (isinstance(c["label"], str) and c["label"])
+                   for c in json.loads(blob)["classes"])
+    except (ValueError, TypeError, KeyError, IndexError):
+        return False
+
+
+def _empty_label_row(blob):
+    """Whether a ``label,<payload>`` file holds a row whose label is empty
+    once stripped, its lines split as a text-mode read splits them."""
+    try:
+        text = blob.decode()
+    except UnicodeDecodeError:
+        return False
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return any("," in line and not line.partition(",")[0].strip() for line in lines)
 
 
 _JSON_VALUES = st.sampled_from([None, True, False, 0, -1, 1, 7.5, 2**70, float("inf"),
@@ -751,7 +775,8 @@ def csv_model(tmp_path_factory):
 def test_model_json_fuzz(op, csv_model, tmp_path_factory, data):
     """A model JSON with a value replaced or dropped, a byte changed or its
     end cut exits 0 or a documented E-code from eval (task and seeds from
-    the model's metadata) and from export, never E-INTERNAL."""
+    the model's metadata) and from export, never E-INTERNAL, and never 0
+    with a label that is not a non-empty string."""
     doc, test = csv_model
     doc = json.loads(json.dumps(doc))
     if op in ("value", "drop"):
@@ -772,9 +797,10 @@ def test_model_json_fuzz(op, csv_model, tmp_path_factory, data):
     root = tmp_path_factory.getbasetemp()
     model = root / "fuzz_model.json"
     model.write_bytes(blob)
-    _assert_documented_exit(["eval", "--model", str(model), "--test-csv", str(test)])
+    refuse = _bad_model_label(blob)
+    _assert_documented_exit(["eval", "--model", str(model), "--test-csv", str(test)], refuse)
     _assert_documented_exit(["export", "model-csv", "--model", str(model),
-                             "--output", str(root / "fuzz_classes.csv")])
+                             "--output", str(root / "fuzz_classes.csv")], refuse)
 
 
 @pytest.fixture(scope="module")
@@ -850,6 +876,49 @@ def test_row_file_without_rows_is_a_format_error(flag, content, row_csvs, tmp_pa
     assert err.startswith("error: E-FORMAT:") and str(path) in err, err
 
 
+@pytest.mark.parametrize("flag", ["--train-csv", "--queries"])
+def test_empty_label_row_is_a_format_error(flag, row_csvs, tmp_path, capsys):
+    """A row whose label is empty or blank exits E-FORMAT naming the file and row."""
+    lines = list(row_csvs[0] if flag == "--train-csv" else row_csvs[1])
+    lines[2] = " " + lines[2][lines[2].index(","):]
+    path = tmp_path / "rows.csv"
+    path.write_text("".join(lines))
+    argv = {"--train-csv": ["train", "--task", "csv", "--output", str(tmp_path / "m.json")],
+            "--queries": ["eval", "--model", str(row_csvs[2]), "--task", "language"]}[flag]
+    assert run_cli(*argv, flag, str(path)) != 0
+    err = capsys.readouterr().err
+    assert err.startswith("error: E-FORMAT:") and str(path) in err and "row 3" in err, err
+
+
+def test_empty_corpus_label_is_a_format_error(small_corpus_dir, tmp_path, capsys):
+    """A corpus file named ``.txt`` would train a class that no model reader
+    accepts; it exits E-FORMAT naming the file."""
+    train_dir = tmp_path / "train"
+    shutil.copytree(small_corpus_dir[0], train_dir)
+    (train_dir / ".txt").write_text((train_dir / "lang00.txt").read_text())
+    assert run_cli("train", "--task", "language", "--train-dir", str(train_dir),
+                   "--dimension", "64", "--output", str(tmp_path / "m.json")) != 0
+    err = capsys.readouterr().err
+    assert err.startswith("error: E-FORMAT:") and str(train_dir / ".txt") in err, err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_model_label_not_a_string_is_a_format_error(csv_model, tmp_path, capsys):
+    """A model class labelled 5 exits E-FORMAT naming the class index, not an
+    accuracy of 0 on a query labelled 5."""
+    doc, test = csv_model
+    doc = json.loads(json.dumps(doc))
+    doc["classes"][1]["label"] = 5
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(doc))
+    queries = tmp_path / "test.csv"
+    queries.write_text(test.read_text().replace("\nc,", "\n5,"))
+    assert run_cli("eval", "--model", str(model), "--task", "csv",
+                   "--test-csv", str(queries)) != 0
+    err = capsys.readouterr().err
+    assert err.startswith("error: E-FORMAT:") and str(model) in err and "classes[1]" in err, err
+
+
 _BITS = st.text("01", min_size=62, max_size=66)
 
 
@@ -858,12 +927,15 @@ _BITS = st.text("01", min_size=62, max_size=66)
 @given(data=st.data())
 def test_bits_csv_fuzz(op, row_csvs, tmp_path_factory, data):
     """A ``label,bits`` training set mutated by ``op`` trains to a model or
-    exits a documented E-code, never E-INTERNAL."""
+    exits a documented E-code, never E-INTERNAL, and never trains with an
+    empty label."""
     root = tmp_path_factory.getbasetemp()
     path = root / "fuzz_bits.csv"
-    path.write_bytes(_mutate_csv(list(row_csvs[0]), op, data, _FIELD_VALUES | _BITS))
+    blob = _mutate_csv(list(row_csvs[0]), op, data, _FIELD_VALUES | _BITS)
+    path.write_bytes(blob)
     _assert_documented_exit(["train", "--task", "csv", "--train-csv", str(path),
-                             "--dimension", "64", "--output", str(root / "fuzz_bits.json")])
+                             "--dimension", "64", "--output", str(root / "fuzz_bits.json")],
+                            _empty_label_row(blob))
 
 
 @pytest.mark.parametrize("op", _CSV_OPS)

@@ -5,7 +5,12 @@ import json
 
 import numpy as np
 import pytest
-from calibration_oracle import build_latency, calibrated_spread, confusion_loop
+from calibration_oracle import (
+    build_latency,
+    calibrated_spread,
+    confusion_loop,
+    max_error_probability,
+)
 from gaussian_oracle import report_from_latency, sample, sample_replicas
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +31,6 @@ from hdtcam.hwmodel import (
     error_probability,
     load_hw_tables,
     energy_pj,
-    max_error_probability,
     median_confusion,
     save_hw_tables,
 )
@@ -163,6 +167,22 @@ def test_confusion_matches_cell_loop_on_random_models(precision):
         sigma = rng.uniform(1e-4, 2.0, precision)
         timeout = mu[0] + rng.uniform(1e-3, 3.0)
         _assert_loop_equal(LatencyModel("sram", 0.7, 8, precision, mu, sigma, timeout))
+
+
+@pytest.mark.parametrize("precision", range(1, 8))
+def test_diagonal_reader_matches_full_confusion(precision):
+    """The calibration's diagonal reader gives the largest misread
+    probability of the full confusion stack, compared with ==; at P = 1 the
+    one diagonal bin has no lower CDF value."""
+    rng = np.random.default_rng(precision)
+    models = []
+    for _ in range(25):
+        mu = np.cumsum(rng.uniform(1e-3, 1.0, precision))[::-1]
+        sigma = rng.uniform(1e-4, 2.0, precision)
+        models.append((mu, sigma, mu[0] + rng.uniform(1e-3, 3.0)))
+    mu, sigma, timeout = (np.array(column) for column in zip(*models))
+    want = max_error_probability(hwmodel._confusion(mu, sigma, timeout))
+    assert hwmodel._max_misread(mu, sigma, timeout).tolist() == want.tolist()
 
 
 # ---------------------------------------------------------------------------
