@@ -10,7 +10,6 @@ are written to a temp file and renamed into place on success.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -32,6 +31,7 @@ from .errors import (
     NoFeasiblePointError,
     atomic_open,
     load_json,
+    setting,
 )
 
 
@@ -85,17 +85,6 @@ def _effective_config(args) -> dict:
     return doc
 
 
-def _setting(cfg: dict, key: str, kind: type, default=None):
-    """``cfg[key]`` as ``kind`` (int, float or str), or ``default`` without it;
-    E-CONFIG naming the key for a value of another JSON type, null included."""
-    if key not in cfg:
-        return default
-    value = cfg[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-        raise ConfigError(f"setting {key!r} must be {kind.__name__}, got {value!r}")
-    return kind(value)
-
-
 def _task(cfg: dict, meta: dict | None = None) -> encoders.Task:
     """The task set-up from the config, falling back to a model's metadata.
 
@@ -104,11 +93,11 @@ def _task(cfg: dict, meta: dict | None = None) -> encoders.Task:
     """
     meta = meta or {}
     task = encoders.Task(
-        cfg.get("task") or meta.get("task"),
-        cfg.get("item_seed", meta.get("item_seed")),
-        cfg.get("tie_seed", meta.get("tie_seed")),
-        cfg.get("ngram"),
-        cfg.get("threshold"),
+        setting(cfg, "task", str, setting(meta, "task", str)),
+        setting(cfg, "item_seed", int, setting(meta, "item_seed", int)),
+        setting(cfg, "tie_seed", int, setting(meta, "tie_seed", int)),
+        setting(cfg, "ngram", int),
+        setting(cfg, "threshold", int),
     )
     cfg.setdefault("item_seed", task.item_seed)
     cfg.setdefault("tie_seed", task.tie_seed)
@@ -127,7 +116,7 @@ def _load_catalog(path) -> hwmodel.Catalog:
 def cmd_train(args) -> int:
     cfg = _effective_config(args)
     task = _task(cfg)
-    dimension = _setting(cfg, "dimension", int, 10000)
+    dimension = setting(cfg, "dimension", int, 10000)
     if dimension < 1:
         raise ConfigError(f"dimension must be >= 1, got {dimension}")
     started = time.perf_counter()
@@ -136,7 +125,7 @@ def cmd_train(args) -> int:
     meta = {
         "tool": f"hdtcam {__version__}",
         "task": task.kind,
-        "seed": _setting(cfg, "seed", int, 0),
+        "seed": setting(cfg, "seed", int, 0),
         "item_seed": task.item_seed,
         "tie_seed": task.tie_seed,
         "config_hash": _config_hash(cfg),
@@ -153,22 +142,22 @@ def cmd_eval(args) -> int:
     task = _task(cfg, meta)
     queries, labels = task.encode_split(cfg, memory.dimension)
 
-    seed = _setting(cfg, "seed", int, 0)
-    technology = _setting(cfg, "technology", str)
+    seed = setting(cfg, "seed", int, 0)
+    technology = setting(cfg, "technology", str)
     if technology or "block_size" in cfg:
         # Blocked inference: under the technology's hardware table, else noise-free.
-        block_size = _setting(cfg, "block_size", int, 15)
-        voltage = _setting(cfg, "voltage", float, 0.7) if technology else 0.0
-        hw = (_load_catalog(_setting(cfg, "hw_tables", str)).get(technology, voltage, block_size)
+        block_size = setting(cfg, "block_size", int, 15)
+        voltage = setting(cfg, "voltage", float, 0.7) if technology else 0.0
+        hw = (_load_catalog(setting(cfg, "hw_tables", str)).get(technology, voltage, block_size)
               if technology else None)
-        precision = _setting(cfg, "precision", int,
+        precision = setting(cfg, "precision", int,
                              hw.latency.precision if hw else min(block_size, 7))
         point = explorer.evaluate(
             memory, queries, labels,
             am_mod.BlockConfig(memory.dimension, block_size, precision),
             hw=hw,
-            replicas=_setting(cfg, "replicas", int, 1) if hw else 1,
-            trials=_setting(cfg, "trials", int, 10) if hw else 1,
+            replicas=setting(cfg, "replicas", int, 1) if hw else 1,
+            trials=setting(cfg, "trials", int, 10) if hw else 1,
             seed=seed,
             technology=technology or "",
             voltage=voltage,
@@ -204,9 +193,9 @@ def _pareto_path(output: str) -> str:
 def cmd_sweep(args) -> int:
     cfg = _effective_config(args)
     task = _task(cfg)
-    axes = {f.name for f in dataclasses.fields(explorer.SweepSpace)}
-    space = explorer.SweepSpace(**{k: v for k, v in cfg.items() if k in axes})
-    jobs = _setting(cfg, "jobs", int, 1)
+    space = explorer.SweepSpace(**{name: setting(cfg, name, kind)
+                                   for name, kind in explorer.SWEEP_FIELDS if name in cfg})
+    jobs = setting(cfg, "jobs", int, 1)
     # Worker count does not change results: the resume header and the metadata
     # line hash the configuration without it.
     config_hash = _config_hash({k: v for k, v in cfg.items() if k != "jobs"})
@@ -217,7 +206,7 @@ def cmd_sweep(args) -> int:
         if torn:
             print("resuming: skipped a torn final line")
         print(f"resuming: {len(done)} points already evaluated")
-    catalog = _load_catalog(_setting(cfg, "hw_tables", str))
+    catalog = _load_catalog(setting(cfg, "hw_tables", str))
     datasets = {}
     for d in space.dimensions:
         memory = task.train_split(cfg, d)

@@ -19,6 +19,7 @@ from .errors import (
     FormatError,
     atomic_open,
     open_text,
+    setting,
 )
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz "
@@ -303,6 +304,13 @@ def _read_rows(path, payload: str) -> list:
     return rows
 
 
+def _row_label(label) -> bool:
+    """Whether ``label`` reads back unchanged from a ``label,<payload>`` row: a
+    non-empty string without a comma, a line break or surrounding whitespace."""
+    return (isinstance(label, str) and label != "" and label == label.strip()
+            and not any(c in label for c in ",\r\n"))
+
+
 def load_hypervector_csv(path) -> LabeledSet:
     """Read ``label,bitstring`` rows into a LabeledSet. Header row optional."""
     rows = _read_rows(path, "bitstring")
@@ -324,14 +332,12 @@ def load_hypervector_csv(path) -> LabeledSet:
 
 
 def save_hypervector_csv(path, labeled: LabeledSet) -> None:
-    """Write ``label,bits`` rows; FormatError naming a label that
-    ``load_hypervector_csv`` would not read back unchanged (one holding a
-    comma, a line break or surrounding whitespace), leaving no file behind."""
+    """Write ``label,bits`` rows; FormatError naming a label that ``_read_rows``
+    would not read back unchanged (see ``_row_label``), leaving no file behind."""
     with atomic_open(path) as f:
         f.write("label,bits\n")
         for hv, label in labeled.items:
-            if not (isinstance(label, str) and label == label.strip()
-                    and not any(c in label for c in ",\r\n")):
+            if not _row_label(label):
                 raise FormatError(f"{path}: label {label!r} would not read back from a "
                                   "'label,bits' row")
             bits = np.where(hv != 0, ord("1"), ord("0")).astype(np.uint8).tobytes().decode()
@@ -339,11 +345,10 @@ def save_hypervector_csv(path, labeled: LabeledSet) -> None:
 
 
 def _path(files: dict, name: str) -> str:
-    """``files[name]``; E-CONFIG naming the flag that sets it when it is not a path."""
-    path = files.get(name)
-    if not isinstance(path, str):
-        what = "missing" if path is None else f"not a path ({path!r}):"
-        raise ConfigError(f"{what} --{name.replace('_', '-')} (or {name!r} in --config)")
+    """The path setting ``files[name]``; E-CONFIG naming its flag when it is missing."""
+    path = setting(files, name, str)
+    if path is None:
+        raise ConfigError(f"missing --{name.replace('_', '-')} (or {name!r} in --config)")
     return path
 
 
@@ -369,16 +374,13 @@ class Task:
     threshold: int | None = None
 
     def __post_init__(self):
-        if not isinstance(self.kind, str) or self.kind not in TASK_SEEDS:
+        if self.kind not in TASK_SEEDS:
             raise ConfigError(f"task must be one of {sorted(TASK_SEEDS)}, got {self.kind!r}")
         item_seed, tie_seed = TASK_SEEDS[self.kind]
         for name, default in (("item_seed", item_seed), ("tie_seed", tie_seed),
                               ("ngram", 4), ("threshold", 128)):
-            value = getattr(self, name)
-            try:
-                setattr(self, name, default if value is None else int(value))
-            except (TypeError, ValueError, OverflowError):
-                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+            if getattr(self, name) is None:
+                setattr(self, name, default)
         self._dimension = None
 
     def train_split(self, files: dict, dimension: int) -> am_mod.AssociativeMemory:
@@ -394,9 +396,10 @@ class Task:
             raise ConfigError(f"training corpus directory not found: {train_dir}")
         texts = {}
         for name in sorted(n for n in os.listdir(train_dir) if n.endswith(".txt")):
-            if not name[:-4].strip():
-                raise FormatError(f"{os.path.join(train_dir, name)}: empty corpus label")
-            with open_text(os.path.join(train_dir, name)) as f:
+            path = os.path.join(train_dir, name)
+            if not _row_label(name[:-4]):
+                raise FormatError(f"{path}: no query row can match corpus label {name[:-4]!r}")
+            with open_text(path) as f:
                 texts[name[:-4]] = f.read()
         if not texts:
             raise ConfigError(f"no .txt corpus files in {train_dir}")

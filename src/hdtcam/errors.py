@@ -1,4 +1,4 @@
-"""Exception types shared across the package, the text readers that report
+"""Exception types, the typed reader of settings, the text readers that report
 malformed files with them, and the atomic writer behind every output file."""
 
 import json
@@ -41,6 +41,29 @@ class InvalidStateError(HdtcamError, RuntimeError):
 
 class NoFeasiblePointError(HdtcamError, LookupError):
     """A selection over design points found nothing within the given budget."""
+
+
+def setting(cfg: dict, key: str, kind, default=None):
+    """``cfg[key]`` as ``kind`` (int, float, str, or ``[kind]`` for a list of
+    them), or ``default`` without the key. The value must have that JSON type,
+    an int counting as a float; anything else (a boolean, null, a numeric
+    string, a float for an int, a scalar for a list, a number too large to
+    convert) is ConfigError naming the key."""
+    if key not in cfg:
+        return default
+    value, many = cfg[key], isinstance(kind, list)
+    item = kind[0] if many else kind
+    items = value if many else [value]
+    if isinstance(items, list) and all(
+            isinstance(x, (int, float) if item is float else item) and not isinstance(x, bool)
+            for x in items):
+        try:
+            items = [item(x) for x in items]
+            return items if many else items[0]
+        except OverflowError:  # an int too large for a float
+            pass
+    what = f"a list of {item.__name__}" if many else item.__name__
+    raise ConfigError(f"{key!r} must be {what}, got {value!r}")
 
 
 @contextmanager

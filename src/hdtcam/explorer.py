@@ -17,15 +17,22 @@ import numpy as np
 
 from .am import AssociativeMemory, BlockConfig, distance_histogram, ideal_argmin
 from .errors import ConfigError, FormatError, NoFeasiblePointError, atomic_open, open_text
-from .hwmodel import Catalog, HwEntry, RramShiftModel, energy_pj
+from .hwmodel import (Catalog, HwEntry, RramShiftModel, confusion_from_latency, energy_pj,
+                      median_confusion)
 
 NO_LOSS_EPSILON = 5e-4  # noise floor of HDC accuracy fluctuations
 
 
+# The setting type of each SweepSpace field, by which the CLI reads a sweep's settings.
+SWEEP_FIELDS = (("technologies", [str]), ("voltages", [float]), ("block_sizes", [int]),
+                ("precisions", [int]), ("dimensions", [int]), ("replicas", [int]),
+                ("trials", int), ("seed", int))
+
+
 @dataclass(frozen=True)
 class SweepSpace:
-    """Cross product of swept configuration axes; ConfigError naming the
-    field for a value that does not convert to the field's element type."""
+    """Cross product of swept configuration axes; each field holds values of
+    the type SWEEP_FIELDS gives its setting."""
 
     technologies: tuple = ("sram",)
     voltages: tuple = (0.5, 0.7, 1.0)
@@ -37,16 +44,8 @@ class SweepSpace:
     seed: int = 0
 
     def __post_init__(self):
-        for name, kind in (("technologies", str), ("voltages", float), ("block_sizes", int),
-                           ("precisions", int), ("dimensions", int), ("replicas", int),
-                           ("trials", int), ("seed", int)):
-            value, axis = getattr(self, name), name not in ("trials", "seed")
-            try:
-                value = tuple(map(kind, value)) if axis else kind(value)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"sweep {name!r}: not {kind.__name__} values ({exc})") from None
-            object.__setattr__(self, name, value)
-            if axis and not value:
+        for name, kind in SWEEP_FIELDS:
+            if isinstance(kind, list) and not getattr(self, name):
                 raise ValueError(f"sweep axis {name!r} must be non-empty")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
@@ -156,13 +155,10 @@ def evaluate(
     precision = cfg.precision
     lm = None
     if isinstance(hw, HwEntry):
-        if precision > hw.latency.precision:
-            raise ConfigError(
-                f"block config precision {precision} exceeds the "
-                f"hardware table's maximum of {hw.latency.precision}"
-            )
         lm = hw.latency.with_precision(precision)
-    cm = np.eye(precision + 1) if hw is None else hw.confusion(precision, replicas)
+        cm = median_confusion(confusion_from_latency(lm), replicas)
+    else:
+        cm = np.eye(precision + 1) if hw is None else hw.confusion(precision, replicas)
     if histogram is None:
         histogram = distance_histogram(queries, am.class_matrix, cfg.dimension,
                                        cfg.block_size, precision)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, atomic_open, load_json
+from .errors import ConfigError, atomic_open, load_json, setting
 
 TECH_SRAM = "sram"
 TECH_FEFET = "fefinfet"
@@ -140,7 +140,7 @@ class LatencyModel:
             return self
         if precision > self.precision:
             raise ConfigError(
-                f"cannot raise precision beyond the table's {self.precision}"
+                f"precision {precision} exceeds the hardware table's maximum of {self.precision}"
             )
         return LatencyModel(
             self.technology,
@@ -384,11 +384,6 @@ class HwEntry:
     energy_fj: np.ndarray  # e(h) for h in 0..P
     temperature_c: float | None = None
 
-    def confusion(self, precision: int, replicas: int = 1) -> np.ndarray:
-        """P(reported j | true i) of the median of ``replicas`` reads at ``precision``."""
-        cm = confusion_from_latency(self.latency.with_precision(precision))
-        return median_confusion(cm, replicas)
-
 
 def default_entry(technology: str, voltage: float, block_size: int) -> HwEntry:
     """Calibrated default tables for one operating point (precision min(7, N))."""
@@ -473,33 +468,26 @@ def _entry_to_doc(entry: HwEntry) -> dict:
 def _entry_from_doc(doc: dict, where: str) -> HwEntry:
     if not isinstance(doc, dict):
         raise ConfigError(f"{where}: expected a table object")
-    required = ["technology", "voltage_V", "block_size", "precision",
-                "mu_ns", "sigma_ns", "match_timeout_ns", "energy_fJ"]
-    for key in required:
+    for key in ("technology", "voltage_V", "block_size", "precision",
+                "mu_ns", "sigma_ns", "match_timeout_ns", "energy_fJ"):
         if key not in doc:
             raise ConfigError(f"{where}: missing key {key!r}")
-    _check_technology(doc["technology"])
     try:
         lm = LatencyModel(
-            doc["technology"],
-            round(float(doc["voltage_V"]), 2),
-            int(doc["block_size"]),
-            int(doc["precision"]),
-            np.asarray(doc["mu_ns"], dtype=float),
-            np.asarray(doc["sigma_ns"], dtype=float),
-            float(doc["match_timeout_ns"]),
+            setting(doc, "technology", str),
+            round(setting(doc, "voltage_V", float), 2),
+            setting(doc, "block_size", int),
+            setting(doc, "precision", int),
+            setting(doc, "mu_ns", [float]),
+            setting(doc, "sigma_ns", [float]),
+            setting(doc, "match_timeout_ns", float),
         )
-        energy = doc["energy_fJ"]
-        if np.isscalar(energy):
-            energy_fj = np.full(lm.precision + 1, float(energy))
-        else:
-            energy_fj = np.asarray(energy, dtype=float)
-        temp = doc.get("temperature_C")
-        temperature_c = None if temp is None else float(temp)
+        _check_technology(lm.technology)
+        energy = setting(doc, "energy_fJ", [float] if isinstance(doc["energy_fJ"], list) else float)
+        temperature_c = setting(doc, "temperature_C", float)
     except ConfigError as exc:
         raise ConfigError(f"{where}: {exc}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{where}: malformed number ({exc})") from exc
+    energy_fj = np.asarray(energy if isinstance(energy, list) else [energy] * (lm.precision + 1))
     if energy_fj.shape != (lm.precision + 1,):
         raise ConfigError(
             f"{where}: energy_fJ must be a scalar or list of length precision+1"

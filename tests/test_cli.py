@@ -481,11 +481,20 @@ def test_sweep_axis_that_does_not_convert_is_a_config_error(value, tmp_path, cap
     ("eval", {"block_size": "15"}),
     ("sweep", {"jobs": [2]}),
     ("sweep", {"hw_tables": ["tables.json"]}),
+    ("sweep", {"block_sizes": ["8"]}),
+    ("sweep", {"trials": 2.5}),
+    ("sweep", {"technologies": "sram"}),
+    ("train", {"ngram": 4.9}),
+    ("train", {"tie_seed": 3.9}),
+    ("train", {"item_seed": "5"}),
+    ("train", {"task": ["csv"]}),
+    pytest.param("eval-hw", {"voltage": 10**400}, id="eval-hw-voltage=10**400"),
 ], ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}={v[k]!r}" for k in v))
 def test_config_value_of_wrong_type_is_a_config_error(command, setting, unseen_label_csv,
                                                       tmp_path, capsys):
     """A --config value of another JSON type than its setting's (null, a
-    list, a number given as a string, a path that is not a string) exits
+    list, a scalar for a list, a number given as a string, a float for an
+    int, a path that is not a string, a number too large to convert) exits
     E-CONFIG naming the key, and writes nothing."""
     train, test, model = unseen_label_csv
     base = {
@@ -508,6 +517,19 @@ def test_config_value_of_wrong_type_is_a_config_error(command, setting, unseen_l
     assert err.startswith("error: E-CONFIG:") and key in err, err
     assert not out.exists() and not (tmp_path / "trained.json").exists()
     assert not (tmp_path / "out.csv.partial.jsonl").exists()
+
+
+def test_eval_precision_above_the_table_is_a_config_error(unseen_label_csv, tmp_path, capsys):
+    """--precision above the hardware table's maximum exits E-CONFIG and
+    writes nothing."""
+    _, test, model = unseen_label_csv
+    out = tmp_path / "out.csv"
+    assert run_cli("eval", "--model", str(model), "--task", "csv", "--test-csv", str(test),
+                   "--technology", "sram", "--block-size", "15", "--precision", "9",
+                   "--output", str(out)) != 0
+    err = capsys.readouterr().err
+    assert err.startswith("error: E-CONFIG:") and "exceeds" in err, err
+    assert not out.exists()
 
 
 def test_sweep_catalog_gap_fails_fast(small_corpus_dir, tmp_path, capsys):
@@ -594,10 +616,12 @@ def test_malformed_model_and_tables_exit_codes(tmp_path, capsys):
     assert run_cli("hwmodel", "validate", "--tables", str(tables),
                    "--voltage", "0.75") == 0
     assert "ok: 1 table entries" in capsys.readouterr().out
-    # non-numeric and non-finite fields are config errors that name the table
+    # fields of another JSON type and non-finite numbers are config errors that
+    # name the table
     entry = doc["tables"][0]
     bad = [("energy_fJ", "abc"), ("temperature_C", "hot"), ("block_size", float("inf")),
-           ("precision", float("nan"))]
+           ("precision", float("nan")), ("block_size", 2.7), ("voltage_V", "0.75"),
+           ("mu_ns", [str(x) for x in entry["mu_ns"]]), ("precision", True)]
     for value in (float("nan"), float("inf"), -float("inf")):
         bad += [("mu_ns", [value] + entry["mu_ns"][1:]),
                 ("sigma_ns", entry["sigma_ns"][:-1] + [value]),
@@ -739,6 +763,19 @@ def _empty_label_row(blob):
     return any("," in line and not line.partition(",")[0].strip() for line in lines)
 
 
+def _bad_seed_metadata(blob):
+    """Whether a model JSON parses to seed metadata holding a task that is
+    not a string, or an item or tie seed that is not an integer."""
+    try:
+        meta = json.loads(blob)["seed_metadata"]
+    except (ValueError, TypeError, KeyError):
+        return False
+    return isinstance(meta, dict) and (
+        not isinstance(meta.get("task", ""), str)
+        or any(isinstance(meta.get(key, 0), bool) or not isinstance(meta.get(key, 0), int)
+               for key in ("item_seed", "tie_seed")))
+
+
 _JSON_VALUES = st.sampled_from([None, True, False, 0, -1, 1, 7.5, 2**70, float("inf"),
                                 float("nan"), "", "x", "csv", "ff", [], {}, [1], {"a": 1}])
 
@@ -776,7 +813,8 @@ def test_model_json_fuzz(op, csv_model, tmp_path_factory, data):
     """A model JSON with a value replaced or dropped, a byte changed or its
     end cut exits 0 or a documented E-code from eval (task and seeds from
     the model's metadata) and from export, never E-INTERNAL, and never 0
-    with a label that is not a non-empty string."""
+    with a label that is not a non-empty string, nor from eval with a task
+    or seed of another JSON type in the metadata."""
     doc, test = csv_model
     doc = json.loads(json.dumps(doc))
     if op in ("value", "drop"):
@@ -798,7 +836,8 @@ def test_model_json_fuzz(op, csv_model, tmp_path_factory, data):
     model = root / "fuzz_model.json"
     model.write_bytes(blob)
     refuse = _bad_model_label(blob)
-    _assert_documented_exit(["eval", "--model", str(model), "--test-csv", str(test)], refuse)
+    _assert_documented_exit(["eval", "--model", str(model), "--test-csv", str(test)],
+                            refuse or _bad_seed_metadata(blob))
     _assert_documented_exit(["export", "model-csv", "--model", str(model),
                              "--output", str(root / "fuzz_classes.csv")], refuse)
 
@@ -900,6 +939,24 @@ def test_empty_corpus_label_is_a_format_error(small_corpus_dir, tmp_path, capsys
                    "--dimension", "64", "--output", str(tmp_path / "m.json")) != 0
     err = capsys.readouterr().err
     assert err.startswith("error: E-FORMAT:") and str(train_dir / ".txt") in err, err
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("label", [" b", "b ", "a,b", "a\rb", "a\nb"],
+                         ids=["leading-space", "trailing-space", "comma", "cr", "lf"])
+def test_corpus_label_no_query_row_can_hold_is_a_format_error(label, small_corpus_dir,
+                                                              tmp_path, capsys):
+    """A corpus file named `` b.txt`` would train a class labelled ' b', which
+    no ``label,text`` query row can match, as its label is stripped and ends
+    at the first comma; such a label exits E-FORMAT naming the file."""
+    train_dir = tmp_path / "train"
+    shutil.copytree(small_corpus_dir[0], train_dir)
+    corpus = train_dir / f"{label}.txt"
+    corpus.write_text((train_dir / "lang00.txt").read_text())
+    assert run_cli("train", "--task", "language", "--train-dir", str(train_dir),
+                   "--dimension", "64", "--output", str(tmp_path / "m.json")) != 0
+    err = capsys.readouterr().err
+    assert err.startswith("error: E-FORMAT:") and str(corpus) in err, err
     assert not (tmp_path / "m.json").exists()
 
 

@@ -63,10 +63,6 @@ def test_sweep_space_validation():
         SweepSpace(block_sizes=(4,), precisions=(7,))
     with pytest.raises(ValueError, match="trials"):
         SweepSpace(trials=0)
-    with pytest.raises(ConfigError, match="'voltages'"):
-        SweepSpace(voltages=[None])
-    space = SweepSpace(voltages=[1], block_sizes=["7"], trials=2.0, seed="3")
-    assert (space.voltages, space.block_sizes, space.trials, space.seed) == ((1.0,), (7,), 2, 3)
 
 
 def test_configurations_skip_invalid_pairs():

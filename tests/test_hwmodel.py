@@ -564,6 +564,33 @@ def _mutate(doc, op, data):
 _OPS = ["drop", "extra", "retype", "non-finite", "mu-not-decreasing", "energy-length"]
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return _is_int(value) or isinstance(value, float)
+
+
+def _is_numbers(value):
+    return isinstance(value, list) and all(map(_is_number, value))
+
+
+# The JSON type of each field a table object may hold; an int counts as a number.
+_FIELD_TYPES = {
+    "technology": lambda value: isinstance(value, str), "voltage_V": _is_number,
+    "block_size": _is_int, "precision": _is_int, "mu_ns": _is_numbers, "sigma_ns": _is_numbers,
+    "match_timeout_ns": _is_number, "temperature_C": _is_number,
+    "energy_fJ": lambda value: _is_number(value) or _is_numbers(value),
+}
+
+
+def _wrong_type(doc):
+    """Whether a table object holds a required or temperature_C field of
+    another JSON type than the field's."""
+    return any(key in doc and not has_type(doc[key]) for key, has_type in _FIELD_TYPES.items())
+
+
 def _check_valid(catalog):
     """The invariants every loaded table promises."""
     assert len(catalog) >= 1
@@ -584,7 +611,7 @@ def _check_valid(catalog):
 def test_load_hw_tables_fuzz(op, table_docs, tmp_path_factory, data):
     """Table files mutated by ``op`` and maybe one more mutation load into a
     valid catalog or fail with a config or format error, never with another
-    exception."""
+    exception, and never load with a field of another JSON type."""
     docs = [dict(doc, mu_ns=list(doc["mu_ns"]), sigma_ns=list(doc["sigma_ns"]),
                  energy_fJ=list(doc["energy_fJ"])) for doc in table_docs]
     for op in [op] + data.draw(st.lists(st.sampled_from(_OPS), max_size=1)):
@@ -597,4 +624,5 @@ def test_load_hw_tables_fuzz(op, table_docs, tmp_path_factory, data):
         catalog = load_hw_tables(path)
     except (ConfigError, FormatError):
         return
+    assert top == "junk" or not any(map(_wrong_type, docs)), f"loaded {docs}"
     _check_valid(catalog)
