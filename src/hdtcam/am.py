@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import majority_from_counts
-from .errors import DimensionMismatchError, FormatError, InvalidStateError, atomic_open, load_json
+from .errors import (DimensionMismatchError, FormatError, InvalidStateError, atomic_open,
+                     load_json, setting)
 
 MODEL_FORMAT_VERSION = 1
 
@@ -229,7 +230,9 @@ def load_model(path):
     if version != MODEL_FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported model version {version!r}")
     try:
-        dimension = int(doc["dimension"])
+        dimension = setting(doc, "dimension", int)
+        if dimension is None:
+            raise KeyError("dimension")
         if dimension < 1 or not doc["classes"]:
             raise FormatError("a model needs dimension >= 1 and at least one class")
         labels = [entry["label"] for entry in doc["classes"]]

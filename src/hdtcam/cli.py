@@ -28,7 +28,6 @@ from .errors import (
     FormatError,
     HdtcamError,
     InvalidStateError,
-    NoFeasiblePointError,
     atomic_open,
     load_json,
     setting,
@@ -41,7 +40,6 @@ def _error_code(exc: Exception) -> str:
         (ConfigError, "E-CONFIG"),
         (DimensionMismatchError, "E-DIMENSION"),
         (DegenerateInputError, "E-DEGENERATE"),
-        (NoFeasiblePointError, "E-INFEASIBLE"),
         (InvalidStateError, "E-STATE"),
         (OSError, "E-IO"),
         (json.JSONDecodeError, "E-FORMAT"),

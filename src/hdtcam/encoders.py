@@ -268,19 +268,6 @@ def load_mnist(images_path, labels_path):
     return images, labels
 
 
-def save_mnist(images_path, labels_path, images: np.ndarray, labels: np.ndarray) -> None:
-    """Write (count, rows, cols) images and labels in IDX format."""
-    images = np.asarray(images, dtype=np.uint8)
-    labels = np.asarray(labels, dtype=np.uint8)
-    count, rows, cols = images.shape
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, count, rows, cols))
-        f.write(images.tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABEL_MAGIC, labels.shape[0]))
-        f.write(labels.tobytes())
-
-
 def _read_rows(path, payload: str) -> list:
     """(row number, label, payload) of each non-blank ``label,<payload>`` row
     of the text file ``path``, label and payload stripped of surrounding

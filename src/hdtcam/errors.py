@@ -39,10 +39,6 @@ class InvalidStateError(HdtcamError, RuntimeError):
     """Operation called on an object in a state that cannot support it."""
 
 
-class NoFeasiblePointError(HdtcamError, LookupError):
-    """A selection over design points found nothing within the given budget."""
-
-
 def setting(cfg: dict, key: str, kind, default=None):
     """``cfg[key]`` as ``kind`` (int, float, str, or ``[kind]`` for a list of
     them), or ``default`` without the key. The value must have that JSON type,
@@ -81,12 +77,13 @@ def open_text(path):
 
 def load_json(path):
     """The JSON document in ``path``; FormatError naming the file when it is
-    not UTF-8 or not valid JSON."""
+    not UTF-8 or not valid JSON, an integer too long to convert included."""
     with open_text(path) as f:
-        try:
-            return json.load(f)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON ({exc})") from None
+        text = f.read()
+    try:  # outside open_text: a UnicodeDecodeError is a ValueError too
+        return json.loads(text)
+    except ValueError as exc:
+        raise FormatError(f"{path}: not valid JSON ({exc})") from None
 
 
 @contextmanager

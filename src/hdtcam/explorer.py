@@ -16,12 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .am import AssociativeMemory, BlockConfig, distance_histogram, ideal_argmin
-from .errors import ConfigError, FormatError, NoFeasiblePointError, atomic_open, open_text
-from .hwmodel import (Catalog, HwEntry, RramShiftModel, confusion_from_latency, energy_pj,
-                      median_confusion)
-
-NO_LOSS_EPSILON = 5e-4  # noise floor of HDC accuracy fluctuations
-
+from .errors import ConfigError, FormatError, atomic_open, open_text
+from .hwmodel import Catalog, HwEntry, confusion_from_latency, energy_pj, median_confusion
 
 # The setting type of each SweepSpace field, by which the CLI reads a sweep's settings.
 SWEEP_FIELDS = (("technologies", [str]), ("voltages", [float]), ("block_sizes", [int]),
@@ -121,7 +117,7 @@ def evaluate(
     queries: np.ndarray,
     labels,
     cfg: BlockConfig,
-    hw: HwEntry | RramShiftModel | None = None,
+    hw: HwEntry | None = None,
     replicas: int = 1,
     trials: int = 10,
     seed: int = 0,
@@ -132,16 +128,15 @@ def evaluate(
 ) -> DesignPoint:
     """Run blocked inference over the test set ``trials`` times and aggregate.
 
-    Every hardware model is a confusion matrix of P(reported j | true h) for
-    one read: the identity without ``hw``, a one-hot shift for an
-    ``RramShiftModel``, and the median of ``replicas`` reads of the latency
-    model for an ``HwEntry``, which also charges its energy table. Reads are
-    independent given the true clamped distance, so each trial draws, for
-    every (query, class) pair and distance h, how many of its blocks at h
-    report each j: one multinomial over the pair's distance histogram, exact
-    in distribution. One-hot matrices are applied without draws. A query's
-    latency is the slowest of all its blocks, classes and replicas, which
-    are read in parallel.
+    A read is a confusion matrix of P(reported j | true h): the identity
+    without ``hw``, else the median of ``replicas`` reads of its latency
+    model, whose energy table is charged. Reads are independent given the
+    true clamped distance, so each trial draws, for every (query, class) pair
+    and distance h, how many of its blocks at h report each j: one
+    multinomial over the pair's distance histogram, exact in distribution.
+    One-hot matrices are applied without draws. A query's latency is the
+    slowest of all its blocks, classes and replicas, which are read in
+    parallel.
 
     ``histogram`` is this data set's ``distance_histogram`` at the block
     size of ``cfg``, clamped at P or above; without it, it is computed here.
@@ -153,12 +148,11 @@ def evaluate(
     index = {label: i for i, label in enumerate(am.labels)}
     label_idx = np.array([index.get(label, -1) for label in labels], dtype=np.intp)
     precision = cfg.precision
-    lm = None
-    if isinstance(hw, HwEntry):
+    if hw is None:
+        lm, cm = None, np.eye(precision + 1)
+    else:
         lm = hw.latency.with_precision(precision)
         cm = median_confusion(confusion_from_latency(lm), replicas)
-    else:
-        cm = np.eye(precision + 1) if hw is None else hw.confusion(precision, replicas)
     if histogram is None:
         histogram = distance_histogram(queries, am.class_matrix, cfg.dimension,
                                        cfg.block_size, precision)
@@ -185,7 +179,7 @@ def evaluate(
             totals = counts.sum(axis=(0, 1))
             energies.append(energy_pj(hw.energy_fj[:precision + 1], totals) / num_q)
             latencies.append(float(lm.slowest_latency(reads, rng).sum()) / num_q)
-        if lm is None and fixed is not None:
+        if lm is None:
             # Deterministic reports: further trials would repeat identically.
             accuracies = accuracies * trials
             energies = energies * trials
@@ -312,59 +306,6 @@ def flag_pareto(points) -> list:
     """Return points with their ``pareto`` flag set from the front membership."""
     front_ids = {id(p) for p in pareto_front(points)}
     return [replace(p, pareto=id(p) in front_ids) for p in points]
-
-
-def energy_savings(points, acceptable_loss: float, eps: float = NO_LOSS_EPSILON) -> float:
-    """Energy ratio of voltage overscaling: cheapest ~lossless point at the
-    nominal (highest) voltage vs the cheapest point inside the loss budget.
-
-    Anchoring at the nominal voltage keeps the reference stable: reduced
-    voltage points whose measured loss fluctuates around zero never count
-    as the lossless baseline they are being compared against.
-    """
-    points = list(points)
-    if not points:
-        raise ValueError("empty point set")
-    within_budget = [p for p in points if p.accuracy_loss <= acceptable_loss]
-    if not within_budget:
-        raise NoFeasiblePointError(
-            f"no design point has accuracy loss <= {acceptable_loss}"
-        )
-    nominal = max(p.voltage for p in points)
-    lossless = [p for p in points
-                if p.voltage == nominal and p.accuracy_loss <= eps]
-    if not lossless:
-        raise NoFeasiblePointError(
-            f"no design point at the nominal voltage {nominal} V has accuracy "
-            f"loss <= the {eps} no-loss threshold"
-        )
-    anchor = min(p.energy_pj for p in lossless)
-    budget = min(p.energy_pj for p in within_budget)
-    return anchor / budget
-
-
-def precision_sweep_report(am, queries, labels, block_sizes, precisions,
-                           baseline_accuracy=None):
-    """Noise-free accuracy loss per (N, P) pair vs the full-Hamming baseline.
-
-    Returns a list of (block_size, precision, accuracy, loss) rows: one
-    noise-free ``evaluate`` per pair, on one distance histogram per N.
-    """
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.uint8))
-    labels = list(labels)
-    if baseline_accuracy is None:
-        baseline_accuracy = ideal_accuracy(am, queries, labels)
-    rows = []
-    for n in block_sizes:
-        fitting = [p for p in precisions if p <= n]
-        if not fitting:
-            continue
-        hist = distance_histogram(queries, am.class_matrix, am.dimension, n, max(fitting))
-        for p in fitting:
-            point = evaluate(am, queries, labels, BlockConfig(am.dimension, n, p), trials=1,
-                             baseline_accuracy=baseline_accuracy, histogram=hist)
-            rows.append((int(n), int(p), point.accuracy_mean, point.accuracy_loss))
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -502,15 +443,26 @@ class SweepLog:
         """Yield ``append(point)``, which writes the point's line and flushes
         it (one caller at a time: ``sweep`` serializes its ``progress`` calls);
         a new log gets the header first. The log is deleted when the block
-        completes, and kept for a resume when it fails."""
-        if not os.path.exists(self.path):
+        completes, and kept for a resume when it fails, unless the block
+        created it and appended no point: a resume would gain nothing from it,
+        and its header would refuse a corrected rerun."""
+        new = not os.path.exists(self.path)
+        if new:
             with atomic_open(self.path) as f:
                 f.write(json.dumps({"config_hash": self.config_hash}) + "\n")
-        with open(self.path, "a", encoding="utf-8") as f:
-            def append(point):
-                f.write(json.dumps({column: getattr(point, field) for field, column, _ in COLUMNS},
-                                   sort_keys=True) + "\n")
-                f.flush()
+        appended = False
+        try:
+            with open(self.path, "a", encoding="utf-8") as f:
+                def append(point):
+                    nonlocal appended
+                    f.write(json.dumps({column: getattr(point, field)
+                                        for field, column, _ in COLUMNS}, sort_keys=True) + "\n")
+                    f.flush()
+                    appended = True
 
-            yield append
+                yield append
+        except BaseException:
+            if new and not appended:
+                os.remove(self.path)
+            raise
         os.remove(self.path)

@@ -56,28 +56,9 @@ _SRAM_E15_05V_FJ = 0.73
 _SRAM_E15_10V_FJ = 4.53
 _FEFET_ENERGY_FACTOR = {0.5: 1.19, 0.6: 1.10, 0.7: 1.0, 0.8: 1.0, 0.9: 1.0, 1.0: 1.0}
 _PERIPHERY_WEIGHT_FJ = 6.0  # shared sense-amp share in the linear-in-N energy shape
+_MISMATCH_ENERGY_FJ = {TECH_SRAM: 1.15, TECH_FEFET: 1.24}  # per mismatching cell
 
 _STANDARD_NORMAL = statistics.NormalDist()
-
-
-@dataclass(frozen=True)
-class CellFigures:
-    """Figures of merit for a single TCAM cell."""
-
-    transistors: int
-    mismatch_energy_fj: float
-    latency_ns: float
-    relative_area: float
-
-    def __post_init__(self):
-        if min(self.transistors, self.mismatch_energy_fj, self.latency_ns, self.relative_area) <= 0:
-            raise ValueError("cell figures must all be positive")
-
-
-CELL_FIGURES = {
-    TECH_SRAM: CellFigures(transistors=16, mismatch_energy_fj=1.15, latency_ns=0.099, relative_area=1.0),
-    TECH_FEFET: CellFigures(transistors=2, mismatch_energy_fj=1.24, latency_ns=0.305, relative_area=0.13),
-}
 
 
 @dataclass(frozen=True)
@@ -239,28 +220,8 @@ def median_confusion(cm: np.ndarray, replicas: int) -> np.ndarray:
     return np.maximum(np.diff(med, axis=1, prepend=0.0), 0.0)
 
 
-@dataclass(frozen=True)
-class RramShiftModel:
-    """Deterministic +1-bit shift of every block distance, clamped at P.
-
-    Models a reduced-voltage RRAM crossbar where every crossbar misreports
-    by exactly one bit; because the shift applies to all blocks of all
-    classes alike it cancels out of the argmin unless a block saturates.
-    """
-
-    precision: int
-
-    def confusion(self, precision: int, replicas: int = 1) -> np.ndarray:
-        """One-hot matrix of the shift for true distances 0..``precision``;
-        the median of replicated identical reads is the same read."""
-        true_h = np.arange(precision + 1)
-        cm = np.zeros((precision + 1, max(precision, self.precision) + 1))
-        cm[true_h, np.minimum(true_h + 1, self.precision)] = 1.0
-        return cm
-
-
 # ---------------------------------------------------------------------------
-# Energy and area
+# Energy
 
 
 def energy_pj(energy_fj: np.ndarray, counts: np.ndarray) -> float:
@@ -283,16 +244,9 @@ def default_block_energy_fj(technology: str, voltage: float, block_size: int) ->
     scale = _SRAM_E15_05V_FJ * ratio ** ((voltage - 0.5) / 0.5)
     if technology == TECH_FEFET:
         scale *= _FEFET_ENERGY_FACTOR[round(voltage, 2)]
-    ec = CELL_FIGURES[technology].mismatch_energy_fj
+    ec = _MISMATCH_ENERGY_FJ[technology]
     shape = (_PERIPHERY_WEIGHT_FJ + block_size * ec) / (_PERIPHERY_WEIGHT_FJ + 15 * ec)
     return scale * shape
-
-
-def area_capacity(budget: float, cf: CellFigures) -> int:
-    """Largest dimension (cell count) that fits in an area budget."""
-    if budget < 0:
-        raise ValueError(f"area budget must be non-negative, got {budget}")
-    return int(budget // cf.relative_area)
 
 
 # ---------------------------------------------------------------------------

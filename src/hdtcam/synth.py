@@ -5,9 +5,8 @@ chains. Languages come in pairs: every pair shares a common parent chain,
 so pair members are mutually confusable while different pairs stay far
 apart, which yields a realistic mix of easy and borderline queries.
 Query lengths are log-uniform, so short, hard queries are well
-represented. The image benchmark perturbs per-class pixel prototypes with
-flip noise in MNIST geometry. Both are fully determined by their seeds,
-which keeps every experiment replayable.
+represented. The benchmark is fully determined by its seed, which keeps
+every experiment replayable.
 """
 
 from __future__ import annotations
@@ -96,57 +95,3 @@ def encode_language_benchmark(
     memory = task.train(bench.train_texts, dimension)
     queries = task.encode([text for text, _ in bench.queries], dimension)
     return memory, queries, [label for _, label in bench.queries]
-
-
-@dataclass
-class ImageBenchmark:
-    train_images: np.ndarray
-    train_labels: np.ndarray
-    test_images: np.ndarray
-    test_labels: np.ndarray
-    seed: int
-
-
-def make_image_benchmark(
-    num_classes: int = 10,
-    train_per_class: int = 500,
-    test_per_class: int = 100,
-    side: int = 28,
-    white_fraction: float = 0.25,
-    flip_prob: float = 0.06,
-    seed: int = 0,
-) -> ImageBenchmark:
-    """Grayscale benchmark in MNIST geometry: noisy copies of class prototypes."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1d]))
-    protos = rng.random((num_classes, side, side)) < white_fraction
-
-    def draw(per_class):
-        images = np.empty((num_classes * per_class, side, side), dtype=np.uint8)
-        labels = np.empty(num_classes * per_class, dtype=np.uint8)
-        i = 0
-        for c in range(num_classes):
-            flips = rng.random((per_class, side, side)) < flip_prob
-            bits = np.logical_xor(protos[c][None, :, :], flips)
-            images[i:i + per_class] = np.where(bits, 255, 0).astype(np.uint8)
-            labels[i:i + per_class] = c
-            i += per_class
-        return images, labels
-
-    train_images, train_labels = draw(train_per_class)
-    test_images, test_labels = draw(test_per_class)
-    return ImageBenchmark(train_images, train_labels, test_images, test_labels, seed)
-
-
-def encode_image_benchmark(
-    bench: ImageBenchmark,
-    dimension: int,
-    threshold: int | None = None,
-    item_seed: int | None = None,
-    tie_seed: int | None = None,
-):
-    """Train an associative memory on the image benchmark and encode test
-    queries; unset parameters take the ``mnist`` task defaults."""
-    task = Task("mnist", item_seed, tie_seed, threshold=threshold)
-    memory = task.train((bench.train_images, bench.train_labels), dimension)
-    queries = task.encode(bench.test_images, dimension)
-    return memory, queries, [str(int(c)) for c in bench.test_labels]

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from criterion_helpers import make_image_benchmark
 
 from hdtcam import explorer, synth
+from hdtcam.encoders import Task
 
 LANGUAGE_SEED = 2
 DIMENSION = 10000
@@ -31,8 +33,11 @@ def language_setup_2000(language_bench):
 
 @pytest.fixture(scope="session")
 def image_setup():
-    bench = synth.make_image_benchmark(seed=0)
-    memory, queries, labels = synth.encode_image_benchmark(bench, DIMENSION)
+    train_images, train_labels, test_images, test_labels = make_image_benchmark(seed=0)
+    task = Task("mnist")
+    memory = task.train((train_images, train_labels), DIMENSION)
+    queries = task.encode(test_images, DIMENSION)
+    labels = [str(int(c)) for c in test_labels]
     baseline = explorer.ideal_accuracy(memory, queries, labels)
     return memory, queries, labels, baseline
 

@@ -10,12 +10,12 @@ import sys
 
 import numpy as np
 import pytest
+from criterion_helpers import make_image_benchmark, save_mnist
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdtcam import cli, encoders, explorer, synth
+from hdtcam import cli, encoders, explorer
 from hdtcam.am import AssociativeMemory, load_model, save_model
-from hdtcam.encoders import save_mnist
 
 
 def run_cli(*argv):
@@ -76,10 +76,10 @@ def test_missing_data_path_names_flag(task, train_flag, query_flag, trained_mode
 
 
 def test_train_mnist_task(tmp_path):
-    bench = synth.make_image_benchmark(num_classes=3, train_per_class=10,
-                                       test_per_class=2, side=8, seed=4)
+    images, labels, _, _ = make_image_benchmark(num_classes=3, train_per_class=10,
+                                                test_per_class=2, side=8, seed=4)
     ip, lp = tmp_path / "img.idx", tmp_path / "lab.idx"
-    save_mnist(ip, lp, bench.train_images, bench.train_labels)
+    save_mnist(ip, lp, images, labels)
     out = tmp_path / "m.json"
     assert run_cli("train", "--task", "mnist", "--train-images", str(ip),
                    "--train-labels", str(lp), "--dimension", "600",
@@ -293,6 +293,19 @@ def test_sweep_resume_rejects_malformed_point(body, small_corpus_dir, tmp_path, 
     assert err.startswith("error: E-FORMAT:") and str(partial) in err and "line 3" in err
     assert partial.read_text() == contents
     assert not (tmp_path / "resumed.csv").exists()
+
+
+def test_sweep_failing_before_a_point_leaves_no_resume_log(unseen_label_csv, tmp_path, capsys):
+    """A sweep refused for a catalog gap removes the resume log it made, so
+    the corrected sweep, another configuration, runs."""
+    train, test, _ = unseen_label_csv
+    argv = ["sweep", "--task", "csv", "--train-csv", str(train), "--test-csv", str(test),
+            "--block-sizes", "8", "--precisions", "4", "--dimensions", "64", "--trials", "2",
+            "--output", str(tmp_path / "s.csv")]
+    assert run_cli(*argv, "--voltages", "0.75") != 0
+    assert capsys.readouterr().err.startswith("error: E-CONFIG: hardware catalog has no entry")
+    assert not (tmp_path / "s.csv.partial.jsonl").exists()
+    assert run_cli(*argv, "--voltages", "0.7") == 0
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +735,10 @@ def test_export_failing_mid_write_keeps_the_old_file(trained_model, tmp_path, mo
     '{"version": 1, "dimension": 1e400, "classes": [{"label": "a", "bits": "ffff"}]}',
     '{"version": 1, "dimension": 16, "classes": [{"label": "a", "bits": "ffff"}], '
     '"seed_metadata": [1]}',
-], ids=["dimension-overflows", "metadata-not-an-object"])
+    *('{"version": 1, "dimension": %s, "classes": [{"label": "a", "bits": "ffff"}]}' % d
+      for d in ('"16"', "16.0", "16.5")),
+], ids=["dimension-overflows", "metadata-not-an-object", "dimension-string", "dimension-float",
+        "dimension-fraction"])
 def test_malformed_model_is_a_format_error(doc, tmp_path, capsys):
     model, test = tmp_path / "m.json", tmp_path / "test.csv"
     model.write_text(doc)
@@ -730,6 +746,18 @@ def test_malformed_model_is_a_format_error(doc, tmp_path, capsys):
     assert run_cli("eval", "--model", str(model), "--task", "csv", "--test-csv", str(test)) != 0
     err = capsys.readouterr().err
     assert err.startswith("error: E-FORMAT:") and str(model) in err, err
+
+
+@pytest.mark.parametrize("flag", ["--config", "--model", "--tables"])
+def test_json_integer_too_long_to_convert_is_a_format_error(flag, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text('{"seed": ' + "9" * 5000 + "}")
+    argv = {"--config": ["train", "--config", str(path)],
+            "--model": ["export", "model-csv", "--model", str(path)],
+            "--tables": ["hwmodel", "validate", "--tables", str(path)]}[flag]
+    assert run_cli(*argv, "--output", str(tmp_path / "out")) != 0
+    err = capsys.readouterr().err
+    assert err.startswith("error: E-FORMAT:") and str(path) in err, err
 
 
 def _assert_documented_exit(argv, refuse=False):

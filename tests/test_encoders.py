@@ -5,6 +5,7 @@ import struct
 
 import numpy as np
 import pytest
+from criterion_helpers import save_mnist
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +22,6 @@ from hdtcam.encoders import (
     load_mnist,
     normalize_text,
     save_hypervector_csv,
-    save_mnist,
 )
 from hdtcam.errors import ConfigError, DegenerateInputError, DimensionMismatchError, FormatError
 

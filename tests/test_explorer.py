@@ -6,23 +6,22 @@ from dataclasses import asdict, replace
 import distance_oracle
 import numpy as np
 import pytest
+from criterion_helpers import energy_savings, precision_rows
 from gaussian_oracle import evaluate_trials
 
 from hdtcam import explorer, hwmodel
 from hdtcam.am import AssociativeMemory, BlockConfig
-from hdtcam.errors import ConfigError, DimensionMismatchError, NoFeasiblePointError
+from hdtcam.errors import ConfigError, DimensionMismatchError
 from hdtcam.explorer import (
     CSV_COLUMNS,
     DesignPoint,
     SweepLog,
     SweepSpace,
     derive_point_seed,
-    energy_savings,
     evaluate,
     flag_pareto,
     ideal_accuracy,
     pareto_front,
-    precision_sweep_report,
     sweep,
     write_results_csv,
 )
@@ -185,38 +184,28 @@ def test_evaluate_flat_energy_equal_across_replicas_and_seeds(rng):
     assert len({hwmodel.energy_pj(flat, counts) for counts in splits}) == 1
 
 
-@pytest.mark.parametrize("hw", [None, hwmodel.RramShiftModel(7),
-                                hwmodel.default_entry("sram", 1.0, 7)],
-                         ids=["ideal", "rram", "sram"])
+@pytest.mark.parametrize("hw", [None, hwmodel.default_entry("sram", 1.0, 7)],
+                         ids=["ideal", "sram"])
 def test_unseen_query_label_is_a_miss(rng, hw):
     am, qs, labels = _toy_dataset(rng)
     labels = ["unseen"] + labels[1:]
     point = evaluate(am, qs, labels, BlockConfig(140, 7, 7), hw=hw, trials=2)
     assert point.accuracy_mean <= 1 - 1 / len(labels)
-    [(_, _, acc, _)] = precision_sweep_report(am, qs, labels, [7], [7])
+    [(_, _, acc, _)] = precision_rows(am, qs, labels, [7], [7])
     assert acc == ideal_accuracy(am, qs, labels) <= 1 - 1 / len(labels)
 
 
-def test_precision_sweep_report_matches_evaluate(rng):
-    am, qs, labels = _toy_dataset(rng)
-    rows = precision_sweep_report(am, qs, labels, [5, 7], [3, 5, 7])
-    assert {(n, p) for n, p, _, _ in rows} == {(5, 3), (5, 5), (7, 3), (7, 5), (7, 7)}
-    for n, p, acc, loss in rows:
-        point = evaluate(am, qs, labels, BlockConfig(140, n, p), hw=None, trials=1)
-        assert acc == pytest.approx(point.accuracy_mean)
-        assert loss == pytest.approx(point.accuracy_loss)
-
-
-def test_precision_sweep_report_equals_clamp_and_sum(rng):
-    """Rows read off one histogram per N equal clamping the unclamped block
-    distances at each P and summing them, including N that do not divide D."""
+def test_evaluate_on_folded_histogram_equals_clamp_and_sum(rng):
+    """Noise-free ``evaluate`` on one histogram per N, folded from the largest
+    P as ``sweep`` does, equals clamping the unclamped block distances at each
+    P and summing them, including N that do not divide D."""
     am, qs, labels = _toy_dataset(rng, dimension=143, flip=0.3)
     block_sizes, precisions = [2, 3, 7, 9, 16, 33, 70], list(range(1, 16))
     baseline = ideal_accuracy(am, qs, labels)
     label_idx = np.array([am.labels.index(label) for label in labels])
     want = distance_oracle.precision_rows(am.class_matrix, qs, label_idx, baseline,
                                           block_sizes, precisions)
-    assert precision_sweep_report(am, qs, labels, block_sizes, precisions) == want
+    assert precision_rows(am, qs, labels, block_sizes, precisions, baseline) == want
     assert len({acc for _, _, acc, _ in want}) > 3  # the precisions do differ
 
 
@@ -380,9 +369,9 @@ def test_energy_savings_anchored_at_nominal_voltage():
 
 
 def test_energy_savings_infeasible():
-    with pytest.raises(NoFeasiblePointError, match="accuracy loss"):
+    with pytest.raises(LookupError, match="accuracy loss"):
         energy_savings([_point(1.0, 0.9)], acceptable_loss=0.005)
-    with pytest.raises(NoFeasiblePointError, match="nominal voltage"):
+    with pytest.raises(LookupError, match="nominal voltage"):
         energy_savings([_point(1.0, 0.004)], acceptable_loss=0.005)
 
 
@@ -392,15 +381,18 @@ def test_energy_savings_infeasible():
 
 def test_sweep_log_round_trip(tmp_path):
     """A point appended to a sweep's resume log reads back equal; the log is
-    kept when the block fails and deleted when it completes."""
+    kept when the block fails, unless the block created it and appended no
+    point, and deleted when it completes."""
     p = _point(3.5, 0.01, pareto=True)
     log = SweepLog(str(tmp_path / "results.csv"), "abc")
     assert log.read() is None
-    with pytest.raises(KeyboardInterrupt):
-        with log.appending() as append:
-            append(p)
-            raise KeyboardInterrupt
-    assert log.read() == ([p], False)
+    for points, want in (([], None), ([p], ([p], False)), ([], ([p], False))):
+        with pytest.raises(KeyboardInterrupt):
+            with log.appending() as append:
+                for point in points:
+                    append(point)
+                raise KeyboardInterrupt
+        assert log.read() == want
     with log.appending() as append:
         append(replace(p, voltage=0.5))
     assert log.read() is None

@@ -11,6 +11,7 @@ from calibration_oracle import (
     confusion_loop,
     max_error_probability,
 )
+from criterion_helpers import rram_shift
 from gaussian_oracle import report_from_latency, sample, sample_replicas
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,12 +19,8 @@ from hypothesis import strategies as st
 from hdtcam import hwmodel
 from hdtcam.errors import ConfigError, FormatError
 from hdtcam.hwmodel import (
-    CELL_FIGURES,
-    CellFigures,
     HwEntry,
     LatencyModel,
-    RramShiftModel,
-    area_capacity,
     confusion_from_latency,
     default_block_energy_fj,
     default_catalog,
@@ -357,12 +354,11 @@ def test_slowest_latency_uniform_at_range_ends(u):
 
 
 def test_rram_shift_examples():
-    m = RramShiftModel(4)
-    assert (m.confusion(4) @ np.arange(5)).tolist() == [1, 2, 3, 4, 4]
+    assert rram_shift(4).tolist() == [1, 2, 3, 4, 4]
 
 
 # ---------------------------------------------------------------------------
-# Energy and area
+# Energy
 
 
 def test_energy_anchors_exact():
@@ -388,18 +384,6 @@ def test_fefet_energy_premium_at_low_voltage():
 def test_block_and_query_energy():
     e = np.array([1.0, 2.0, 3.0])
     assert energy_pj(e, np.bincount([0, 1, 2, 2], minlength=3)) == pytest.approx(0.009)
-
-
-def test_area_capacity():
-    assert area_capacity(1000, CELL_FIGURES["sram"]) == 1000
-    assert area_capacity(1000, CELL_FIGURES["fefinfet"]) == 7692
-    with pytest.raises(ValueError):
-        area_capacity(-1, CELL_FIGURES["sram"])
-
-
-def test_cell_figures_validation():
-    with pytest.raises(ValueError):
-        CellFigures(transistors=0, mismatch_energy_fj=1, latency_ns=1, relative_area=1)
 
 
 # ---------------------------------------------------------------------------
