@@ -42,7 +42,6 @@ def _error_code(exc: Exception) -> str:
         (DegenerateInputError, "E-DEGENERATE"),
         (InvalidStateError, "E-STATE"),
         (OSError, "E-IO"),
-        (json.JSONDecodeError, "E-FORMAT"),
         (HdtcamError, "E-USAGE"),
         (ValueError, "E-USAGE"),
     ):
@@ -145,11 +144,9 @@ def cmd_eval(args) -> int:
     if technology or "block_size" in cfg:
         # Blocked inference: under the technology's hardware table, else noise-free.
         block_size = setting(cfg, "block_size", int, 15)
-        voltage = setting(cfg, "voltage", float, 0.7) if technology else 0.0
-        hw = (_load_catalog(setting(cfg, "hw_tables", str)).get(technology, voltage, block_size)
-              if technology else None)
-        precision = setting(cfg, "precision", int,
-                             hw.latency.precision if hw else min(block_size, 7))
+        hw = (_load_catalog(setting(cfg, "hw_tables", str)).get(
+            technology, setting(cfg, "voltage", float, 0.7), block_size) if technology else None)
+        precision = setting(cfg, "precision", int, hw.precision if hw else min(block_size, 7))
         point = explorer.evaluate(
             memory, queries, labels,
             am_mod.BlockConfig(memory.dimension, block_size, precision),
@@ -157,8 +154,6 @@ def cmd_eval(args) -> int:
             replicas=setting(cfg, "replicas", int, 1) if hw else 1,
             trials=setting(cfg, "trials", int, 10) if hw else 1,
             seed=seed,
-            technology=technology or "",
-            voltage=voltage,
         )
     else:
         acc = explorer.ideal_accuracy(memory, queries, labels)
@@ -248,29 +243,26 @@ def cmd_hwmodel(args) -> int:
         # Structural invariants are enforced on construction; re-check the
         # distributional ones here and report per entry.
         for e in entries:
-            cm = hwmodel.confusion_from_latency(e.latency)
+            cm = hwmodel.confusion_from_latency(e)
             row_err = float(np.abs(cm.sum(axis=1) - 1.0).max())
             if not row_err <= 1e-9:
                 raise ConfigError(
-                    f"tables[{e.latency.technology}/{e.latency.voltage}/"
-                    f"{e.latency.block_size}]: confusion rows sum to 1±{row_err:.2e}"
+                    f"tables[{e.technology}/{e.voltage}/{e.block_size}]: "
+                    f"confusion rows sum to 1±{row_err:.2e}"
                 )
         out.append(f"ok: {len(entries)} table entries pass all invariants")
     elif args.action == "confusion":
         for e in entries:
-            lm = e.latency
-            out.append(f"# {lm.technology} {lm.voltage:g} V N={lm.block_size} "
-                       f"P={lm.precision}")
-            cm = hwmodel.confusion_from_latency(lm)
+            out.append(f"# {e.technology} {e.voltage:g} V N={e.block_size} P={e.precision}")
+            cm = hwmodel.confusion_from_latency(e)
             for row in cm:
                 out.append(",".join(f"{x:.6f}" for x in row))
     else:  # errorprob
         out.append("technology,voltage_V,block_size,distance,error_probability")
         for e in entries:
-            lm = e.latency
-            cm = hwmodel.confusion_from_latency(lm)
-            for h in range(lm.precision + 1):
-                out.append(f"{lm.technology},{lm.voltage:g},{lm.block_size},"
+            cm = hwmodel.confusion_from_latency(e)
+            for h in range(e.precision + 1):
+                out.append(f"{e.technology},{e.voltage:g},{e.block_size},"
                            f"{h},{hwmodel.error_probability(cm, h):.6f}")
     text = "\n".join(out) + "\n"
     if args.output:

@@ -41,8 +41,15 @@ class SweepSpace:
 
     def __post_init__(self):
         for name, kind in SWEEP_FIELDS:
-            if isinstance(kind, list) and not getattr(self, name):
+            if not isinstance(kind, list):
+                continue
+            values = list(getattr(self, name))
+            if not values:
                 raise ValueError(f"sweep axis {name!r} must be non-empty")
+            # Voltages equal to 10 mV are one configuration, as in config_key.
+            keys = [round(v, 2) for v in values] if name == "voltages" else values
+            if len(set(keys)) < len(keys):
+                raise ValueError(f"sweep axis {name!r} names one configuration twice: {values}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if any(r < 1 or r % 2 == 0 for r in self.replicas):
@@ -122,18 +129,18 @@ def evaluate(
     trials: int = 10,
     seed: int = 0,
     baseline_accuracy: float | None = None,
-    technology: str = "",
-    voltage: float = 0.0,
     histogram: np.ndarray | None = None,
 ) -> DesignPoint:
     """Run blocked inference over the test set ``trials`` times and aggregate.
 
     A read is a confusion matrix of P(reported j | true h): the identity
-    without ``hw``, else the median of ``replicas`` reads of its latency
-    model, whose energy table is charged. Reads are independent given the
-    true clamped distance, so each trial draws, for every (query, class) pair
-    and distance h, how many of its blocks at h report each j: one
-    multinomial over the pair's distance histogram, exact in distribution.
+    without the hardware table ``hw``, else the median of ``replicas`` reads
+    of its latencies, and its energies are charged; the point carries the
+    table's technology and voltage (``""`` and 0.0 without one). Reads are
+    independent given the true clamped distance, so each trial draws, for
+    every (query, class) pair and distance h, how many of its blocks at h
+    report each j: one multinomial over the pair's distance histogram, exact
+    in distribution.
     One-hot matrices are applied without draws. A query's latency is the
     slowest of all its blocks, classes and replicas, which are read in
     parallel.
@@ -141,6 +148,8 @@ def evaluate(
     ``histogram`` is this data set's ``distance_histogram`` at the block
     size of ``cfg``, clamped at P or above; without it, it is computed here.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     queries = np.atleast_2d(np.asarray(queries, dtype=np.uint8))
     labels = list(labels)
     # Class index of each label; -1, which no prediction matches, for a label
@@ -149,10 +158,10 @@ def evaluate(
     label_idx = np.array([index.get(label, -1) for label in labels], dtype=np.intp)
     precision = cfg.precision
     if hw is None:
-        lm, cm = None, np.eye(precision + 1)
+        cm = np.eye(precision + 1)
     else:
-        lm = hw.latency.with_precision(precision)
-        cm = median_confusion(confusion_from_latency(lm), replicas)
+        hw = hw.with_precision(precision)
+        cm = median_confusion(confusion_from_latency(hw), replicas)
     if histogram is None:
         histogram = distance_histogram(queries, am.class_matrix, cfg.dimension,
                                        cfg.block_size, precision)
@@ -172,14 +181,14 @@ def evaluate(
         counts = fixed if fixed is not None else rng.multinomial(hist, cm).sum(axis=2)
         preds = np.argmin(counts @ reported, axis=1)
         accuracies.append(np.count_nonzero(preds == label_idx) / num_q)
-        if lm is None:
+        if hw is None:
             energies.append(0.0)
             latencies.append(0.0)
         else:
             totals = counts.sum(axis=(0, 1))
-            energies.append(energy_pj(hw.energy_fj[:precision + 1], totals) / num_q)
-            latencies.append(float(lm.slowest_latency(reads, rng).sum()) / num_q)
-        if lm is None:
+            energies.append(energy_pj(hw.energy_fj, totals) / num_q)
+            latencies.append(float(hw.slowest_latency(reads, rng).sum()) / num_q)
+        if hw is None:
             # Deterministic reports: further trials would repeat identically.
             accuracies = accuracies * trials
             energies = energies * trials
@@ -191,8 +200,8 @@ def evaluate(
     if baseline_accuracy is None:
         baseline_accuracy = ideal_accuracy(am, queries, labels)
     return DesignPoint(
-        technology=technology,
-        voltage=voltage,
+        technology=hw.technology if hw else "",
+        voltage=hw.voltage if hw else 0.0,
         block_size=cfg.block_size,
         precision=cfg.precision,
         dimension=cfg.dimension,
@@ -256,8 +265,6 @@ def sweep(space: SweepSpace, datasets: dict, catalog: Catalog, jobs: int = 1,
             trials=space.trials,
             seed=derive_point_seed(space.seed, config),
             baseline_accuracy=baselines[d],
-            technology=tech,
-            voltage=v,
             histogram=hist,
         )
         if progress is not None:

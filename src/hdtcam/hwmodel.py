@@ -17,10 +17,11 @@ be loaded from JSON instead.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,13 +62,23 @@ _MISMATCH_ENERGY_FJ = {TECH_SRAM: 1.15, TECH_FEFET: 1.24}  # per mismatching cel
 _STANDARD_NORMAL = statistics.NormalDist()
 
 
-@dataclass(frozen=True)
-class LatencyModel:
-    """Gaussian latency distributions per Hamming distance for one block type.
+def _read_only(values) -> np.ndarray:
+    """A float copy of ``values`` that cannot be written to."""
+    array = np.array(values, dtype=float)
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True, slots=True)
+class HwEntry:
+    """One (technology, voltage, block size) operating point: Gaussian latency
+    distributions per Hamming distance and the energy of a block comparison.
 
     ``mu_ns[h-1]`` / ``sigma_ns[h-1]`` describe distance h in 1..P. Nominal
     latencies strictly decrease with distance; anything slower than
-    ``match_timeout_ns`` reads as a full match (distance 0).
+    ``match_timeout_ns`` reads as a full match (distance 0). ``energy_fj[j]``
+    is the energy of a comparison that reports j in 0..P. The arrays are
+    read-only copies, so a table can be shared.
     """
 
     technology: str
@@ -77,12 +88,14 @@ class LatencyModel:
     mu_ns: np.ndarray
     sigma_ns: np.ndarray
     match_timeout_ns: float
+    energy_fj: np.ndarray
+    temperature_c: float | None = None
 
     def __post_init__(self):
-        mu = np.asarray(self.mu_ns, dtype=float)
-        sigma = np.asarray(self.sigma_ns, dtype=float)
+        mu, sigma, energy = map(_read_only, (self.mu_ns, self.sigma_ns, self.energy_fj))
         object.__setattr__(self, "mu_ns", mu)
         object.__setattr__(self, "sigma_ns", sigma)
+        object.__setattr__(self, "energy_fj", energy)
         if not 1 <= self.precision <= self.block_size:
             raise ConfigError(
                 f"precision must be in [1, {self.block_size}], got {self.precision}"
@@ -106,6 +119,11 @@ class LatencyModel:
                 f"decision thresholds {thresholds.tolist()} are not finite and strictly "
                 "ascending (latencies too large or too close)"
             )
+        _check_technology(self.technology)
+        if energy.shape != (self.precision + 1,):
+            raise ConfigError("energy_fJ must be a scalar or list of length precision+1")
+        if not np.all(np.isfinite(energy) & (energy > 0)):
+            raise ConfigError("energy_fJ entries must be positive and finite")
 
     @property
     def thresholds_ns(self) -> np.ndarray:
@@ -115,23 +133,18 @@ class LatencyModel:
         """
         return _thresholds(self.mu_ns, np.asarray(self.match_timeout_ns))
 
-    def with_precision(self, precision: int) -> "LatencyModel":
-        """Restrict the decision rule to a lower precision (same physics)."""
+    def with_precision(self, precision: int) -> "HwEntry":
+        """Restrict the decision rule and the energy table to a lower
+        precision (same physics)."""
         if precision == self.precision:
             return self
         if precision > self.precision:
             raise ConfigError(
                 f"precision {precision} exceeds the hardware table's maximum of {self.precision}"
             )
-        return LatencyModel(
-            self.technology,
-            self.voltage,
-            self.block_size,
-            precision,
-            self.mu_ns[:precision],
-            self.sigma_ns[:precision],
-            self.match_timeout_ns,
-        )
+        return replace(self, precision=precision, mu_ns=self.mu_ns[:precision],
+                       sigma_ns=self.sigma_ns[:precision],
+                       energy_fj=self.energy_fj[:precision + 1])
 
     def slowest_latency(self, reads: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Latency of the slowest of independent reads, per row of ``reads``.
@@ -191,9 +204,9 @@ def _max_misread(mu, sigma, timeout):
     return np.max(1.0 - np.concatenate([upper[..., :-1] - lower, upper[..., -1:]], -1), -1)
 
 
-def confusion_from_latency(lm: LatencyModel) -> np.ndarray:
+def confusion_from_latency(hw: HwEntry) -> np.ndarray:
     """Analytic (P+1)x(P+1) matrix of P(reported j | true i) under the midpoint rule."""
-    return _confusion(lm.mu_ns, lm.sigma_ns, np.asarray(lm.match_timeout_ns))
+    return _confusion(hw.mu_ns, hw.sigma_ns, np.asarray(hw.match_timeout_ns))
 
 
 def error_probability(cm: np.ndarray, h: int) -> float:
@@ -267,14 +280,6 @@ def _check_tech_voltage(technology: str, voltage: float) -> None:
         )
 
 
-def _default_key(technology: str, voltage: float, block_size: int) -> tuple:
-    """(technology, voltage, block size, precision) of a default table."""
-    _check_tech_voltage(technology, voltage)
-    if not 2 <= block_size <= 25:
-        raise ConfigError(f"default tables cover block sizes 2..25, got {block_size}")
-    return technology, round(voltage, 2), block_size, min(MAX_PRECISION, block_size)
-
-
 def _default_latency(keys):
     """The default latency shape of K keys of one precision P, as a map from
     sigma scales ``spread`` (K,) to mu, sigma (K, P) and match timeout (K,)."""
@@ -292,19 +297,16 @@ def _default_latency(keys):
     return at
 
 
-_SPREAD: dict[tuple, float] = {}
-
-
 def _calibrated_spreads(keys) -> list:
-    """Sigma scales putting each default table's largest misread probability
-    at its voltage's target, memoized per key.
+    """Sigma scales putting the largest misread probability of each default
+    table (technology, voltage, block size, precision) at its voltage's target.
 
-    New keys of one precision are bisected together on [1e-8, 50] by their confusion
-    diagonals, to a fixed point (step 62 on the grid) or 80 steps: 0.05 s cold, 2 vCPUs.
+    Keys of one precision are bisected together on [1e-8, 50] by their confusion
+    diagonals, to a fixed point (step 62 on the grid) or 80 steps: 0.05 s, 2 vCPUs.
     """
-    new = list(dict.fromkeys(k for k in keys if k not in _SPREAD))
-    for p in sorted({k[3] for k in new}):
-        group = [k for k in new if k[3] == p]
+    spreads = {}
+    for p in sorted({k[3] for k in keys}):
+        group = [k for k in keys if k[3] == p]
         latency = _default_latency(group)
         target = np.array([_MAX_ERROR_TARGET[tech][v] for tech, v, _, _ in group])
         lo, hi = np.full(len(group), 1e-8), np.full(len(group), 50.0)
@@ -314,51 +316,19 @@ def _calibrated_spreads(keys) -> list:
             if np.array_equal(mid, np.where(below, lo, hi)):
                 break  # (lo, hi) is a fixed point of the step
             lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-        _SPREAD.update(zip(group, (0.5 * (lo + hi)).tolist()))
-    return [_SPREAD[k] for k in keys]
-
-
-def _default_entries(points) -> list:
-    """Calibrated default tables of points, from one latency shape per precision."""
-    keys = [_default_key(*point) for point in points]
-    spreads, entries = np.array(_calibrated_spreads(keys)), [None] * len(keys)
-    for p in sorted({k[3] for k in keys}):
-        index = [i for i, k in enumerate(keys) if k[3] == p]
-        for i, m, s, t in zip(index, *_default_latency([keys[i] for i in index])(spreads[index])):
-            e = default_block_energy_fj(*points[i])
-            entries[i] = HwEntry(LatencyModel(*keys[i], m, s, float(t)), np.full(p + 1, e))
-    return entries
-
-
-@dataclass(frozen=True)
-class HwEntry:
-    """One (technology, voltage, block size) operating point."""
-
-    latency: LatencyModel
-    energy_fj: np.ndarray  # e(h) for h in 0..P
-    temperature_c: float | None = None
-
-
-def default_entry(technology: str, voltage: float, block_size: int) -> HwEntry:
-    """Calibrated default tables for one operating point (precision min(7, N))."""
-    return _default_entries([(technology, voltage, block_size)])[0]
+        spreads.update(zip(group, (0.5 * (lo + hi)).tolist()))
+    return [spreads[k] for k in keys]
 
 
 class Catalog:
     """Lookup of hardware entries keyed by (technology, voltage, block size)."""
 
     def __init__(self, entries=()):
-        self._entries: dict[tuple, HwEntry] = {}
-        for entry in entries:
-            self.add(entry)
+        self._entries = {self._key(e.technology, e.voltage, e.block_size): e for e in entries}
 
     @staticmethod
     def _key(technology, voltage, block_size):
         return (technology, round(float(voltage), 2), int(block_size))
-
-    def add(self, entry: HwEntry) -> None:
-        lm = entry.latency
-        self._entries[self._key(lm.technology, lm.voltage, lm.block_size)] = entry
 
     def get(self, technology, voltage, block_size) -> HwEntry:
         key = self._key(technology, voltage, block_size)
@@ -392,10 +362,19 @@ class Catalog:
         return sorted(self._entries.keys())
 
 
-def default_catalog(block_sizes=DEFAULT_BLOCK_SIZES) -> Catalog:
-    """The shipped approximate tables for both technologies on the voltage grid."""
-    grid = [(tech, v, n) for tech in TECHNOLOGIES for v in VOLTAGE_GRID for n in block_sizes]
-    return Catalog(_default_entries(grid))
+@functools.cache
+def default_catalog() -> Catalog:
+    """The shipped approximate tables for both technologies on the voltage
+    grid at precision min(7, N), calibrated once per process."""
+    keys = [(tech, v, n, min(MAX_PRECISION, n))
+            for tech in TECHNOLOGIES for v in VOLTAGE_GRID for n in DEFAULT_BLOCK_SIZES]
+    spreads, entries = np.array(_calibrated_spreads(keys)), [None] * len(keys)
+    for p in sorted({k[3] for k in keys}):
+        index = [i for i, k in enumerate(keys) if k[3] == p]
+        for i, m, s, t in zip(index, *_default_latency([keys[i] for i in index])(spreads[index])):
+            e = default_block_energy_fj(*keys[i][:3])
+            entries[i] = HwEntry(*keys[i], m, s, float(t), np.full(p + 1, e))
+    return Catalog(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -403,15 +382,14 @@ def default_catalog(block_sizes=DEFAULT_BLOCK_SIZES) -> Catalog:
 
 
 def _entry_to_doc(entry: HwEntry) -> dict:
-    lm = entry.latency
     doc = {
-        "technology": lm.technology,
-        "voltage_V": lm.voltage,
-        "block_size": lm.block_size,
-        "precision": lm.precision,
-        "mu_ns": [float(x) for x in lm.mu_ns],
-        "sigma_ns": [float(x) for x in lm.sigma_ns],
-        "match_timeout_ns": float(lm.match_timeout_ns),
+        "technology": entry.technology,
+        "voltage_V": entry.voltage,
+        "block_size": entry.block_size,
+        "precision": entry.precision,
+        "mu_ns": [float(x) for x in entry.mu_ns],
+        "sigma_ns": [float(x) for x in entry.sigma_ns],
+        "match_timeout_ns": float(entry.match_timeout_ns),
         "energy_fJ": [float(x) for x in entry.energy_fj],
     }
     if entry.temperature_c is not None:
@@ -427,40 +405,45 @@ def _entry_from_doc(doc: dict, where: str) -> HwEntry:
         if key not in doc:
             raise ConfigError(f"{where}: missing key {key!r}")
     try:
-        lm = LatencyModel(
-            setting(doc, "technology", str),
-            round(setting(doc, "voltage_V", float), 2),
-            setting(doc, "block_size", int),
-            setting(doc, "precision", int),
-            setting(doc, "mu_ns", [float]),
-            setting(doc, "sigma_ns", [float]),
-            setting(doc, "match_timeout_ns", float),
-        )
-        _check_technology(lm.technology)
-        energy = setting(doc, "energy_fJ", [float] if isinstance(doc["energy_fJ"], list) else float)
-        temperature_c = setting(doc, "temperature_C", float)
+        fields = {
+            "technology": setting(doc, "technology", str),
+            "voltage": round(setting(doc, "voltage_V", float), 2),
+            "block_size": setting(doc, "block_size", int),
+            "precision": setting(doc, "precision", int),
+            "mu_ns": setting(doc, "mu_ns", [float]),
+            "sigma_ns": setting(doc, "sigma_ns", [float]),
+            "match_timeout_ns": setting(doc, "match_timeout_ns", float),
+            "energy_fj": setting(doc, "energy_fJ",
+                                 [float] if isinstance(doc["energy_fJ"], list) else float),
+            "temperature_c": setting(doc, "temperature_C", float),
+        }
+        if not isinstance(fields["energy_fj"], list):
+            # A scalar energy holds for every reported distance 0..P; mu lists P of them.
+            fields["energy_fj"] = [fields["energy_fj"]] * (len(fields["mu_ns"]) + 1)
+        return HwEntry(**fields)
     except ConfigError as exc:
         raise ConfigError(f"{where}: {exc}") from None
-    energy_fj = np.asarray(energy if isinstance(energy, list) else [energy] * (lm.precision + 1))
-    if energy_fj.shape != (lm.precision + 1,):
-        raise ConfigError(
-            f"{where}: energy_fJ must be a scalar or list of length precision+1"
-        )
-    if not np.all(np.isfinite(energy_fj) & (energy_fj > 0)):
-        raise ConfigError(f"{where}: energy_fJ entries must be positive and finite")
-    return HwEntry(latency=lm, energy_fj=energy_fj, temperature_c=temperature_c)
 
 
 def load_hw_tables(path) -> Catalog:
-    """Load and validate a JSON hardware table catalog."""
+    """Load and validate a JSON hardware table catalog; at most one table per
+    operating point."""
     doc = load_json(path)
     tables = doc.get("tables") if isinstance(doc, dict) else doc
     if not isinstance(tables, list) or not tables:
         raise ConfigError(f"{path}: expected a non-empty array of table objects")
-    cat = Catalog()
+    entries, seen = [], {}
     for i, entry_doc in enumerate(tables):
-        cat.add(_entry_from_doc(entry_doc, f"{path}: tables[{i}]"))
-    return cat
+        entry = _entry_from_doc(entry_doc, f"{path}: tables[{i}]")
+        key = Catalog._key(entry.technology, entry.voltage, entry.block_size)
+        if key in seen:
+            raise ConfigError(
+                f"{path}: tables[{seen[key]}] and tables[{i}] both describe technology={key[0]} "
+                f"voltage_V={key[1]} block_size={key[2]}"
+            )
+        seen[key] = i
+        entries.append(entry)
+    return Catalog(entries)
 
 
 def save_hw_tables(path, catalog: Catalog) -> None:

@@ -48,7 +48,7 @@ def sample_replicas(lm, true_h, rng, replicas=1):
 def evaluate_trials(am, queries, labels, cfg, entry, replicas, trials, seed):
     """Per-trial accuracy, energy in pJ per query and latency in ns per query
     under the hardware entry ``entry``, one query at a time."""
-    lm = entry.latency.with_precision(cfg.precision)
+    lm = entry.with_precision(cfg.precision)
     true = block_distances(queries, am.class_matrix, cfg)
     label_idx = np.array([am.labels.index(label) for label in labels])
     rng = np.random.default_rng(seed)

@@ -170,8 +170,7 @@ def test_criterion_06_error_model_consistency(hw_catalog):
     within3 = 0
     cells = 0
     row_sum_err = 0.0
-    for entry in hw_catalog:
-        lm = entry.latency
+    for lm in hw_catalog:
         cm = hwmodel.confusion_from_latency(lm)
         row_sum_err = max(row_sum_err, float(np.abs(cm.sum(axis=1) - 1.0).max()))
         for h in range(lm.precision + 1):
@@ -196,7 +195,7 @@ def test_criterion_07_calibration_envelope(hw_catalog):
     """Shipped tables: SRAM max per-distance error 0.39 +- 0.03 at 0.7 V with
     0.5 V and 1.0 V strictly lower; Fe-FinFET max 0.78 +- 0.04."""
     def max_err(tech, v, n):
-        cm = hwmodel.confusion_from_latency(hw_catalog.get(tech, v, n).latency)
+        cm = hwmodel.confusion_from_latency(hw_catalog.get(tech, v, n))
         return max_error_probability(cm)
 
     ok = True
@@ -214,8 +213,8 @@ def test_criterion_07_calibration_envelope(hw_catalog):
         if n == 15:
             details.append(f"N=15: sram@0.7V {worst_sram:.3f}, fefinfet max {fef:.3f}")
     fef_all = max(
-        max_error_probability(hwmodel.confusion_from_latency(e.latency))
-        for e in hw_catalog if e.latency.technology == "fefinfet"
+        max_error_probability(hwmodel.confusion_from_latency(e))
+        for e in hw_catalog if e.technology == "fefinfet"
     )
     ok &= abs(fef_all - 0.78) <= 0.04
     report(7, "calibration envelope of shipped tables", bool(ok), "; ".join(details))

@@ -120,6 +120,32 @@ def test_eval_ideal_and_noisy(trained_model, small_corpus_dir, tmp_path, capsys)
     assert any("generated=" in line for line in lines) is False  # deterministic
 
 
+def test_eval_labels_the_point_with_its_table(unseen_label_csv, tmp_path):
+    """A voltage off the 10 mV grid looks up, and is written as, the grid
+    table's voltage."""
+    _, test, model = unseen_label_csv
+    rows = []
+    for voltage in ("0.7", "0.701"):
+        out = tmp_path / f"eval_{voltage}.csv"
+        assert run_cli("eval", "--model", str(model), "--task", "csv", "--test-csv", str(test),
+                       "--technology", "sram", "--voltage", voltage, "--block-size", "8",
+                       "--trials", "2", "--deterministic", "--output", str(out)) == 0
+        rows.append(out.read_text().splitlines()[-1])
+    assert rows[0] == rows[1] and rows[0].startswith("sram,0.7,8,7,64,1,2,")
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_eval_trials_below_one_is_a_usage_error(trials, unseen_label_csv, tmp_path, capsys):
+    _, test, model = unseen_label_csv
+    out = tmp_path / "out.csv"
+    assert run_cli("eval", "--model", str(model), "--task", "csv", "--test-csv", str(test),
+                   "--technology", "sram", "--block-size", "8", "--trials", trials,
+                   "--output", str(out)) != 0
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: E-USAGE: trials must be >= 1, got {trials}"), err
+    assert not out.exists()
+
+
 def test_too_short_texts_are_degenerate_and_named(small_corpus_dir, trained_model,
                                                    tmp_path, capsys):
     train_dir = tmp_path / "train"
@@ -445,9 +471,8 @@ def test_sweep_jobs_progress_lines_whole(small_corpus_dir, tmp_path, capsys, mon
     train_dir, queries_csv = small_corpus_dir
 
     def instant_evaluate(am, queries, labels, cfg, hw=None, replicas=1, trials=10,
-                         seed=0, baseline_accuracy=None, technology="", voltage=0.0,
-                         histogram=None):
-        return explorer.DesignPoint(technology, voltage, cfg.block_size, cfg.precision,
+                         seed=0, baseline_accuracy=None, histogram=None):
+        return explorer.DesignPoint(hw.technology, hw.voltage, cfg.block_size, cfg.precision,
                                     cfg.dimension, replicas, trials, 1.0, 0.0, 0.0,
                                     1.0, 1.0)
 
@@ -545,6 +570,24 @@ def test_eval_precision_above_the_table_is_a_config_error(unseen_label_csv, tmp_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("axis, values", [("--block-sizes", "7,7"), ("--voltages", "0.7,0.701")])
+def test_sweep_axis_naming_one_configuration_twice_is_refused(axis, values, unseen_label_csv,
+                                                              tmp_path, capsys):
+    """Two values of one axis that make one configuration (voltages equal to
+    10 mV share a table and a resume key) exit E-USAGE naming the axis."""
+    train, test, _ = unseen_label_csv
+    flags = {"--voltages": "1.0", "--block-sizes": "8", **{axis: values}}
+    out = tmp_path / "r.csv"
+    assert run_cli("sweep", "--task", "csv", "--train-csv", str(train), "--test-csv", str(test),
+                   *[x for flag in flags.items() for x in flag], "--precisions", "4",
+                   "--dimensions", "64", "--trials", "2", "--output", str(out)) != 0
+    err = capsys.readouterr().err
+    axis_name = axis[2:].replace("-", "_")
+    assert err.startswith(f"error: E-USAGE: sweep axis '{axis_name}' names one "
+                          "configuration twice"), err
+    assert not out.exists() and not (tmp_path / "r.csv.partial.jsonl").exists()
+
+
 def test_sweep_catalog_gap_fails_fast(small_corpus_dir, tmp_path, capsys):
     train_dir, queries_csv = small_corpus_dir
     code = run_cli("sweep", "--task", "language", "--train-dir", str(train_dir),
@@ -597,6 +640,24 @@ def test_hwmodel_voltage_filter_matches_to_10_mv(capsys):
                        "--block-size", "15") == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1] and "\nsram,0.7,15,0,0.000000\n" in outputs[0]
+
+
+def test_hwmodel_refuses_two_tables_for_one_operating_point(tmp_path, capsys):
+    """A tables file holding the SRAM 0.7 V N = 7 table twice, the second at
+    0.701 V (the same table to 10 mV) with tripled sigma, exits E-CONFIG naming
+    the file, both tables and the operating point."""
+    exported = tmp_path / "all.json"
+    assert run_cli("export", "hw-tables", "--output", str(exported)) == 0
+    [table] = [t for t in json.loads(exported.read_text())["tables"]
+               if (t["technology"], t["voltage_V"], t["block_size"]) == ("sram", 0.7, 7)]
+    twin = dict(table, voltage_V=0.701, sigma_ns=[3 * s for s in table["sigma_ns"]])
+    dup = tmp_path / "dup.json"
+    dup.write_text(json.dumps({"tables": [table, twin]}))
+    capsys.readouterr()
+    assert run_cli("hwmodel", "validate", "--tables", str(dup)) != 0
+    err = capsys.readouterr().err
+    assert err == (f"error: E-CONFIG: {dup}: tables[0] and tables[1] both describe "
+                   "technology=sram voltage_V=0.7 block_size=7\n"), err
 
 
 def test_export_and_reload_hw_tables(tmp_path, capsys):

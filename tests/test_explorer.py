@@ -62,6 +62,10 @@ def test_sweep_space_validation():
         SweepSpace(block_sizes=(4,), precisions=(7,))
     with pytest.raises(ValueError, match="trials"):
         SweepSpace(trials=0)
+    for axis, values in (("technologies", ("sram", "sram")), ("voltages", (0.7, 0.701)),
+                         ("block_sizes", (7, 15, 7)), ("dimensions", (100, 100))):
+        with pytest.raises(ValueError, match=f"axis '{axis}' names one configuration twice"):
+            SweepSpace(**{axis: values})
 
 
 def test_configurations_skip_invalid_pairs():
@@ -95,8 +99,7 @@ def test_evaluate_tiny_sigma_table_equals_noise_free(rng):
     am, qs, labels = _toy_dataset(rng)
     cfg = BlockConfig(140, 5, 3)
     mu = np.linspace(2.0, 1.2, 3)
-    lm = hwmodel.LatencyModel("sram", 0.7, 5, 3, mu, np.full(3, 1e-9), 3.0)
-    entry = hwmodel.HwEntry(latency=lm, energy_fj=np.full(4, 2.0))
+    entry = hwmodel.HwEntry("sram", 0.7, 5, 3, mu, np.full(3, 1e-9), 3.0, np.full(4, 2.0))
     noisy = evaluate(am, qs, labels, cfg, hw=entry, trials=2, seed=5)
     clean = evaluate(am, qs, labels, cfg, hw=None, trials=1)
     assert noisy.accuracy_mean == pytest.approx(clean.accuracy_mean)
@@ -108,7 +111,7 @@ def test_evaluate_tiny_sigma_table_equals_noise_free(rng):
 
 def test_evaluate_precision_above_table_rejected(rng):
     am, qs, labels = _toy_dataset(rng)
-    entry = hwmodel.default_entry("sram", 0.7, 15)  # table precision 7
+    entry = hwmodel.default_catalog().get("sram", 0.7, 15)  # table precision 7
     with pytest.raises(ConfigError, match="exceeds"):
         evaluate(am, qs, labels, BlockConfig(140, 15, 10), hw=entry)
 
@@ -121,7 +124,7 @@ def test_evaluate_dimension_mismatch(rng):
 
 def test_evaluate_deterministic_given_seed(rng):
     am, qs, labels = _toy_dataset(rng, flip=0.3)
-    entry = hwmodel.default_entry("fefinfet", 0.5, 7)
+    entry = hwmodel.default_catalog().get("fefinfet", 0.5, 7)
     cfg = BlockConfig(140, 7, 7)
     a = evaluate(am, qs, labels, cfg, hw=entry, trials=4, seed=9)
     b = evaluate(am, qs, labels, cfg, hw=entry, trials=4, seed=9)
@@ -132,7 +135,7 @@ def test_evaluate_deterministic_given_seed(rng):
 
 def test_evaluate_replica_voting_improves_noisy_accuracy(rng):
     am, qs, labels = _toy_dataset(rng, flip=0.15)
-    entry = hwmodel.default_entry("fefinfet", 0.5, 7)
+    entry = hwmodel.default_catalog().get("fefinfet", 0.5, 7)
     cfg = BlockConfig(140, 7, 7)
     r1 = evaluate(am, qs, labels, cfg, hw=entry, replicas=1, trials=10, seed=3)
     r7 = evaluate(am, qs, labels, cfg, hw=entry, replicas=7, trials=10, seed=3)
@@ -142,13 +145,13 @@ def test_evaluate_replica_voting_improves_noisy_accuracy(rng):
 
 def _sloped_entry(technology, voltage, block_size):
     """A default entry whose energy grows with the reported distance."""
-    entry = hwmodel.default_entry(technology, voltage, block_size)
+    entry = hwmodel.default_catalog().get(technology, voltage, block_size)
     slope = 1 + 0.25 * np.arange(entry.energy_fj.size)
-    return hwmodel.HwEntry(entry.latency, entry.energy_fj * slope)
+    return replace(entry, energy_fj=entry.energy_fj * slope)
 
 
 @pytest.mark.parametrize("entry,precision,replicas", [
-    (hwmodel.default_entry("fefinfet", 0.7, 7), 7, 3),
+    (hwmodel.default_catalog().get("fefinfet", 0.7, 7), 7, 3),
     (_sloped_entry("sram", 0.7, 7), 5, 1),
     (_sloped_entry("fefinfet", 0.5, 7), 7, 7),
 ], ids=["fefinfet-r3", "sram-sloped-P5-r1", "fefinfet-sloped-r7"])
@@ -171,7 +174,7 @@ def test_evaluate_matches_gaussian_oracle(entry, precision, replicas):
 def test_evaluate_flat_energy_equal_across_replicas_and_seeds(rng):
     """A flat table charges the same float energy whatever the draws."""
     am, qs, labels = _toy_dataset(rng, flip=0.42)
-    entry = hwmodel.default_entry("fefinfet", 0.7, 7)
+    entry = hwmodel.default_catalog().get("fefinfet", 0.7, 7)
     energies = {
         evaluate(am, qs, labels, BlockConfig(140, 7, 7), hw=entry, replicas=r,
                  trials=3, seed=seed).energy_pj
@@ -184,7 +187,7 @@ def test_evaluate_flat_energy_equal_across_replicas_and_seeds(rng):
     assert len({hwmodel.energy_pj(flat, counts) for counts in splits}) == 1
 
 
-@pytest.mark.parametrize("hw", [None, hwmodel.default_entry("sram", 1.0, 7)],
+@pytest.mark.parametrize("hw", [None, hwmodel.default_catalog().get("sram", 1.0, 7)],
                          ids=["ideal", "sram"])
 def test_unseen_query_label_is_a_miss(rng, hw):
     am, qs, labels = _toy_dataset(rng)
@@ -230,7 +233,7 @@ def test_sweep_builds_one_histogram_per_dimension_and_block_size(rng, monkeypatc
     space = SweepSpace(technologies=("sram", "fefinfet"), voltages=(0.5, 0.7),
                        block_sizes=(5, 7), precisions=(3, 5, 7), dimensions=(140, 280),
                        replicas=(1, 3), trials=2, seed=6)
-    cat = hwmodel.default_catalog(block_sizes=(5, 7))
+    cat = hwmodel.default_catalog()
     points = sweep(space, datasets, cat, jobs=2)
     assert sorted(built) == [(140, 5, 5), (140, 7, 7), (280, 5, 5), (280, 7, 7)]
     assert [p.config_key for p in points] == list(space.configurations())
@@ -240,8 +243,7 @@ def test_sweep_builds_one_histogram_per_dimension_and_block_size(rng, monkeypatc
         direct = evaluate(am, qs, labels, BlockConfig(d, n, p), hw=cat.get(tech, v, n),
                           replicas=r, trials=2,
                           seed=derive_point_seed(6, (tech, v, n, p, d, r)),
-                          baseline_accuracy=ideal_accuracy(am, qs, labels),
-                          technology=tech, voltage=v)
+                          baseline_accuracy=ideal_accuracy(am, qs, labels))
         assert point == direct
     assert len(built) == len(points)  # evaluate alone builds its own, clamped at P
 
@@ -251,14 +253,13 @@ def test_sweep_single_point_equals_evaluate(rng):
     space = SweepSpace(technologies=("sram",), voltages=(0.7,), block_sizes=(7,),
                        precisions=(7,), dimensions=(140,), replicas=(1,),
                        trials=3, seed=11)
-    cat = hwmodel.default_catalog(block_sizes=(7,))
+    cat = hwmodel.default_catalog()
     [point] = sweep(space, {140: (am, qs, labels)}, cat)
     direct = evaluate(
         am, qs, labels, BlockConfig(140, 7, 7),
         hw=cat.get("sram", 0.7, 7), trials=3,
         seed=derive_point_seed(11, ("sram", 0.7, 7, 7, 140, 1)),
         baseline_accuracy=ideal_accuracy(am, qs, labels),
-        technology="sram", voltage=0.7,
     )
     assert point == direct
 
@@ -268,7 +269,7 @@ def test_sweep_results_independent_of_jobs(rng):
     space = SweepSpace(technologies=("sram", "fefinfet"), voltages=(0.5, 1.0),
                        block_sizes=(7,), precisions=(7,), dimensions=(140,),
                        replicas=(1,), trials=2, seed=4)
-    cat = hwmodel.default_catalog(block_sizes=(7,))
+    cat = hwmodel.default_catalog()
     serial = sweep(space, {140: (am, qs, labels)}, cat, jobs=1)
     parallel = sweep(space, {140: (am, qs, labels)}, cat, jobs=4)
     assert sorted(map(asdict, serial), key=str) == sorted(map(asdict, parallel), key=str)
@@ -277,7 +278,7 @@ def test_sweep_results_independent_of_jobs(rng):
 def test_sweep_fails_fast_on_catalog_gap(rng):
     am, qs, labels = _toy_dataset(rng)
     space = SweepSpace(block_sizes=(7, 15), voltages=(0.7,), dimensions=(140,))
-    cat = hwmodel.default_catalog(block_sizes=(7,))  # 15 missing
+    cat = hwmodel.Catalog(e for e in hwmodel.default_catalog() if e.block_size == 7)  # 15 missing
     with pytest.raises(ConfigError, match="no entry"):
         sweep(space, {140: (am, qs, labels)}, cat)
 
@@ -285,7 +286,7 @@ def test_sweep_fails_fast_on_catalog_gap(rng):
 def test_sweep_requires_datasets_for_all_dimensions(rng):
     am, qs, labels = _toy_dataset(rng)
     space = SweepSpace(block_sizes=(7,), voltages=(0.7,), dimensions=(140, 280))
-    cat = hwmodel.default_catalog(block_sizes=(7,))
+    cat = hwmodel.default_catalog()
     with pytest.raises(ConfigError, match="dimension 280"):
         sweep(space, {140: (am, qs, labels)}, cat)
 
@@ -296,7 +297,7 @@ def test_sweep_skips_done_points(rng):
     am, qs, labels = _toy_dataset(rng)
     space = SweepSpace(voltages=(0.5, 1.0), block_sizes=(7,), dimensions=(140,),
                        trials=1)
-    cat = hwmodel.default_catalog(block_sizes=(7,))
+    cat = hwmodel.default_catalog()
     configs = list(space.configurations())
     done = [_point(1.0, 0.0, voltage=configs[0][1] + 1e-9, dimension=140)]
     points = sweep(space, {140: (am, qs, labels)}, cat, done=done)

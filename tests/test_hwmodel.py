@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,11 +21,9 @@ from hdtcam import hwmodel
 from hdtcam.errors import ConfigError, FormatError
 from hdtcam.hwmodel import (
     HwEntry,
-    LatencyModel,
     confusion_from_latency,
     default_block_energy_fj,
     default_catalog,
-    default_entry,
     error_probability,
     load_hw_tables,
     energy_pj,
@@ -33,35 +32,56 @@ from hdtcam.hwmodel import (
 )
 
 
+def _table(technology, voltage, block_size, precision, mu, sigma, timeout):
+    """A hardware table of the given latency model at a flat 1 fJ per comparison."""
+    return HwEntry(technology, voltage, block_size, precision, mu, sigma, timeout,
+                   np.ones(precision + 1))
+
+
 def _tight_model(precision=4, sigma=1e-9):
     """Near-deterministic latency model: reports always equal the truth."""
     mu = np.linspace(2.0, 1.0, precision)
-    return LatencyModel("sram", 0.7, 8, precision, mu, np.full(precision, sigma), 3.0)
+    return _table("sram", 0.7, 8, precision, mu, np.full(precision, sigma), 3.0)
 
 
 # ---------------------------------------------------------------------------
-# LatencyModel structure
+# Table structure
 
 
 def test_latency_model_validation():
     mu = np.array([2.0, 1.5, 1.0])
     sig = np.array([0.1, 0.1, 0.1])
     with pytest.raises(ConfigError, match="decreasing"):
-        LatencyModel("sram", 0.7, 8, 3, mu[::-1], sig, 3.0)
+        _table("sram", 0.7, 8, 3, mu[::-1], sig, 3.0)
     with pytest.raises(ConfigError, match="positive"):
-        LatencyModel("sram", 0.7, 8, 3, mu, np.array([0.1, 0.0, 0.1]), 3.0)
+        _table("sram", 0.7, 8, 3, mu, np.array([0.1, 0.0, 0.1]), 3.0)
     with pytest.raises(ConfigError, match="timeout"):
-        LatencyModel("sram", 0.7, 8, 3, mu, sig, 1.9)
+        _table("sram", 0.7, 8, 3, mu, sig, 1.9)
     with pytest.raises(ConfigError, match="precision"):
-        LatencyModel("sram", 0.7, 8, 9, mu, sig, 3.0)
+        _table("sram", 0.7, 8, 9, mu, sig, 3.0)
     with pytest.raises(ConfigError, match="exactly"):
-        LatencyModel("sram", 0.7, 8, 2, mu, sig, 3.0)
+        _table("sram", 0.7, 8, 2, mu, sig, 3.0)
     # finite latencies whose midpoint overflows, and midpoints that round together
     with pytest.raises(ConfigError, match="strictly ascending"):
-        LatencyModel("sram", 0.7, 3, 2, [1.6e308, 1.5e308], [1, 1], 1.7e308)
+        _table("sram", 0.7, 3, 2, [1.6e308, 1.5e308], [1, 1], 1.7e308)
     tiny = np.array([3, 2, 1]) * 5e-324
     with pytest.raises(ConfigError, match="strictly ascending"):
-        LatencyModel("sram", 0.7, 8, 3, tiny, sig, 1.0)
+        _table("sram", 0.7, 8, 3, tiny, sig, 1.0)
+
+
+def test_energy_validation():
+    """A table's energy row lists one positive, finite energy per reported
+    distance 0..P, and every change of precision cuts it with mu and sigma."""
+    mu, sig = np.array([2.0, 1.5, 1.0]), np.array([0.1, 0.1, 0.1])
+    with pytest.raises(ConfigError, match="length precision"):
+        HwEntry("sram", 0.7, 8, 3, mu, sig, 3.0, np.ones(3))
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            HwEntry("sram", 0.7, 8, 3, mu, sig, 3.0, [1.0, 1.0, bad, 1.0])
+    with pytest.raises(ConfigError, match="technology"):
+        HwEntry("rram", 0.7, 8, 3, mu, sig, 3.0, np.ones(4))
+    low = HwEntry("sram", 0.7, 8, 3, mu, sig, 3.0, [1.0, 2.0, 3.0, 4.0]).with_precision(2)
+    assert low.energy_fj.tolist() == [1.0, 2.0, 3.0]
 
 
 def test_thresholds_ascending_and_decision_rule():
@@ -84,14 +104,14 @@ def test_degenerate_sigma_reports_identity(rng):
 
 
 def test_zero_distance_is_error_free():
-    lm = default_entry("sram", 0.7, 15).latency
+    lm = default_catalog().get("sram", 0.7, 15)
     rng = np.random.default_rng(0)
     rep, _ = sample(lm, np.zeros(10000, dtype=int), rng)
     assert np.all(rep == 0)
 
 
 def test_with_precision_restricts():
-    lm = default_entry("sram", 0.7, 15).latency
+    lm = default_catalog().get("sram", 0.7, 15)
     low = lm.with_precision(3)
     assert low.precision == 3
     assert np.array_equal(low.mu_ns, lm.mu_ns[:3])
@@ -104,7 +124,7 @@ def test_with_precision_restricts():
 
 
 def test_confusion_rows_sum_to_one():
-    lm = default_entry("fefinfet", 0.5, 15).latency
+    lm = default_catalog().get("fefinfet", 0.5, 15)
     cm = confusion_from_latency(lm)
     assert np.abs(cm.sum(axis=1) - 1.0).max() < 1e-9
     assert cm[0, 0] == 1.0
@@ -117,7 +137,7 @@ def test_confusion_identity_when_sigma_tiny():
 
 
 def test_confusion_matches_monte_carlo_single_entry():
-    lm = default_entry("sram", 0.7, 15).latency
+    lm = default_catalog().get("sram", 0.7, 15)
     cm = confusion_from_latency(lm)
     rng = np.random.default_rng(42)
     n = 200_000
@@ -135,7 +155,7 @@ def test_error_probability_helpers():
 
 def test_error_profile_dips_at_saturated_distance():
     """h=P errors only one way (upward is clamped), so its rate drops."""
-    lm = default_entry("sram", 0.7, 15).latency
+    lm = default_catalog().get("sram", 0.7, 15)
     cm = confusion_from_latency(lm)
     errs = [error_probability(cm, h) for h in range(1, 8)]
     assert errs[-1] < errs[-2]
@@ -152,8 +172,8 @@ def test_confusion_matches_cell_loop_on_default_entries():
     """The array kernel fills every cell with the float the per-cell loop
     adds to it, bit for bit, at the table precision and below."""
     for entry in default_catalog():
-        for precision in range(1, entry.latency.precision + 1):
-            _assert_loop_equal(entry.latency.with_precision(precision))
+        for precision in range(1, entry.precision + 1):
+            _assert_loop_equal(entry.with_precision(precision))
 
 
 @pytest.mark.parametrize("precision", range(1, 8))
@@ -163,7 +183,7 @@ def test_confusion_matches_cell_loop_on_random_models(precision):
         mu = np.cumsum(rng.uniform(1e-3, 1.0, precision))[::-1]
         sigma = rng.uniform(1e-4, 2.0, precision)
         timeout = mu[0] + rng.uniform(1e-3, 3.0)
-        _assert_loop_equal(LatencyModel("sram", 0.7, 8, precision, mu, sigma, timeout))
+        _assert_loop_equal(_table("sram", 0.7, 8, precision, mu, sigma, timeout))
 
 
 @pytest.mark.parametrize("precision", range(1, 8))
@@ -190,32 +210,41 @@ GRID_KEYS = [(tech, v, n, min(hwmodel.MAX_PRECISION, n)) for tech in hwmodel.TEC
              for v in hwmodel.VOLTAGE_GRID for n in range(2, 26)]
 
 
-def test_calibration_matches_scalar_bisection(monkeypatch):
-    """One batched bisection over all 2 x 6 x 24 grid keys gives the spread,
-    sigma and timeout of one scalar bisection per key, compared with ==."""
-    monkeypatch.setattr(hwmodel, "_SPREAD", {})
+def test_calibration_matches_scalar_bisection():
+    """One batched bisection over all 2 x 6 x 24 grid keys gives the spread
+    of one scalar bisection per key, and the 2 x 6 x 12 catalog tables its
+    sigma and timeout, compared with ==."""
     spreads = hwmodel._calibrated_spreads(GRID_KEYS)
+    compared = 0
     for key, spread in zip(GRID_KEYS, spreads):
         want = calibrated_spread(*key)
         assert spread == want, key
+        if key[2] not in hwmodel.DEFAULT_BLOCK_SIZES:
+            continue
         mu, sigma, timeout = build_latency(*key, want)
-        lm = default_entry(*key[:3]).latency
+        lm = default_catalog().get(*key[:3])
         assert lm.mu_ns.tobytes() == mu.tobytes(), key
         assert lm.sigma_ns.tobytes() == sigma.tobytes(), key
         assert lm.match_timeout_ns == timeout, key
+        compared += 1
+    assert compared == len(default_catalog()) == 144
 
 
-def test_calibration_of_one_key_matches_batch(monkeypatch):
-    """``default_entry`` calibrates only its own key; the result does not
-    depend on which other keys share the batch."""
-    monkeypatch.setattr(hwmodel, "_SPREAD", {})
-    entry = default_entry("fefinfet", 0.6, 12)
-    assert list(hwmodel._SPREAD) == [("fefinfet", 0.6, 12, 7)]
-    assert hwmodel._SPREAD[("fefinfet", 0.6, 12, 7)] == calibrated_spread("fefinfet", 0.6, 12, 7)
-    monkeypatch.setattr(hwmodel, "_SPREAD", {})
-    batch = default_catalog().get("fefinfet", 0.6, 12)
-    assert len(hwmodel._SPREAD) == 2 * 6 * len(hwmodel.DEFAULT_BLOCK_SIZES)
-    assert batch.latency.sigma_ns.tobytes() == entry.latency.sigma_ns.tobytes()
+def test_default_catalog_is_built_once_and_read_only():
+    """The default catalog is shared by every caller in a process, so no
+    caller can change a table in place, nor a table built from its own array."""
+    cat = default_catalog()
+    assert default_catalog() is cat
+    entry = cat.get("sram", 0.7, 15)
+    for array in (entry.mu_ns, entry.sigma_ns, entry.energy_fj,
+                  entry.with_precision(3).mu_ns, entry.with_precision(3).energy_fj):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    mu = np.linspace(2.0, 1.0, 4)
+    table = _table("sram", 0.7, 8, 4, mu, np.full(4, 0.1), 3.0)
+    mu[0] = 5.0
+    assert table.mu_ns[0] == 2.0
 
 
 def test_default_tables_export_unchanged(tmp_path):
@@ -248,7 +277,7 @@ def test_sample_replicas_validation():
 
 
 def test_replica_voting_reduces_error():
-    lm = default_entry("fefinfet", 0.7, 15).latency
+    lm = default_catalog().get("fefinfet", 0.7, 15)
     n = 50_000
     h = 3
     rng = np.random.default_rng(7)
@@ -265,7 +294,7 @@ def test_replica_voting_reduces_error():
 def test_replica_model_r1_identical_to_plain():
     """r = 1 is one plain draw; r replicas are r plain draws in order,
     reduced to their median report and slowest latency."""
-    lm = default_entry("sram", 0.5, 15).latency
+    lm = default_catalog().get("sram", 0.5, 15)
     h = np.random.default_rng(0).integers(0, 8, size=(40, 3, 11))
     a, _ = sample_replicas(lm, h, np.random.default_rng(5))
     b, _ = sample(lm, h, np.random.default_rng(5))
@@ -285,7 +314,7 @@ def test_median_confusion_matches_monte_carlo(technology, replicas):
     """Each row against 200 000 medians of ``replicas`` Gaussian reads, with
     criterion 06's binomial bounds: every cell inside the family-wise bound,
     >= 99.5 % inside 3 sigma; rows sum to 1."""
-    lm = default_entry(technology, 0.7, 15).latency
+    lm = default_catalog().get(technology, 0.7, 15)
     cm = median_confusion(confusion_from_latency(lm), replicas)
     assert np.abs(cm.sum(axis=1) - 1.0).max() < 1e-12
     n = 200_000
@@ -322,7 +351,7 @@ def _ks_distance(a, b):
 def test_slowest_latency_matches_monte_carlo(reads):
     """The order-statistic draw against the slowest of the same reads drawn
     one by one: two-sample KS at the 0.1 % level."""
-    lm = default_entry("fefinfet", 0.7, 15).latency
+    lm = default_catalog().get("fefinfet", 0.7, 15)
     reads = np.array(reads)
     samples = 4000 if reads.sum() > 100 else 20_000
     true_h = np.repeat(np.arange(lm.precision + 1), reads)
@@ -347,7 +376,7 @@ class _EdgeRng:
 
 @pytest.mark.parametrize("u", [0.0, np.finfo(float).tiny, np.nextafter(1.0, 0.0)])
 def test_slowest_latency_uniform_at_range_ends(u):
-    lm = default_entry("sram", 0.7, 15).latency
+    lm = default_catalog().get("sram", 0.7, 15)
     reads = np.array([[0, 1, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 10**9]])
     slowest = lm.slowest_latency(reads, _EdgeRng(u))
     assert np.all(np.isfinite(slowest))
@@ -391,41 +420,37 @@ def test_block_and_query_energy():
 
 
 def test_catalog_lookup_and_miss():
-    cat = default_catalog(block_sizes=(7, 15))
+    cat = default_catalog()
     entry = cat.get("sram", 0.7, 15)
-    assert entry.latency.block_size == 15
+    assert entry.block_size == 15
     assert ("sram", 0.7, 15) in cat.keys
     with pytest.raises(ConfigError, match="no entry"):
         cat.get("sram", 0.7, 9)
 
 
-def test_default_entry_rejects_off_grid():
-    with pytest.raises(ConfigError, match="technology"):
-        default_entry("rram", 0.7, 15)
-    with pytest.raises(ConfigError, match="grid"):
-        default_entry("sram", 0.65, 15)
-    with pytest.raises(ConfigError, match="block sizes"):
-        default_entry("sram", 0.7, 30)
+def _default_tables(*block_sizes):
+    """The default catalog's tables of the given block sizes."""
+    return hwmodel.Catalog(e for e in default_catalog() if e.block_size in block_sizes)
 
 
 def test_table_file_round_trip(tmp_path):
-    cat = default_catalog(block_sizes=(7, 15))
+    cat = _default_tables(7, 15)
     path = tmp_path / "tables.json"
     save_hw_tables(path, cat)
     got = load_hw_tables(path)
     assert len(got) == len(cat)
     for key in cat.keys:
         a, b = cat.get(*key), got.get(*key)
-        assert np.allclose(a.latency.mu_ns, b.latency.mu_ns)
-        assert np.allclose(a.latency.sigma_ns, b.latency.sigma_ns)
-        assert a.latency.match_timeout_ns == pytest.approx(b.latency.match_timeout_ns)
+        assert np.allclose(a.mu_ns, b.mu_ns)
+        assert np.allclose(a.sigma_ns, b.sigma_ns)
+        assert a.match_timeout_ns == pytest.approx(b.match_timeout_ns)
         assert np.allclose(a.energy_fj, b.energy_fj)
 
 
 def test_table_file_rejects_invariant_violations(tmp_path):
     import json
 
-    cat = default_catalog(block_sizes=(7,))
+    cat = _default_tables(7)
     path = tmp_path / "tables.json"
     save_hw_tables(path, cat)
     doc = json.loads(path.read_text())
@@ -454,13 +479,13 @@ def test_table_file_off_grid_voltage_loads(tmp_path):
     import json
 
     path = tmp_path / "tables.json"
-    save_hw_tables(path, default_catalog(block_sizes=(7,)))
+    save_hw_tables(path, _default_tables(7))
     doc = json.loads(path.read_text())
     doc["tables"] = [dict(doc["tables"][0], technology="sram", voltage_V=0.75)]
     path.write_text(json.dumps(doc))
     entry = load_hw_tables(path).get("sram", 0.75, 7)
-    cm = confusion_from_latency(entry.latency)
-    assert entry.latency.voltage == 0.75
+    cm = confusion_from_latency(entry)
+    assert entry.voltage == 0.75
     assert np.abs(cm.sum(axis=1) - 1.0).max() < 1e-9
     doc["tables"][0]["technology"] = "rram"
     path.write_text(json.dumps(doc))
@@ -471,7 +496,7 @@ def test_table_file_off_grid_voltage_loads(tmp_path):
 def test_table_file_scalar_energy_expands(tmp_path):
     import json
 
-    cat = default_catalog(block_sizes=(7,))
+    cat = _default_tables(7)
     path = tmp_path / "tables.json"
     save_hw_tables(path, cat)
     doc = json.loads(path.read_text())
@@ -480,12 +505,12 @@ def test_table_file_scalar_energy_expands(tmp_path):
     got = load_hw_tables(path)
     entry = got.get(*got.keys[0])
     assert np.all(entry.energy_fj == 2.5)
-    assert entry.energy_fj.shape == (entry.latency.precision + 1,)
+    assert entry.energy_fj.shape == (entry.precision + 1,)
 
 
 def test_hw_entry_temperature_round_trip(tmp_path):
-    entry = default_entry("sram", 0.9, 7)
-    warm = HwEntry(latency=entry.latency, energy_fj=entry.energy_fj, temperature_c=85.0)
+    entry = default_catalog().get("sram", 0.9, 7)
+    warm = replace(entry, temperature_c=85.0)
     cat = hwmodel.Catalog([warm])
     path = tmp_path / "t.json"
     save_hw_tables(path, cat)
@@ -512,8 +537,8 @@ _JSON = st.recursive(
 def table_docs(tmp_path_factory):
     """Exported table objects at precisions 3 and 7."""
     path = tmp_path_factory.mktemp("tables") / "tables.json"
-    save_hw_tables(path, hwmodel.Catalog([default_entry("sram", 0.7, 3),
-                                          default_entry("fefinfet", 0.9, 15)]))
+    save_hw_tables(path, hwmodel.Catalog([default_catalog().get("sram", 0.7, 3),
+                                          default_catalog().get("fefinfet", 0.9, 15)]))
     return json.loads(path.read_text())["tables"]
 
 
@@ -579,14 +604,13 @@ def _check_valid(catalog):
     """The invariants every loaded table promises."""
     assert len(catalog) >= 1
     for entry in catalog:
-        lm = entry.latency
-        assert np.all(np.isfinite(lm.mu_ns)) and np.all(np.isfinite(lm.sigma_ns))
-        assert np.isfinite(lm.match_timeout_ns)
-        assert np.all(np.diff(lm.mu_ns) < 0) and np.all(lm.sigma_ns > 0)
-        assert lm.match_timeout_ns > lm.mu_ns[0]
-        assert entry.energy_fj.shape == (lm.precision + 1,)
+        assert np.all(np.isfinite(entry.mu_ns)) and np.all(np.isfinite(entry.sigma_ns))
+        assert np.isfinite(entry.match_timeout_ns)
+        assert np.all(np.diff(entry.mu_ns) < 0) and np.all(entry.sigma_ns > 0)
+        assert entry.match_timeout_ns > entry.mu_ns[0]
+        assert entry.energy_fj.shape == (entry.precision + 1,)
         assert np.all(np.isfinite(entry.energy_fj)) and np.all(entry.energy_fj > 0)
-        assert np.abs(confusion_from_latency(lm).sum(axis=1) - 1.0).max() <= 1e-9
+        assert np.abs(confusion_from_latency(entry).sum(axis=1) - 1.0).max() <= 1e-9
 
 
 @pytest.mark.parametrize("op", _OPS)

@@ -1,6 +1,7 @@
 """What the benchmark binds still exists: ``perfbench/spans.py`` wraps
-functions by (module, name) and counts some of their arguments by name, and
-``perfbench/workloads.py`` calls ``synth`` and ``encoders``. Both are parsed,
+functions by (module, name) and counts some of their arguments by name,
+``perfbench/workloads.py`` calls ``synth`` and ``encoders``, and
+``perfbench/child.py`` calls ``hwmodel`` and ``cli``. All three are parsed,
 not run."""
 
 import ast
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from hdtcam import encoders, synth
+from hdtcam import cli, encoders, hwmodel, synth
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -50,3 +51,16 @@ def test_workload_inputs_resolve():
     missing = [f"{m}.{a}" for m, a in sorted(used)
                if not hasattr({"synth": synth, "encoders": encoders}[m], a)]
     assert not missing, missing
+
+
+def test_child_calls_resolve():
+    """Every ``hwmodel.X`` and ``cli.X`` the benchmark's child process uses
+    exists, and it can still build the default catalog without arguments."""
+    modules = {"hwmodel": hwmodel, "cli": cli}
+    used = {(node.value.id, node.attr) for node in ast.walk(_parse("child.py"))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules}
+    assert {("hwmodel", "default_catalog"), ("cli", "main")} <= used
+    missing = [f"{m}.{a}" for m, a in sorted(used) if not hasattr(modules[m], a)]
+    assert not missing, missing
+    inspect.signature(hwmodel.default_catalog).bind()
