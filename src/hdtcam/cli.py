@@ -1,10 +1,10 @@
 """Command-line front end for training, evaluation, sweeps and reports.
 
-Configuration comes from an optional JSON file (--config) plus command-line
-flags; flags win. Every emitted artifact records the tool version, the
-master seed and a hash of the effective configuration. With --deterministic
-the timestamp line is suppressed so reruns are byte-identical. All outputs
-are written to a temp file and renamed into place on success.
+Settings come from an optional JSON file (--config) and command-line flags,
+both declared once in SETTINGS; flags win. Every emitted artifact records
+the tool version, the master seed and a hash of the effective configuration.
+With --deterministic the timestamp line is suppressed so reruns are
+byte-identical. Outputs are written to a temp file renamed into place.
 """
 
 from __future__ import annotations
@@ -50,7 +50,12 @@ def _error_code(exc: Exception) -> str:
     return "E-INTERNAL"
 
 
-def _config_hash(doc: dict) -> str:
+def _config_hash(doc: dict, task: encoders.Task) -> str:
+    """Hash of the merged settings as given (an integer given for a number
+    stays one) with the task's effective seeds, and without the worker count,
+    which changes no result."""
+    doc = {"item_seed": task.item_seed, "tie_seed": task.tie_seed, **doc}
+    doc.pop("jobs", None)
     blob = json.dumps(doc, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -66,39 +71,75 @@ def _metadata_lines(config_hash: str, seed: int, deterministic: bool) -> list:
     return lines
 
 
-def _effective_config(args) -> dict:
-    """Config file values overridden by every flag given on the command line.
+# The settings of each subcommand that reads --config: name -> (its JSON type
+# as errors.setting reads it, help). A setting x_y is also the flag --x-y, a
+# list given comma-separated; a flag and its config key are one setting.
+_TASK = {
+    "task": (str, f"one of {', '.join(sorted(encoders.TASK_SEEDS))}"),
+    "ngram": (int, "language: n-gram size (default 4)"),
+    "threshold": (int, "mnist: pixel threshold (default 128)"),
+    "item_seed": (int, "item memory seed (default: the task's)"),
+    "tie_seed": (int, "majority tie-break seed (default: the task's)"),
+}
+_TRAIN_FILES = {
+    "train_dir": (str, "language: directory of <label>.txt corpora"),
+    "train_images": (str, "mnist: IDX images"),
+    "train_labels": (str, "mnist: IDX labels"),
+    "train_csv": (str, "csv: label,bits rows"),
+}
+_TEST_FILES = {
+    "queries": (str, "language: CSV of label,text query rows"),
+    "test_images": (str, "mnist: IDX images"),
+    "test_labels": (str, "mnist: IDX labels"),
+    "test_csv": (str, "csv: label,bits rows"),
+}
+_HW_TABLES = {"hw_tables": (str, "JSON tables (default: built-in)")}
+_SEED = {"seed": (int, "master seed (default 0)")}
+SETTINGS = {
+    "train": {**_TASK, **_TRAIN_FILES, **_SEED,
+              "dimension": (int, "hypervector dimension (default 10000)")},
+    "eval": {**_TASK, **_TEST_FILES, **_SEED, **_HW_TABLES,
+             "technology": (str, f"one of {', '.join(hwmodel.TECHNOLOGIES)}; "
+                                 "without it and --block-size, noise-free"),
+             "voltage": (float, "supply voltage in V (default 0.7)"),
+             "block_size": (int, "block size N (default 15)"),
+             "precision": (int, "precision P (default: the table's, else min(N, 7))"),
+             "replicas": (int, "odd replica count (default 1)"),
+             "trials": (int, "noisy trials (default 10)")},
+    "sweep": {**_TASK, **_TRAIN_FILES, **_TEST_FILES, **_HW_TABLES,
+              **{name: (kind, ("comma-separated; " if isinstance(kind, list) else "")
+                        + f"default {getattr(explorer.SweepSpace, name)}")
+                 for name, kind in explorer.SWEEP_FIELDS},
+              "jobs": (int, "parallel evaluations (default 1)")},
+}
 
-    The subcommand, --config, --deterministic and the model and output paths
-    are not configuration values.
-    """
+
+def _effective_config(args) -> tuple:
+    """(settings, document): the --config file overridden by every flag given
+    on the command line, each value typed by ``errors.setting``, and the
+    merged values as given, which ``_config_hash`` hashes. A config key that
+    is not one of the subcommand's settings is ConfigError naming it."""
     doc = load_json(args.config) if args.config else {}
     if not isinstance(doc, dict):
         raise ConfigError(f"{args.config}: config must be a JSON object")
-    for name, value in vars(args).items():
-        if value is not None and name not in (
-                "command", "func", "config", "deterministic", "output", "model"):
-            doc[name] = value
-    return doc
+    settings = SETTINGS[args.command]
+    for key in doc:
+        if key not in settings:
+            raise ConfigError(f"{args.config}: {key!r} is not a setting of {args.command}")
+    doc.update((name, value) for name in settings if (value := getattr(args, name)) is not None)
+    return {key: setting(doc, key, settings[key][0]) for key in doc}, doc
 
 
 def _task(cfg: dict, meta: dict | None = None) -> encoders.Task:
-    """The task set-up from the config, falling back to a model's metadata.
-
-    Fills the effective item and tie seeds into ``cfg``, so they are part of
-    its hash.
-    """
+    """The task set-up from the settings, falling back to a model's metadata."""
     meta = meta or {}
-    task = encoders.Task(
-        setting(cfg, "task", str, setting(meta, "task", str)),
-        setting(cfg, "item_seed", int, setting(meta, "item_seed", int)),
-        setting(cfg, "tie_seed", int, setting(meta, "tie_seed", int)),
-        setting(cfg, "ngram", int),
-        setting(cfg, "threshold", int),
+    return encoders.Task(
+        cfg.get("task", setting(meta, "task", str)),
+        cfg.get("item_seed", setting(meta, "item_seed", int)),
+        cfg.get("tie_seed", setting(meta, "tie_seed", int)),
+        cfg.get("ngram"),
+        cfg.get("threshold"),
     )
-    cfg.setdefault("item_seed", task.item_seed)
-    cfg.setdefault("tie_seed", task.tie_seed)
-    return task
 
 
 def _load_catalog(path) -> hwmodel.Catalog:
@@ -111,9 +152,9 @@ def _load_catalog(path) -> hwmodel.Catalog:
 
 
 def cmd_train(args) -> int:
-    cfg = _effective_config(args)
+    cfg, doc = _effective_config(args)
     task = _task(cfg)
-    dimension = setting(cfg, "dimension", int, 10000)
+    dimension = cfg.get("dimension", 10000)
     if dimension < 1:
         raise ConfigError(f"dimension must be >= 1, got {dimension}")
     started = time.perf_counter()
@@ -122,10 +163,10 @@ def cmd_train(args) -> int:
     meta = {
         "tool": f"hdtcam {__version__}",
         "task": task.kind,
-        "seed": setting(cfg, "seed", int, 0),
+        "seed": cfg.get("seed", 0),
         "item_seed": task.item_seed,
         "tie_seed": task.tie_seed,
-        "config_hash": _config_hash(cfg),
+        "config_hash": _config_hash(doc, task),
     }
     am_mod.save_model(args.output, memory, seed_metadata=meta)
     print(f"trained {len(memory)} classes at dimension {memory.dimension} "
@@ -134,25 +175,25 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _effective_config(args)
+    cfg, doc = _effective_config(args)
     memory, meta = am_mod.load_model(args.model)
     task = _task(cfg, meta)
     queries, labels = task.encode_split(cfg, memory.dimension)
 
-    seed = setting(cfg, "seed", int, 0)
-    technology = setting(cfg, "technology", str)
+    seed = cfg.get("seed", 0)
+    technology = cfg.get("technology")
     if technology or "block_size" in cfg:
         # Blocked inference: under the technology's hardware table, else noise-free.
-        block_size = setting(cfg, "block_size", int, 15)
-        hw = (_load_catalog(setting(cfg, "hw_tables", str)).get(
-            technology, setting(cfg, "voltage", float, 0.7), block_size) if technology else None)
-        precision = setting(cfg, "precision", int, hw.precision if hw else min(block_size, 7))
+        block_size = cfg.get("block_size", 15)
+        hw = (_load_catalog(cfg.get("hw_tables")).get(
+            technology, cfg.get("voltage", 0.7), block_size) if technology else None)
+        precision = cfg.get("precision", hw.precision if hw else min(block_size, 7))
         point = explorer.evaluate(
             memory, queries, labels,
             am_mod.BlockConfig(memory.dimension, block_size, precision),
             hw=hw,
-            replicas=setting(cfg, "replicas", int, 1) if hw else 1,
-            trials=setting(cfg, "trials", int, 10) if hw else 1,
+            replicas=cfg.get("replicas", 1) if hw else 1,
+            trials=cfg.get("trials", 10) if hw else 1,
             seed=seed,
         )
     else:
@@ -171,7 +212,7 @@ def cmd_eval(args) -> int:
     else:
         print(f"accuracy {point.accuracy_mean:.4f} over {len(labels)} queries")
     if args.output:
-        lines = _metadata_lines(_config_hash(cfg), seed, args.deterministic)
+        lines = _metadata_lines(_config_hash(doc, task), seed, args.deterministic)
         with atomic_open(args.output) as f:
             explorer.write_results_csv([point], f, metadata_lines=lines)
         print(f"wrote {args.output}")
@@ -184,14 +225,10 @@ def _pareto_path(output: str) -> str:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _effective_config(args)
+    cfg, doc = _effective_config(args)
     task = _task(cfg)
-    space = explorer.SweepSpace(**{name: setting(cfg, name, kind)
-                                   for name, kind in explorer.SWEEP_FIELDS if name in cfg})
-    jobs = setting(cfg, "jobs", int, 1)
-    # Worker count does not change results: the resume header and the metadata
-    # line hash the configuration without it.
-    config_hash = _config_hash({k: v for k, v in cfg.items() if k != "jobs"})
+    space = explorer.SweepSpace(**{n: cfg[n] for n, _ in explorer.SWEEP_FIELDS if n in cfg})
+    config_hash = _config_hash(doc, task)
     log = explorer.SweepLog(args.output, config_hash)
     done = []
     if (resumed := log.read()) is not None:
@@ -199,7 +236,7 @@ def cmd_sweep(args) -> int:
         if torn:
             print("resuming: skipped a torn final line")
         print(f"resuming: {len(done)} points already evaluated")
-    catalog = _load_catalog(setting(cfg, "hw_tables", str))
+    catalog = _load_catalog(cfg.get("hw_tables"))
     datasets = {}
     for d in space.dimensions:
         memory = task.train_split(cfg, d)
@@ -214,7 +251,7 @@ def cmd_sweep(args) -> int:
                   f"loss {100 * point.accuracy_loss:.3f} %, {point.energy_pj:.2f} pJ")
 
         points = explorer.flag_pareto(done + explorer.sweep(
-            space, datasets, catalog, jobs=jobs, done=done, progress=progress))
+            space, datasets, catalog, jobs=cfg.get("jobs", 1), done=done, progress=progress))
         lines = _metadata_lines(config_hash, space.seed, args.deterministic)
         front = [p for p in points if p.pareto]
         for path, rows in ((args.output, points), (_pareto_path(args.output), front)):
@@ -297,16 +334,16 @@ def cmd_export(args) -> int:
 # Argument parsing
 
 
-def _int_list(text):
-    return [int(x) for x in text.split(",") if x]
+def _flag_type(kind):
+    """The argparse type of a setting's flag: its JSON type, a list of one
+    given comma-separated."""
+    if not isinstance(kind, list):
+        return kind
 
-
-def _float_list(text):
-    return [float(x) for x in text.split(",") if x]
-
-
-def _str_list(text):
-    return [x for x in text.split(",") if x]
+    def items(text):
+        return [kind[0](x) for x in text.split(",") if x]
+    items.__name__ = f"comma-separated {kind[0].__name__}"
+    return items
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,65 +355,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"hdtcam {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    for command, about, func, paths in (
+        ("train", "encode a training set and persist the model", cmd_train,
+         {"--output": {"required": True, "help": "model JSON path"}}),
+        ("eval", "evaluate a model, optionally under a hardware model", cmd_eval,
+         {"--model": {"required": True}, "--output": {"help": "optional results CSV"}}),
+        ("sweep", "evaluate the full design-space cross product", cmd_sweep,
+         {"--output": {"required": True, "help": "results CSV path"}}),
+    ):
+        p = sub.add_parser(command, help=about)
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
         p.add_argument("--deterministic", action="store_true",
                        help="suppress timestamps so reruns are byte-identical")
-
-    def add_data_flags(p, train=True, test=True):
-        p.add_argument("--task", choices=sorted(encoders.TASK_SEEDS))
-        if train:
-            p.add_argument("--train-dir", dest="train_dir",
-                           help="language: directory of <label>.txt corpora")
-            p.add_argument("--train-images", dest="train_images", help="mnist: IDX images")
-            p.add_argument("--train-labels", dest="train_labels", help="mnist: IDX labels")
-            p.add_argument("--train-csv", dest="train_csv", help="csv: label,bits rows")
-        if test:
-            p.add_argument("--queries", help="language: CSV of label,text query rows")
-            p.add_argument("--test-images", dest="test_images", help="mnist: IDX images")
-            p.add_argument("--test-labels", dest="test_labels", help="mnist: IDX labels")
-            p.add_argument("--test-csv", dest="test_csv", help="csv: label,bits rows")
-        p.add_argument("--ngram", type=int, default=None)
-        p.add_argument("--threshold", type=int, default=None)
-        p.add_argument("--item-seed", dest="item_seed", type=int, default=None)
-        p.add_argument("--tie-seed", dest="tie_seed", type=int, default=None)
-
-    p = sub.add_parser("train", help="encode a training set and persist the model")
-    add_common(p)
-    add_data_flags(p, test=False)
-    p.add_argument("--dimension", type=int, default=None)
-    p.add_argument("--output", required=True, help="model JSON path")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a model, optionally under a hardware model")
-    add_common(p)
-    add_data_flags(p, train=False)
-    p.add_argument("--model", required=True)
-    p.add_argument("--hw-tables", dest="hw_tables", help="JSON tables (default: built-in)")
-    p.add_argument("--technology", choices=hwmodel.TECHNOLOGIES)
-    p.add_argument("--voltage", type=float, default=None)
-    p.add_argument("--block-size", dest="block_size", type=int, default=None)
-    p.add_argument("--precision", type=int, default=None)
-    p.add_argument("--replicas", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--output", help="optional results CSV")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("sweep", help="evaluate the full design-space cross product")
-    add_common(p)
-    add_data_flags(p)
-    p.add_argument("--hw-tables", dest="hw_tables")
-    p.add_argument("--technologies", type=_str_list, default=None)
-    p.add_argument("--voltages", type=_float_list, default=None)
-    p.add_argument("--block-sizes", dest="block_sizes", type=_int_list, default=None)
-    p.add_argument("--precisions", type=_int_list, default=None)
-    p.add_argument("--dimensions", type=_int_list, default=None)
-    p.add_argument("--replicas", type=_int_list, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None, help="parallel evaluations")
-    p.add_argument("--output", required=True, help="results CSV path")
-    p.set_defaults(func=cmd_sweep)
+        for name, (kind, text) in SETTINGS[command].items():
+            p.add_argument("--" + name.replace("_", "-"), dest=name, type=_flag_type(kind),
+                           help=text)
+        for flag, options in paths.items():
+            p.add_argument(flag, **options)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("pareto", help="extract the Pareto front from a results CSV")
     p.add_argument("--input", required=True)

@@ -19,7 +19,6 @@ from .errors import (
     FormatError,
     atomic_open,
     open_text,
-    setting,
 )
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz "
@@ -333,10 +332,9 @@ def save_hypervector_csv(path, labeled: LabeledSet) -> None:
 
 def _path(files: dict, name: str) -> str:
     """The path setting ``files[name]``; E-CONFIG naming its flag when it is missing."""
-    path = setting(files, name, str)
-    if path is None:
+    if name not in files:
         raise ConfigError(f"missing --{name.replace('_', '-')} (or {name!r} in --config)")
-    return path
+    return files[name]
 
 
 @dataclass

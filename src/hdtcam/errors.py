@@ -39,14 +39,14 @@ class InvalidStateError(HdtcamError, RuntimeError):
     """Operation called on an object in a state that cannot support it."""
 
 
-def setting(cfg: dict, key: str, kind, default=None):
+def setting(cfg: dict, key: str, kind):
     """``cfg[key]`` as ``kind`` (int, float, str, or ``[kind]`` for a list of
-    them), or ``default`` without the key. The value must have that JSON type,
+    them), or None without the key. The value must have that JSON type,
     an int counting as a float; anything else (a boolean, null, a numeric
     string, a float for an int, a scalar for a list, a number too large to
     convert) is ConfigError naming the key."""
     if key not in cfg:
-        return default
+        return None
     value, many = cfg[key], isinstance(kind, list)
     item = kind[0] if many else kind
     items = value if many else [value]
@@ -64,9 +64,9 @@ def setting(cfg: dict, key: str, kind, default=None):
 
 @contextmanager
 def open_text(path):
-    """Open ``path`` for reading as UTF-8 text; bytes that are not UTF-8
-    raise FormatError naming the file."""
-    with open(path, "r", encoding="utf-8") as f:
+    """Open ``path`` for reading as UTF-8 text, a byte-order mark skipped;
+    bytes that are not UTF-8 raise FormatError naming the file."""
+    with open(path, "r", encoding="utf-8-sig") as f:
         try:
             yield f
         except UnicodeDecodeError as exc:

@@ -17,9 +17,10 @@ import numpy as np
 
 from .am import AssociativeMemory, BlockConfig, distance_histogram, ideal_argmin
 from .errors import ConfigError, FormatError, atomic_open, open_text
-from .hwmodel import Catalog, HwEntry, confusion_from_latency, energy_pj, median_confusion
+from .hwmodel import (Catalog, HwEntry, check_replicas, confusion_from_latency, energy_pj,
+                      median_confusion)
 
-# The setting type of each SweepSpace field, by which the CLI reads a sweep's settings.
+# The setting type of each SweepSpace field: the CLI declares a sweep's axes, trials and seed by it.
 SWEEP_FIELDS = (("technologies", [str]), ("voltages", [float]), ("block_sizes", [int]),
                 ("precisions", [int]), ("dimensions", [int]), ("replicas", [int]),
                 ("trials", int), ("seed", int))
@@ -52,8 +53,8 @@ class SweepSpace:
                 raise ValueError(f"sweep axis {name!r} names one configuration twice: {values}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if any(r < 1 or r % 2 == 0 for r in self.replicas):
-            raise ValueError("replica counts must be odd")
+        for r in self.replicas:
+            check_replicas(r)
         if not any(p <= n for n in self.block_sizes for p in self.precisions):
             raise ValueError("no (block_size, precision) pair satisfies P <= N")
 
@@ -181,19 +182,10 @@ def evaluate(
         counts = fixed if fixed is not None else rng.multinomial(hist, cm).sum(axis=2)
         preds = np.argmin(counts @ reported, axis=1)
         accuracies.append(np.count_nonzero(preds == label_idx) / num_q)
-        if hw is None:
-            energies.append(0.0)
-            latencies.append(0.0)
-        else:
-            totals = counts.sum(axis=(0, 1))
-            energies.append(energy_pj(hw.energy_fj, totals) / num_q)
-            latencies.append(float(hw.slowest_latency(reads, rng).sum()) / num_q)
-        if hw is None:
-            # Deterministic reports: further trials would repeat identically.
-            accuracies = accuracies * trials
-            energies = energies * trials
-            latencies = latencies * trials
-            break
+        energies.append(0.0 if hw is None else
+                        energy_pj(hw.energy_fj, counts.sum(axis=(0, 1))) / num_q)
+        latencies.append(0.0 if hw is None else
+                         float(hw.slowest_latency(reads, rng).sum()) / num_q)
 
     acc_mean = float(np.mean(accuracies))
     acc_std = float(np.std(accuracies))

@@ -96,6 +96,10 @@ class HwEntry:
         object.__setattr__(self, "mu_ns", mu)
         object.__setattr__(self, "sigma_ns", sigma)
         object.__setattr__(self, "energy_fj", energy)
+        if not (math.isfinite(self.voltage) and self.voltage > 0):
+            raise ConfigError(f"voltage_V must be finite and positive, got {self.voltage}")
+        if self.temperature_c is not None and not -273.15 <= self.temperature_c < math.inf:
+            raise ConfigError(f"temperature_C must be in [-273.15, inf), got {self.temperature_c}")
         if not 1 <= self.precision <= self.block_size:
             raise ConfigError(
                 f"precision must be in [1, {self.block_size}], got {self.precision}"
@@ -214,6 +218,15 @@ def error_probability(cm: np.ndarray, h: int) -> float:
     return float(1.0 - cm[h, h])
 
 
+MAX_REPLICAS = 1029  # the largest r whose C(r, j), weighed by median_confusion, are floats
+
+
+def check_replicas(replicas: int) -> None:
+    """ValueError unless ``replicas`` is an odd count in [1, MAX_REPLICAS]."""
+    if not (1 <= replicas <= MAX_REPLICAS and replicas % 2 == 1):
+        raise ValueError(f"replica count must be odd and in [1, {MAX_REPLICAS}], got {replicas}")
+
+
 def median_confusion(cm: np.ndarray, replicas: int) -> np.ndarray:
     """Confusion matrix of the median of ``replicas`` independent reads.
 
@@ -222,8 +235,7 @@ def median_confusion(cm: np.ndarray, replicas: int) -> np.ndarray:
     P(med <= k) = sum_{j >= (r+1)/2} C(r, j) F_k^j (1 - F_k)^(r-j).
     One-hot rows stay one-hot.
     """
-    if replicas < 1 or replicas % 2 == 0:
-        raise ValueError(f"replica count must be odd and >= 1, got {replicas}")
+    check_replicas(replicas)
     if replicas == 1:
         return cm
     cdf = np.clip(np.cumsum(cm, axis=1), 0.0, 1.0)
@@ -331,6 +343,7 @@ class Catalog:
         return (technology, round(float(voltage), 2), int(block_size))
 
     def get(self, technology, voltage, block_size) -> HwEntry:
+        _check_technology(technology)
         key = self._key(technology, voltage, block_size)
         try:
             return self._entries[key]

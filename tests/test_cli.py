@@ -534,6 +534,17 @@ def test_config_value_of_wrong_type_is_a_config_error(command, setting, unseen_l
     list, a scalar for a list, a number given as a string, a float for an
     int, a path that is not a string, a number too large to convert) exits
     E-CONFIG naming the key, and writes nothing."""
+    assert _run_configured(command, setting, unseen_label_csv, tmp_path) != 0
+    err = capsys.readouterr().err
+    key = repr(list(setting)[0])
+    assert err.startswith("error: E-CONFIG:") and key in err, err
+    _assert_nothing_written(tmp_path)
+
+
+def _run_configured(command, setting, unseen_label_csv, tmp_path, *flags):
+    """The exit code of ``command`` on the 64-bit csv task, configured by a
+    --config file of working settings updated with ``setting``, and ``flags``.
+    ``eval-hw`` is ``eval`` under a hardware table."""
     train, test, model = unseen_label_csv
     base = {
         "train": {"task": "csv", "train_csv": str(train), "dimension": 64},
@@ -549,12 +560,122 @@ def test_config_value_of_wrong_type_is_a_config_error(command, setting, unseen_l
     argv = {"train": ["train", "--output", str(tmp_path / "trained.json")],
             "sweep": ["sweep", "--output", str(out)]}.get(
                 command, ["eval", "--model", str(model), "--output", str(out)])
-    assert run_cli(*argv, "--config", str(config)) != 0
-    err = capsys.readouterr().err
-    key = repr(list(setting)[0])
-    assert err.startswith("error: E-CONFIG:") and key in err, err
-    assert not out.exists() and not (tmp_path / "trained.json").exists()
+    return run_cli(*argv, "--config", str(config), *flags)
+
+
+def _assert_nothing_written(tmp_path):
+    """No output of ``_run_configured`` and no resume log exists."""
+    assert not (tmp_path / "out.csv").exists() and not (tmp_path / "trained.json").exists()
     assert not (tmp_path / "out.csv.partial.jsonl").exists()
+
+
+@pytest.mark.parametrize("command, setting", [
+    ("sweep", {"trails": 3}),
+    ("sweep", {"block_size": 7}),
+    ("eval", {"dimension": 64}),
+    ("train", {"technologies": ["sram"]}),
+], ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}={v[k]!r}" for k in v))
+def test_config_key_that_is_not_a_setting_is_a_config_error(command, setting, unseen_label_csv,
+                                                            tmp_path, capsys):
+    """A --config key that is not one of the subcommand's settings, a
+    misspelled one or one of another subcommand, exits E-CONFIG naming the
+    key and the file, and writes nothing: it is not hashed and ignored."""
+    assert _run_configured(command, setting, unseen_label_csv, tmp_path) != 0
+    err = capsys.readouterr().err
+    assert err.startswith("error: E-CONFIG:") and repr(list(setting)[0]) in err, err
+    assert str(tmp_path / "config.json") in err, err
+    _assert_nothing_written(tmp_path)
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("train", "task", "speech"),
+    ("eval", "task", "speech"),
+    ("sweep", "task", "speech"),
+    ("eval-hw", "technology", "rram"),
+])
+def test_flag_and_config_key_refuse_a_value_alike(command, key, value, unseen_label_csv,
+                                                  tmp_path, capsys):
+    """A flag and its config key are one setting: a value that neither
+    allows exits with the same E-CONFIG line from either, and writes nothing."""
+    errors = []
+    for setting, flags in (({}, ("--" + key.replace("_", "-"), value)), ({key: value}, ())):
+        assert _run_configured(command, setting, unseen_label_csv, tmp_path, *flags) != 0
+        errors.append(capsys.readouterr().err)
+        _assert_nothing_written(tmp_path)
+    assert errors[0] == errors[1], errors
+    assert errors[0].startswith("error: E-CONFIG:") and repr(value) in errors[0], errors
+
+
+# The option strings of each subcommand, -h and --help included.
+_OPTIONS = {
+    "train": "--config --deterministic --dimension --help --item-seed --ngram --output --seed "
+             "--task --threshold --tie-seed --train-csv --train-dir --train-images "
+             "--train-labels -h",
+    "eval": "--block-size --config --deterministic --help --hw-tables --item-seed --model "
+            "--ngram --output --precision --queries --replicas --seed --task --technology "
+            "--test-csv --test-images --test-labels --threshold --tie-seed --trials --voltage -h",
+    "sweep": "--block-sizes --config --deterministic --dimensions --help --hw-tables "
+             "--item-seed --jobs --ngram --output --precisions --queries --replicas --seed "
+             "--task --technologies --test-csv --test-images --test-labels --threshold "
+             "--tie-seed --train-csv --train-dir --train-images --train-labels --trials "
+             "--voltages -h",
+    "pareto": "--help --input --output -h",
+    "hwmodel": "--block-size --help --output --tables --technology --voltage -h",
+    "export": "--help --model --output --tables -h",
+}
+
+
+def test_subcommand_option_strings():
+    """Each subcommand keeps its flags; those of train, eval and sweep are
+    their settings, --x-y for the setting x_y, besides --config,
+    --deterministic, --model and --output."""
+    subcommands = cli.build_parser()._subparsers._group_actions[0].choices
+    assert set(subcommands) == set(_OPTIONS)
+    for command, options in _OPTIONS.items():
+        flags = sorted(o for action in subcommands[command]._actions for o in action.option_strings)
+        assert flags == options.split(), command
+    for command, settings in cli.SETTINGS.items():
+        assert ({"--" + name.replace("_", "-") for name in settings}
+                | {"-h", "--help", "--config", "--deterministic", "--model", "--output"}
+                >= set(_OPTIONS[command].split())), command
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_replica_count_beyond_the_float_limit_is_refused(command, unseen_label_csv, tmp_path,
+                                                        capsys):
+    """A replica count whose binomial coefficients do not convert to a float
+    (r = 1031) exits E-USAGE naming the limit, 1029, and writes nothing, as
+    an even count does; the limit itself evaluates."""
+    replicas = ["1031", "4"] + (["1029"] if command == "eval" else [])
+    for r in replicas:
+        code = _run_configured("eval-hw" if command == "eval" else command, {},
+                               unseen_label_csv, tmp_path, "--replicas", r)
+        err = capsys.readouterr().err
+        if r == "1029":
+            assert code == 0, err
+        else:
+            assert code != 0
+            assert err.startswith("error: E-USAGE: replica count must be odd and in "
+                                  f"[1, 1029], got {r}"), err
+            _assert_nothing_written(tmp_path)
+
+
+@pytest.mark.parametrize("flag", ["--train-csv", "--queries"])
+def test_byte_order_mark_is_not_data(flag, row_csvs, tmp_path, capsys):
+    """A label,bits or label,text file saved with a UTF-8 byte-order mark
+    reads as the file without it: the mark does not turn the header into a row."""
+    bits, queries, model = row_csvs
+    path, out = tmp_path / "rows.csv", tmp_path / "out"
+    argv = {"--train-csv": ["train", "--task", "csv", "--dimension", "64"],
+            "--queries": ["eval", "--model", str(model), "--task", "language",
+                          "--deterministic"]}[flag]
+    results = []
+    for mark in ("", "\ufeff"):
+        path.write_text(mark + "".join(bits if flag == "--train-csv" else queries),
+                        encoding="utf-8")
+        assert run_cli(*argv, flag, str(path), "--output", str(out)) == 0
+        results.append((capsys.readouterr().out, out.read_bytes()))
+    assert results[0] == results[1]
 
 
 def test_eval_precision_above_the_table_is_a_config_error(unseen_label_csv, tmp_path, capsys):
@@ -695,9 +816,11 @@ def test_malformed_model_and_tables_exit_codes(tmp_path, capsys):
     entry = doc["tables"][0]
     bad = [("energy_fJ", "abc"), ("temperature_C", "hot"), ("block_size", float("inf")),
            ("precision", float("nan")), ("block_size", 2.7), ("voltage_V", "0.75"),
-           ("mu_ns", [str(x) for x in entry["mu_ns"]]), ("precision", True)]
+           ("mu_ns", [str(x) for x in entry["mu_ns"]]), ("precision", True),
+           ("voltage_V", -3.0), ("voltage_V", 0), ("temperature_C", -1e9)]
     for value in (float("nan"), float("inf"), -float("inf")):
-        bad += [("mu_ns", [value] + entry["mu_ns"][1:]),
+        bad += [("voltage_V", value), ("temperature_C", value),
+                ("mu_ns", [value] + entry["mu_ns"][1:]),
                 ("sigma_ns", entry["sigma_ns"][:-1] + [value]),
                 ("match_timeout_ns", value), ("energy_fJ", value),
                 ("energy_fJ", [value] + entry["energy_fJ"][1:])]

@@ -604,6 +604,8 @@ def _check_valid(catalog):
     """The invariants every loaded table promises."""
     assert len(catalog) >= 1
     for entry in catalog:
+        assert np.isfinite(entry.voltage) and entry.voltage > 0
+        assert entry.temperature_c is None or -273.15 <= entry.temperature_c < np.inf
         assert np.all(np.isfinite(entry.mu_ns)) and np.all(np.isfinite(entry.sigma_ns))
         assert np.isfinite(entry.match_timeout_ns)
         assert np.all(np.diff(entry.mu_ns) < 0) and np.all(entry.sigma_ns > 0)
