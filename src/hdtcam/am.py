@@ -170,23 +170,26 @@ def distance_histogram(queries: np.ndarray, classes: np.ndarray, dimension: int,
     """n[q, c, h]: the blocks of each (query, class) pair at distance h.
 
     Distances are unclamped, h = 0..N, unless ``precision`` clamps them at
-    a lower P, h = 0..P. Returns int64 of shape (queries, classes, bins),
-    counted with one ``np.bincount`` per chunk of the packed kernel over an
-    int32 index.
+    a lower P, h = 0..P. Returns int64 of shape (queries, classes, bins).
+    Per chunk of the packed kernel, each pair's blocks at distance k or more
+    are counted for k = 1..P (uint16 sums, int64 from 2^16 blocks), and a
+    bin is the difference of successive counts: P + 1 passes over the
+    blocks, and the last count is the clamped bin P.
     """
     cfg = BlockConfig(dimension, block_size, block_size if precision is None else precision)
     queries = np.atleast_2d(queries)
     classes = np.atleast_2d(classes)
-    num_c, bins = classes.shape[0], cfg.precision + 1
-    hist = np.empty((queries.shape[0], num_c, bins), dtype=np.int64)
+    bins = cfg.precision + 1
+    total = np.uint16 if cfg.num_blocks < 2**16 else np.int64
+    hist = np.empty((queries.shape[0], classes.shape[0], bins), dtype=np.int64)
     for s, d in _packed_distances(queries, classes, dimension, block_size):
-        rows = d.shape[0]
-        if cfg.precision < block_size:
-            d = np.minimum(d, cfg.precision)
-        pair = np.arange(rows * num_c, dtype=np.int32).reshape(rows, num_c, 1)
-        index = (d + pair * np.int32(bins)).ravel()
-        counts = np.bincount(index, minlength=rows * num_c * bins)
-        hist[s:s + rows] = counts.reshape(rows, num_c, bins)
+        out = hist[s:s + d.shape[0]]
+        above = total(cfg.num_blocks)  # blocks at distance 0 or more
+        for k in range(1, bins):
+            at_least = np.add.reduce(d >= k, axis=-1, dtype=total)
+            out[..., k - 1] = above - at_least
+            above = at_least
+        out[..., -1] = above
     return hist
 
 

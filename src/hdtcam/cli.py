@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+import typing
 
 import numpy as np
 
@@ -71,46 +72,64 @@ def _metadata_lines(config_hash: str, seed: int, deterministic: bool) -> list:
     return lines
 
 
-# The settings of each subcommand that reads --config: name -> (its JSON type
-# as errors.setting reads it, help). A setting x_y is also the flag --x-y, a
-# list given comma-separated; a flag and its config key are one setting.
+class Setting(typing.NamedTuple):
+    """A setting of a subcommand that reads --config: its JSON type as
+    ``errors.setting`` reads it, its help, and ``needs``, the settings of
+    which the run must give one for this setting to be read (none: always)."""
+
+    kind: typing.Any
+    help: str
+    needs: tuple = ()
+
+
+# eval's modes beyond the ideal run, each named by the settings that select
+# it: blocked inference (a block size, or a technology) and the hardware
+# model (a technology).
+_BLOCKED = ("block_size", "technology")
+_HARDWARE = ("technology",)
+
+# The settings of each subcommand that reads --config. A setting x_y is also
+# the flag --x-y, a list given comma-separated; a flag and its config key are
+# one setting.
 _TASK = {
-    "task": (str, f"one of {', '.join(sorted(encoders.TASK_SEEDS))}"),
-    "ngram": (int, "language: n-gram size (default 4)"),
-    "threshold": (int, "mnist: pixel threshold (default 128)"),
-    "item_seed": (int, "item memory seed (default: the task's)"),
-    "tie_seed": (int, "majority tie-break seed (default: the task's)"),
+    "task": Setting(str, f"one of {', '.join(sorted(encoders.TASK_SEEDS))}"),
+    "ngram": Setting(int, "language: n-gram size (default 4)"),
+    "threshold": Setting(int, "mnist: pixel threshold (default 128)"),
+    "item_seed": Setting(int, "item memory seed (default: the task's)"),
+    "tie_seed": Setting(int, "majority tie-break seed (default: the task's)"),
 }
 _TRAIN_FILES = {
-    "train_dir": (str, "language: directory of <label>.txt corpora"),
-    "train_images": (str, "mnist: IDX images"),
-    "train_labels": (str, "mnist: IDX labels"),
-    "train_csv": (str, "csv: label,bits rows"),
+    "train_dir": Setting(str, "language: directory of <label>.txt corpora"),
+    "train_images": Setting(str, "mnist: IDX images"),
+    "train_labels": Setting(str, "mnist: IDX labels"),
+    "train_csv": Setting(str, "csv: label,bits rows"),
 }
 _TEST_FILES = {
-    "queries": (str, "language: CSV of label,text query rows"),
-    "test_images": (str, "mnist: IDX images"),
-    "test_labels": (str, "mnist: IDX labels"),
-    "test_csv": (str, "csv: label,bits rows"),
+    "queries": Setting(str, "language: CSV of label,text query rows"),
+    "test_images": Setting(str, "mnist: IDX images"),
+    "test_labels": Setting(str, "mnist: IDX labels"),
+    "test_csv": Setting(str, "csv: label,bits rows"),
 }
-_HW_TABLES = {"hw_tables": (str, "JSON tables (default: built-in)")}
-_SEED = {"seed": (int, "master seed (default 0)")}
+_SEED = {"seed": Setting(int, "master seed (default 0)")}
 SETTINGS = {
     "train": {**_TASK, **_TRAIN_FILES, **_SEED,
-              "dimension": (int, "hypervector dimension (default 10000)")},
-    "eval": {**_TASK, **_TEST_FILES, **_SEED, **_HW_TABLES,
-             "technology": (str, f"one of {', '.join(hwmodel.TECHNOLOGIES)}; "
-                                 "without it and --block-size, noise-free"),
-             "voltage": (float, "supply voltage in V (default 0.7)"),
-             "block_size": (int, "block size N (default 15)"),
-             "precision": (int, "precision P (default: the table's, else min(N, 7))"),
-             "replicas": (int, "odd replica count (default 1)"),
-             "trials": (int, "noisy trials (default 10)")},
-    "sweep": {**_TASK, **_TRAIN_FILES, **_TEST_FILES, **_HW_TABLES,
-              **{name: (kind, ("comma-separated; " if isinstance(kind, list) else "")
-                        + f"default {getattr(explorer.SweepSpace, name)}")
+              "dimension": Setting(int, "hypervector dimension (default 10000)")},
+    "eval": {**_TASK, **_TEST_FILES, **_SEED,
+             "hw_tables": Setting(str, "JSON tables (default: built-in)", _HARDWARE),
+             "technology": Setting(str, f"one of {', '.join(hwmodel.TECHNOLOGIES)}; "
+                                        "without it and --block-size, noise-free", _HARDWARE),
+             "voltage": Setting(float, "supply voltage in V (default 0.7)", _HARDWARE),
+             "block_size": Setting(int, "block size N (default 15)", _BLOCKED),
+             "precision": Setting(int, "precision P (default: the table's, else min(N, 7))",
+                                  _BLOCKED),
+             "replicas": Setting(int, "odd replica count (default 1)", _HARDWARE),
+             "trials": Setting(int, "noisy trials (default 10)", _HARDWARE)},
+    "sweep": {**_TASK, **_TRAIN_FILES, **_TEST_FILES,
+              "hw_tables": Setting(str, "JSON tables (default: built-in)"),
+              **{name: Setting(kind, ("comma-separated; " if isinstance(kind, list) else "")
+                               + f"default {getattr(explorer.SweepSpace, name)}")
                  for name, kind in explorer.SWEEP_FIELDS},
-              "jobs": (int, "parallel evaluations (default 1)")},
+              "jobs": Setting(int, "parallel evaluations (default 1)")},
 }
 
 
@@ -118,7 +137,8 @@ def _effective_config(args) -> tuple:
     """(settings, document): the --config file overridden by every flag given
     on the command line, each value typed by ``errors.setting``, and the
     merged values as given, which ``_config_hash`` hashes. A config key that
-    is not one of the subcommand's settings is ConfigError naming it."""
+    is not one of the subcommand's settings is ConfigError naming it, and so
+    is every setting given without one of the settings it needs."""
     doc = load_json(args.config) if args.config else {}
     if not isinstance(doc, dict):
         raise ConfigError(f"{args.config}: config must be a JSON object")
@@ -127,7 +147,13 @@ def _effective_config(args) -> tuple:
         if key not in settings:
             raise ConfigError(f"{args.config}: {key!r} is not a setting of {args.command}")
     doc.update((name, value) for name in settings if (value := getattr(args, name)) is not None)
-    return {key: setting(doc, key, settings[key][0]) for key in doc}, doc
+    cfg = {key: setting(doc, key, settings[key].kind) for key in doc}
+    unread = [f"{key!r} needs " + " or ".join("--" + name.replace("_", "-") for name in needs)
+              for key, (_, _, needs) in settings.items()
+              if key in cfg and needs and cfg.keys().isdisjoint(needs)]
+    if unread:
+        raise ConfigError("; ".join(unread))
+    return cfg, doc
 
 
 def _task(cfg: dict, meta: dict | None = None) -> encoders.Task:
@@ -182,18 +208,19 @@ def cmd_eval(args) -> int:
 
     seed = cfg.get("seed", 0)
     technology = cfg.get("technology")
-    if technology or "block_size" in cfg:
+    if technology is not None or "block_size" in cfg:
         # Blocked inference: under the technology's hardware table, else noise-free.
         block_size = cfg.get("block_size", 15)
         hw = (_load_catalog(cfg.get("hw_tables")).get(
-            technology, cfg.get("voltage", 0.7), block_size) if technology else None)
+            technology, cfg.get("voltage", 0.7), block_size)
+              if technology is not None else None)
         precision = cfg.get("precision", hw.precision if hw else min(block_size, 7))
         point = explorer.evaluate(
             memory, queries, labels,
             am_mod.BlockConfig(memory.dimension, block_size, precision),
             hw=hw,
-            replicas=cfg.get("replicas", 1) if hw else 1,
-            trials=cfg.get("trials", 10) if hw else 1,
+            replicas=cfg.get("replicas", 1),
+            trials=cfg.get("trials", 10 if hw else 1),
             seed=seed,
         )
     else:
@@ -204,7 +231,7 @@ def cmd_eval(args) -> int:
             replicas=1, trials=1, accuracy_mean=acc, accuracy_std=0.0,
             accuracy_loss=0.0, energy_pj=0.0, latency_ns=0.0,
         )
-    if technology:
+    if technology is not None:
         print(f"accuracy {point.accuracy_mean:.4f} ± {point.accuracy_std:.4f} "
               f"(loss {100 * point.accuracy_loss:.3f} % vs ideal), "
               f"energy {point.energy_pj:.3f} pJ/query, "
@@ -228,6 +255,8 @@ def cmd_sweep(args) -> int:
     cfg, doc = _effective_config(args)
     task = _task(cfg)
     space = explorer.SweepSpace(**{n: cfg[n] for n, _ in explorer.SWEEP_FIELDS if n in cfg})
+    jobs = cfg.get("jobs", 1)
+    explorer.check_jobs(jobs)
     config_hash = _config_hash(doc, task)
     log = explorer.SweepLog(args.output, config_hash)
     done = []
@@ -251,7 +280,7 @@ def cmd_sweep(args) -> int:
                   f"loss {100 * point.accuracy_loss:.3f} %, {point.energy_pj:.2f} pJ")
 
         points = explorer.flag_pareto(done + explorer.sweep(
-            space, datasets, catalog, jobs=cfg.get("jobs", 1), done=done, progress=progress))
+            space, datasets, catalog, jobs=jobs, done=done, progress=progress))
         lines = _metadata_lines(config_hash, space.seed, args.deterministic)
         front = [p for p in points if p.pareto]
         for path, rows in ((args.output, points), (_pareto_path(args.output), front)):
@@ -367,9 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--deterministic", action="store_true",
                        help="suppress timestamps so reruns are byte-identical")
-        for name, (kind, text) in SETTINGS[command].items():
-            p.add_argument("--" + name.replace("_", "-"), dest=name, type=_flag_type(kind),
-                           help=text)
+        for name, entry in SETTINGS[command].items():
+            p.add_argument("--" + name.replace("_", "-"), dest=name, type=_flag_type(entry.kind),
+                           help=entry.help)
         for flag, options in paths.items():
             p.add_argument(flag, **options)
         p.set_defaults(func=func)

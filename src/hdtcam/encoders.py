@@ -298,23 +298,31 @@ def _row_label(label) -> bool:
 
 
 def load_hypervector_csv(path) -> LabeledSet:
-    """Read ``label,bitstring`` rows into a LabeledSet. Header row optional."""
+    """Read ``label,bitstring`` rows into a LabeledSet whose vectors are the
+    rows of one (rows, D) uint8 matrix. Header row optional.
+
+    Every bitstring is checked in one pass over their concatenation (a
+    character outside latin-1 reads as ``?``); only a file that fails it is
+    searched row by row for the first non-binary row, then the first ragged one.
+    """
     rows = _read_rows(path, "bitstring")
-    for lineno, _, bits in rows:
-        if not re.fullmatch("[01]+", bits):
-            raise FormatError(
-                f"{path}: bitstring must be non-empty over {{0,1}}", location=f"row {lineno}"
-            )
     dimension = len(rows[0][2])
-    out = LabeledSet(dimension=dimension)
-    for lineno, label, bits in rows:
-        if len(bits) != dimension:
-            raise FormatError(
-                f"{path}: ragged bitstring length {len(bits)}, expected {dimension}",
-                location=f"row {lineno}",
-            )
-        out.add((np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0")).astype(np.uint8), label)
-    return out
+    joined = "".join(bits for _, _, bits in rows).encode("latin-1", "replace")
+    flat = np.frombuffer(joined, dtype=np.uint8) - np.uint8(ord("0"))
+    if not (dimension and all(len(bits) == dimension for _, _, bits in rows)
+            and flat.max() <= 1):
+        for lineno, _, bits in rows:
+            if not re.fullmatch("[01]+", bits):
+                raise FormatError(f"{path}: bitstring must be non-empty over {{0,1}}",
+                                  location=f"row {lineno}")
+        for lineno, _, bits in rows:
+            if len(bits) != dimension:
+                raise FormatError(
+                    f"{path}: ragged bitstring length {len(bits)}, expected {dimension}",
+                    location=f"row {lineno}",
+                )
+    matrix = flat.reshape(len(rows), dimension)
+    return LabeledSet(dimension, [(hv, label) for hv, (_, label, _) in zip(matrix, rows)])
 
 
 def save_hypervector_csv(path, labeled: LabeledSet) -> None:

@@ -207,6 +207,12 @@ def evaluate(
     )
 
 
+def check_jobs(jobs: int) -> None:
+    """ValueError unless ``jobs``, a sweep's number of evaluation threads, is at least 1."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+
+
 def sweep(space: SweepSpace, datasets: dict, catalog: Catalog, jobs: int = 1,
           done=(), progress=None) -> list:
     """Evaluate the configuration cross product, apart from the configurations
@@ -215,9 +221,11 @@ def sweep(space: SweepSpace, datasets: dict, catalog: Catalog, jobs: int = 1,
     one call at a time.
 
     ``datasets`` maps dimension -> (AssociativeMemory, queries, labels).
-    Fails fast if the catalog misses any requested operating point. Results
-    are deterministic for a fixed seed and independent of evaluation order.
+    Fails fast if the catalog misses any requested operating point, or when
+    ``jobs``, the number of evaluation threads, is below 1. Results are
+    deterministic for a fixed seed and independent of evaluation order.
     """
+    check_jobs(jobs)
     configs = list(space.configurations())
     for tech, v, n, _p, d, _r in configs:
         if d not in datasets:

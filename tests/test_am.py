@@ -117,10 +117,13 @@ def test_blocked_matrix_agrees_with_single(rng, monkeypatch):
 @example(dimension=200, block_size=64, queries=3, classes=5, chunk=17, seed=7)
 @example(dimension=200, block_size=65, queries=3, classes=5, chunk=4, seed=8)
 @example(dimension=1, block_size=70, queries=2, classes=2, chunk=1, seed=9)
+# int64 block distances (N >= 256), and int64 counts of 2^16 blocks and more.
+@example(dimension=600, block_size=257, queries=3, classes=2, chunk=40, seed=10)
+@example(dimension=131_072, block_size=2, queries=2, classes=2, chunk=64, seed=11)
 def test_packed_kernels_equal_unpacked_oracle(dimension, block_size, queries, classes,
                                               chunk, seed):
     """Packed histograms and ideal argmin equal the int16 difference-tensor
-    oracle at every precision, whatever the chunking."""
+    oracle at every precision, whatever the chunking and the count widths."""
     rng = np.random.default_rng(seed)
     qs = rng.integers(0, 2, (queries, dimension), dtype=np.uint8)
     cs = rng.integers(0, 2, (classes, dimension), dtype=np.uint8)

@@ -660,6 +660,49 @@ def test_replica_count_beyond_the_float_limit_is_refused(command, unseen_label_c
             _assert_nothing_written(tmp_path)
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_sweep_jobs_below_one_is_a_usage_error(jobs, unseen_label_csv, tmp_path, capsys):
+    """--jobs below 1 exits E-USAGE, as --trials below 1 does, from a flag
+    and a config key alike, and writes nothing: it does not run serially."""
+    errors = []
+    for setting, flags in (({}, ("--jobs", str(jobs))), ({"jobs": jobs}, ())):
+        assert _run_configured("sweep", setting, unseen_label_csv, tmp_path, *flags) != 0
+        errors.append(capsys.readouterr().err)
+        _assert_nothing_written(tmp_path)
+        assert not (tmp_path / "out_pareto.csv").exists()
+    assert errors[0] == errors[1], errors
+    assert errors[0].startswith(f"error: E-USAGE: jobs must be >= 1, got {jobs}"), errors
+
+
+@pytest.mark.parametrize("setting, needs", [
+    ({"block_size": 15, "voltage": 0.5, "replicas": 3, "trials": 5},
+     ["'voltage' needs --technology", "'replicas' needs --technology",
+      "'trials' needs --technology"]),
+    ({"precision": 3, "hw_tables": "/nonexistent.json", "trials": 0},
+     ["'hw_tables' needs --technology", "'precision' needs --block-size or --technology",
+      "'trials' needs --technology"]),
+    ({"voltage": 0.7}, ["'voltage' needs --technology"]),
+    ({"block_size": 8, "replicas": 1}, ["'replicas' needs --technology"]),
+], ids=["blocked-with-hardware-settings", "ideal-with-blocked-settings", "ideal-voltage",
+        "blocked-replicas"])
+def test_eval_setting_its_mode_does_not_read_is_refused(setting, needs, unseen_label_csv,
+                                                        tmp_path, capsys):
+    """An eval setting that the run's mode does not read (a block size or a
+    technology selects blocked inference, a technology the hardware model)
+    exits E-CONFIG naming every such setting and what it needs, from flags
+    and config keys alike, and writes nothing: it is not dropped without a
+    message."""
+    errors = []
+    flags = [x for key, value in setting.items()
+             for x in ("--" + key.replace("_", "-"), str(value))]
+    for config, argv in ((setting, ()), ({}, flags)):
+        assert _run_configured("eval", config, unseen_label_csv, tmp_path, *argv) != 0
+        errors.append(capsys.readouterr().err)
+        _assert_nothing_written(tmp_path)
+    assert errors[0] == errors[1], errors
+    assert errors[0] == f"error: E-CONFIG: {'; '.join(needs)}\n", errors
+
+
 @pytest.mark.parametrize("flag", ["--train-csv", "--queries"])
 def test_byte_order_mark_is_not_data(flag, row_csvs, tmp_path, capsys):
     """A label,bits or label,text file saved with a UTF-8 byte-order mark

@@ -439,6 +439,39 @@ def test_csv_bad_bits(tmp_path):
         load_hypervector_csv(path)
 
 
+def test_csv_non_binary_row_is_named_before_a_ragged_one(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("a,0101\nb,11\nc,01x1\n")
+    with pytest.raises(FormatError, match="non-empty over") as info:
+        load_hypervector_csv(path)
+    assert info.value.location == "row 3"
+
+
+@pytest.mark.parametrize("content, row", [
+    ("a,\nb,0101\n", 1),
+    ("label,bits\na,0101\nb,\n", 3),
+    ("a,0101\nb,01\uff111\n", 2),
+    ("a,0101\nb,01\u00e91\n", 2),
+    ("a,0101\r\nb,1100\r\n", None),
+    ("\ufefflabel,bits\na,0101\nb,1100\n", None),
+    ("\ufeffa,0101\r\nb,1100\r\n", None),
+], ids=["empty-first", "empty-later", "fullwidth-one", "e-acute", "crlf", "bom", "bom-crlf"])
+def test_csv_bitstrings_outside_ascii_binary(content, row, tmp_path):
+    """An empty bitstring, or one holding a character that only looks binary
+    or lies beyond ASCII, is a FormatError naming its row; CRLF line ends and
+    a byte-order mark load the matrix of the plain file."""
+    path = tmp_path / "rows.csv"
+    path.write_bytes(content.encode("utf-8"))
+    if row is not None:
+        with pytest.raises(FormatError, match="non-empty over") as info:
+            load_hypervector_csv(path)
+        assert info.value.location == f"row {row}"
+        return
+    got = load_hypervector_csv(path)
+    assert [label for _, label in got.items] == ["a", "b"]
+    assert np.stack([hv for hv, _ in got.items]).tolist() == [[0, 1, 0, 1], [1, 1, 0, 0]]
+
+
 def test_csv_missing_comma(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("nocomma\n")

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import math
+import statistics
 from dataclasses import replace
 
 import numpy as np
@@ -380,6 +382,25 @@ def test_slowest_latency_uniform_at_range_ends(u):
     reads = np.array([[0, 1, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 10**9]])
     slowest = lm.slowest_latency(reads, _EdgeRng(u))
     assert np.all(np.isfinite(slowest))
+
+
+def test_normal_quantile_equals_inv_cdf():
+    """The vectorized quantile behind slowest_latency is == to
+    statistics.NormalDist().inv_cdf: on uniform draws, on both tails, on
+    1e-300 to 1e-1, at the ends slowest_latency clips to (tiny and the float
+    below 1) and around the branch edges |p - 0.5| = 0.425 and
+    sqrt(-log p) = 5."""
+    rng = np.random.default_rng(241)
+    edges = [np.finfo(float).tiny, np.nextafter(1.0, 0.0), 0.5, 0.075, 0.925, math.exp(-25)]
+    p = np.concatenate([
+        rng.random(100_000),
+        10.0 ** -rng.uniform(1, 300, 20_000),
+        1.0 - 10.0 ** -rng.uniform(1, 16, 20_000),
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+    ])
+    p = p[(p > 0.0) & (p < 1.0)]
+    want = [statistics.NormalDist().inv_cdf(x) for x in p.tolist()]
+    assert hwmodel._normal_quantile(p).tolist() == want
 
 
 def test_rram_shift_examples():
