@@ -18,12 +18,13 @@ def majority_from_counts(
     Ties, possible only for an even ``total``, are broken by independent
     fair coin flips from ``tie_rng``.
     """
-    doubled = 2 * np.asarray(counts)
-    out = (doubled > total).astype(np.uint8)
-    ties = doubled == total
-    n_ties = int(np.count_nonzero(ties))
-    if n_ties:
-        if tie_rng is None:
-            raise ValueError("tie_rng required: majority has ties for an even count")
-        out[ties] = tie_rng.integers(0, 2, size=n_ties, dtype=np.uint8)
+    counts, half = np.asarray(counts), total // 2
+    out = (counts > half).view(np.uint8)
+    if total % 2 == 0:
+        ties = counts == half
+        n_ties = int(np.count_nonzero(ties))
+        if n_ties:
+            if tie_rng is None:
+                raise ValueError("tie_rng required: majority has ties for an even count")
+            out[ties] = tie_rng.integers(0, 2, size=n_ties, dtype=np.uint8)
     return out

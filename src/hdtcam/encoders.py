@@ -26,8 +26,8 @@ ALPHABET = "abcdefghijklmnopqrstuvwxyz "
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
-# Working-set cap of ``encode_text_ngram``: bytes of packed gram rows held at
-# once, and bytes of int64 window codes per batch of texts.
+# Working-set cap of ``encode_text_ngram``: bytes of unpacked gram rows held at
+# once (at most 255 rows), and bytes of int64 window codes per batch of texts.
 NGRAM_CHUNK_BYTES = 2_000_000
 
 # Task kind -> default (item-memory seed, tie-break seed).
@@ -88,7 +88,8 @@ class ItemMemory:
 
 @dataclass
 class LabeledSet:
-    """Hypervectors paired with class labels, all sharing one dimension."""
+    """Hypervectors paired with class labels, all sharing one dimension: the
+    rows ``save_hypervector_csv`` writes."""
 
     dimension: int
     items: list = field(default_factory=list)  # list of (np.ndarray, str)
@@ -101,15 +102,6 @@ class LabeledSet:
         if not label:
             raise ValueError("labels must be non-empty")
         self.items.append((hv, label))
-
-    def __len__(self):
-        return len(self.items)
-
-    def by_label(self) -> dict:
-        grouped: dict[str, list] = {}
-        for hv, label in self.items:
-            grouped.setdefault(label, []).append(hv)
-        return grouped
 
 
 def normalize_text(text: str) -> str:
@@ -147,35 +139,44 @@ def _encode_batch(texts, lengths, n, im, packed, tie_rng, out) -> None:
     """``encode_text_ngram`` of one batch of texts, written into ``out``."""
     idx = im.indices("".join(texts))
     num_windows = lengths - n + 1
-    text = np.repeat(np.arange(len(texts)), num_windows)
-    starts = np.arange(len(text)) + (n - 1) * text
-    # Window code in base len(im) behind a leading text digit, re-ranked whenever
-    # the next digit could overflow int64: distinct (text, gram) pairs stay distinct.
-    code, bound = text.astype(np.int64), len(texts)
+    # Code of the window at each letter in base len(im) behind a leading text digit,
+    # re-ranked whenever the next digit could overflow int64: distinct (text, gram)
+    # pairs stay distinct.
+    code, bound = np.repeat(np.arange(len(texts)), lengths)[: len(idx) - n + 1], len(texts)
     for j in range(n):
         if bound * len(im) > 2**63:
             _, code = np.unique(code, return_inverse=True)
             bound = int(code.max()) + 1
-        code = code * len(im) + idx[starts + j]
+        code = code * len(im) + idx[j : j + len(code)]
         bound *= len(im)
-    _, first, weights = np.unique(code, return_index=True, return_counts=True)
-    order = np.lexsort((weights, text[first]))
-    rows, text, weights = starts[first[order]], text[first[order]], weights[order]
-    # Grams are composed NGRAM_CHUNK_BYTES of packed rows at a time and summed in
-    # slabs of one (text, weight) of at most 255 rows, so uint8 sums cannot overflow.
-    chunk = max(1, NGRAM_CHUNK_BYTES // packed[0].shape[1])
-    pos = np.arange(len(rows))
-    new_group = np.r_[True, (text[1:] != text[:-1]) | (weights[1:] != weights[:-1])]
-    group_start = np.maximum.accumulate(np.where(new_group, pos, 0))
-    edges = np.flatnonzero(((pos - group_start) % 255 == 0) | (pos % chunk == 0))
-    counts = np.zeros(im.dimension, dtype=np.int64)
+    text = np.repeat(np.arange(len(texts)), num_windows)
+    starts = np.arange(len(text)) + (n - 1) * text
+    # The windows inside the texts, in runs of equal codes after one unstable sort;
+    # any window of a run is its row.
+    code = code[starts]
+    order = np.argsort(code)
+    first = np.flatnonzero(np.diff(code[order], prepend=-1))
+    # A tally never exceeds its text's window count, so the weighted adds stay exact.
+    tally = np.min_scalar_type(num_windows.max(initial=0))
+    weights = np.diff(first, append=len(order)).astype(tally)
+    window = order[first]
+    by_text = np.lexsort((weights, text[window]))
+    rows, text, weights = starts[window[by_text]], text[window[by_text]], weights[by_text]
+    # Grams are composed and unpacked in chunks of at most 255 rows, so uint8 sums of
+    # each (text, weight) run's slice cannot overflow; NGRAM_CHUNK_BYTES bounds a chunk.
+    chunk = max(1, min(255, NGRAM_CHUNK_BYTES // im.dimension))
+    cut = np.arange(len(rows)) % chunk == 0
+    cut[1:] |= (text[1:] != text[:-1]) | (weights[1:] != weights[:-1])
+    edges = np.flatnonzero(cut)
+    counts = np.zeros(im.dimension, dtype=tally)
     for s, e in zip(edges, [*edges[1:], len(rows)]):
         if s % chunk == 0:
             grams = packed[0][idx[rows[s : s + chunk]]]
             for j in range(1, n):
                 grams ^= packed[j][idx[rows[s : s + chunk] + j]]
-        bits = np.unpackbits(grams[s % chunk : s % chunk + e - s], axis=1, count=im.dimension)
-        counts += weights[s] * np.add.reduce(bits, axis=0, dtype=np.uint8)
+            bits = np.unpackbits(grams, axis=1, count=im.dimension)
+        counts += weights[s] * np.add.reduce(bits[s % chunk : s % chunk + e - s], axis=0,
+                                             dtype=np.uint8)
         if e == len(rows) or text[e] != text[s]:
             out[text[s]] = majority_from_counts(counts, int(num_windows[text[s]]), tie_rng)
             counts[:] = 0
@@ -297,9 +298,9 @@ def _row_label(label) -> bool:
             and not any(c in label for c in ",\r\n"))
 
 
-def load_hypervector_csv(path) -> LabeledSet:
-    """Read ``label,bitstring`` rows into a LabeledSet whose vectors are the
-    rows of one (rows, D) uint8 matrix. Header row optional.
+def load_hypervector_csv(path) -> tuple:
+    """Read ``label,bitstring`` rows into (one (rows, D) uint8 matrix, their
+    labels). Header row optional.
 
     Every bitstring is checked in one pass over their concatenation (a
     character outside latin-1 reads as ``?``); only a file that fails it is
@@ -321,8 +322,7 @@ def load_hypervector_csv(path) -> LabeledSet:
                     f"{path}: ragged bitstring length {len(bits)}, expected {dimension}",
                     location=f"row {lineno}",
                 )
-    matrix = flat.reshape(len(rows), dimension)
-    return LabeledSet(dimension, [(hv, label) for hv, (_, label, _) in zip(matrix, rows)])
+    return flat.reshape(len(rows), dimension), [label for _, label, _ in rows]
 
 
 def save_hypervector_csv(path, labeled: LabeledSet) -> None:
@@ -410,8 +410,8 @@ class Task:
         if self.kind == "mnist":
             images, labels = load_mnist(_path(files, "test_images"), _path(files, "test_labels"))
             return self.encode(images, dimension), [str(int(c)) for c in labels]
-        labeled = load_hypervector_csv(_path(files, "test_csv"))
-        return self.encode(labeled, dimension), [label for _, label in labeled.items]
+        matrix, labels = load_hypervector_csv(_path(files, "test_csv"))
+        return self.encode(matrix, dimension), labels
 
     def _start(self, dimension: int, images=None) -> None:
         """A fresh tie-break stream and item memory for ``dimension``: letters,
@@ -426,7 +426,7 @@ class Task:
 
     def train(self, data, dimension: int) -> am_mod.AssociativeMemory:
         """Encode and bundle a training set: {label: text} for ``language``,
-        (images, labels) for ``mnist``, a LabeledSet for ``csv``."""
+        (images, labels) for ``mnist``, (vector matrix, labels) for ``csv``."""
         self._start(dimension, data[0] if self.kind == "mnist" else None)
         if self.kind == "language":
             hvs = self.encode(list(data.values()), dimension,
@@ -438,20 +438,23 @@ class Task:
             classes = {str(int(c)): [hv for hv, l in zip(hvs, labels) if l == c]
                        for c in np.unique(labels)}
         else:
-            if data.dimension != dimension:
+            matrix, labels = data
+            if matrix.shape[1] != dimension:
                 raise DimensionMismatchError(
-                    f"csv vectors have dimension {data.dimension}, requested {dimension}"
+                    f"csv vectors have dimension {matrix.shape[1]}, requested {dimension}"
                 )
-            classes = data.by_label()
+            classes = {}
+            for hv, label in zip(matrix, labels):
+                classes.setdefault(label, []).append(hv)
         return am_mod.train(classes, self._tie)
 
     def encode(self, data, dimension: int, names=None) -> np.ndarray:
         """Query matrix at ``dimension`` from texts (``names`` label them in
-        errors), an image stack, or a LabeledSet."""
+        errors), an image stack, or (``csv``) the vector matrix itself."""
         if dimension != self._dimension:
             self._start(dimension, data)
         if self.kind == "language":
             return encode_text_ngram(data, self.ngram, self._im, self._tie, names=names)
         if self.kind == "mnist":
             return encode_images(data, self.threshold, self._im, seed=self.tie_seed + 1)
-        return np.stack([hv for hv, _ in data.items])
+        return data

@@ -911,11 +911,10 @@ def test_export_model_csv(trained_model, tmp_path):
     out = tmp_path / "classes.csv"
     assert run_cli("export", "model-csv", "--model", str(trained_model),
                    "--output", str(out)) == 0
-    labeled = load_hypervector_csv(out)
+    matrix, labels = load_hypervector_csv(out)
     memory, _ = load_model(trained_model)
-    assert [label for _, label in labeled.items] == memory.labels
-    got = np.stack([hv for hv, _ in labeled.items])
-    assert np.array_equal(got, memory.class_matrix)
+    assert labels == memory.labels
+    assert np.array_equal(matrix, memory.class_matrix)
 
 
 @pytest.mark.parametrize("label", ["a,b", " c", "c ", "c\nd", "c\rd", "c\td "])

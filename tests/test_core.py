@@ -192,6 +192,53 @@ def test_majority_from_counts_threshold():
     assert np.array_equal(majority_from_counts(counts, 3), [0, 0, 1, 1])
 
 
+def _majority_oracle(counts, total, tie_rng):
+    """Majority by the doubled rule ``2 * counts > total``, ties where
+    ``2 * counts == total``; doubled in int64, so narrow tallies cannot wrap."""
+    doubled = 2 * np.asarray(counts, dtype=np.int64)
+    out = (doubled > total).astype(np.uint8)
+    ties = doubled == total
+    n_ties = int(np.count_nonzero(ties))
+    if n_ties:
+        if tie_rng is None:
+            raise ValueError("tie_rng required: majority has ties for an even count")
+        out[ties] = tie_rng.integers(0, 2, size=n_ties, dtype=np.uint8)
+    return out
+
+
+@st.composite
+def _tallies(draw):
+    """(counts, total): a tally of ``total`` binary vectors in uint8, uint32 or
+    int64, the total within the tally's range, some components at total / 2."""
+    dtype = draw(st.sampled_from([np.uint8, np.uint32, np.int64]))
+    total = draw(st.integers(0, min(int(np.iinfo(dtype).max), 2**40)))
+    component = st.one_of(st.just(total // 2), st.integers(0, total),
+                          st.sampled_from([0, total]))
+    counts = draw(st.lists(component, min_size=1, max_size=70))
+    return np.array(counts, dtype=dtype), total
+
+
+@settings(max_examples=300)
+@given(_tallies(), st.booleans(), st.integers(0, 2**16))
+def test_majority_from_counts_matches_doubled_rule(tally, with_rng, seed):
+    """Odd and even totals, with and without ties: the same bits as the doubled
+    rule, the same tie draws (the generator's next draw agrees), and a
+    ValueError for ties without a generator."""
+    counts, total = tally
+    got_tie = np.random.default_rng(seed) if with_rng else None
+    want_tie = np.random.default_rng(seed) if with_rng else None
+    try:
+        want = _majority_oracle(counts, total, want_tie)
+    except ValueError:
+        with pytest.raises(ValueError, match="tie_rng"):
+            majority_from_counts(counts, total, got_tie)
+        return
+    got = majority_from_counts(counts, total, got_tie)
+    assert got.dtype == np.uint8 and np.array_equal(got, want)
+    if with_rng:
+        assert got_tie.integers(0, 2**32) == want_tie.integers(0, 2**32)
+
+
 def test_random_hypervector_deterministic_and_balanced():
     """Item-memory rows, the package's random hypervectors."""
     a = ItemMemory(10000, ["v"], seed=3).matrix[0]

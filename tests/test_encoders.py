@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 from criterion_helpers import save_mnist
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hdtcam import encoders, synth
@@ -220,6 +220,19 @@ _batch_texts = st.lists(st.one_of(
 
 
 @settings(max_examples=120, deadline=None)
+# 255 and 256 windows: the largest uint8 tally, then uint16.
+@example(texts=["a" * 258], n=4, dimension=65, chunk_bytes=10**6, duplicate=False, seed=1)
+@example(texts=["a" * 259, "ab" * 129], n=4, dimension=65, chunk_bytes=10**6, duplicate=True,
+         seed=2)
+# A weight-1 run of about 590 rows crosses two 255-row chunk edges.
+@example(texts=["abab", _random_text(5, 600)], n=4, dimension=65, chunk_bytes=10**6,
+         duplicate=False, seed=3)
+# One chunk holds forty 1-gram texts.
+@example(texts=[ALPHABET[i % 27] * (1 + i % 3) for i in range(40)], n=1, dimension=32,
+         chunk_bytes=10**6, duplicate=False, seed=4)
+# NGRAM_CHUNK_BYTES below one unpacked row (65 bytes): one-row chunks.
+@example(texts=["hello world", "abcabcabc"], n=3, dimension=65, chunk_bytes=64, duplicate=False,
+         seed=5)
 @given(texts=_batch_texts, n=st.sampled_from([1, 2, 3, 4, 5, 13, 14, 30]),
        dimension=st.sampled_from([7, 32, 65]), chunk_bytes=st.sampled_from([1, 24, 600, 10**6]),
        duplicate=st.booleans(), seed=st.integers(0, 2**16))
@@ -241,6 +254,15 @@ def test_encode_text_ngram_batch_matches_per_text_oracle(texts, n, dimension, ch
     assert got_tie.integers(0, 2**32) == want_tie.integers(0, 2**32)
 
 
+def test_encode_text_ngram_of_no_texts():
+    """No texts: a (0, D) uint8 matrix, and no tie bit drawn."""
+    im = ItemMemory.for_alphabet(40, seed=1)
+    tie = np.random.default_rng(9)
+    got = encode_text_ngram([], 4, im, tie)
+    assert got.shape == (0, 40) and got.dtype == np.uint8
+    assert tie.integers(0, 2**32) == np.random.default_rng(9).integers(0, 2**32)
+
+
 def test_language_task_vectors_pinned():
     """Class and query vectors of the language task, and the tie stream after
     them, as recorded from the per-text encoder."""
@@ -260,7 +282,7 @@ def test_encode_text_chunking_is_invisible(monkeypatch):
     rng = np.random.default_rng(4)
     text = "".join(rng.choice(list(ALPHABET), size=3000))
     im = ItemMemory.for_alphabet(2000, seed=3)
-    monkeypatch.setattr(encoders, "NGRAM_CHUNK_BYTES", 100 * 2000 // 8)  # 100 packed rows
+    monkeypatch.setattr(encoders, "NGRAM_CHUNK_BYTES", 100 * 2000 // 8)  # 12 unpacked rows
     got = encode_text_ngram([text], 4, im, np.random.default_rng(1), pre_normalized=True)[0]
     want = _encode_text_ngram_oracle(text, 4, im, np.random.default_rng(1))
     assert np.array_equal(got, want)
@@ -317,10 +339,8 @@ def test_task_defaults_and_validation():
         Task("speech")
     with pytest.raises(ConfigError, match="task must be one of"):
         Task(None)
-    labeled = LabeledSet(dimension=8)
-    labeled.add(np.zeros(8, dtype=np.uint8), "a")
     with pytest.raises(DimensionMismatchError):
-        Task("csv").train(labeled, 16)
+        Task("csv").train((np.zeros((1, 8), dtype=np.uint8), ["a"]), 16)
 
 
 # ---------------------------------------------------------------------------
@@ -406,12 +426,10 @@ def test_csv_round_trip(tmp_path):
         labeled.add((rng.random(24) < 0.5).astype(np.uint8), f"c{i % 2}")
     path = tmp_path / "set.csv"
     save_hypervector_csv(path, labeled)
-    got = load_hypervector_csv(path)
-    assert got.dimension == 24
-    assert len(got) == 6
-    for (hv_a, lab_a), (hv_b, lab_b) in zip(got.items, labeled.items):
-        assert lab_a == lab_b
-        assert np.array_equal(hv_a, hv_b)
+    matrix, labels = load_hypervector_csv(path)
+    assert matrix.shape == (6, 24) and matrix.dtype == np.uint8
+    assert labels == [label for _, label in labeled.items]
+    assert np.array_equal(matrix, np.stack([hv for hv, _ in labeled.items]))
     expected = "label,bits\n" + "".join(
         f"{label},{''.join('1' if b else '0' for b in hv)}\n" for hv, label in labeled.items
     )
@@ -421,8 +439,7 @@ def test_csv_round_trip(tmp_path):
 def test_csv_header_optional(tmp_path):
     path = tmp_path / "set.csv"
     path.write_text("a,0101\nb,1111\n")
-    got = load_hypervector_csv(path)
-    assert [label for _, label in got.items] == ["a", "b"]
+    assert load_hypervector_csv(path)[1] == ["a", "b"]
 
 
 def test_csv_ragged_rows(tmp_path):
@@ -467,9 +484,9 @@ def test_csv_bitstrings_outside_ascii_binary(content, row, tmp_path):
             load_hypervector_csv(path)
         assert info.value.location == f"row {row}"
         return
-    got = load_hypervector_csv(path)
-    assert [label for _, label in got.items] == ["a", "b"]
-    assert np.stack([hv for hv, _ in got.items]).tolist() == [[0, 1, 0, 1], [1, 1, 0, 0]]
+    matrix, labels = load_hypervector_csv(path)
+    assert labels == ["a", "b"]
+    assert matrix.tolist() == [[0, 1, 0, 1], [1, 1, 0, 0]]
 
 
 def test_csv_missing_comma(tmp_path):
