@@ -69,6 +69,12 @@ class AssociativeMemory:
     def __len__(self):
         return len(self.labels)
 
+    def class_index(self, labels) -> np.ndarray:
+        """The class index of each label; -1, which no class has, for a label
+        the memory does not hold."""
+        index = {label: i for i, label in enumerate(self.labels)}
+        return np.array([index.get(label, -1) for label in labels], dtype=np.intp)
+
 
 def train(labeled_sets: dict, tie_rng: np.random.Generator | None = None) -> AssociativeMemory:
     """One-shot training: each class vector is the componentwise majority of

@@ -106,7 +106,7 @@ def derive_point_seed(master_seed: int, config_key) -> int:
 def ideal_accuracy(am: AssociativeMemory, queries: np.ndarray, labels) -> float:
     """Noise-free full-Hamming accuracy; the loss baseline at this dimension."""
     best, _ = ideal_argmin(queries, am)
-    return float(np.mean([am.labels[i] == t for i, t in zip(best, labels)]))
+    return float(np.mean(best == am.class_index(labels)))
 
 
 def _fold_histogram(hist: np.ndarray, precision: int) -> np.ndarray:
@@ -153,10 +153,7 @@ def evaluate(
         raise ValueError(f"trials must be >= 1, got {trials}")
     queries = np.atleast_2d(np.asarray(queries, dtype=np.uint8))
     labels = list(labels)
-    # Class index of each label; -1, which no prediction matches, for a label
-    # the memory does not hold.
-    index = {label: i for i, label in enumerate(am.labels)}
-    label_idx = np.array([index.get(label, -1) for label in labels], dtype=np.intp)
+    label_idx = am.class_index(labels)
     precision = cfg.precision
     if hw is None:
         cm = np.eye(precision + 1)
@@ -221,33 +218,36 @@ def sweep(space: SweepSpace, datasets: dict, catalog: Catalog, jobs: int = 1,
     one call at a time.
 
     ``datasets`` maps dimension -> (AssociativeMemory, queries, labels).
-    Fails fast if the catalog misses any requested operating point, or when
-    ``jobs``, the number of evaluation threads, is below 1. Results are
-    deterministic for a fixed seed and independent of evaluation order.
+    Each point's block geometry and its table at the point's precision are
+    set up before the first point runs, so a catalog gap, a precision that
+    either refuses, or ``jobs``, the number of evaluation threads, below 1
+    fails fast. Results are deterministic for a fixed seed and independent
+    of evaluation order.
     """
     check_jobs(jobs)
-    configs = list(space.configurations())
-    for tech, v, n, _p, d, _r in configs:
+    setups = []  # (configuration, block geometry, table at its precision)
+    for config in space.configurations():
+        tech, v, n, p, d, _r = config
         if d not in datasets:
             raise ConfigError(f"no dataset supplied for dimension {d}")
-        catalog.get(tech, v, n)  # raises ConfigError on a gap
+        setups.append((config, BlockConfig(d, n, p), catalog.get(tech, v, n).with_precision(p)))
     baselines = {
         d: ideal_accuracy(am, q, l) for d, (am, q, l) in datasets.items()
-        if any(c[4] == d for c in configs)
+        if any(cfg.dimension == d for _, cfg, _ in setups)
     }
     skip = {p.config_key for p in done}
-    todo = [c for c in configs if config_key(*c) not in skip]
+    todo = [s for s in setups if config_key(*s[0]) not in skip]
     # The pair histogram depends only on (D, N): build it once per group,
     # clamped at the group's largest precision, and fold it for each point.
     groups = {}
-    for i, (_tech, _v, n, _p, d, _r) in enumerate(todo):
-        groups.setdefault((d, n), []).append(i)
+    for i, (_config, cfg, _hw) in enumerate(todo):
+        groups.setdefault((cfg.dimension, cfg.block_size), []).append(i)
 
     def tasks():
         for (d, n), members in groups.items():
             am, queries, _labels = datasets[d]
             hist = distance_histogram(queries, am.class_matrix, d, n,
-                                      max(todo[i][3] for i in members))
+                                      max(todo[i][1].precision for i in members))
             for i in members:
                 yield i, hist
 
@@ -255,16 +255,15 @@ def sweep(space: SweepSpace, datasets: dict, catalog: Catalog, jobs: int = 1,
 
     def run(task):
         i, hist = task
-        tech, v, n, p, d, r = config = todo[i]
-        am, queries, labels = datasets[d]
+        config, cfg, hw = todo[i]
+        am, queries, labels = datasets[cfg.dimension]
         point = evaluate(
-            am, queries, labels,
-            BlockConfig(dimension=d, block_size=n, precision=p),
-            hw=catalog.get(tech, v, n),
-            replicas=r,
+            am, queries, labels, cfg,
+            hw=hw,
+            replicas=config[5],
             trials=space.trials,
             seed=derive_point_seed(space.seed, config),
-            baseline_accuracy=baselines[d],
+            baseline_accuracy=baselines[cfg.dimension],
             histogram=hist,
         )
         if progress is not None:

@@ -316,8 +316,7 @@ def energy_pj(energy_fj: np.ndarray, counts: np.ndarray) -> float:
 
 
 def default_block_energy_fj(technology: str, voltage: float, block_size: int) -> float:
-    """Flat per-comparison energy of the default tables, in fJ."""
-    _check_tech_voltage(technology, voltage)
+    """Flat per-comparison energy of the default tables, in fJ, at a voltage of VOLTAGE_GRID."""
     ratio = _SRAM_E15_10V_FJ / _SRAM_E15_05V_FJ
     scale = _SRAM_E15_05V_FJ * ratio ** ((voltage - 0.5) / 0.5)
     if technology == TECH_FEFET:
@@ -334,15 +333,6 @@ def default_block_energy_fj(technology: str, voltage: float, block_size: int) ->
 def _check_technology(technology: str) -> None:
     if technology not in TECHNOLOGIES:
         raise ConfigError(f"unknown technology {technology!r}, expected one of {TECHNOLOGIES}")
-
-
-def _check_tech_voltage(technology: str, voltage: float) -> None:
-    _check_technology(technology)
-    if round(voltage, 2) not in VOLTAGE_GRID:
-        raise ConfigError(
-            f"voltage {voltage} V not on the supported grid {VOLTAGE_GRID}; "
-            "supply a measured table for other operating points"
-        )
 
 
 def _default_latency(keys):
@@ -362,14 +352,15 @@ def _default_latency(keys):
     return at
 
 
-def _calibrated_spreads(keys) -> list:
-    """Sigma scales putting the largest misread probability of each default
-    table (technology, voltage, block size, precision) at its voltage's target.
+def _default_tables(keys) -> list:
+    """The default table of each key (technology, voltage, block size,
+    precision), in key order, its sigma scale putting its largest misread
+    probability at its voltage's target.
 
     Keys of one precision are bisected together on [1e-8, 50] by their confusion
     diagonals, to a fixed point (step 62 on the grid) or 80 steps: 0.05 s, 2 vCPUs.
     """
-    spreads = {}
+    tables = {}
     for p in sorted({k[3] for k in keys}):
         group = [k for k in keys if k[3] == p]
         latency = _default_latency(group)
@@ -381,8 +372,10 @@ def _calibrated_spreads(keys) -> list:
             if np.array_equal(mid, np.where(below, lo, hi)):
                 break  # (lo, hi) is a fixed point of the step
             lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-        spreads.update(zip(group, (0.5 * (lo + hi)).tolist()))
-    return [spreads[k] for k in keys]
+        for key, mu, sigma, timeout in zip(group, *latency(0.5 * (lo + hi))):
+            energy = default_block_energy_fj(*key[:3])
+            tables[key] = HwEntry(*key, mu, sigma, float(timeout), np.full(p + 1, energy))
+    return [tables[k] for k in keys]
 
 
 class Catalog:
@@ -432,15 +425,8 @@ class Catalog:
 def default_catalog() -> Catalog:
     """The shipped approximate tables for both technologies on the voltage
     grid at precision min(7, N), calibrated once per process."""
-    keys = [(tech, v, n, min(MAX_PRECISION, n))
-            for tech in TECHNOLOGIES for v in VOLTAGE_GRID for n in DEFAULT_BLOCK_SIZES]
-    spreads, entries = np.array(_calibrated_spreads(keys)), [None] * len(keys)
-    for p in sorted({k[3] for k in keys}):
-        index = [i for i, k in enumerate(keys) if k[3] == p]
-        for i, m, s, t in zip(index, *_default_latency([keys[i] for i in index])(spreads[index])):
-            e = default_block_energy_fj(*keys[i][:3])
-            entries[i] = HwEntry(*keys[i], m, s, float(t), np.full(p + 1, e))
-    return Catalog(entries)
+    return Catalog(_default_tables([(tech, v, n, min(MAX_PRECISION, n)) for tech in TECHNOLOGIES
+                                    for v in VOLTAGE_GRID for n in DEFAULT_BLOCK_SIZES]))
 
 
 # ---------------------------------------------------------------------------

@@ -18,17 +18,21 @@ import numpy as np
 
 from .encoders import ALPHABET, Task
 
+QUERY_CHARS = (20, 120)  # bounds of the log-uniform query lengths
+BASE_DIVERGENCE = 2.0  # log-normal spread of each pair's parent chain around the base
+PAIR_DIVERGENCE = 0.9  # log-normal spread of each language around its pair's parent
 
-def _paired_markov_chains(num_languages, base_divergence, pair_divergence, rng):
+
+def _paired_markov_chains(num_languages, rng):
     """Cumulative transition matrices; languages 2i and 2i+1 share a parent."""
     k = len(ALPHABET)
     base = rng.dirichlet(np.full(k, 0.3), size=k)
     chains = []
     for _ in range((num_languages + 1) // 2):
-        parent = base * np.exp(base_divergence * rng.standard_normal((k, k)))
+        parent = base * np.exp(BASE_DIVERGENCE * rng.standard_normal((k, k)))
         parent /= parent.sum(axis=1, keepdims=True)
         for _ in range(2):
-            t = parent * np.exp(pair_divergence * rng.standard_normal((k, k)))
+            t = parent * np.exp(PAIR_DIVERGENCE * rng.standard_normal((k, k)))
             t /= t.sum(axis=1, keepdims=True)
             chains.append(np.cumsum(t, axis=1))
     return chains[:num_languages]
@@ -56,20 +60,17 @@ def make_language_benchmark(
     num_languages: int = 8,
     train_chars: int = 100_000,
     queries_per_language: int = 200,
-    query_chars: tuple = (20, 120),
-    base_divergence: float = 2.0,
-    pair_divergence: float = 0.9,
     seed: int = 0,
 ) -> LanguageBenchmark:
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1a]))
-    chains = _paired_markov_chains(num_languages, base_divergence, pair_divergence, rng)
+    chains = _paired_markov_chains(num_languages, rng)
     labels = [f"lang{i:02d}" for i in range(num_languages)]
     train = {
         label: _sample_text(chains[i], train_chars, rng)
         for i, label in enumerate(labels)
     }
     queries = []
-    lo, hi = query_chars
+    lo, hi = QUERY_CHARS
     for i, label in enumerate(labels):
         lengths = np.exp(
             rng.uniform(np.log(lo), np.log(hi), size=queries_per_language)
@@ -79,19 +80,13 @@ def make_language_benchmark(
     return LanguageBenchmark(train_texts=train, queries=queries, seed=seed)
 
 
-def encode_language_benchmark(
-    bench: LanguageBenchmark,
-    dimension: int,
-    ngram: int | None = None,
-    item_seed: int | None = None,
-    tie_seed: int | None = None,
-):
-    """Train an associative memory and encode all queries with the training's
-    tie stream; unset parameters take the ``language`` task defaults.
+def encode_language_benchmark(bench: LanguageBenchmark, dimension: int):
+    """Train an associative memory with the ``language`` task's defaults and
+    encode all queries with the training's tie stream.
 
     Returns (AssociativeMemory, query matrix, query labels).
     """
-    task = Task("language", item_seed, tie_seed, ngram=ngram)
+    task = Task("language")
     memory = task.train(bench.train_texts, dimension)
     queries = task.encode([text for text, _ in bench.queries], dimension)
     return memory, queries, [label for _, label in bench.queries]

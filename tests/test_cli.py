@@ -76,16 +76,39 @@ def test_missing_data_path_names_flag(task, train_flag, query_flag, trained_mode
 
 
 def test_train_mnist_task(tmp_path):
-    images, labels, _, _ = make_image_benchmark(num_classes=3, train_per_class=10,
-                                                test_per_class=2, side=8, seed=4)
+    """The mnist task trains, evaluates ideal and under a hardware table, and
+    sweeps through the CLI; eval's ideal accuracy is that of the model on the
+    queries a fresh in-process task encodes."""
+    images, labels, test_images, test_labels = make_image_benchmark(
+        num_classes=3, train_per_class=10, test_per_class=4, side=8, seed=4)
     ip, lp = tmp_path / "img.idx", tmp_path / "lab.idx"
+    tip, tlp = tmp_path / "test_img.idx", tmp_path / "test_lab.idx"
     save_mnist(ip, lp, images, labels)
+    save_mnist(tip, tlp, test_images, test_labels)
     out = tmp_path / "m.json"
     assert run_cli("train", "--task", "mnist", "--train-images", str(ip),
                    "--train-labels", str(lp), "--dimension", "600",
                    "--output", str(out)) == 0
     memory, _ = load_model(out)
     assert len(memory) == 3 and memory.dimension == 600
+    test_flags = ["--task", "mnist", "--test-images", str(tip), "--test-labels", str(tlp),
+                  "--deterministic"]
+    rows = {}
+    for mode, flags in (("ideal", []), ("sram", ["--technology", "sram", "--block-size", "15"])):
+        result = tmp_path / f"{mode}.csv"
+        assert run_cli("eval", "--model", str(out), *test_flags, *flags,
+                       "--output", str(result)) == 0
+        [rows[mode]] = [l.split(",") for l in result.read_text().splitlines()[4:]]
+    assert rows["sram"][:4] == ["sram", "0.7", "15", "7"]
+    queries = encoders.Task("mnist").encode(test_images, 600)
+    want = explorer.ideal_accuracy(memory, queries, [str(int(c)) for c in test_labels])
+    assert rows["ideal"][7] == f"{want:.6f}"
+    swept = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "--task", "mnist", "--train-images", str(ip), "--train-labels",
+                   str(lp), *test_flags, "--voltages", "0.7", "--block-sizes", "15",
+                   "--dimensions", "600", "--trials", "1", "--output", str(swept)) == 0
+    [point] = explorer.read_results_csv(swept)[0]
+    assert point.config_key == ("sram", 0.7, 15, 7, 600, 1)
 
 
 def test_config_file_with_flag_override(small_corpus_dir, tmp_path):
@@ -271,11 +294,12 @@ def test_sweep_resume_matches_uninterrupted(small_corpus_dir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("change", [
-    ["--trials", "3"], ["--seed", "1"], "no header",
-], ids=["trials", "seed", "no-header"])
+    ["--trials", "3"], ["--seed", "1"], "no header", "header not JSON",
+], ids=["trials", "seed", "no-header", "header-not-json"])
 def test_sweep_resume_refuses_other_configuration(change, small_corpus_dir, tmp_path, capsys):
     """A partial file from another configuration, or one without the header
-    that records it, is refused rather than mixed into the results."""
+    that records it (none, or a first line that is not JSON), is refused
+    rather than mixed into the results."""
     train_dir, queries_csv = small_corpus_dir
     full = tmp_path / "full.csv"
     assert _run_sweep(train_dir, queries_csv, full) == 0
@@ -284,8 +308,10 @@ def test_sweep_resume_refuses_other_configuration(change, small_corpus_dir, tmp_
                         "precision": 7, "dimension": 800, "replicas": 1, "trials": 2,
                         "accuracy_mean": 0.5, "accuracy_std": 0.0, "accuracy_loss": 0.4,
                         "energy_pJ": 1.0, "latency_ns": 1.0, "pareto": False}) + "\n"
-    partial.write_text(point if change == "no header" else _partial_header(full) + point)
-    extra = [] if change == "no header" else change
+    header = {"no header": "", "header not JSON": '{"config_hash": \n'}
+    partial.write_text((header[change] if isinstance(change, str) else _partial_header(full))
+                       + point)
+    extra = [] if isinstance(change, str) else change
     capsys.readouterr()
     assert run_cli("sweep", "--task", "language", "--train-dir", str(train_dir),
                    "--queries", str(queries_csv), *SWEEP_FLAGS, *extra,
@@ -332,6 +358,28 @@ def test_sweep_failing_before_a_point_leaves_no_resume_log(unseen_label_csv, tmp
     assert capsys.readouterr().err.startswith("error: E-CONFIG: hardware catalog has no entry")
     assert not (tmp_path / "s.csv.partial.jsonl").exists()
     assert run_cli(*argv, "--voltages", "0.7") == 0
+
+
+@pytest.mark.parametrize("block_sizes, precisions, error", [
+    ("7,25", "7,8", "E-CONFIG: precision 8 exceeds the hardware table's maximum of 7"),
+    ("7", "7,0", "E-USAGE: precision must be in [1, 7], got 0"),
+], ids=["above-the-table", "zero"])
+def test_sweep_point_refused_after_valid_ones_runs_no_point(block_sizes, precisions, error,
+                                                            unseen_label_csv, tmp_path, capsys):
+    """A point whose precision its table or its block geometry refuses, listed
+    after points that are valid, stops the sweep before the first point runs:
+    no progress line and no resume log, so the corrected sweep runs."""
+    train, test, _ = unseen_label_csv
+    out = tmp_path / "s.csv"
+    argv = ["sweep", "--task", "csv", "--train-csv", str(train), "--test-csv", str(test),
+            "--voltages", "0.7", "--block-sizes", block_sizes, "--dimensions", "64",
+            "--trials", "1", "--output", str(out)]
+    assert run_cli(*argv, "--precisions", precisions) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {error}\n"
+    assert "[sweep]" not in captured.out
+    assert not out.exists() and not (tmp_path / "s.csv.partial.jsonl").exists()
+    assert run_cli(*argv, "--precisions", "7") == 0
 
 
 # ---------------------------------------------------------------------------
@@ -589,6 +637,7 @@ def test_config_key_that_is_not_a_setting_is_a_config_error(command, setting, un
 
 @pytest.mark.parametrize("command, key, value", [
     ("train", "task", "speech"),
+    ("train", "dimension", 0),
     ("eval", "task", "speech"),
     ("sweep", "task", "speech"),
     ("eval-hw", "technology", "rram"),
@@ -598,7 +647,7 @@ def test_flag_and_config_key_refuse_a_value_alike(command, key, value, unseen_la
     """A flag and its config key are one setting: a value that neither
     allows exits with the same E-CONFIG line from either, and writes nothing."""
     errors = []
-    for setting, flags in (({}, ("--" + key.replace("_", "-"), value)), ({key: value}, ())):
+    for setting, flags in (({}, ("--" + key.replace("_", "-"), str(value))), ({key: value}, ())):
         assert _run_configured(command, setting, unseen_label_csv, tmp_path, *flags) != 0
         errors.append(capsys.readouterr().err)
         _assert_nothing_written(tmp_path)
@@ -778,6 +827,11 @@ def test_hwmodel_validate_and_errorprob(tmp_path, capsys):
     errs = {int(r[3]): float(r[4]) for r in rows}
     assert errs[0] == 0.0
     assert max(errs.values()) == pytest.approx(0.39, abs=0.01)
+    path = tmp_path / "errorprob.csv"
+    assert run_cli("hwmodel", "errorprob", "--technology", "sram", "--voltage", "0.7",
+                   "--block-size", "15", "--output", str(path)) == 0
+    assert capsys.readouterr().out == f"wrote {path}\n"
+    assert path.read_text() == out
 
 
 def test_hwmodel_confusion_rows_sum_to_one(capsys):
@@ -822,6 +876,34 @@ def test_hwmodel_refuses_two_tables_for_one_operating_point(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == (f"error: E-CONFIG: {dup}: tables[0] and tables[1] both describe "
                    "technology=sram voltage_V=0.7 block_size=7\n"), err
+
+
+@pytest.mark.parametrize("case", ["config-array", "export-without-model", "ngram-0",
+                                  "corpus-without-txt"])
+def test_refusal_names_its_flag_or_file(case, small_corpus_dir, tmp_path, capsys):
+    """A --config holding a JSON array, export model-csv without --model, an
+    n-gram size of 0 and a corpus directory without a .txt file each exit
+    with their code and a message naming the flag, setting or file, and
+    write nothing."""
+    train_dir, _ = small_corpus_dir
+    out, config, empty = tmp_path / "out.json", tmp_path / "config.json", tmp_path / "corpora"
+    config.write_text('["task", "language"]')
+    empty.mkdir()
+    (empty / "notes.md").write_text("not a corpus")
+    train = ["train", "--task", "language", "--dimension", "100", "--output", str(out)]
+    argv, error = {
+        "config-array": ([*train, "--config", str(config)],
+                         f"E-CONFIG: {config}: config must be a JSON object"),
+        "export-without-model": (["export", "model-csv", "--output", str(out)],
+                                 "E-CONFIG: export model-csv requires --model"),
+        "ngram-0": ([*train, "--train-dir", str(train_dir), "--ngram", "0"],
+                    "E-USAGE: n-gram size must be >= 1, got 0"),
+        "corpus-without-txt": ([*train, "--train-dir", str(empty)],
+                               f"E-CONFIG: no .txt corpus files in {empty}"),
+    }[case]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "corpora"]
 
 
 def test_export_and_reload_hw_tables(tmp_path, capsys):

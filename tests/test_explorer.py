@@ -283,6 +283,24 @@ def test_sweep_fails_fast_on_catalog_gap(rng):
         sweep(space, {140: (am, qs, labels)}, cat)
 
 
+@pytest.mark.parametrize("block_sizes, precisions, error, message", [
+    ((7, 25), (7, 8), ConfigError, "precision 8 exceeds the hardware table's maximum of 7"),
+    ((7,), (7, 0), ValueError, r"precision must be in \[1, 7\], got 0"),
+], ids=["above-the-table", "zero"])
+def test_sweep_refuses_an_invalid_point_before_the_first_runs(rng, block_sizes, precisions,
+                                                              error, message):
+    """A point whose precision its table or its block geometry refuses fails
+    the sweep before any point, even one listed before it, is reported."""
+    am, qs, labels = _toy_dataset(rng)
+    space = SweepSpace(voltages=(0.7,), block_sizes=block_sizes, precisions=precisions,
+                       dimensions=(140,), trials=1)
+    reported = []
+    with pytest.raises(error, match=message):
+        sweep(space, {140: (am, qs, labels)}, hwmodel.default_catalog(),
+              progress=reported.append)
+    assert reported == []
+
+
 def test_sweep_requires_datasets_for_all_dimensions(rng):
     am, qs, labels = _toy_dataset(rng)
     space = SweepSpace(block_sizes=(7,), voltages=(0.7,), dimensions=(140, 280))

@@ -213,23 +213,25 @@ GRID_KEYS = [(tech, v, n, min(hwmodel.MAX_PRECISION, n)) for tech in hwmodel.TEC
 
 
 def test_calibration_matches_scalar_bisection():
-    """One batched bisection over all 2 x 6 x 24 grid keys gives the spread
-    of one scalar bisection per key, and the 2 x 6 x 12 catalog tables its
-    sigma and timeout, compared with ==."""
-    spreads = hwmodel._calibrated_spreads(GRID_KEYS)
+    """One batched bisection over all 2 x 6 x 24 grid keys gives each table
+    the mu, sigma and timeout of one scalar bisection per key, compared as
+    bytes, in key order; the 2 x 6 x 12 catalog tables are these tables."""
+    tables = hwmodel._default_tables(GRID_KEYS)
+    assert [(t.technology, t.voltage, t.block_size, t.precision) for t in tables] == GRID_KEYS
+    catalog = default_catalog()
     compared = 0
-    for key, spread in zip(GRID_KEYS, spreads):
-        want = calibrated_spread(*key)
-        assert spread == want, key
-        if key[2] not in hwmodel.DEFAULT_BLOCK_SIZES:
-            continue
-        mu, sigma, timeout = build_latency(*key, want)
-        lm = default_catalog().get(*key[:3])
-        assert lm.mu_ns.tobytes() == mu.tobytes(), key
-        assert lm.sigma_ns.tobytes() == sigma.tobytes(), key
-        assert lm.match_timeout_ns == timeout, key
-        compared += 1
-    assert compared == len(default_catalog()) == 144
+    for key, table in zip(GRID_KEYS, tables):
+        mu, sigma, timeout = build_latency(*key, calibrated_spread(*key))
+        assert table.mu_ns.tobytes() == mu.tobytes(), key
+        assert table.sigma_ns.tobytes() == sigma.tobytes(), key
+        assert table.match_timeout_ns.hex() == timeout.hex(), key
+        if key[2] in hwmodel.DEFAULT_BLOCK_SIZES:
+            entry = catalog.get(*key[:3])
+            assert entry.mu_ns.tobytes() == mu.tobytes(), key
+            assert entry.sigma_ns.tobytes() == sigma.tobytes(), key
+            assert entry.match_timeout_ns.hex() == timeout.hex(), key
+            compared += 1
+    assert compared == len(catalog) == 144
 
 
 def test_default_catalog_is_built_once_and_read_only():
