@@ -256,6 +256,7 @@ def cmd_sweep(args) -> int:
     space = explorer.SweepSpace(**{n: cfg[n] for n, _ in explorer.SWEEP_FIELDS if n in cfg})
     jobs = cfg.get("jobs", 1)
     explorer.check_jobs(jobs)
+    plan = explorer.plan_sweep(space, _load_catalog(cfg.get("hw_tables")))
     config_hash = _config_hash(doc, task)
     log = explorer.SweepLog(args.output, config_hash)
     done = []
@@ -264,7 +265,6 @@ def cmd_sweep(args) -> int:
         if torn:
             print("resuming: skipped a torn final line")
         print(f"resuming: {len(done)} points already evaluated")
-    catalog = _load_catalog(cfg.get("hw_tables"))
     datasets = {}
     for d in space.dimensions:
         memory = task.train_split(cfg, d)
@@ -279,13 +279,13 @@ def cmd_sweep(args) -> int:
                   f"loss {100 * point.accuracy_loss:.3f} %, {point.energy_pj:.2f} pJ")
 
         points = explorer.flag_pareto(done + explorer.sweep(
-            space, datasets, catalog, jobs=jobs, done=done, progress=progress))
+            plan, datasets, jobs=jobs, done=done, progress=progress))
         lines = _metadata_lines(config_hash, space.seed, args.deterministic)
         front = [p for p in points if p.pareto]
         for path, rows in ((args.output, points), (_pareto_path(args.output), front)):
             with atomic_open(path) as f:
                 explorer.write_results_csv(rows, f, metadata_lines=lines)
-    print(f"swept {len(list(space.configurations()))} configurations; "
+    print(f"swept {len(plan.setups)} configurations; "
           f"{len(front)} on the Pareto front")
     print(f"wrote {args.output} and {_pareto_path(args.output)}")
     return 0

@@ -210,31 +210,45 @@ def check_jobs(jobs: int) -> None:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
 
 
-def sweep(space: SweepSpace, datasets: dict, catalog: Catalog, jobs: int = 1,
-          done=(), progress=None) -> list:
-    """Evaluate the configuration cross product, apart from the configurations
+@dataclass(frozen=True)
+class SweepPlan:
+    """A sweep's space and the set-up of each of its configurations, in
+    configuration order: (configuration, block geometry, table at its precision)."""
+
+    space: SweepSpace
+    setups: tuple
+
+
+def plan_sweep(space: SweepSpace, catalog: Catalog) -> SweepPlan:
+    """Set up every configuration of ``space`` from ``catalog``, which builds
+    the tables the sweep reads in one lookup. It reads no data, so a sweep
+    that a point's block geometry, its catalog gap or a precision its table
+    refuses fails before any data set is read."""
+    configs = list(space.configurations())
+    geometry = [BlockConfig(d, n, p) for _tech, _v, n, p, d, _r in configs]
+    tables = catalog.get_many([config[:3] for config in configs])
+    return SweepPlan(space, tuple((config, cfg, hw.with_precision(config[3]))
+                                  for config, cfg, hw in zip(configs, geometry, tables)))
+
+
+def sweep(plan: SweepPlan, datasets: dict, jobs: int = 1, done=(), progress=None) -> list:
+    """Evaluate the configurations of ``plan``, apart from the configurations
     of the points in ``done`` (those of a resumed sweep), and return the new
     points in configuration order. ``progress`` is called with each new point,
     one call at a time.
 
     ``datasets`` maps dimension -> (AssociativeMemory, queries, labels).
-    Each point's block geometry and its table at the point's precision are
-    set up before the first point runs, so a catalog gap, a precision that
-    either refuses, or ``jobs``, the number of evaluation threads, below 1
-    fails fast. Results are deterministic for a fixed seed and independent
-    of evaluation order.
+    A dimension without a data set, or ``jobs``, the number of evaluation
+    threads, below 1 fails before the first point runs. Results are
+    deterministic for a fixed seed and independent of evaluation order.
     """
     check_jobs(jobs)
-    setups = []  # (configuration, block geometry, table at its precision)
-    for config in space.configurations():
-        tech, v, n, p, d, _r = config
+    space, setups = plan.space, plan.setups
+    dimensions = dict.fromkeys(cfg.dimension for _, cfg, _ in setups)
+    for d in dimensions:
         if d not in datasets:
             raise ConfigError(f"no dataset supplied for dimension {d}")
-        setups.append((config, BlockConfig(d, n, p), catalog.get(tech, v, n).with_precision(p)))
-    baselines = {
-        d: ideal_accuracy(am, q, l) for d, (am, q, l) in datasets.items()
-        if any(cfg.dimension == d for _, cfg, _ in setups)
-    }
+    baselines = {d: ideal_accuracy(*datasets[d]) for d in dimensions}
     skip = {p.config_key for p in done}
     todo = [s for s in setups if config_key(*s[0]) not in skip]
     # The pair histogram depends only on (D, N): build it once per group,

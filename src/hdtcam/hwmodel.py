@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -358,7 +359,9 @@ def _default_tables(keys) -> list:
     probability at its voltage's target.
 
     Keys of one precision are bisected together on [1e-8, 50] by their confusion
-    diagonals, to a fixed point (step 62 on the grid) or 80 steps: 0.05 s, 2 vCPUs.
+    diagonals, to a fixed point (step 62 on the grid) or 80 steps: 0.035-0.065 s
+    for the 144 catalog keys, 0.0035-0.007 s for six of them, 2 vCPUs. A key's
+    table does not depend on the other keys of the call.
     """
     tables = {}
     for p in sorted({k[3] for k in keys}):
@@ -379,54 +382,88 @@ def _default_tables(keys) -> list:
 
 
 class Catalog:
-    """Lookup of hardware entries keyed by (technology, voltage, block size)."""
+    """Lookup of hardware entries keyed by (technology, voltage, block size).
 
-    def __init__(self, entries=()):
+    A catalog holds tables, or keys whose tables ``build`` makes the first
+    time a lookup reads them: ``build`` maps a list of keys to their tables,
+    in key order, and every lookup builds all of its missing keys in one
+    call. ``len`` counts both without building; iteration, ``keys`` and an
+    unfiltered ``select`` build every missing table in one call. Builds are
+    serialized by a lock, so threads can share a catalog.
+    """
+
+    def __init__(self, entries=(), pending=(), build=None):
         self._entries = {self._key(e.technology, e.voltage, e.block_size): e for e in entries}
+        self._entries.update((self._key(*key), None) for key in pending)
+        self._build = build
+        self._lock = threading.Lock()
 
     @staticmethod
     def _key(technology, voltage, block_size):
         return (technology, round(float(voltage), 2), int(block_size))
 
+    def _tables(self, keys) -> list:
+        """The tables of catalog keys, in order, after building the missing ones in one call."""
+        with self._lock:
+            missing = list(dict.fromkeys(k for k in keys if self._entries[k] is None))
+            if missing:
+                self._entries.update(zip(missing, self._build(missing)))
+            return [self._entries[k] for k in keys]
+
+    def get_many(self, keys) -> list:
+        """The entry of each (technology, voltage, block size) in ``keys``, in
+        order; ConfigError for the first key the catalog does not hold."""
+        found = []
+        for technology, voltage, block_size in keys:
+            _check_technology(technology)
+            key = self._key(technology, voltage, block_size)
+            if key not in self._entries:
+                raise ConfigError(
+                    f"hardware catalog has no entry for technology={key[0]} "
+                    f"voltage_V={key[1]} block_size={key[2]}"
+                )
+            found.append(key)
+        return self._tables(found)
+
     def get(self, technology, voltage, block_size) -> HwEntry:
-        _check_technology(technology)
-        key = self._key(technology, voltage, block_size)
-        try:
-            return self._entries[key]
-        except KeyError:
-            raise ConfigError(
-                f"hardware catalog has no entry for technology={key[0]} "
-                f"voltage_V={key[1]} block_size={key[2]}"
-            ) from None
+        return self.get_many([(technology, voltage, block_size)])[0]
 
     def select(self, technology=None, voltage=None, block_size=None) -> list:
         """The entries of a technology, voltage and block size (None: any), in
         key order; a voltage matches as ``get`` looks it up, to 10 mV.
         ConfigError when none match."""
-        found = [entry for key, entry in sorted(self._entries.items())
+        found = [key for key in sorted(self._entries)
                  if technology in (None, key[0]) and block_size in (None, key[2])
                  and (voltage is None or self._key(key[0], voltage, key[2]) == key)]
         if not found:
             raise ConfigError("no hardware table entries match the given filters")
-        return found
+        return self._tables(found)
 
     def __len__(self):
         return len(self._entries)
 
     def __iter__(self):
-        return iter(self._entries.values())
+        return iter(self._tables(list(self._entries)))
 
     @property
     def keys(self):
-        return sorted(self._entries.keys())
+        self._tables(list(self._entries))
+        return sorted(self._entries)
+
+
+def _default_grid_tables(keys) -> list:
+    """The default tables of (technology, voltage, block size) keys, at precision min(7, N)."""
+    return _default_tables([(*key, min(MAX_PRECISION, key[2])) for key in keys])
 
 
 @functools.cache
 def default_catalog() -> Catalog:
     """The shipped approximate tables for both technologies on the voltage
-    grid at precision min(7, N), calibrated once per process."""
-    return Catalog(_default_tables([(tech, v, n, min(MAX_PRECISION, n)) for tech in TECHNOLOGIES
-                                    for v in VOLTAGE_GRID for n in DEFAULT_BLOCK_SIZES]))
+    grid at precision min(7, N), one catalog per process: a table is
+    calibrated the first time a lookup reads it, with the other tables that
+    lookup reads, and kept for every later one."""
+    return Catalog(pending=[(tech, v, n) for tech in TECHNOLOGIES for v in VOLTAGE_GRID
+                            for n in DEFAULT_BLOCK_SIZES], build=_default_grid_tables)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from gaussian_oracle import sample
 
 from hdtcam import cli, hwmodel
 from hdtcam.am import distance_histogram
-from hdtcam.explorer import DesignPoint, SweepSpace, pareto_front, sweep
+from hdtcam.explorer import DesignPoint, SweepSpace, pareto_front, plan_sweep, sweep
 
 ACCEPTANCE_SEED = 20  # master seed of the noisy acceptance sweeps
 
@@ -52,7 +52,7 @@ def sram_sweep(language_setup, hw_catalog):
         precisions=(7,), dimensions=(10000,), replicas=(1,),
         trials=10, seed=ACCEPTANCE_SEED,
     )
-    return sweep(space, {10000: (memory, queries, labels)}, hw_catalog)
+    return sweep(plan_sweep(space, hw_catalog), {10000: (memory, queries, labels)})
 
 
 @pytest.fixture(scope="session")
@@ -63,7 +63,7 @@ def fefet_replica_sweep(language_setup, hw_catalog):
         precisions=(7,), dimensions=(10000,), replicas=(1, 3, 7),
         trials=10, seed=ACCEPTANCE_SEED,
     )
-    return sweep(space, {10000: (memory, queries, labels)}, hw_catalog)
+    return sweep(plan_sweep(space, hw_catalog), {10000: (memory, queries, labels)})
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from criterion_helpers import make_image_benchmark, save_mnist
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdtcam import cli, encoders, explorer
+from hdtcam import cli, encoders, explorer, hwmodel
 from hdtcam.am import AssociativeMemory, load_model, save_model
 
 
@@ -380,6 +380,23 @@ def test_sweep_point_refused_after_valid_ones_runs_no_point(block_sizes, precisi
     assert "[sweep]" not in captured.out
     assert not out.exists() and not (tmp_path / "s.csv.partial.jsonl").exists()
     assert run_cli(*argv, "--precisions", "7") == 0
+
+
+@pytest.mark.parametrize("flag, value, error", [
+    ("--precisions", "7,0", "E-USAGE: precision must be in [1, 7], got 0"),
+    ("--voltages", "0.75",
+     "E-CONFIG: hardware catalog has no entry for technology=sram voltage_V=0.75 block_size=7"),
+], ids=["zero-precision", "catalog-gap"])
+def test_refused_sweep_reads_no_data(flag, value, error, tmp_path, capsys):
+    """A sweep that one of its points refuses exits with that point's error
+    before it reads a data set: its training and query files do not exist."""
+    missing = str(tmp_path / "nope.csv")
+    axes = {"--voltages": "0.7", "--block-sizes": "7", "--precisions": "7", flag: value}
+    assert run_cli("sweep", "--task", "csv", "--train-csv", missing, "--test-csv", missing,
+                   *[x for item in axes.items() for x in item], "--dimensions", "64",
+                   "--output", str(tmp_path / "s.csv")) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -904,6 +921,28 @@ def test_refusal_names_its_flag_or_file(case, small_corpus_dir, tmp_path, capsys
     assert run_cli(*argv) == 2
     assert capsys.readouterr().err == f"error: {error}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "corpora"]
+
+
+def test_filtered_hwmodel_builds_only_its_tables(monkeypatch, capsys):
+    """A filtered hwmodel command calibrates only the tables it prints, in one
+    call, and prints the rows of the unfiltered command that match them."""
+    built = []
+    real = hwmodel._default_tables
+
+    def spy(keys):
+        built.append(list(keys))
+        return real(keys)
+
+    monkeypatch.setattr(hwmodel, "_default_tables", spy)
+    monkeypatch.setattr(hwmodel, "default_catalog", hwmodel.default_catalog.__wrapped__)
+    assert run_cli("hwmodel", "errorprob", "--technology", "sram", "--voltage", "0.7",
+                   "--block-size", "15") == 0
+    assert built == [[("sram", 0.7, 15, 7)]]
+    filtered = capsys.readouterr().out.splitlines()
+    assert run_cli("hwmodel", "errorprob") == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert filtered == [header] + [row for row in rows if row.startswith("sram,0.7,15,")]
+    assert len(filtered) == 9
 
 
 def test_export_and_reload_hw_tables(tmp_path, capsys):

@@ -22,6 +22,7 @@ from hdtcam.explorer import (
     flag_pareto,
     ideal_accuracy,
     pareto_front,
+    plan_sweep,
     sweep,
     write_results_csv,
 )
@@ -234,7 +235,7 @@ def test_sweep_builds_one_histogram_per_dimension_and_block_size(rng, monkeypatc
                        block_sizes=(5, 7), precisions=(3, 5, 7), dimensions=(140, 280),
                        replicas=(1, 3), trials=2, seed=6)
     cat = hwmodel.default_catalog()
-    points = sweep(space, datasets, cat, jobs=2)
+    points = sweep(plan_sweep(space, cat), datasets, jobs=2)
     assert sorted(built) == [(140, 5, 5), (140, 7, 7), (280, 5, 5), (280, 7, 7)]
     assert [p.config_key for p in points] == list(space.configurations())
     built.clear()
@@ -254,7 +255,7 @@ def test_sweep_single_point_equals_evaluate(rng):
                        precisions=(7,), dimensions=(140,), replicas=(1,),
                        trials=3, seed=11)
     cat = hwmodel.default_catalog()
-    [point] = sweep(space, {140: (am, qs, labels)}, cat)
+    [point] = sweep(plan_sweep(space, cat), {140: (am, qs, labels)})
     direct = evaluate(
         am, qs, labels, BlockConfig(140, 7, 7),
         hw=cat.get("sram", 0.7, 7), trials=3,
@@ -270,8 +271,8 @@ def test_sweep_results_independent_of_jobs(rng):
                        block_sizes=(7,), precisions=(7,), dimensions=(140,),
                        replicas=(1,), trials=2, seed=4)
     cat = hwmodel.default_catalog()
-    serial = sweep(space, {140: (am, qs, labels)}, cat, jobs=1)
-    parallel = sweep(space, {140: (am, qs, labels)}, cat, jobs=4)
+    serial = sweep(plan_sweep(space, cat), {140: (am, qs, labels)}, jobs=1)
+    parallel = sweep(plan_sweep(space, cat), {140: (am, qs, labels)}, jobs=4)
     assert sorted(map(asdict, serial), key=str) == sorted(map(asdict, parallel), key=str)
 
 
@@ -280,7 +281,7 @@ def test_sweep_fails_fast_on_catalog_gap(rng):
     space = SweepSpace(block_sizes=(7, 15), voltages=(0.7,), dimensions=(140,))
     cat = hwmodel.Catalog(e for e in hwmodel.default_catalog() if e.block_size == 7)  # 15 missing
     with pytest.raises(ConfigError, match="no entry"):
-        sweep(space, {140: (am, qs, labels)}, cat)
+        sweep(plan_sweep(space, cat), {140: (am, qs, labels)})
 
 
 @pytest.mark.parametrize("block_sizes, precisions, error, message", [
@@ -296,7 +297,7 @@ def test_sweep_refuses_an_invalid_point_before_the_first_runs(rng, block_sizes, 
                        dimensions=(140,), trials=1)
     reported = []
     with pytest.raises(error, match=message):
-        sweep(space, {140: (am, qs, labels)}, hwmodel.default_catalog(),
+        sweep(plan_sweep(space, hwmodel.default_catalog()), {140: (am, qs, labels)},
               progress=reported.append)
     assert reported == []
 
@@ -306,7 +307,7 @@ def test_sweep_requires_datasets_for_all_dimensions(rng):
     space = SweepSpace(block_sizes=(7,), voltages=(0.7,), dimensions=(140, 280))
     cat = hwmodel.default_catalog()
     with pytest.raises(ConfigError, match="dimension 280"):
-        sweep(space, {140: (am, qs, labels)}, cat)
+        sweep(plan_sweep(space, cat), {140: (am, qs, labels)})
 
 
 def test_sweep_skips_done_points(rng):
@@ -318,7 +319,7 @@ def test_sweep_skips_done_points(rng):
     cat = hwmodel.default_catalog()
     configs = list(space.configurations())
     done = [_point(1.0, 0.0, voltage=configs[0][1] + 1e-9, dimension=140)]
-    points = sweep(space, {140: (am, qs, labels)}, cat, done=done)
+    points = sweep(plan_sweep(space, cat), {140: (am, qs, labels)}, done=done)
     assert len(points) == 1
     assert points[0].voltage == configs[1][1]
 

@@ -4,6 +4,8 @@ import hashlib
 import json
 import math
 import statistics
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +21,7 @@ from gaussian_oracle import report_from_latency, sample, sample_replicas
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdtcam import hwmodel
+from hdtcam import explorer, hwmodel
 from hdtcam.errors import ConfigError, FormatError
 from hdtcam.hwmodel import (
     HwEntry,
@@ -249,6 +251,81 @@ def test_default_catalog_is_built_once_and_read_only():
     table = _table("sram", 0.7, 8, 4, mu, np.full(4, 0.1), 3.0)
     mu[0] = 5.0
     assert table.mu_ns[0] == 2.0
+
+
+def test_default_catalog_builds_only_what_is_read(monkeypatch):
+    """A fresh default catalog counts its grid keys without calibrating them,
+    and each lookup calibrates its missing tables in one call: one ``get`` one
+    key, a sweep's set-up all of its keys, a filtered ``select`` its matches,
+    iteration the rest. Every table has the bytes of an eager build."""
+    built = []
+    real = hwmodel._default_tables
+
+    def spy(keys):
+        built.append(list(keys))
+        return real(keys)
+
+    monkeypatch.setattr(hwmodel, "_default_tables", spy)
+    cat = default_catalog.__wrapped__()
+    assert len(cat) == 144 and built == []
+    entry = cat.get("sram", 0.7, 15)
+    assert built == [[("sram", 0.7, 15, 7)]]
+    assert cat.get("sram", 0.701, 15) is entry and len(built) == 1
+    space = explorer.SweepSpace(technologies=("sram", "fefinfet"), voltages=(0.5, 0.7),
+                                block_sizes=(3, 15), precisions=(3, 7), dimensions=(60,),
+                                replicas=(1, 3))
+    explorer.plan_sweep(space, cat)
+    assert built[1:] == [[(tech, v, n, min(7, n)) for tech in ("sram", "fefinfet")
+                          for v in (0.5, 0.7) for n in (3, 15)
+                          if (tech, v, n) != ("sram", 0.7, 15)]]
+    assert [e.block_size for e in cat.select("fefinfet", 1.0)] == list(hwmodel.DEFAULT_BLOCK_SIZES)
+    assert built[2] == [("fefinfet", 1.0, n, min(7, n)) for n in hwmodel.DEFAULT_BLOCK_SIZES]
+    tables = list(cat)
+    assert len(built) == 4 and len(built[3]) == 144 - 1 - 7 - 12
+    assert sorted(k for keys in built for k in keys) == sorted(
+        (e.technology, e.voltage, e.block_size, e.precision) for e in tables)
+    cat.keys, cat.select(), list(cat)
+    assert len(built) == 4
+    eager = real([(e.technology, e.voltage, e.block_size, e.precision) for e in tables])
+    for got, want in zip(tables, eager):
+        assert got.mu_ns.tobytes() == want.mu_ns.tobytes()
+        assert got.sigma_ns.tobytes() == want.sigma_ns.tobytes()
+        assert got.match_timeout_ns.hex() == want.match_timeout_ns.hex()
+        assert got.energy_fj.tobytes() == want.energy_fj.tobytes()
+
+
+def test_default_catalog_builds_each_key_once_across_threads(monkeypatch):
+    """Threads sharing a fresh default catalog, switching as often as the
+    interpreter allows, build each key they read once and all read one table."""
+    built = []
+    real = hwmodel._default_tables
+
+    def spy(keys):
+        built.extend(keys)
+        return real(keys)
+
+    monkeypatch.setattr(hwmodel, "_default_tables", spy)
+    cat = default_catalog.__wrapped__()
+    keys = [(tech, v, n) for tech in hwmodel.TECHNOLOGIES for v in (0.5, 0.7) for n in (3, 7, 15)]
+    results = [None] * 8
+
+    def read(i):
+        results[i] = cat.get_many(keys[i % 3:] + keys[:i % 3])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(len(results))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(k[:3] for k in built) == sorted(keys)
+    tables = {(e.technology, e.voltage, e.block_size): e for e in results[0]}
+    assert all(e is tables[e.technology, e.voltage, e.block_size] for r in results for e in r)
 
 
 def test_default_tables_export_unchanged(tmp_path):
