@@ -202,26 +202,19 @@ def cmd_eval(args) -> int:
     cfg, doc = _effective_config(args)
     memory, meta = am_mod.load_model(args.model)
     task = _task(cfg, meta)
-    queries, labels = task.encode_split(cfg, memory.dimension)
-
     seed = cfg.get("seed", 0)
     technology = cfg.get("technology")
-    if technology is not None or "block_size" in cfg:
+    blocked = technology is not None or "block_size" in cfg
+    if blocked:
         # Blocked inference: under the technology's hardware table, else noise-free.
-        block_size = cfg.get("block_size", 15)
-        hw = (_load_catalog(cfg.get("hw_tables")).get(
-            technology, cfg.get("voltage", 0.7), block_size)
-              if technology is not None else None)
-        precision = cfg.get("precision", hw.precision if hw
-                            else min(block_size, hwmodel.MAX_PRECISION))
-        point = explorer.evaluate(
-            memory, queries, labels,
-            am_mod.BlockConfig(memory.dimension, block_size, precision),
-            hw=hw,
-            replicas=cfg.get("replicas", 1),
-            trials=cfg.get("trials", 10 if hw else 1),
-            seed=seed,
-        )
+        run = {"replicas": cfg.get("replicas", 1), "seed": seed,
+               "trials": cfg.get("trials", 10 if technology is not None else 1)}
+        block, hw = explorer.plan_eval(
+            lambda: _load_catalog(cfg.get("hw_tables")), memory.dimension, technology,
+            cfg.get("voltage", 0.7), cfg.get("block_size", 15), cfg.get("precision"), **run)
+    queries, labels = task.encode_split(cfg, memory.dimension)
+    if blocked:
+        point = explorer.evaluate(memory, queries, labels, block, hw=hw, **run)
     else:
         acc = explorer.ideal_accuracy(memory, queries, labels)
         point = explorer.DesignPoint(

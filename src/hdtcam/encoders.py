@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import stat
@@ -234,37 +235,34 @@ def _read_exact(f, count: int, path: str):
     return data
 
 
+def _read_idx(path, magic: int, dims: int, what: str) -> np.ndarray:
+    """The uint8 array of the IDX file ``path``: a big-endian header of
+    ``magic`` and ``dims`` sizes, then exactly their product of ``what`` bytes.
+    FormatError naming the offset for another magic, a truncated file or
+    trailing bytes."""
+    with open(path, "rb") as f:
+        found, *shape = struct.unpack(f">{1 + dims}I", _read_exact(f, 4 + 4 * dims, str(path)))
+        if found != magic:
+            raise FormatError(f"{path}: bad IDX magic 0x{found:08x}, expected 0x{magic:08x}",
+                              location="offset 0")
+        size = math.prod(shape)
+        raw = _read_exact(f, size, str(path))
+        if f.read(1):
+            raise FormatError(f"{path}: trailing bytes after {what} data",
+                              location=f"offset {4 + 4 * dims + size}")
+    return np.frombuffer(raw, dtype=np.uint8).reshape(shape)
+
+
 def load_mnist(images_path, labels_path):
     """Parse IDX image/label files into (images, labels) numpy arrays.
 
     Images come back as (count, rows, cols) uint8, labels as (count,) uint8.
     """
-    with open(images_path, "rb") as f:
-        magic, count, rows, cols = struct.unpack(">IIII", _read_exact(f, 16, str(images_path)))
-        if magic != IDX_IMAGE_MAGIC:
-            raise FormatError(
-                f"{images_path}: bad image magic 0x{magic:08x}, expected 0x{IDX_IMAGE_MAGIC:08x}",
-                location="offset 0",
-            )
-        raw = _read_exact(f, count * rows * cols, str(images_path))
-        if f.read(1):
-            raise FormatError(f"{images_path}: trailing bytes after pixel data",
-                              location=f"offset {16 + count * rows * cols}")
-    images = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows, cols)
-
-    with open(labels_path, "rb") as f:
-        magic, label_count = struct.unpack(">II", _read_exact(f, 8, str(labels_path)))
-        if magic != IDX_LABEL_MAGIC:
-            raise FormatError(
-                f"{labels_path}: bad label magic 0x{magic:08x}, expected 0x{IDX_LABEL_MAGIC:08x}",
-                location="offset 0",
-            )
-        labels = np.frombuffer(_read_exact(f, label_count, str(labels_path)), dtype=np.uint8)
-    if label_count != count:
-        raise FormatError(
-            f"{labels_path}: {label_count} labels for {count} images",
-            location="offset 4",
-        )
+    images = _read_idx(images_path, IDX_IMAGE_MAGIC, 3, "pixel")
+    labels = _read_idx(labels_path, IDX_LABEL_MAGIC, 1, "label")
+    if len(labels) != len(images):
+        raise FormatError(f"{labels_path}: {len(labels)} labels for {len(images)} images",
+                          location="offset 4")
     return images, labels
 
 

@@ -17,8 +17,8 @@ import numpy as np
 
 from .am import AssociativeMemory, BlockConfig, distance_histogram, ideal_argmin
 from .errors import ConfigError, FormatError, atomic_open, open_text
-from .hwmodel import (Catalog, HwEntry, check_replicas, confusion_from_latency, energy_pj,
-                      median_confusion)
+from .hwmodel import (MAX_PRECISION, Catalog, HwEntry, check_replicas, confusion_from_latency,
+                      energy_pj, median_confusion)
 
 # The setting type of each SweepSpace field: the CLI declares a sweep's axes, trials and seed by it.
 SWEEP_FIELDS = (("technologies", [str]), ("voltages", [float]), ("block_sizes", [int]),
@@ -137,29 +137,24 @@ def evaluate(
     A read is a confusion matrix of P(reported j | true h): the identity
     without the hardware table ``hw``, else the median of ``replicas`` reads
     of its latencies, and its energies are charged; the point carries the
-    table's technology and voltage (``""`` and 0.0 without one). Reads are
-    independent given the true clamped distance, so each trial draws, for
-    every (query, class) pair and distance h, how many of its blocks at h
-    report each j: one multinomial over the pair's distance histogram, exact
-    in distribution.
-    One-hot matrices are applied without draws. A query's latency is the
-    slowest of all its blocks, classes and replicas, which are read in
-    parallel.
+    table's technology and voltage (``""`` and 0.0 without one). ``hw`` is at
+    the precision of ``cfg``, as ``plan_eval`` and ``plan_sweep`` set a point
+    up. Reads are independent given the true clamped distance, so each trial
+    draws, for every (query, class) pair and distance h, how many of its
+    blocks at h report each j: one multinomial over the pair's distance
+    histogram, exact in distribution. One-hot matrices are applied without
+    draws. A query's latency is the slowest of all its blocks, classes and
+    replicas, which are read in parallel.
 
     ``histogram`` is this data set's ``distance_histogram`` at the block
     size of ``cfg``, clamped at P or above; without it, it is computed here.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     queries = np.atleast_2d(np.asarray(queries, dtype=np.uint8))
     labels = list(labels)
     label_idx = am.class_index(labels)
     precision = cfg.precision
-    if hw is None:
-        cm = np.eye(precision + 1)
-    else:
-        hw = hw.with_precision(precision)
-        cm = median_confusion(confusion_from_latency(hw), replicas)
+    cm = (np.eye(precision + 1) if hw is None
+          else median_confusion(confusion_from_latency(hw), replicas))
     if histogram is None:
         histogram = distance_histogram(queries, am.class_matrix, cfg.dimension,
                                        cfg.block_size, precision)
@@ -229,6 +224,24 @@ def plan_sweep(space: SweepSpace, catalog: Catalog) -> SweepPlan:
     tables = catalog.get_many([config[:3] for config in configs])
     return SweepPlan(space, tuple((config, cfg, hw.with_precision(config[3]))
                                   for config, cfg, hw in zip(configs, geometry, tables)))
+
+
+def plan_eval(catalog, dimension, technology, voltage, block_size, precision, replicas, trials,
+              seed) -> tuple:
+    """Set up an eval's point before it reads a query: (its BlockConfig, the
+    table of ``technology`` at ``voltage`` and N from ``catalog()`` at the
+    point's precision, or None without a technology). P defaults to the
+    table's, else min(N, MAX_PRECISION)."""
+    hw = None if technology is None else catalog().get(technology, voltage, block_size)
+    if precision is None:
+        precision = hw.precision if hw else min(block_size, MAX_PRECISION)
+    cfg = BlockConfig(dimension, block_size, precision)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    check_replicas(replicas)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return cfg, hw and hw.with_precision(precision)
 
 
 def sweep(plan: SweepPlan, datasets: dict, jobs: int = 1, done=(), progress=None) -> list:

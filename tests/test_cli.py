@@ -399,6 +399,32 @@ def test_refused_sweep_reads_no_data(flag, value, error, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flags, error", [
+    ("--technology sram --voltage 0.75 --block-size 12",
+     "E-CONFIG: hardware catalog has no entry for technology=sram voltage_V=0.75 block_size=12"),
+    ("--technology sram --replicas 2",
+     f"E-USAGE: replica count must be odd and in [1, {hwmodel.MAX_REPLICAS}], got 2"),
+    ("--technology sram --trials 0", "E-USAGE: trials must be >= 1, got 0"),
+    ("--block-size 1", "E-USAGE: block size must be >= 2, got 1"),
+    ("--technology sram --block-size 15 --precision 10",
+     "E-CONFIG: precision 10 exceeds the hardware table's maximum of 7"),
+    ("--block-size 7 --precision 8", "E-USAGE: precision must be in [1, 7], got 8"),
+    ("--block-size 7 --seed -1", "E-USAGE: seed must be >= 0, got -1"),
+    ("--technology sram --seed -1", "E-USAGE: seed must be >= 0, got -1"),
+], ids=["catalog-gap", "even-replicas", "zero-trials", "block-size-1", "above-the-table",
+        "above-the-block", "blocked-negative-seed", "hardware-negative-seed"])
+def test_refused_eval_reads_no_data(flags, error, unseen_label_csv, tmp_path, capsys):
+    """An eval that its point refuses exits with the point's error before it
+    reads a query: its query file does not exist, and it writes no file."""
+    _, _, model = unseen_label_csv
+    before = sorted(tmp_path.iterdir())
+    assert run_cli("eval", "--model", str(model), "--task", "csv",
+                   "--test-csv", str(tmp_path / "nope.csv"), *flags.split(),
+                   "--output", str(tmp_path / "out.csv")) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
 # ---------------------------------------------------------------------------
 # results CSV loader
 
@@ -943,6 +969,34 @@ def test_filtered_hwmodel_builds_only_its_tables(monkeypatch, capsys):
     header, *rows = capsys.readouterr().out.splitlines()
     assert filtered == [header] + [row for row in rows if row.startswith("sram,0.7,15,")]
     assert len(filtered) == 9
+
+
+@pytest.mark.parametrize("flags, tables", [
+    ("--technology sram --voltage 0.7 --block-size 8 --trials 2", [[("sram", 0.7, 8, 7)]]),
+    ("", []),
+    ("--block-size 15 --precision 7", []),
+], ids=["hardware", "ideal", "noise-free-blocked"])
+def test_eval_builds_only_its_table(flags, tables, unseen_label_csv, monkeypatch, capsys):
+    """A hardware eval calibrates its one table, in one call; the noise-free
+    evals build none and never open the default catalog."""
+    _, test, model = unseen_label_csv
+    built, opened = [], []
+    real, uncached = hwmodel._default_tables, hwmodel.default_catalog.__wrapped__
+
+    def spy(keys):
+        built.append(list(keys))
+        return real(keys)
+
+    def catalog():
+        opened.append(True)
+        return uncached()
+
+    monkeypatch.setattr(hwmodel, "_default_tables", spy)
+    monkeypatch.setattr(hwmodel, "default_catalog", catalog)
+    assert run_cli("eval", "--model", str(model), "--task", "csv", "--test-csv", str(test),
+                   *flags.split()) == 0
+    assert built == tables
+    assert len(opened) == len(tables)
 
 
 def test_export_and_reload_hw_tables(tmp_path, capsys):

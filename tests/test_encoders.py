@@ -407,12 +407,17 @@ def test_idx_count_mismatch(tmp_path):
 
 
 def test_idx_trailing_bytes(tmp_path):
+    """Bytes after the pixel data, or after the label data, are refused at
+    the offset where the data ends."""
     images, labels = _toy_images()
     ip, lp = tmp_path / "img.idx", tmp_path / "lab.idx"
-    save_mnist(ip, lp, images, labels)
-    ip.write_bytes(ip.read_bytes() + b"\x00")
-    with pytest.raises(FormatError, match="trailing"):
-        load_mnist(ip, lp)
+    for path, data, end, extra in ((ip, "pixel", 16 + images.size, b"\x00"),
+                                   (lp, "label", 8 + labels.size, b"\x00\x00")):
+        save_mnist(ip, lp, images, labels)
+        path.write_bytes(path.read_bytes() + extra)
+        with pytest.raises(FormatError, match=f"trailing bytes after {data} data") as info:
+            load_mnist(ip, lp)
+        assert info.value.location == f"offset {end}"
 
 
 # ---------------------------------------------------------------------------

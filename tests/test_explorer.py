@@ -22,6 +22,7 @@ from hdtcam.explorer import (
     flag_pareto,
     ideal_accuracy,
     pareto_front,
+    plan_eval,
     plan_sweep,
     sweep,
     write_results_csv,
@@ -110,11 +111,10 @@ def test_evaluate_tiny_sigma_table_equals_noise_free(rng):
     assert noisy.latency_ns > 0
 
 
-def test_evaluate_precision_above_table_rejected(rng):
-    am, qs, labels = _toy_dataset(rng)
-    entry = hwmodel.default_catalog().get("sram", 0.7, 15)  # table precision 7
+def test_evaluate_precision_above_table_rejected():
+    """The eval set-up refuses a precision above its table's (7 at N = 15)."""
     with pytest.raises(ConfigError, match="exceeds"):
-        evaluate(am, qs, labels, BlockConfig(140, 15, 10), hw=entry)
+        plan_eval(hwmodel.default_catalog, 140, "sram", 0.7, 15, 10, 1, 10, 0)
 
 
 def test_evaluate_dimension_mismatch(rng):
@@ -153,7 +153,7 @@ def _sloped_entry(technology, voltage, block_size):
 
 @pytest.mark.parametrize("entry,precision,replicas", [
     (hwmodel.default_catalog().get("fefinfet", 0.7, 7), 7, 3),
-    (_sloped_entry("sram", 0.7, 7), 5, 1),
+    (_sloped_entry("sram", 0.7, 7).with_precision(5), 5, 1),
     (_sloped_entry("fefinfet", 0.5, 7), 7, 7),
 ], ids=["fefinfet-r3", "sram-sloped-P5-r1", "fefinfet-sloped-r7"])
 def test_evaluate_matches_gaussian_oracle(entry, precision, replicas):
@@ -241,8 +241,8 @@ def test_sweep_builds_one_histogram_per_dimension_and_block_size(rng, monkeypatc
     built.clear()
     for point, (tech, v, n, p, d, r) in zip(points, space.configurations()):
         am, qs, labels = datasets[d]
-        direct = evaluate(am, qs, labels, BlockConfig(d, n, p), hw=cat.get(tech, v, n),
-                          replicas=r, trials=2,
+        direct = evaluate(am, qs, labels, BlockConfig(d, n, p),
+                          hw=cat.get(tech, v, n).with_precision(p), replicas=r, trials=2,
                           seed=derive_point_seed(6, (tech, v, n, p, d, r)),
                           baseline_accuracy=ideal_accuracy(am, qs, labels))
         assert point == direct
