@@ -112,16 +112,16 @@ def normalize_text(text: str) -> str:
 
 
 def encode_text_ngram(texts, n: int, im: ItemMemory, tie_rng: np.random.Generator | None = None,
-                      *, pre_normalized: bool = False, names=None) -> np.ndarray:
-    """Encode each text as the majority bundle of its length-n sliding windows
-    into a (len(texts), dimension) uint8 matrix. A window is the XOR of its j-th
-    letter's vector rotated by j (j = 0..n-1); each distinct gram of a text is
-    composed once, in packed bits, and counted with its multiplicity. Ties are drawn
-    from ``tie_rng`` text by text, in order; ``names`` label texts in errors."""
+                      *, names=None) -> np.ndarray:
+    """Encode each text, after ``normalize_text``, as the majority bundle of its
+    length-n sliding windows into a (len(texts), dimension) uint8 matrix. A
+    window is the XOR of its j-th letter's vector rotated by j (j = 0..n-1);
+    each distinct gram of a text is composed once, in packed bits, and counted
+    with its multiplicity. Ties are drawn from ``tie_rng`` text by text, in
+    order; ``names`` label texts in errors."""
     if n < 1:
         raise ValueError(f"n-gram size must be >= 1, got {n}")
-    if not pre_normalized:
-        texts = [normalize_text(text) for text in texts]
+    texts = [normalize_text(text) for text in texts]
     lengths = np.array([len(text) for text in texts], dtype=np.int64)
     for i in np.flatnonzero(lengths < n):
         raise DegenerateInputError(f"{names[i] if names else f'text {i}'} has only "
@@ -350,7 +350,8 @@ class Task:
     ``kind`` selects the item memory: letters for ``language`` (n-gram text
     encoding), pixel positions for ``mnist`` (thresholded images), none for
     ``csv`` (pre-encoded hypervectors). Unset seeds take the kind's defaults
-    from TASK_SEEDS.
+    from TASK_SEEDS. A negative seed or an n-gram size below 1 is refused
+    here, so a command refuses it before it reads any data.
 
     ``train`` starts a tie-break stream for its dimension and keeps it with
     the item memory; ``encode`` at that dimension goes on with them (how
@@ -372,6 +373,11 @@ class Task:
                               ("ngram", 4), ("threshold", 128)):
             if getattr(self, name) is None:
                 setattr(self, name, default)
+        for name in ("item_seed", "tie_seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.ngram < 1:
+            raise ValueError(f"n-gram size must be >= 1, got {self.ngram}")
         self._dimension = None
 
     def train_split(self, files: dict, dimension: int) -> am_mod.AssociativeMemory:

@@ -18,7 +18,7 @@ import numpy as np
 from .am import AssociativeMemory, BlockConfig, distance_histogram, ideal_argmin
 from .errors import ConfigError, FormatError, atomic_open, open_text
 from .hwmodel import (MAX_PRECISION, Catalog, HwEntry, check_replicas, confusion_from_latency,
-                      energy_pj, median_confusion)
+                      energy_pj, median_confusion, voltage_key)
 
 # The setting type of each SweepSpace field: the CLI declares a sweep's axes, trials and seed by it.
 SWEEP_FIELDS = (("technologies", [str]), ("voltages", [float]), ("block_sizes", [int]),
@@ -48,7 +48,7 @@ class SweepSpace:
             if not values:
                 raise ValueError(f"sweep axis {name!r} must be non-empty")
             # Voltages equal to 10 mV are one configuration, as in config_key.
-            keys = [round(v, 2) for v in values] if name == "voltages" else values
+            keys = [voltage_key(v) for v in values] if name == "voltages" else values
             if len(set(keys)) < len(keys):
                 raise ValueError(f"sweep axis {name!r} names one configuration twice: {values}")
         if self.trials < 1:
@@ -70,7 +70,7 @@ class SweepSpace:
 
 def config_key(technology, voltage, block_size, precision, dimension, replicas) -> tuple:
     """The identity of a configuration: voltages equal to 10 mV are one."""
-    return (technology, round(voltage, 2), block_size, precision, dimension, replicas)
+    return (technology, voltage_key(voltage), block_size, precision, dimension, replicas)
 
 
 @dataclass
@@ -289,7 +289,7 @@ def sweep(plan: SweepPlan, datasets: dict, jobs: int = 1, done=(), progress=None
             hw=hw,
             replicas=config[5],
             trials=space.trials,
-            seed=derive_point_seed(space.seed, config),
+            seed=derive_point_seed(space.seed, config_key(*config)),
             baseline_accuracy=baselines[cfg.dimension],
             histogram=hist,
         )

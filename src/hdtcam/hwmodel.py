@@ -116,6 +116,11 @@ def _normal_quantile(p: np.ndarray) -> np.ndarray:
     return x
 
 
+def voltage_key(voltage: float) -> float:
+    """The operating point of a supply voltage: voltages equal to 10 mV are one."""
+    return round(float(voltage), 2)
+
+
 def _read_only(values) -> np.ndarray:
     """A float copy of ``values`` that cannot be written to."""
     array = np.array(values, dtype=float)
@@ -321,7 +326,7 @@ def default_block_energy_fj(technology: str, voltage: float, block_size: int) ->
     ratio = _SRAM_E15_10V_FJ / _SRAM_E15_05V_FJ
     scale = _SRAM_E15_05V_FJ * ratio ** ((voltage - 0.5) / 0.5)
     if technology == TECH_FEFET:
-        scale *= _FEFET_ENERGY_FACTOR[round(voltage, 2)]
+        scale *= _FEFET_ENERGY_FACTOR[voltage_key(voltage)]
     ec = _MISMATCH_ENERGY_FJ[technology]
     shape = (_PERIPHERY_WEIGHT_FJ + block_size * ec) / (_PERIPHERY_WEIGHT_FJ + 15 * ec)
     return scale * shape
@@ -387,9 +392,9 @@ class Catalog:
     A catalog holds tables, or keys whose tables ``build`` makes the first
     time a lookup reads them: ``build`` maps a list of keys to their tables,
     in key order, and every lookup builds all of its missing keys in one
-    call. ``len`` counts both without building; iteration, ``keys`` and an
-    unfiltered ``select`` build every missing table in one call. Builds are
-    serialized by a lock, so threads can share a catalog.
+    call. ``len`` counts both without building; an unfiltered ``select``,
+    the one way to read every table, builds every missing table in one call.
+    Builds are serialized by a lock, so threads can share a catalog.
     """
 
     def __init__(self, entries=(), pending=(), build=None):
@@ -400,7 +405,7 @@ class Catalog:
 
     @staticmethod
     def _key(technology, voltage, block_size):
-        return (technology, round(float(voltage), 2), int(block_size))
+        return (technology, voltage_key(voltage), int(block_size))
 
     def _tables(self, keys) -> list:
         """The tables of catalog keys, in order, after building the missing ones in one call."""
@@ -442,14 +447,6 @@ class Catalog:
     def __len__(self):
         return len(self._entries)
 
-    def __iter__(self):
-        return iter(self._tables(list(self._entries)))
-
-    @property
-    def keys(self):
-        self._tables(list(self._entries))
-        return sorted(self._entries)
-
 
 def _default_grid_tables(keys) -> list:
     """The default tables of (technology, voltage, block size) keys, at precision min(7, N)."""
@@ -470,46 +467,35 @@ def default_catalog() -> Catalog:
 # Table file I/O
 
 
+# The table file format: per HwEntry field, its JSON key and its ``errors.setting``
+# type. Every key but the last is required; a temperature of None is not written.
+TABLE_FIELDS = (("technology", "technology", str), ("voltage", "voltage_V", float),
+                ("block_size", "block_size", int), ("precision", "precision", int),
+                ("mu_ns", "mu_ns", [float]), ("sigma_ns", "sigma_ns", [float]),
+                ("match_timeout_ns", "match_timeout_ns", float),
+                ("energy_fj", "energy_fJ", [float]), ("temperature_c", "temperature_C", float))
+
+
 def _entry_to_doc(entry: HwEntry) -> dict:
-    doc = {
-        "technology": entry.technology,
-        "voltage_V": entry.voltage,
-        "block_size": entry.block_size,
-        "precision": entry.precision,
-        "mu_ns": [float(x) for x in entry.mu_ns],
-        "sigma_ns": [float(x) for x in entry.sigma_ns],
-        "match_timeout_ns": float(entry.match_timeout_ns),
-        "energy_fJ": [float(x) for x in entry.energy_fj],
-    }
-    if entry.temperature_c is not None:
-        doc["temperature_C"] = entry.temperature_c
-    return doc
+    return {key: [kind[0](x) for x in value] if isinstance(kind, list) else kind(value)
+            for field, key, kind in TABLE_FIELDS if (value := getattr(entry, field)) is not None}
 
 
 def _entry_from_doc(doc: dict, where: str) -> HwEntry:
     if not isinstance(doc, dict):
         raise ConfigError(f"{where}: expected a table object")
-    for key in ("technology", "voltage_V", "block_size", "precision",
-                "mu_ns", "sigma_ns", "match_timeout_ns", "energy_fJ"):
+    for _, key, _ in TABLE_FIELDS[:-1]:
         if key not in doc:
             raise ConfigError(f"{where}: missing key {key!r}")
     try:
-        fields = {
-            "technology": setting(doc, "technology", str),
-            "voltage": round(setting(doc, "voltage_V", float), 2),
-            "block_size": setting(doc, "block_size", int),
-            "precision": setting(doc, "precision", int),
-            "mu_ns": setting(doc, "mu_ns", [float]),
-            "sigma_ns": setting(doc, "sigma_ns", [float]),
-            "match_timeout_ns": setting(doc, "match_timeout_ns", float),
-            "energy_fj": setting(doc, "energy_fJ",
-                                 [float] if isinstance(doc["energy_fJ"], list) else float),
-            "temperature_c": setting(doc, "temperature_C", float),
-        }
+        fields = {}
+        for field, key, kind in TABLE_FIELDS:
+            scalar = field == "energy_fj" and not isinstance(doc[key], list)
+            fields[field] = setting(doc, key, float if scalar else kind)
         if not isinstance(fields["energy_fj"], list):
             # A scalar energy holds for every reported distance 0..P; mu lists P of them.
             fields["energy_fj"] = [fields["energy_fj"]] * (len(fields["mu_ns"]) + 1)
-        return HwEntry(**fields)
+        return HwEntry(**dict(fields, voltage=voltage_key(fields["voltage"])))
     except ConfigError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
@@ -536,7 +522,7 @@ def load_hw_tables(path) -> Catalog:
 
 
 def save_hw_tables(path, catalog: Catalog) -> None:
-    docs = [_entry_to_doc(catalog.get(*key)) for key in catalog.keys]
+    docs = [_entry_to_doc(entry) for entry in catalog.select()]
     with atomic_open(path) as f:
         json.dump({"tables": docs}, f, indent=1, sort_keys=True)
         f.write("\n")

@@ -425,6 +425,38 @@ def test_refused_eval_reads_no_data(flags, error, unseen_label_csv, tmp_path, ca
     assert sorted(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "sweep"])
+@pytest.mark.parametrize("flag, value, error", [
+    ("--item-seed", "-1", "E-USAGE: item_seed must be >= 0, got -1"),
+    ("--tie-seed", "-3", "E-USAGE: tie_seed must be >= 0, got -3"),
+    ("--ngram", "0", "E-USAGE: n-gram size must be >= 1, got 0"),
+], ids=["item-seed", "tie-seed", "ngram"])
+def test_refused_task_settings_read_no_data(command, flag, value, error, unseen_label_csv,
+                                            tmp_path, capsys):
+    """A task setting out of range is refused by name before any data is
+    read: the corpus directory and query file do not exist, and no file is
+    written."""
+    _, _, model = unseen_label_csv
+    missing, out = str(tmp_path / "nope"), str(tmp_path / "out.csv")
+    files = {"train": ["--train-dir", missing],
+             "eval": ["--model", str(model), "--queries", missing],
+             "sweep": ["--train-dir", missing, "--queries", missing]}[command]
+    before = sorted(tmp_path.iterdir())
+    assert run_cli(command, "--task", "language", *files, flag, value, "--output", out) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_eval_refuses_a_model_with_a_negative_seed(unseen_label_csv, tmp_path, capsys):
+    """A seed read from a model's metadata is checked as a flag is, before a query is read."""
+    _, _, model = unseen_label_csv
+    doc = json.loads(model.read_text())
+    doc["seed_metadata"]["tie_seed"] = -1
+    model.write_text(json.dumps(doc))
+    assert run_cli("eval", "--model", str(model), "--test-csv", str(tmp_path / "nope.csv")) == 2
+    assert capsys.readouterr().err == "error: E-USAGE: tie_seed must be >= 0, got -1\n"
+
+
 # ---------------------------------------------------------------------------
 # results CSV loader
 
@@ -1005,7 +1037,8 @@ def test_export_and_reload_hw_tables(tmp_path, capsys):
     path = tmp_path / "tables.json"
     assert run_cli("export", "hw-tables", "--output", str(path)) == 0
     cat = load_hw_tables(path)
-    assert ("sram", 0.7, 15) in cat.keys and ("fefinfet", 0.5, 7) in cat.keys
+    keys = [(e.technology, e.voltage, e.block_size) for e in cat.select()]
+    assert ("sram", 0.7, 15) in keys and ("fefinfet", 0.5, 7) in keys
 
 
 def test_malformed_model_and_tables_exit_codes(tmp_path, capsys):

@@ -48,12 +48,14 @@ def _random_bits(rng, dimension):
 # Binding and rotation in the n-gram encoder
 
 
-@given(dims, st.integers(0, 2**31), st.sampled_from(ALPHABET), st.sampled_from(ALPHABET))
+# Letters only: a space at either end of a text is normalized away.
+@given(dims, st.integers(0, 2**31), st.sampled_from(ALPHABET.strip()),
+       st.sampled_from(ALPHABET.strip()))
 def test_bind_self_inverse(dimension, seed, first, second):
     """A one-window bigram is item[c0] xor roll(item[c1], 1); binding it with
     the rotated second letter again recovers the first."""
     im = ItemMemory.for_alphabet(dimension, seed)
-    code = encode_text_ngram([first + second], 2, im, pre_normalized=True)[0]
+    code = encode_text_ngram([first + second], 2, im)[0]
     first_hv, second_hv = im.matrix[im.indices(first + second)]
     assert np.array_equal(code ^ np.roll(second_hv, 1), first_hv)
 

@@ -276,10 +276,23 @@ def test_sweep_results_independent_of_jobs(rng):
     assert sorted(map(asdict, serial), key=str) == sorted(map(asdict, parallel), key=str)
 
 
+def test_sweep_point_seed_follows_its_configuration_key(rng):
+    """Voltages equal to 10 mV are one point: the same table, the same seed,
+    the same row."""
+    am, qs, labels = _toy_dataset(rng, flip=0.35)  # noisy enough for misreads to show
+    rows = []
+    for voltage in (0.7, 0.701):
+        space = SweepSpace(technologies=("fefinfet",), voltages=(voltage,), block_sizes=(7,),
+                           precisions=(3,), dimensions=(140,), trials=3)
+        points = sweep(plan_sweep(space, hwmodel.default_catalog()), {140: (am, qs, labels)})
+        rows.append([asdict(p) for p in points])
+    assert rows[0] == rows[1]
+
+
 def test_sweep_fails_fast_on_catalog_gap(rng):
     am, qs, labels = _toy_dataset(rng)
     space = SweepSpace(block_sizes=(7, 15), voltages=(0.7,), dimensions=(140,))
-    cat = hwmodel.Catalog(e for e in hwmodel.default_catalog() if e.block_size == 7)  # 15 missing
+    cat = hwmodel.Catalog(hwmodel.default_catalog().select(block_size=7))  # 15 missing
     with pytest.raises(ConfigError, match="no entry"):
         sweep(plan_sweep(space, cat), {140: (am, qs, labels)})
 

@@ -1,5 +1,6 @@
 """Hardware model: decision rule, confusion matrices, energy, area, table I/O."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -175,7 +176,7 @@ def _assert_loop_equal(lm):
 def test_confusion_matches_cell_loop_on_default_entries():
     """The array kernel fills every cell with the float the per-cell loop
     adds to it, bit for bit, at the table precision and below."""
-    for entry in default_catalog():
+    for entry in default_catalog().select():
         for precision in range(1, entry.precision + 1):
             _assert_loop_equal(entry.with_precision(precision))
 
@@ -257,7 +258,7 @@ def test_default_catalog_builds_only_what_is_read(monkeypatch):
     """A fresh default catalog counts its grid keys without calibrating them,
     and each lookup calibrates its missing tables in one call: one ``get`` one
     key, a sweep's set-up all of its keys, a filtered ``select`` its matches,
-    iteration the rest. Every table has the bytes of an eager build."""
+    an unfiltered ``select`` the rest. Every table has the bytes of an eager build."""
     built = []
     real = hwmodel._default_tables
 
@@ -280,11 +281,11 @@ def test_default_catalog_builds_only_what_is_read(monkeypatch):
                           if (tech, v, n) != ("sram", 0.7, 15)]]
     assert [e.block_size for e in cat.select("fefinfet", 1.0)] == list(hwmodel.DEFAULT_BLOCK_SIZES)
     assert built[2] == [("fefinfet", 1.0, n, min(7, n)) for n in hwmodel.DEFAULT_BLOCK_SIZES]
-    tables = list(cat)
+    tables = cat.select()
     assert len(built) == 4 and len(built[3]) == 144 - 1 - 7 - 12
     assert sorted(k for keys in built for k in keys) == sorted(
         (e.technology, e.voltage, e.block_size, e.precision) for e in tables)
-    cat.keys, cat.select(), list(cat)
+    cat.select()
     assert len(built) == 4
     eager = real([(e.technology, e.voltage, e.block_size, e.precision) for e in tables])
     for got, want in zip(tables, eager):
@@ -523,14 +524,14 @@ def test_catalog_lookup_and_miss():
     cat = default_catalog()
     entry = cat.get("sram", 0.7, 15)
     assert entry.block_size == 15
-    assert ("sram", 0.7, 15) in cat.keys
+    assert ("sram", 0.7, 15) in [(e.technology, e.voltage, e.block_size) for e in cat.select()]
     with pytest.raises(ConfigError, match="no entry"):
         cat.get("sram", 0.7, 9)
 
 
 def _default_tables(*block_sizes):
     """The default catalog's tables of the given block sizes."""
-    return hwmodel.Catalog(e for e in default_catalog() if e.block_size in block_sizes)
+    return hwmodel.Catalog(e for e in default_catalog().select() if e.block_size in block_sizes)
 
 
 def test_table_file_round_trip(tmp_path):
@@ -539,8 +540,8 @@ def test_table_file_round_trip(tmp_path):
     save_hw_tables(path, cat)
     got = load_hw_tables(path)
     assert len(got) == len(cat)
-    for key in cat.keys:
-        a, b = cat.get(*key), got.get(*key)
+    for a in cat.select():
+        b = got.get(a.technology, a.voltage, a.block_size)
         assert np.allclose(a.mu_ns, b.mu_ns)
         assert np.allclose(a.sigma_ns, b.sigma_ns)
         assert a.match_timeout_ns == pytest.approx(b.match_timeout_ns)
@@ -603,7 +604,7 @@ def test_table_file_scalar_energy_expands(tmp_path):
     doc["tables"][0]["energy_fJ"] = 2.5
     path.write_text(json.dumps(doc))
     got = load_hw_tables(path)
-    entry = got.get(*got.keys[0])
+    entry = got.select()[0]
     assert np.all(entry.energy_fj == 2.5)
     assert entry.energy_fj.shape == (entry.precision + 1,)
 
@@ -616,6 +617,22 @@ def test_hw_entry_temperature_round_trip(tmp_path):
     save_hw_tables(path, cat)
     got = load_hw_tables(path).get("sram", 0.9, 7)
     assert got.temperature_c == 85.0
+
+
+def test_table_fields_declare_every_hw_entry_field():
+    """The table format names each HwEntry field once, in field order, so a
+    new field cannot be left out of the file."""
+    assert [field for field, _, _ in hwmodel.TABLE_FIELDS] == [
+        f.name for f in dataclasses.fields(HwEntry)]
+
+
+def _assert_round_trips(entry):
+    """A table's JSON object, written out and read back, is the same table."""
+    doc = json.loads(json.dumps(hwmodel._entry_to_doc(entry)))
+    again = hwmodel._entry_from_doc(doc, "again")
+    for f in dataclasses.fields(HwEntry):
+        a, b = getattr(entry, f.name), getattr(again, f.name)
+        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
 
 
 # ---------------------------------------------------------------------------
@@ -635,10 +652,10 @@ _JSON = st.recursive(
 
 @pytest.fixture(scope="module")
 def table_docs(tmp_path_factory):
-    """Exported table objects at precisions 3 and 7."""
+    """Exported table objects at precisions 3 and 7, the precision-7 one at 85 C."""
     path = tmp_path_factory.mktemp("tables") / "tables.json"
-    save_hw_tables(path, hwmodel.Catalog([default_catalog().get("sram", 0.7, 3),
-                                          default_catalog().get("fefinfet", 0.9, 15)]))
+    warm = replace(default_catalog().get("fefinfet", 0.9, 15), temperature_c=85.0)
+    save_hw_tables(path, hwmodel.Catalog([default_catalog().get("sram", 0.7, 3), warm]))
     return json.loads(path.read_text())["tables"]
 
 
@@ -701,9 +718,10 @@ def _wrong_type(doc):
 
 
 def _check_valid(catalog):
-    """The invariants every loaded table promises."""
+    """The invariants every loaded table promises, its JSON round trip included."""
     assert len(catalog) >= 1
-    for entry in catalog:
+    for entry in catalog.select():
+        _assert_round_trips(entry)
         assert np.isfinite(entry.voltage) and entry.voltage > 0
         assert entry.temperature_c is None or -273.15 <= entry.temperature_c < np.inf
         assert np.all(np.isfinite(entry.mu_ns)) and np.all(np.isfinite(entry.sigma_ns))
