@@ -92,7 +92,7 @@ _HARDWARE = ("technology",)
 _TASK = {
     "task": Setting(str, f"one of {', '.join(sorted(encoders.TASK_SEEDS))}"),
     "ngram": Setting(int, "language: n-gram size (default 4)"),
-    "threshold": Setting(int, "mnist: pixel threshold (default 128)"),
+    "threshold": Setting(int, "mnist: pixel threshold in [1, 255] (default 128)"),
     "item_seed": Setting(int, "item memory seed (default: the task's)"),
     "tie_seed": Setting(int, "majority tie-break seed (default: the task's)"),
 }

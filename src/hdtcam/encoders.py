@@ -350,8 +350,9 @@ class Task:
     ``kind`` selects the item memory: letters for ``language`` (n-gram text
     encoding), pixel positions for ``mnist`` (thresholded images), none for
     ``csv`` (pre-encoded hypervectors). Unset seeds take the kind's defaults
-    from TASK_SEEDS. A negative seed or an n-gram size below 1 is refused
-    here, so a command refuses it before it reads any data.
+    from TASK_SEEDS. A negative seed, an n-gram size below 1 or a pixel
+    threshold outside [1, 255] is refused here, so a command refuses it
+    before it reads any data.
 
     ``train`` starts a tie-break stream for its dimension and keeps it with
     the item memory; ``encode`` at that dimension goes on with them (how
@@ -378,6 +379,8 @@ class Task:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.ngram < 1:
             raise ValueError(f"n-gram size must be >= 1, got {self.ngram}")
+        if not 1 <= self.threshold <= 255:
+            raise ValueError(f"threshold must be in [1, 255], got {self.threshold}")
         self._dimension = None
 
     def train_split(self, files: dict, dimension: int) -> am_mod.AssociativeMemory:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import statistics
 import threading
 from dataclasses import dataclass, replace
 
@@ -58,62 +59,6 @@ _SRAM_E15_10V_FJ = 4.53
 _FEFET_ENERGY_FACTOR = {0.5: 1.19, 0.6: 1.10, 0.7: 1.0, 0.8: 1.0, 0.9: 1.0, 1.0: 1.0}
 _PERIPHERY_WEIGHT_FJ = 6.0  # shared sense-amp share in the linear-in-N energy shape
 _MISMATCH_ENERGY_FJ = {TECH_SRAM: 1.15, TECH_FEFET: 1.24}  # per mismatching cell
-
-# Wichura's AS241 rational approximations of the standard normal quantile, as
-# CPython's statistics.NormalDist.inv_cdf evaluates them: (numerator,
-# denominator) coefficients by falling power, for |p - 0.5| <= 0.425, and for
-# the tail below and above r = sqrt(-log(min(p, 1 - p))) = 5.
-_AS241_CENTRAL = (
-    (2.50908_09287_30122_6727e+3, 3.34305_75583_58812_8105e+4, 6.72657_70927_00870_0853e+4,
-     4.59219_53931_54987_1457e+4, 1.37316_93765_50946_1125e+4, 1.97159_09503_06551_4427e+3,
-     1.33141_66789_17843_7745e+2, 3.38713_28727_96366_6080e+0),
-    (5.22649_52788_52854_5610e+3, 2.87290_85735_72194_2674e+4, 3.93078_95800_09271_0610e+4,
-     2.12137_94301_58659_5867e+4, 5.39419_60214_24751_1077e+3, 6.87187_00749_20579_0830e+2,
-     4.23133_30701_60091_1252e+1, 1.0))
-_AS241_NEAR = (
-    (7.74545_01427_83414_07640e-4, 2.27238_44989_26918_45833e-2, 2.41780_72517_74506_11770e-1,
-     1.27045_82524_52368_38258e+0, 3.64784_83247_63204_60504e+0, 5.76949_72214_60691_40550e+0,
-     4.63033_78461_56545_29590e+0, 1.42343_71107_49683_57734e+0),
-    (1.05075_00716_44416_84324e-9, 5.47593_80849_95344_94600e-4, 1.51986_66563_61645_71966e-2,
-     1.48103_97642_74800_74590e-1, 6.89767_33498_51000_04550e-1, 1.67638_48301_83803_84940e+0,
-     2.05319_16266_37758_82187e+0, 1.0))
-_AS241_FAR = (
-    (2.01033_43992_92288_13265e-7, 2.71155_55687_43487_57815e-5, 1.24266_09473_88078_43860e-3,
-     2.65321_89526_57612_30930e-2, 2.96560_57182_85048_91230e-1, 1.78482_65399_17291_33580e+0,
-     5.46378_49111_64114_36990e+0, 6.65790_46435_01103_77720e+0),
-    (2.04426_31033_89939_78564e-15, 1.42151_17583_16445_88870e-7, 1.84631_83175_10054_68180e-5,
-     7.86869_13114_56132_59100e-4, 1.48753_61290_85061_48525e-2, 1.36929_88092_27358_05310e-1,
-     5.99832_20655_58879_37690e-1, 1.0))
-# math.log, as CPython calls it: np.log can differ from it in the last bits.
-_LOG = np.frompyfunc(math.log, 1, 1)
-
-
-def _horner(coeffs, r):
-    """The polynomial of ``coeffs`` (by falling power) at r, by Horner's rule."""
-    acc = coeffs[0] * r + coeffs[1]
-    for c in coeffs[2:]:
-        acc = acc * r + c
-    return acc
-
-
-def _normal_quantile(p: np.ndarray) -> np.ndarray:
-    """``statistics.NormalDist().inv_cdf`` of each p in (0, 1), bit for bit:
-    AS241 with CPython's coefficients and order of operations."""
-    q = p - 0.5
-    x = np.empty_like(q)
-    central = np.abs(q) <= 0.425
-    qc = q[central]
-    r = 0.180625 - qc * qc
-    x[central] = _horner(_AS241_CENTRAL[0], r) * qc / _horner(_AS241_CENTRAL[1], r)
-    qt = q[~central]
-    r = np.sqrt(-_LOG(np.where(qt <= 0.0, p[~central], 1.0 - p[~central])).astype(float))
-    near = r <= 5.0
-    xt = np.empty_like(r)
-    for part, shift, (num, den) in ((near, 1.6, _AS241_NEAR), (~near, 5.0, _AS241_FAR)):
-        rp = r[part] - shift
-        xt[part] = _horner(num, rp) / _horner(den, rp)
-    x[~central] = np.where(qt < 0.0, -xt, xt)
-    return x
 
 
 def voltage_key(voltage: float) -> float:
@@ -227,7 +172,7 @@ class HwEntry:
             tail = -np.expm1(np.log(u[read]) / m[read])  # 1 - U^(1/m)
         # U at either end of [0, 1) would put the quantile at +-infinity.
         tail = np.clip(tail, np.finfo(float).tiny, np.nextafter(1.0, 0.0))
-        z = -_normal_quantile(tail)
+        z = -np.frompyfunc(statistics.NormalDist().inv_cdf, 1, 1)(tail).astype(float)
         latency = np.full(m.shape, -np.inf)
         latency[read] = (np.broadcast_to(self.mu_ns, m.shape)[read]
                          + np.broadcast_to(self.sigma_ns, m.shape)[read] * z)

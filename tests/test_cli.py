@@ -426,23 +426,27 @@ def test_refused_eval_reads_no_data(flags, error, unseen_label_csv, tmp_path, ca
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "sweep"])
-@pytest.mark.parametrize("flag, value, error", [
-    ("--item-seed", "-1", "E-USAGE: item_seed must be >= 0, got -1"),
-    ("--tie-seed", "-3", "E-USAGE: tie_seed must be >= 0, got -3"),
-    ("--ngram", "0", "E-USAGE: n-gram size must be >= 1, got 0"),
-], ids=["item-seed", "tie-seed", "ngram"])
-def test_refused_task_settings_read_no_data(command, flag, value, error, unseen_label_csv,
-                                            tmp_path, capsys):
+@pytest.mark.parametrize("task, flag, value, error", [
+    ("language", "--item-seed", "-1", "E-USAGE: item_seed must be >= 0, got -1"),
+    ("language", "--tie-seed", "-3", "E-USAGE: tie_seed must be >= 0, got -3"),
+    ("language", "--ngram", "0", "E-USAGE: n-gram size must be >= 1, got 0"),
+    ("mnist", "--threshold", "0", "E-USAGE: threshold must be in [1, 255], got 0"),
+    ("mnist", "--threshold", "256", "E-USAGE: threshold must be in [1, 255], got 256"),
+], ids=["item-seed", "tie-seed", "ngram", "threshold-0", "threshold-256"])
+def test_refused_task_settings_read_no_data(command, task, flag, value, error,
+                                            unseen_label_csv, tmp_path, capsys):
     """A task setting out of range is refused by name before any data is
-    read: the corpus directory and query file do not exist, and no file is
-    written."""
+    read: the corpus directory, image and label files and query file do not
+    exist, and no file is written."""
     _, _, model = unseen_label_csv
     missing, out = str(tmp_path / "nope"), str(tmp_path / "out.csv")
-    files = {"train": ["--train-dir", missing],
-             "eval": ["--model", str(model), "--queries", missing],
-             "sweep": ["--train-dir", missing, "--queries", missing]}[command]
+    train, test = {"language": (["--train-dir", missing], ["--queries", missing]),
+                   "mnist": (["--train-images", missing, "--train-labels", missing],
+                             ["--test-images", missing, "--test-labels", missing])}[task]
+    files = {"train": train, "eval": ["--model", str(model), *test],
+             "sweep": [*train, *test]}[command]
     before = sorted(tmp_path.iterdir())
-    assert run_cli(command, "--task", "language", *files, flag, value, "--output", out) == 2
+    assert run_cli(command, "--task", task, *files, flag, value, "--output", out) == 2
     assert capsys.readouterr().err == f"error: {error}\n"
     assert sorted(tmp_path.iterdir()) == before
 

@@ -447,7 +447,7 @@ def test_slowest_latency_matches_monte_carlo(reads):
 
 
 class _EdgeRng:
-    """Stands in for a Generator whose uniforms sit at one end of [0, 1)."""
+    """Stands in for a Generator whose uniforms all take one value."""
 
     def __init__(self, value):
         self.value = value
@@ -456,31 +456,34 @@ class _EdgeRng:
         return np.full(shape, self.value)
 
 
-@pytest.mark.parametrize("u", [0.0, np.finfo(float).tiny, np.nextafter(1.0, 0.0)])
+@pytest.mark.parametrize("u", [
+    0.0, np.finfo(float).tiny,  # tail (m = 1) clipped to the float below 1
+    1.0,  # tail 0, clipped to tiny
+    np.nextafter(1.0, 0.0),  # tail 1e-16 (m = 1) to 1e-25 (m = 10**9)
+    # tails (m = 1) on both sides of |p - 0.5| = 0.425
+    0.075 - 1e-9, 0.075 + 1e-9, 0.925 - 1e-9, 0.925 + 1e-9,
+    # tails on both sides of sqrt(-log(min(p, 1 - p))) = 5: above 0.5 (m = 1), below (m = 10**9)
+    math.exp(-25) * (1 - 1e-6), math.exp(-25) * (1 + 1e-6),
+    math.exp(-1e9 * math.exp(-25) * (1 - 1e-6)), math.exp(-1e9 * math.exp(-25) * (1 + 1e-6)),
+])
 def test_slowest_latency_uniform_at_range_ends(u):
+    """At uniforms that put the quantile at the clip ends and on both sides
+    of each of its branch edges, the slowest latency is mu_h + sigma_h *
+    -NormalDist().inv_cdf(tail) with tail = 1 - u^(1/m) as the method takes
+    it, and at least the timeout in a row with a distance-0 read."""
     lm = default_catalog().get("sram", 0.7, 15)
-    reads = np.array([[0, 1, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 10**9]])
+    reads = np.array([[0, 1, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 10**9],
+                      [1, 0, 2, 0, 0, 0, 0, 0]])
     slowest = lm.slowest_latency(reads, _EdgeRng(u))
-    assert np.all(np.isfinite(slowest))
-
-
-def test_normal_quantile_equals_inv_cdf():
-    """The vectorized quantile behind slowest_latency is == to
-    statistics.NormalDist().inv_cdf: on uniform draws, on both tails, on
-    1e-300 to 1e-1, at the ends slowest_latency clips to (tiny and the float
-    below 1) and around the branch edges |p - 0.5| = 0.425 and
-    sqrt(-log p) = 5."""
-    rng = np.random.default_rng(241)
-    edges = [np.finfo(float).tiny, np.nextafter(1.0, 0.0), 0.5, 0.075, 0.925, math.exp(-25)]
-    p = np.concatenate([
-        rng.random(100_000),
-        10.0 ** -rng.uniform(1, 300, 20_000),
-        1.0 - 10.0 ** -rng.uniform(1, 16, 20_000),
-        edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
-    ])
-    p = p[(p > 0.0) & (p < 1.0)]
-    want = [statistics.NormalDist().inv_cdf(x) for x in p.tolist()]
-    assert hwmodel._normal_quantile(p).tolist() == want
+    m = reads[:, 1:].max(axis=1)
+    h = reads[:, 1:].argmax(axis=1)
+    with np.errstate(divide="ignore"):
+        tail = np.clip(-np.expm1(np.log(np.full(m.shape, u)) / m),
+                       np.finfo(float).tiny, np.nextafter(1.0, 0.0))
+    want = [lm.mu_ns[j] + lm.sigma_ns[j] * -statistics.NormalDist().inv_cdf(t)
+            for j, t in zip(h.tolist(), tail.tolist())]
+    want[2] = max(want[2], lm.match_timeout_ns)
+    assert slowest.tolist() == want
 
 
 def test_rram_shift_examples():
