@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import majority_from_counts
-from .errors import (DimensionMismatchError, FormatError, InvalidStateError, atomic_open,
-                     load_json, setting)
+from .errors import DimensionMismatchError, FormatError, atomic_open, load_json, setting
 
 MODEL_FORMAT_VERSION = 1
 
@@ -50,11 +49,13 @@ class BlockConfig:
 
 
 class AssociativeMemory:
-    """Ordered store of labeled class hypervectors."""
+    """Ordered store of labeled class hypervectors, at least one."""
 
     def __init__(self, labels, class_matrix: np.ndarray):
         labels = list(labels)
         class_matrix = np.asarray(class_matrix, dtype=np.uint8)
+        if not labels:
+            raise ValueError("an associative memory needs at least one class")
         if len(labels) != class_matrix.shape[0]:
             raise ValueError("one label per class vector required")
         if len(set(labels)) != len(labels):
@@ -159,8 +160,6 @@ def ideal_argmin(queries: np.ndarray, am: AssociativeMemory):
     Ties go to the earliest stored class. Whole rows are compared packed
     into words (uint64 beyond 32 bits), in chunks of the packed kernel.
     """
-    if len(am) == 0:
-        raise InvalidStateError("associative memory holds no classes")
     queries = np.atleast_2d(queries)
     best = np.empty(queries.shape[0], dtype=np.intp)
     dists = np.empty(queries.shape[0], dtype=np.int64)

@@ -26,7 +26,6 @@ from .errors import (
     DimensionMismatchError,
     FormatError,
     HdtcamError,
-    InvalidStateError,
     atomic_open,
     load_json,
     setting,
@@ -39,7 +38,6 @@ def _error_code(exc: Exception) -> str:
         (ConfigError, "E-CONFIG"),
         (DimensionMismatchError, "E-DIMENSION"),
         (DegenerateInputError, "E-DEGENERATE"),
-        (InvalidStateError, "E-STATE"),
         (OSError, "E-IO"),
         (HdtcamError, "E-USAGE"),
         (ValueError, "E-USAGE"),
@@ -180,9 +178,10 @@ def cmd_train(args) -> int:
     task = _task(cfg)
     dimension = cfg.get("dimension", 10000)
     if dimension < 1:
-        raise ConfigError(f"dimension must be >= 1, got {dimension}")
+        raise ValueError(f"dimension must be >= 1, got {dimension}")
     started = time.perf_counter()
-    memory = task.train_split(cfg, dimension)
+    items, labels, names = task.read(cfg, "train")
+    memory = task.train(items, labels, dimension, names)
     elapsed = time.perf_counter() - started
     meta = {
         "tool": f"hdtcam {__version__}",
@@ -212,7 +211,8 @@ def cmd_eval(args) -> int:
         block, hw = explorer.plan_eval(
             lambda: _load_catalog(cfg.get("hw_tables")), memory.dimension, technology,
             cfg.get("voltage", 0.7), cfg.get("block_size", 15), cfg.get("precision"), **run)
-    queries, labels = task.encode_split(cfg, memory.dimension)
+    items, labels, names = task.read(cfg, "test")
+    queries = task.encode(items, memory.dimension, names)
     if blocked:
         point = explorer.evaluate(memory, queries, labels, block, hw=hw, **run)
     else:
@@ -258,10 +258,15 @@ def cmd_sweep(args) -> int:
         if torn:
             print("resuming: skipped a torn final line")
         print(f"resuming: {len(done)} points already evaluated")
+    # Each split is read once. The queries of a dimension are encoded after its
+    # training, going on with its tie stream; the training split is not kept.
+    train_items, train_labels, train_names = task.read(cfg, "train")
+    items, labels, names = task.read(cfg, "test")
     datasets = {}
     for d in space.dimensions:
-        memory = task.train_split(cfg, d)
-        datasets[d] = (memory, *task.encode_split(cfg, d))
+        memory = task.train(train_items, train_labels, d, train_names)
+        datasets[d] = (memory, task.encode(items, d, names), labels)
+    del train_items, train_labels, train_names
 
     with log.appending() as append:
         def progress(point):

@@ -354,10 +354,12 @@ class Task:
     threshold outside [1, 255] is refused here, so a command refuses it
     before it reads any data.
 
-    ``train`` starts a tie-break stream for its dimension and keeps it with
-    the item memory; ``encode`` at that dimension goes on with them (how
-    ``sweep`` and ``synth`` encode queries), and otherwise starts afresh (how
-    ``eval`` encodes them for a model trained elsewhere).
+    ``read`` gives a split in the one shape that ``train`` and ``encode``
+    take for every kind: items, their string labels and their names in
+    errors. ``train`` starts a tie-break stream for its dimension and keeps
+    it with the item memory; ``encode`` at that dimension goes on with them
+    (how ``sweep`` and ``synth`` encode queries), and otherwise starts afresh
+    (how ``eval`` encodes them for a model trained elsewhere).
     """
 
     kind: str
@@ -383,14 +385,23 @@ class Task:
             raise ValueError(f"threshold must be in [1, 255], got {self.threshold}")
         self._dimension = None
 
-    def train_split(self, files: dict, dimension: int) -> am_mod.AssociativeMemory:
-        """``train`` on the training split named in ``files`` (setting -> path);
-        ``language`` reads a directory of <label>.txt corpus files."""
+    def read(self, files: dict, split: str) -> tuple:
+        """(items, labels, names) of the ``train`` or ``test`` split named in
+        ``files`` (setting -> path): texts, an image stack or the vector
+        matrix; their string labels; the names errors give them (None: by
+        position). ``language`` trains on a directory of <label>.txt corpora
+        and is tested on ``label,text`` rows."""
         if self.kind == "mnist":
-            data = load_mnist(_path(files, "train_images"), _path(files, "train_labels"))
-            return self.train(data, dimension)
+            images, labels = load_mnist(_path(files, f"{split}_images"),
+                                        _path(files, f"{split}_labels"))
+            return images, [str(int(c)) for c in labels], None
         if self.kind == "csv":
-            return self.train(load_hypervector_csv(_path(files, "train_csv")), dimension)
+            return (*load_hypervector_csv(_path(files, f"{split}_csv")), None)
+        if split == "test":
+            path = _path(files, "queries")
+            rows = _read_rows(path, "text")
+            return ([text for _, _, text in rows], [label for _, label, _ in rows],
+                    [f"query in {path} row {lineno}" for lineno, _, _ in rows])
         train_dir = _path(files, "train_dir")
         if not os.path.isdir(train_dir):
             raise ConfigError(f"training corpus directory not found: {train_dir}")
@@ -403,65 +414,44 @@ class Task:
                 texts[name[:-4]] = f.read()
         if not texts:
             raise ConfigError(f"no .txt corpus files in {train_dir}")
-        return self.train(texts, dimension)
+        return list(texts.values()), list(texts), [f"corpus {label!r}" for label in texts]
 
-    def encode_split(self, files: dict, dimension: int) -> tuple:
-        """(query matrix, labels) of the query split named in ``files``, by
-        ``encode``; ``language`` reads ``label,text`` rows, naming them in errors."""
-        if self.kind == "language":
-            path = _path(files, "queries")
-            rows = _read_rows(path, "text")
-            queries = self.encode([text for _, _, text in rows], dimension,
-                                  [f"query in {path} row {lineno}" for lineno, _, _ in rows])
-            return queries, [label for _, label, _ in rows]
-        if self.kind == "mnist":
-            images, labels = load_mnist(_path(files, "test_images"), _path(files, "test_labels"))
-            return self.encode(images, dimension), [str(int(c)) for c in labels]
-        matrix, labels = load_hypervector_csv(_path(files, "test_csv"))
-        return self.encode(matrix, dimension), labels
-
-    def _start(self, dimension: int, images=None) -> None:
+    def _start(self, dimension: int, items) -> None:
         """A fresh tie-break stream and item memory for ``dimension``: letters,
-        or for ``mnist`` one entry per pixel of the geometry of ``images``."""
+        or for ``mnist`` one entry per pixel of the geometry of ``items``."""
         self._dimension, self._im = dimension, None
         self._tie = np.random.default_rng(np.random.SeedSequence([self.tie_seed, dimension]))
         if self.kind == "language":
             self._im = ItemMemory.for_alphabet(dimension, self.item_seed)
         elif self.kind == "mnist":
-            self._im = ItemMemory.for_positions(dimension, images.shape[1] * images.shape[2],
+            self._im = ItemMemory.for_positions(dimension, items.shape[1] * items.shape[2],
                                                 self.item_seed)
 
-    def train(self, data, dimension: int) -> am_mod.AssociativeMemory:
-        """Encode and bundle a training set: {label: text} for ``language``,
-        (images, labels) for ``mnist``, (vector matrix, labels) for ``csv``."""
-        self._start(dimension, data[0] if self.kind == "mnist" else None)
-        if self.kind == "language":
-            hvs = self.encode(list(data.values()), dimension,
-                              names=[f"corpus {label!r}" for label in data])
-            classes = {label: [hv] for label, hv in zip(data, hvs)}
-        elif self.kind == "mnist":
-            images, labels = data
-            hvs = encode_images(images, self.threshold, self._im, seed=self.tie_seed)
-            classes = {str(int(c)): [hv for hv, l in zip(hvs, labels) if l == c]
-                       for c in np.unique(labels)}
-        else:
-            matrix, labels = data
-            if matrix.shape[1] != dimension:
-                raise DimensionMismatchError(
-                    f"csv vectors have dimension {matrix.shape[1]}, requested {dimension}"
-                )
-            classes = {}
-            for hv, label in zip(matrix, labels):
-                classes.setdefault(label, []).append(hv)
+    def train(self, items, labels, dimension: int, names=None) -> am_mod.AssociativeMemory:
+        """Encode the items and bundle them by label, classes in first-seen
+        order (``mnist``: by digit value)."""
+        self._start(dimension, items)
+        order = sorted(set(labels), key=int) if self.kind == "mnist" else labels
+        classes = {label: [] for label in order}
+        for hv, label in zip(self._encode(items, names, self.tie_seed), labels):
+            classes[label].append(hv)
         return am_mod.train(classes, self._tie)
 
-    def encode(self, data, dimension: int, names=None) -> np.ndarray:
-        """Query matrix at ``dimension`` from texts (``names`` label them in
-        errors), an image stack, or (``csv``) the vector matrix itself."""
+    def encode(self, items, dimension: int, names=None) -> np.ndarray:
+        """Query matrix of the items at ``dimension``."""
         if dimension != self._dimension:
-            self._start(dimension, data)
+            self._start(dimension, items)
+        return self._encode(items, names, self.tie_seed + 1)
+
+    def _encode(self, items, names, image_seed: int) -> np.ndarray:
+        """The items' hypervectors at the current dimension: texts breaking ties
+        from the tie stream, images from ``image_seed``, ``csv`` vectors as given."""
         if self.kind == "language":
-            return encode_text_ngram(data, self.ngram, self._im, self._tie, names=names)
+            return encode_text_ngram(items, self.ngram, self._im, self._tie, names=names)
         if self.kind == "mnist":
-            return encode_images(data, self.threshold, self._im, seed=self.tie_seed + 1)
-        return data
+            return encode_images(items, self.threshold, self._im, seed=image_seed)
+        if items.shape[1] != self._dimension:
+            raise DimensionMismatchError(
+                f"csv vectors have dimension {items.shape[1]}, requested {self._dimension}"
+            )
+        return items

@@ -35,10 +35,6 @@ class ConfigError(HdtcamError, ValueError):
     """Invalid or incomplete configuration (missing table entry, bad key, ...)."""
 
 
-class InvalidStateError(HdtcamError, RuntimeError):
-    """Operation called on an object in a state that cannot support it."""
-
-
 def setting(cfg: dict, key: str, kind):
     """``cfg[key]`` as ``kind`` (int, float, str, or ``[kind]`` for a list of
     them), or None without the key. The value must have that JSON type,

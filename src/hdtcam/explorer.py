@@ -308,17 +308,17 @@ def sweep(plan: SweepPlan, datasets: dict, jobs: int = 1, done=(), progress=None
     return [done[i] for i in range(len(todo))]
 
 
-def pareto_front(points) -> list:
-    """Non-dominated subset under minimize(energy, accuracy_loss).
-
-    Equal-coordinate duplicates are all retained.
+def flag_pareto(points) -> list:
+    """The points with their ``pareto`` flag set: whether no other point
+    dominates them under minimize(energy, accuracy_loss). Equal-coordinate
+    duplicates are all on the front.
     """
     points = list(points)
     if not points:
         raise ValueError("cannot take the Pareto front of an empty point set")
     order = sorted(range(len(points)),
                    key=lambda i: (points[i].energy_pj, points[i].accuracy_loss))
-    front = []
+    front = set()
     best_cheaper = float("inf")  # min loss among strictly cheaper points
     i = 0
     while i < len(order):
@@ -326,19 +326,13 @@ def pareto_front(points) -> list:
         energy = points[order[i]].energy_pj
         while j < len(order) and points[order[j]].energy_pj == energy:
             j += 1
-        group = [points[order[k]] for k in range(i, j)]
-        group_min = min(p.accuracy_loss for p in group)
+        group = order[i:j]
+        group_min = min(points[k].accuracy_loss for k in group)
         if group_min < best_cheaper:
-            front.extend(p for p in group if p.accuracy_loss == group_min)
+            front.update(k for k in group if points[k].accuracy_loss == group_min)
         best_cheaper = min(best_cheaper, group_min)
         i = j
-    return front
-
-
-def flag_pareto(points) -> list:
-    """Return points with their ``pareto`` flag set from the front membership."""
-    front_ids = {id(p) for p in pareto_front(points)}
-    return [replace(p, pareto=id(p) in front_ids) for p in points]
+    return [replace(p, pareto=k in front) for k, p in enumerate(points)]
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,6 @@ def encode_language_benchmark(bench: LanguageBenchmark, dimension: int):
     Returns (AssociativeMemory, query matrix, query labels).
     """
     task = Task("language")
-    memory = task.train(bench.train_texts, dimension)
+    memory = task.train(list(bench.train_texts.values()), list(bench.train_texts), dimension)
     queries = task.encode([text for text, _ in bench.queries], dimension)
     return memory, queries, [label for _, label in bench.queries]

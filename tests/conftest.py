@@ -35,7 +35,7 @@ def language_setup_2000(language_bench):
 def image_setup():
     train_images, train_labels, test_images, test_labels = make_image_benchmark(seed=0)
     task = Task("mnist")
-    memory = task.train((train_images, train_labels), DIMENSION)
+    memory = task.train(train_images, [str(int(c)) for c in train_labels], DIMENSION)
     queries = task.encode(test_images, DIMENSION)
     labels = [str(int(c)) for c in test_labels]
     baseline = explorer.ideal_accuracy(memory, queries, labels)

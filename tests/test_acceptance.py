@@ -17,7 +17,7 @@ from gaussian_oracle import sample
 
 from hdtcam import cli, hwmodel
 from hdtcam.am import distance_histogram
-from hdtcam.explorer import DesignPoint, SweepSpace, pareto_front, plan_sweep, sweep
+from hdtcam.explorer import DesignPoint, SweepSpace, flag_pareto, plan_sweep, sweep
 
 ACCEPTANCE_SEED = 20  # master seed of the noisy acceptance sweeps
 
@@ -319,7 +319,7 @@ def test_criterion_12_pareto_correctness(small_corpus_dir, tmp_path):
         )
         want = sorted((float(e), float(l))
                       for e, l in zip(energy[~dominated], loss[~dominated]))
-        got = sorted((p.energy_pj, p.accuracy_loss) for p in pareto_front(points))
+        got = sorted((p.energy_pj, p.accuracy_loss) for p in flag_pareto(points) if p.pareto)
         if got != want:
             exact = False
             break

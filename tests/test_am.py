@@ -19,7 +19,7 @@ from hdtcam.am import (
     save_model,
     train,
 )
-from hdtcam.errors import DimensionMismatchError, FormatError, InvalidStateError
+from hdtcam.errors import DimensionMismatchError, FormatError
 
 
 def _random_bits(rng, dimension):
@@ -198,9 +198,8 @@ def test_infer_dimension_mismatch(rng):
 
 
 def test_infer_empty_memory():
-    am = AssociativeMemory([], np.zeros((0, 8), dtype=np.uint8))
-    with pytest.raises(InvalidStateError):
-        ideal_argmin(np.zeros(8, dtype=np.uint8), am)
+    with pytest.raises(ValueError, match="at least one class"):
+        AssociativeMemory([], np.zeros((0, 8), dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,50 @@ def test_sweep_jobs_byte_identical(small_corpus_dir, tmp_path, capsys):
     assert outputs[("--jobs", "1")] == want and outputs[("--jobs", "2")] == want
 
 
+def _sweep_rows(path):
+    """The rows of a results CSV without its metadata, header and pareto column."""
+    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")][1:]
+    return sorted(l.rsplit(",", 1)[0] for l in lines)
+
+
+def test_sweep_of_two_dimensions_is_two_sweeps(small_corpus_dir, tmp_path, capsys):
+    """Reading each split once changes no row: pareto flags aside, a sweep
+    over D = 300 and 1000 writes the rows of the two one-dimension sweeps."""
+    train_dir, queries_csv = small_corpus_dir
+    rows = {}
+    for dimensions in ("300,1000", "300", "1000"):
+        out = tmp_path / f"d{dimensions.replace(',', '-')}.csv"
+        assert run_cli("sweep", "--task", "language", "--train-dir", str(train_dir),
+                       "--queries", str(queries_csv), "--technologies", "sram",
+                       "--voltages", "0.7,1.0", "--block-sizes", "7,15", "--precisions", "7",
+                       "--dimensions", dimensions, "--trials", "2", "--deterministic",
+                       "--output", str(out)) == 0
+        rows[dimensions] = _sweep_rows(out)
+    assert len(rows["300,1000"]) == 8
+    assert rows["300,1000"] == sorted(rows["300"] + rows["1000"])
+
+
+def test_sweep_reads_each_split_once(tmp_path, monkeypatch, capsys):
+    """A two-dimension mnist sweep opens its training pair and its test pair
+    once each, not once per dimension."""
+    images, labels, test_images, test_labels = make_image_benchmark(
+        num_classes=3, train_per_class=5, test_per_class=2, side=8, seed=4)
+    ip, lp, tip, tlp = (str(tmp_path / name) for name in ("i.idx", "l.idx", "ti.idx", "tl.idx"))
+    save_mnist(ip, lp, images, labels)
+    save_mnist(tip, tlp, test_images, test_labels)
+    calls, load_mnist = [], encoders.load_mnist
+
+    def counted(*paths):
+        calls.append(paths)
+        return load_mnist(*paths)
+    monkeypatch.setattr(encoders, "load_mnist", counted)
+    assert run_cli("sweep", "--task", "mnist", "--train-images", ip, "--train-labels", lp,
+                   "--test-images", tip, "--test-labels", tlp, "--voltages", "0.7",
+                   "--block-sizes", "15", "--dimensions", "300,600", "--trials", "1",
+                   "--output", str(tmp_path / "out.csv")) == 0
+    assert calls == [(ip, lp), (tip, tlp)]
+
+
 def _partial_header(results_csv):
     """The partial-file header of a sweep run without --jobs: its config hash
     is the one in the results' metadata."""
@@ -714,24 +758,39 @@ def test_config_key_that_is_not_a_setting_is_a_config_error(command, setting, un
     _assert_nothing_written(tmp_path)
 
 
-@pytest.mark.parametrize("command, key, value", [
-    ("train", "task", "speech"),
-    ("train", "dimension", 0),
-    ("eval", "task", "speech"),
-    ("sweep", "task", "speech"),
-    ("eval-hw", "technology", "rram"),
-])
-def test_flag_and_config_key_refuse_a_value_alike(command, key, value, unseen_label_csv,
+@pytest.mark.parametrize("command, key, value, code", [
+    ("train", "task", "speech", "E-CONFIG"),
+    ("train", "dimension", 0, "E-USAGE"),
+    ("eval", "task", "speech", "E-CONFIG"),
+    ("sweep", "task", "speech", "E-CONFIG"),
+    ("eval-hw", "technology", "rram", "E-CONFIG"),
+], ids=["train-task-speech", "train-dimension-0", "eval-task-speech", "sweep-task-speech",
+        "eval-hw-technology-rram"])
+def test_flag_and_config_key_refuse_a_value_alike(command, key, value, code, unseen_label_csv,
                                                   tmp_path, capsys):
     """A flag and its config key are one setting: a value that neither
-    allows exits with the same E-CONFIG line from either, and writes nothing."""
+    allows exits with the same line from either (E-CONFIG for a name no
+    choice has, E-USAGE for a number out of range), and writes nothing."""
     errors = []
     for setting, flags in (({}, ("--" + key.replace("_", "-"), str(value))), ({key: value}, ())):
         assert _run_configured(command, setting, unseen_label_csv, tmp_path, *flags) != 0
         errors.append(capsys.readouterr().err)
         _assert_nothing_written(tmp_path)
     assert errors[0] == errors[1], errors
-    assert errors[0].startswith("error: E-CONFIG:") and repr(value) in errors[0], errors
+    assert errors[0].startswith(f"error: {code}:") and repr(value) in errors[0], errors
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_dimension_below_one_is_a_usage_error(command, tmp_path, capsys):
+    """A dimension below 1 exits E-USAGE with one message from train and
+    sweep, before the corpus directory, which does not exist, is read."""
+    missing = str(tmp_path / "nope")
+    flags = {"train": ["--dimension", "0"],
+             "sweep": ["--queries", missing, "--dimensions", "0"]}[command]
+    assert run_cli(command, "--task", "language", "--train-dir", missing, *flags,
+                   "--output", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == "error: E-USAGE: dimension must be >= 1, got 0\n"
+    assert not list(tmp_path.iterdir())
 
 
 # The option strings of each subcommand, -h and --help included.

@@ -142,12 +142,16 @@ def test_encode_text_too_short_raises():
         encode_text_ngram(["ab"], 4, im)
 
 
-def test_encode_text_too_short_names_the_text():
+def test_encode_text_too_short_names_the_text(tmp_path):
     im = ItemMemory.for_alphabet(32, seed=0)
     with pytest.raises(DegenerateInputError, match="text 1 has only 2 usable characters"):
         encode_text_ngram(["abcde", "Ab!"], 4, im)
+    (tmp_path / "a.txt").write_text("abcde")
+    (tmp_path / "b.txt").write_text("!!")
+    task = Task("language")
+    items, labels, names = task.read({"train_dir": str(tmp_path)}, "train")
     with pytest.raises(DegenerateInputError, match="corpus 'b' has only 0 usable characters"):
-        Task("language").train({"a": "abcde", "b": "!!"}, 32)
+        task.train(items, labels, 32, names)
 
 
 def _encode_text_ngram_oracle(text, n, im, tie_rng):
@@ -268,7 +272,7 @@ def test_language_task_vectors_pinned():
     them, as recorded from the per-text encoder."""
     bench = synth.make_language_benchmark(train_chars=20_000, queries_per_language=25, seed=3)
     task = Task("language")
-    memory = task.train(bench.train_texts, 2000)
+    memory = task.train(list(bench.train_texts.values()), list(bench.train_texts), 2000)
     queries = task.encode([text for text, _ in bench.queries], 2000)
     assert hashlib.sha256(memory.class_matrix.tobytes()).hexdigest() == (
         "059d977b7e16c35ecb831e840bbe9c1cbc219cc1ed2a874d74b3a326c7887c82")
@@ -340,7 +344,20 @@ def test_task_defaults_and_validation():
     with pytest.raises(ConfigError, match="task must be one of"):
         Task(None)
     with pytest.raises(DimensionMismatchError):
-        Task("csv").train((np.zeros((1, 8), dtype=np.uint8), ["a"]), 16)
+        Task("csv").train(np.zeros((1, 8), dtype=np.uint8), ["a"], 16)
+
+
+@pytest.mark.parametrize("kind, order", [
+    ("language", ["b", "a", "c"]), ("csv", ["b", "a", "c"]), ("mnist", ["2", "5", "11"]),
+])
+def test_task_train_class_order(kind, order):
+    """``train`` takes (items, string labels) for every kind and bundles the
+    classes in first-seen order, ``mnist``'s by digit value."""
+    labels = {"mnist": ["11", "2", "5", "2"]}.get(kind, ["b", "a", "c", "a"])
+    items = {"language": ["the cat sat", "der hund", "le chat noir", "die katze"],
+             "mnist": np.full((4, 3, 3), 255, dtype=np.uint8),
+             "csv": np.eye(4, 64, dtype=np.uint8)}[kind]
+    assert Task(kind).train(items, labels, 64).labels == order
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from hdtcam.explorer import (
     evaluate,
     flag_pareto,
     ideal_accuracy,
-    pareto_front,
     plan_eval,
     plan_sweep,
     sweep,
@@ -362,30 +361,21 @@ def test_pareto_brute_force_oracle():
     for _ in range(20):
         pts = [_point(float(e), float(l))
                for e, l in zip(rng.random(150), rng.random(150))]
-        got = sorted((p.energy_pj, p.accuracy_loss) for p in pareto_front(pts))
+        got = sorted((p.energy_pj, p.accuracy_loss) for p in flag_pareto(pts) if p.pareto)
         want = sorted((p.energy_pj, p.accuracy_loss) for p in _brute_force_front(pts))
         assert got == want
 
 
 def test_pareto_retains_equal_duplicates():
     pts = [_point(1.0, 0.5), _point(1.0, 0.5), _point(2.0, 0.1), _point(3.0, 0.4)]
-    front = pareto_front(pts)
+    front = [p for p in flag_pareto(pts) if p.pareto]
     assert sum(1 for p in front if p.energy_pj == 1.0) == 2
     assert not any(p.energy_pj == 3.0 for p in front)
 
 
 def test_pareto_empty_raises():
     with pytest.raises(ValueError):
-        pareto_front([])
-
-
-def test_flag_pareto_consistent():
-    rng = np.random.default_rng(3)
-    pts = [_point(float(e), float(l)) for e, l in zip(rng.random(50), rng.random(50))]
-    flagged = flag_pareto(pts)
-    front = {(p.energy_pj, p.accuracy_loss) for p in pareto_front(pts)}
-    for p in flagged:
-        assert p.pareto == ((p.energy_pj, p.accuracy_loss) in front)
+        flag_pareto([])
 
 
 # ---------------------------------------------------------------------------
