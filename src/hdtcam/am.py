@@ -18,7 +18,10 @@ from .errors import DimensionMismatchError, FormatError, atomic_open, load_json,
 
 MODEL_FORMAT_VERSION = 1
 
-CHUNK_ELEMS = 500_000  # bound on the (query, class, word) elements of one kernel chunk
+# Bound in bytes on the largest temporary of one chunk: the lanes and the XOR
+# words of the distance kernel, the unpacked gram rows and the window codes of
+# ``encoders.encode_text_ngram``.
+CHUNK_BYTES = 500_000
 
 
 @dataclass(frozen=True)
@@ -111,7 +114,7 @@ def _pack_blocks(bits: np.ndarray, block_size: int) -> np.ndarray:
     A block takes one uint8, uint16 or uint32 word for N <= 8, 16 or 32 and
     ceil(N / 64) uint64 words beyond. The last short block is padded with
     zeros as well, so padding never adds distance. Rows are packed in chunks
-    of about 8 * CHUNK_ELEMS bits.
+    whose one-byte-per-bit lanes take at most CHUNK_BYTES (one row at least).
     """
     rows, dim = bits.shape
     word_bits = next((b for b in (8, 16, 32) if block_size <= b), 64)
@@ -120,7 +123,7 @@ def _pack_blocks(bits: np.ndarray, block_size: int) -> np.ndarray:
     blocks = -(-dim // block_size)
     full = dim // block_size
     out = np.empty((rows, blocks, words), dtype=dtype)
-    step = max(1, 8 * CHUNK_ELEMS // (blocks * words * word_bits))
+    step = max(1, CHUNK_BYTES // (blocks * words * word_bits))
     cut = full * block_size
     for s in range(0, rows, step):
         chunk = bits[s:s + step]
@@ -139,8 +142,8 @@ def _packed_distances(queries: np.ndarray, classes: np.ndarray, dimension: int,
 
     Yields (first query, distances of shape (chunk, classes, blocks)), each
     block's distance the popcount of the XOR of its packed words: uint8 for
-    N < 256, int64 beyond. A chunk holds about CHUNK_ELEMS (query, class,
-    word) elements.
+    N < 256, int64 beyond. A chunk's XOR words take at most CHUNK_BYTES (one
+    query at least), and its popcounts no more.
     """
     queries = np.atleast_2d(queries)
     classes = np.atleast_2d(classes)
@@ -148,7 +151,7 @@ def _packed_distances(queries: np.ndarray, classes: np.ndarray, dimension: int,
     packed_q = _pack_blocks(queries, block_size)
     packed_c = _pack_blocks(classes, block_size)[None]
     total = np.uint8 if block_size < 256 else np.int64
-    step = max(1, CHUNK_ELEMS // max(1, packed_c.size))
+    step = max(1, CHUNK_BYTES // max(1, packed_c.nbytes))
     for s in range(0, packed_q.shape[0], step):
         d = np.bitwise_count(packed_q[s:s + step, None] ^ packed_c)
         yield s, d[..., 0] if d.shape[-1] == 1 else d.sum(axis=-1, dtype=total)

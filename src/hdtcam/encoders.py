@@ -27,10 +27,6 @@ ALPHABET = "abcdefghijklmnopqrstuvwxyz "
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
-# Working-set cap of ``encode_text_ngram``: bytes of unpacked gram rows held at
-# once (at most 255 rows), and bytes of int64 window codes per batch of texts.
-NGRAM_CHUNK_BYTES = 2_000_000
-
 # Task kind -> default (item-memory seed, tie-break seed).
 TASK_SEEDS = {"language": (42, 7), "mnist": (43, 8), "csv": (0, 0)}
 
@@ -118,7 +114,9 @@ def encode_text_ngram(texts, n: int, im: ItemMemory, tie_rng: np.random.Generato
     window is the XOR of its j-th letter's vector rotated by j (j = 0..n-1);
     each distinct gram of a text is composed once, in packed bits, and counted
     with its multiplicity. Ties are drawn from ``tie_rng`` text by text, in
-    order; ``names`` label texts in errors."""
+    order; ``names`` label texts in errors. ``am.CHUNK_BYTES``, read at each
+    call, bounds the int64 window codes of a batch of texts and the unpacked
+    gram rows of a chunk."""
     if n < 1:
         raise ValueError(f"n-gram size must be >= 1, got {n}")
     texts = [normalize_text(text) for text in texts]
@@ -128,8 +126,8 @@ def encode_text_ngram(texts, n: int, im: ItemMemory, tie_rng: np.random.Generato
                                    f"{lengths[i]} usable characters, need at least {n}")
     packed = [np.packbits(im.rotated(j), axis=1) for j in range(n)]
     out = np.empty((len(texts), im.dimension), dtype=np.uint8)
-    # Batches of texts ending in one span of NGRAM_CHUNK_BYTES / 8 characters bound the codes.
-    batch = (np.cumsum(lengths) - 1) // max(1, NGRAM_CHUNK_BYTES // 8)
+    # Batches of texts ending in one span of CHUNK_BYTES / 8 characters bound the codes.
+    batch = (np.cumsum(lengths) - 1) // max(1, am_mod.CHUNK_BYTES // 8)
     cuts = [0, *(np.flatnonzero(np.diff(batch)) + 1), len(texts)]
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         _encode_batch(texts[lo:hi], lengths[lo:hi], n, im, packed, tie_rng, out[lo:hi])
@@ -164,8 +162,8 @@ def _encode_batch(texts, lengths, n, im, packed, tie_rng, out) -> None:
     by_text = np.lexsort((weights, text[window]))
     rows, text, weights = starts[window[by_text]], text[window[by_text]], weights[by_text]
     # Grams are composed and unpacked in chunks of at most 255 rows, so uint8 sums of
-    # each (text, weight) run's slice cannot overflow; NGRAM_CHUNK_BYTES bounds a chunk.
-    chunk = max(1, min(255, NGRAM_CHUNK_BYTES // im.dimension))
+    # each (text, weight) run's slice cannot overflow; CHUNK_BYTES bounds a chunk.
+    chunk = max(1, min(255, am_mod.CHUNK_BYTES // im.dimension))
     cut = np.arange(len(rows)) % chunk == 0
     cut[1:] |= (text[1:] != text[:-1]) | (weights[1:] != weights[:-1])
     edges = np.flatnonzero(cut)
@@ -266,12 +264,13 @@ def load_mnist(images_path, labels_path):
     return images, labels
 
 
-def _read_rows(path, payload: str) -> list:
-    """(row number, label, payload) of each non-blank ``label,<payload>`` row
-    of the text file ``path``, label and payload stripped of surrounding
-    whitespace; a first row labelled ``label`` is a header. FormatError naming
-    the file for a row without a comma or a label, and for a file without rows."""
-    rows = []
+def _read_rows(path, payload: str):
+    """Yield (row number, label, payload) of each non-blank ``label,<payload>``
+    row of the text file ``path``, one at a time, label and payload stripped
+    of surrounding whitespace; a first row labelled ``label`` is a header.
+    FormatError naming the file for a row without a comma or a label, and for
+    a file without rows."""
+    found = False
     with open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
             if line.isspace():
@@ -283,10 +282,10 @@ def _read_rows(path, payload: str) -> list:
                                   location=f"row {lineno}")
             if lineno == 1 and label.lower() == "label":
                 continue
-            rows.append((lineno, label, rest.strip()))
-    if not rows:
+            found = True
+            yield lineno, label, rest.strip()
+    if not found:
         raise FormatError(f"{path}: no 'label,{payload}' rows found")
-    return rows
 
 
 def _row_label(label) -> bool:
@@ -300,27 +299,46 @@ def load_hypervector_csv(path) -> tuple:
     """Read ``label,bitstring`` rows into (one (rows, D) uint8 matrix, their
     labels). Header row optional.
 
-    Every bitstring is checked in one pass over their concatenation (a
-    character outside latin-1 reads as ``?``); only a file that fails it is
-    searched row by row for the first non-binary row, then the first ragged one.
+    Each bitstring is checked with one ``max`` (a character outside latin-1
+    reads as ``?``) and written straight into the matrix, allocated for as
+    many rows of the first row's width as the file's size can hold, or
+    doubled as rows come when the size is unknown (a pipe). Once a row is bad
+    the rest is only read through, so the row reader's errors still win;
+    then the first non-binary row is named, else the first ragged one.
     """
-    rows = _read_rows(path, "bitstring")
-    dimension = len(rows[0][2])
-    joined = "".join(bits for _, _, bits in rows).encode("latin-1", "replace")
-    flat = np.frombuffer(joined, dtype=np.uint8) - np.uint8(ord("0"))
-    if not (dimension and all(len(bits) == dimension for _, _, bits in rows)
-            and flat.max() <= 1):
-        for lineno, _, bits in rows:
+    matrix, labels, non_binary, ragged = None, [], None, None
+    for lineno, label, bits in _read_rows(path, "bitstring"):
+        if matrix is None:
+            info = os.stat(path)
+            dimension = len(bits)
+            # A row takes at least a label character, a comma, its bits and a line end.
+            capacity = ((info.st_size + 1) // (dimension + 3) if stat.S_ISREG(info.st_mode)
+                        else am_mod.CHUNK_BYTES // max(1, dimension))
+            matrix = np.empty((max(1, capacity), dimension), dtype=np.uint8)
+        if non_binary:
+            continue
+        if len(bits) != dimension:
             if not re.fullmatch("[01]+", bits):
-                raise FormatError(f"{path}: bitstring must be non-empty over {{0,1}}",
-                                  location=f"row {lineno}")
-        for lineno, _, bits in rows:
-            if len(bits) != dimension:
-                raise FormatError(
-                    f"{path}: ragged bitstring length {len(bits)}, expected {dimension}",
-                    location=f"row {lineno}",
-                )
-    return flat.reshape(len(rows), dimension), [label for _, label, _ in rows]
+                non_binary = lineno
+            ragged = ragged or (lineno, len(bits))
+            continue
+        row = np.frombuffer(bits.encode("latin-1", "replace"), dtype=np.uint8) - ord("0")
+        if not dimension or row.max() > 1:
+            non_binary = lineno
+            continue
+        if len(labels) == len(matrix):
+            # Grown by realloc: no view of the matrix is alive here to check for.
+            matrix.resize((2 * len(matrix), dimension), refcheck=False)
+        matrix[len(labels)] = row
+        labels.append(label)
+    if non_binary:
+        raise FormatError(f"{path}: bitstring must be non-empty over {{0,1}}",
+                          location=f"row {non_binary}")
+    if ragged:
+        raise FormatError(f"{path}: ragged bitstring length {ragged[1]}, expected {dimension}",
+                          location=f"row {ragged[0]}")
+    matrix.resize((len(labels), dimension), refcheck=False)
+    return matrix, labels
 
 
 def save_hypervector_csv(path, labeled: LabeledSet) -> None:
@@ -399,7 +417,7 @@ class Task:
             return (*load_hypervector_csv(_path(files, f"{split}_csv")), None)
         if split == "test":
             path = _path(files, "queries")
-            rows = _read_rows(path, "text")
+            rows = list(_read_rows(path, "text"))
             return ([text for _, _, text in rows], [label for _, label, _ in rows],
                     [f"query in {path} row {lineno}" for lineno, _, _ in rows])
         train_dir = _path(files, "train_dir")

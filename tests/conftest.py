@@ -1,5 +1,7 @@
 """Shared fixtures: synthetic benchmarks encoded once per session."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from criterion_helpers import make_image_benchmark
@@ -64,3 +66,22 @@ def small_corpus_dir(tmp_path_factory):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture()
+def traced_peak():
+    """Run ``fn(*args)``; return its result and the peak, in bytes, of the memory
+    allocated while it ran (numpy reports its buffers to ``tracemalloc``)."""
+    def run(fn, *args):
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            result = fn(*args)
+            return result, tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+    return run

@@ -99,8 +99,13 @@ def test_blocked_matrix_agrees_with_single(rng, monkeypatch):
         for c in range(5):
             single = distance_histogram(queries[i], am.class_matrix[c], 33, 4, 3)[0, 0]
             assert np.array_equal(mat[i, c], single)
-    monkeypatch.setattr(am_module, "CHUNK_ELEMS", 2 * 5 * 9)  # two queries per chunk
+    monkeypatch.setattr(am_module, "CHUNK_BYTES", 2 * 5 * 9)  # two queries of uint8 words a chunk
     assert np.array_equal(distance_histogram(queries, am.class_matrix, 33, 4, 3), mat)
+
+
+def _word_bytes(block_size):
+    """Bytes of one packed word of an N-bit block."""
+    return next((b for b in (8, 16, 32) if block_size <= b), 64) // 8
 
 
 # Word edges of the packed layout: uint8/uint16, uint16/uint32, uint32/uint64
@@ -130,7 +135,8 @@ def test_packed_kernels_equal_unpacked_oracle(dimension, block_size, queries, cl
     cs[-1] = qs[0]  # an exact match and a tie-prone row
     memory = AssociativeMemory([f"c{i}" for i in range(classes)], cs)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(am_module, "CHUNK_ELEMS", chunk)
+        # ``chunk`` (query, class, word) elements of the XOR words per chunk
+        mp.setattr(am_module, "CHUNK_BYTES", chunk * _word_bytes(block_size))
         hist = distance_histogram(qs, cs, dimension, block_size)
         assert hist.dtype == np.int64 and hist.shape == (queries, classes, block_size + 1)
         assert np.array_equal(hist, distance_oracle.distance_histogram(qs, cs, dimension,
@@ -139,9 +145,30 @@ def test_packed_kernels_equal_unpacked_oracle(dimension, block_size, queries, cl
             assert np.array_equal(
                 distance_histogram(qs, cs, dimension, block_size, p),
                 distance_oracle.distance_histogram(qs, cs, dimension, block_size, p)), p
+        mp.setattr(am_module, "CHUNK_BYTES", chunk * _word_bytes(dimension))
         best, dists = ideal_argmin(qs, memory)
     want_best, want_dists = distance_oracle.ideal_argmin(qs, cs)
     assert np.array_equal(best, want_best) and np.array_equal(dists, want_dists)
+
+
+@pytest.mark.parametrize("block_size", [7, 15, None], ids=["N7", "N15", "ideal"])
+def test_kernel_working_set_is_bounded_in_bytes(block_size, traced_peak):
+    """Beyond the packed queries and the output, a kernel call holds at most
+    four CHUNK_BYTES: a chunk's lanes, or its XOR words, popcounts and
+    comparisons."""
+    rng = np.random.default_rng(3)
+    queries = rng.integers(0, 2, (800, 10_000), dtype=np.uint8)
+    memory = AssociativeMemory(list("abcdefgh"),
+                               rng.integers(0, 2, (8, 10_000), dtype=np.uint8))
+    if block_size is None:
+        out, peak = traced_peak(ideal_argmin, queries, memory)
+        packed = am_module._pack_blocks(queries[:1], 10_000).nbytes * len(queries)
+    else:
+        out, peak = traced_peak(distance_histogram, queries, memory.class_matrix, 10_000,
+                                block_size, 7)
+        packed = am_module._pack_blocks(queries[:1], block_size).nbytes * len(queries)
+        out = [out]
+    assert peak <= packed + sum(o.nbytes for o in out) + 4 * am_module.CHUNK_BYTES
 
 
 def test_blocked_distances_dimension_mismatch(rng):
@@ -170,7 +197,8 @@ def test_ideal_argmin_matches_per_query(rng, monkeypatch):
     am = _random_am(rng, classes=4, dimension=140)
     qs = np.stack([_random_bits(rng, 140) for _ in range(60)])
     want = [tuple(int(x[0]) for x in ideal_argmin(q, am)) for q in qs]
-    monkeypatch.setattr(am_module, "CHUNK_ELEMS", 7 * 4 * 3)  # uneven chunks of 3 words a row
+    # uneven chunks of 7 queries, each of 3 uint64 words a class
+    monkeypatch.setattr(am_module, "CHUNK_BYTES", 7 * 4 * 3 * 8)
     best, dists = ideal_argmin(qs, am)
     assert [(int(b), int(d)) for b, d in zip(best, dists)] == want
 

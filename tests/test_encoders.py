@@ -1,14 +1,18 @@
 """Encoders: composition oracles, file-format round trips, failure modes."""
 
 import hashlib
+import os
 import struct
+import threading
 
+import csv_oracle
 import numpy as np
 import pytest
 from criterion_helpers import save_mnist
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hdtcam import am as am_module
 from hdtcam import encoders, synth
 from hdtcam.core import majority_from_counts
 from hdtcam.encoders import (
@@ -189,7 +193,7 @@ def test_encode_text_ngram_matches_per_window_oracle(text, n, dimension, chunk_r
     im = ItemMemory.for_alphabet(dimension, seed=seed)
     got_tie, want_tie = np.random.default_rng(seed), np.random.default_rng(seed)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(encoders, "NGRAM_CHUNK_BYTES", chunk_rows * ((dimension + 7) // 8))
+        mp.setattr(am_module, "CHUNK_BYTES", chunk_rows * dimension)
         got = encode_text_ngram([text], n, im, got_tie)[0]
     want = _encode_text_ngram_oracle(text, n, im, want_tie)
     assert got.dtype == want.dtype == np.uint8
@@ -234,7 +238,7 @@ _batch_texts = st.lists(st.one_of(
 # One chunk holds forty 1-gram texts.
 @example(texts=[ALPHABET[i % 26] * (1 + i % 3) for i in range(40)], n=1, dimension=32,
          chunk_bytes=10**6, duplicate=False, seed=4)
-# NGRAM_CHUNK_BYTES below one unpacked row (65 bytes): one-row chunks.
+# CHUNK_BYTES below one unpacked row (65 bytes): one-row chunks.
 @example(texts=["hello world", "abcabcabc"], n=3, dimension=65, chunk_bytes=64, duplicate=False,
          seed=5)
 @given(texts=_batch_texts, n=st.sampled_from([1, 2, 3, 4, 5, 13, 14, 30]),
@@ -250,7 +254,7 @@ def test_encode_text_ngram_batch_matches_per_text_oracle(texts, n, dimension, ch
     im = ItemMemory.for_alphabet(dimension, seed=seed)
     got_tie, want_tie = np.random.default_rng(seed), np.random.default_rng(seed)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(encoders, "NGRAM_CHUNK_BYTES", chunk_bytes)
+        mp.setattr(am_module, "CHUNK_BYTES", chunk_bytes)
         got = encode_text_ngram(texts, n, im, got_tie)
     want = np.stack([_encode_text_ngram_oracle(text, n, im, want_tie) for text in texts])
     assert got.dtype == np.uint8 and got.shape == want.shape
@@ -286,10 +290,22 @@ def test_encode_text_chunking_is_invisible(monkeypatch):
     rng = np.random.default_rng(4)
     text = normalize_text("".join(rng.choice(list(ALPHABET), size=3000)))
     im = ItemMemory.for_alphabet(2000, seed=3)
-    monkeypatch.setattr(encoders, "NGRAM_CHUNK_BYTES", 100 * 2000 // 8)  # 12 unpacked rows
+    monkeypatch.setattr(am_module, "CHUNK_BYTES", 100 * 2000 // 8)  # 12 unpacked rows
     got = encode_text_ngram([text], 4, im, np.random.default_rng(1))[0]
     want = _encode_text_ngram_oracle(text, 4, im, np.random.default_rng(1))
     assert np.array_equal(got, want)
+
+
+def test_encode_text_working_set_is_bounded_in_bytes(traced_peak):
+    """Many short texts: beyond the output, a call holds what a batch of
+    CHUNK_BYTES / 8 characters and a chunk of CHUNK_BYTES of unpacked grams
+    need, at most sixteen CHUNK_BYTES."""
+    rng = np.random.default_rng(6)
+    texts = ["".join(rng.choice(list(ALPHABET[:-1]), size=50)) for _ in range(4000)]
+    im = ItemMemory.for_alphabet(4000, seed=2)
+    encode_text_ngram(texts[:1], 4, im)  # rotations cached on the item memory
+    out, peak = traced_peak(encode_text_ngram, texts, 4, im, np.random.default_rng(1))
+    assert peak <= out.nbytes + 16 * am_module.CHUNK_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +525,111 @@ def test_csv_bitstrings_outside_ascii_binary(content, row, tmp_path):
     matrix, labels = load_hypervector_csv(path)
     assert labels == ["a", "b"]
     assert matrix.tolist() == [[0, 1, 0, 1], [1, 1, 0, 0]]
+
+
+def _bits_rows(rng, rows, dimension):
+    """A ``label,bits`` file of random rows: (its text, matrix, labels)."""
+    matrix = rng.integers(0, 2, (rows, dimension), dtype=np.uint8)
+    labels = [f"c{i % 7}" for i in range(rows)]
+    text = "label,bits\n" + "".join(
+        f"{label},{(row + ord('0')).tobytes().decode()}\n" for label, row in zip(labels, matrix))
+    return text, matrix, labels
+
+
+def test_csv_load_holds_one_matrix(tmp_path, traced_peak):
+    """Rows are written straight into one matrix sized from the file: the load
+    peaks at its matrix, a tenth more for labels and buffers, and one row."""
+    text, want, labels = _bits_rows(np.random.default_rng(2), 2000, 4000)
+    path = tmp_path / "big.csv"
+    path.write_text(text)
+    (matrix, got_labels), peak = traced_peak(load_hypervector_csv, path)
+    assert np.array_equal(matrix, want) and got_labels == labels
+    assert matrix.base is None and matrix.flags.c_contiguous
+    assert peak <= 1.1 * matrix.nbytes + 4000
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_csv_through_a_pipe(tmp_path, monkeypatch):
+    """A file of unknown size, here a FIFO, loads as the regular file does,
+    its matrix doubled from a few rows as they come."""
+    text, want, labels = _bits_rows(np.random.default_rng(3), 50, 64)
+    monkeypatch.setattr(am_module, "CHUNK_BYTES", 3 * 64)  # starts at 3 rows
+    fifo = tmp_path / "bits.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+    writer.start()
+    matrix, got_labels = load_hypervector_csv(fifo)
+    writer.join(timeout=10)
+    regular = tmp_path / "bits.csv"
+    regular.write_text(text)
+    assert np.array_equal(matrix, want) and got_labels == labels
+    assert np.array_equal(matrix, load_hypervector_csv(regular)[0])
+    assert matrix.shape == (50, 64)
+
+
+_labels = st.text(st.sampled_from("ab Z-é日😀"), min_size=1, max_size=3).filter(str.strip)
+_pads = st.sampled_from(["", " ", "\t"])
+
+
+def _rows(dimension):
+    """Strategies of (valid rows, bad or blank rows) of a ``label,bits`` file."""
+    bits = st.text(st.sampled_from("01"), min_size=dimension, max_size=dimension)
+    bad = st.sampled_from("2x ?é€\uff11😀")
+    valid = st.builds("{}{},{}{}".format, _pads, _labels, bits, _pads)
+    other = st.one_of(
+        st.sampled_from(["", " ", "\t ", "label,bits", "nocomma", "01", ",0101", " ,1"]),
+        st.builds("{},{}".format, _labels,                        # ragged or empty
+                  st.text(st.sampled_from("01"), max_size=8)),
+        st.builds(lambda label, b, c, at: f"{label},{b[:at]}{c}{b[at + 1:]}",  # non-binary
+                  _labels, bits, bad, st.integers(0, dimension - 1)),
+        st.builds("{},{}{}".format, _labels, bits, bad),          # non-binary and ragged
+    )
+    return valid, other
+
+
+@st.composite
+def _bit_files(draw):
+    """Bytes of a ``label,bits`` file: valid rows of one width with blank and
+    bad rows anywhere, LF, CRLF or lone-CR line ends, an optional byte-order
+    mark, header and final newline, and rarely a byte that is not UTF-8."""
+    valid, other = _rows(draw(st.integers(1, 6)))
+    lines = draw(st.lists(valid, max_size=6))
+    for bad in draw(st.lists(other, max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    if draw(st.booleans()):
+        lines.insert(0, draw(st.sampled_from(["label,bits", " Label , bits"])))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
+                         max_size=len(lines)))
+    if lines and draw(st.booleans()):
+        ends[-1] = ""
+    data = ("\ufeff" if draw(st.booleans()) else "") + "".join(map(str.__add__, lines, ends))
+    data = data.encode("utf-8")
+    if draw(st.integers(0, 9)) == 7:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def _load_outcome(load, path):
+    try:
+        matrix, labels = load(path)
+    except FormatError as exc:
+        return str(exc), exc.location
+    return matrix.dtype, matrix.shape, matrix.tobytes(), labels
+
+
+@settings(max_examples=300, deadline=None)
+@example(data=b"a,0101\nb,11\nc,01x1\n")
+@example(data=b"a,0101\nb,01x1\nnocomma\n")
+@example(data=b"\xef\xbb\xbfLABEL,bits\r\n\r\n a ,0101 \rb,\xe2\x82\xac101\n,01")
+@given(data=_bit_files())
+def test_csv_loader_matches_list_oracle(data, tmp_path_factory):
+    """The streamed loader gives the list-based loader's matrix and labels, or
+    its FormatError message and location, on any file."""
+    path = tmp_path_factory.getbasetemp() / "oracle.csv"
+    path.write_bytes(data)
+    assert _load_outcome(load_hypervector_csv, path) == _load_outcome(
+        csv_oracle.load_hypervector_csv, path)
 
 
 def test_csv_missing_comma(tmp_path):
