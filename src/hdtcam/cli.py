@@ -203,27 +203,16 @@ def cmd_eval(args) -> int:
     task = _task(cfg, meta)
     seed = cfg.get("seed", 0)
     technology = cfg.get("technology")
-    blocked = technology is not None or "block_size" in cfg
-    if blocked:
-        # Blocked inference: under the technology's hardware table, else noise-free.
-        run = {"replicas": cfg.get("replicas", 1), "seed": seed,
-               "trials": cfg.get("trials", 10 if technology is not None else 1)}
-        block, hw = explorer.plan_eval(
-            lambda: _load_catalog(cfg.get("hw_tables")), memory.dimension, technology,
-            cfg.get("voltage", 0.7), cfg.get("block_size", 15), cfg.get("precision"), **run)
+    hardware = technology is not None
+    plan = explorer.plan_eval(
+        lambda: _load_catalog(cfg.get("hw_tables")), memory.dimension, technology,
+        cfg.get("voltage", 0.7), cfg.get("block_size", 15 if hardware else None),
+        cfg.get("precision"), cfg.get("replicas", 1), cfg.get("trials", 10 if hardware else 1),
+        seed)
     items, labels, names = task.read(cfg, "test")
     queries = task.encode(items, memory.dimension, names)
-    if blocked:
-        point = explorer.evaluate(memory, queries, labels, block, hw=hw, **run)
-    else:
-        acc = explorer.ideal_accuracy(memory, queries, labels)
-        point = explorer.DesignPoint(
-            technology="", voltage=0.0, block_size=memory.dimension,
-            precision=memory.dimension, dimension=memory.dimension,
-            replicas=1, trials=1, accuracy_mean=acc, accuracy_std=0.0,
-            accuracy_loss=0.0, energy_pj=0.0, latency_ns=0.0,
-        )
-    if technology is not None:
+    [point] = explorer.sweep(plan, {memory.dimension: (memory, queries, labels)})
+    if hardware:
         print(f"accuracy {point.accuracy_mean:.4f} ± {point.accuracy_std:.4f} "
               f"(loss {100 * point.accuracy_loss:.3f} % vs ideal), "
               f"energy {point.energy_pj:.3f} pJ/query, "
@@ -283,7 +272,7 @@ def cmd_sweep(args) -> int:
         for path, rows in ((args.output, points), (_pareto_path(args.output), front)):
             with atomic_open(path) as f:
                 explorer.write_results_csv(rows, f, metadata_lines=lines)
-    print(f"swept {len(plan.setups)} configurations; "
+    print(f"swept {len(plan)} configurations; "
           f"{len(front)} on the Pareto front")
     print(f"wrote {args.output} and {_pareto_path(args.output)}")
     return 0

@@ -138,8 +138,9 @@ def evaluate(
     without the hardware table ``hw``, else the median of ``replicas`` reads
     of its latencies, and its energies are charged; the point carries the
     table's technology and voltage (``""`` and 0.0 without one). ``hw`` is at
-    the precision of ``cfg``, as ``plan_eval`` and ``plan_sweep`` set a point
-    up. Reads are independent given the true clamped distance, so each trial
+    the precision of ``cfg``, as a plan's ``Setup`` holds it: ``sweep`` runs
+    each blocked setup of a plan here, with the setup's trials and seed.
+    Reads are independent given the true clamped distance, so each trial
     draws, for every (query, class) pair and distance h, how many of its
     blocks at h report each j: one multinomial over the pair's distance
     histogram, exact in distribution. One-hot matrices are applied without
@@ -205,33 +206,42 @@ def check_jobs(jobs: int) -> None:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
 
 
-@dataclass(frozen=True)
-class SweepPlan:
-    """A sweep's space and the set-up of each of its configurations, in
-    configuration order: (configuration, block geometry, table at its precision)."""
+class Setup(typing.NamedTuple):
+    """One point of a plan, set up before any data is read: its configuration
+    (technology, voltage, N, P, D, r), its block geometry (None: the ideal
+    full-Hamming read), its table at P (None: noise-free), and the trials and
+    seed it is evaluated with."""
 
-    space: SweepSpace
-    setups: tuple
+    config: tuple
+    block: BlockConfig | None
+    hw: HwEntry | None
+    trials: int
+    seed: int
 
 
-def plan_sweep(space: SweepSpace, catalog: Catalog) -> SweepPlan:
-    """Set up every configuration of ``space`` from ``catalog``, which builds
-    the tables the sweep reads in one lookup. It reads no data, so a sweep
-    that a point's block geometry, its catalog gap or a precision its table
-    refuses fails before any data set is read."""
+def plan_sweep(space: SweepSpace, catalog: Catalog) -> tuple:
+    """The setups of every configuration of ``space``, in configuration order,
+    each seeded from the space's seed and its configuration key. ``catalog``
+    builds the tables the sweep reads in one lookup. It reads no data, so a
+    sweep that a point's block geometry, its catalog gap or a precision its
+    table refuses fails before any data set is read."""
     configs = list(space.configurations())
     geometry = [BlockConfig(d, n, p) for _tech, _v, n, p, d, _r in configs]
     tables = catalog.get_many([config[:3] for config in configs])
-    return SweepPlan(space, tuple((config, cfg, hw.with_precision(config[3]))
-                                  for config, cfg, hw in zip(configs, geometry, tables)))
+    return tuple(Setup(config, cfg, hw.with_precision(cfg.precision), space.trials,
+                       derive_point_seed(space.seed, config_key(*config)))
+                 for config, cfg, hw in zip(configs, geometry, tables))
 
 
 def plan_eval(catalog, dimension, technology, voltage, block_size, precision, replicas, trials,
               seed) -> tuple:
-    """Set up an eval's point before it reads a query: (its BlockConfig, the
-    table of ``technology`` at ``voltage`` and N from ``catalog()`` at the
-    point's precision, or None without a technology). P defaults to the
-    table's, else min(N, MAX_PRECISION)."""
+    """The plan of an eval's one point, set up before it reads a query, with
+    ``seed`` as given: the ideal point without a technology and a block size,
+    else blocked, under the table of ``technology`` at ``voltage`` and N from
+    ``catalog()`` at the point's precision, or noise-free without a
+    technology. P defaults to the table's, else min(N, MAX_PRECISION)."""
+    if technology is None and block_size is None:
+        return (Setup(("", 0.0, dimension, dimension, dimension, 1), None, None, 1, seed),)
     hw = None if technology is None else catalog().get(technology, voltage, block_size)
     if precision is None:
         precision = hw.precision if hw else min(block_size, MAX_PRECISION)
@@ -241,40 +251,42 @@ def plan_eval(catalog, dimension, technology, voltage, block_size, precision, re
     check_replicas(replicas)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    return cfg, hw and hw.with_precision(precision)
+    hw = hw and hw.with_precision(precision)
+    label = (hw.technology, hw.voltage) if hw else ("", 0.0)
+    return (Setup((*label, block_size, precision, dimension, replicas), cfg, hw, trials, seed),)
 
 
-def sweep(plan: SweepPlan, datasets: dict, jobs: int = 1, done=(), progress=None) -> list:
-    """Evaluate the configurations of ``plan``, apart from the configurations
-    of the points in ``done`` (those of a resumed sweep), and return the new
-    points in configuration order. ``progress`` is called with each new point,
-    one call at a time.
+def sweep(plan: tuple, datasets: dict, jobs: int = 1, done=(), progress=None) -> list:
+    """Evaluate the setups of ``plan``, apart from the configurations of the
+    points in ``done`` (those of a resumed sweep), each with its own trials
+    and seed, and return the new points in plan order. ``progress`` is called
+    with each new point, one call at a time.
 
     ``datasets`` maps dimension -> (AssociativeMemory, queries, labels).
     A dimension without a data set, or ``jobs``, the number of evaluation
-    threads, below 1 fails before the first point runs. Results are
-    deterministic for a fixed seed and independent of evaluation order.
+    threads, below 1 fails before the first point runs. An ideal setup's
+    point is the full-Hamming accuracy, every point's loss baseline; the
+    others run ``evaluate``. Results are independent of evaluation order.
     """
     check_jobs(jobs)
-    space, setups = plan.space, plan.setups
-    dimensions = dict.fromkeys(cfg.dimension for _, cfg, _ in setups)
+    dimensions = dict.fromkeys(setup.config[4] for setup in plan)
     for d in dimensions:
         if d not in datasets:
             raise ConfigError(f"no dataset supplied for dimension {d}")
     baselines = {d: ideal_accuracy(*datasets[d]) for d in dimensions}
     skip = {p.config_key for p in done}
-    todo = [s for s in setups if config_key(*s[0]) not in skip]
+    todo = [setup for setup in plan if config_key(*setup.config) not in skip]
     # The pair histogram depends only on (D, N): build it once per group,
     # clamped at the group's largest precision, and fold it for each point.
     groups = {}
-    for i, (_config, cfg, _hw) in enumerate(todo):
-        groups.setdefault((cfg.dimension, cfg.block_size), []).append(i)
+    for i, setup in enumerate(todo):
+        groups.setdefault((setup.config[4], setup.block and setup.block.block_size), []).append(i)
 
     def tasks():
         for (d, n), members in groups.items():
             am, queries, _labels = datasets[d]
-            hist = distance_histogram(queries, am.class_matrix, d, n,
-                                      max(todo[i][1].precision for i in members))
+            hist = None if n is None else distance_histogram(
+                queries, am.class_matrix, d, n, max(todo[i].block.precision for i in members))
             for i in members:
                 yield i, hist
 
@@ -282,17 +294,13 @@ def sweep(plan: SweepPlan, datasets: dict, jobs: int = 1, done=(), progress=None
 
     def run(task):
         i, hist = task
-        config, cfg, hw = todo[i]
-        am, queries, labels = datasets[cfg.dimension]
-        point = evaluate(
-            am, queries, labels, cfg,
-            hw=hw,
-            replicas=config[5],
-            trials=space.trials,
-            seed=derive_point_seed(space.seed, config_key(*config)),
-            baseline_accuracy=baselines[cfg.dimension],
-            histogram=hist,
-        )
+        config, cfg, hw, trials, seed = todo[i]
+        baseline = baselines[config[4]]
+        if cfg is None:
+            point = DesignPoint(*config, trials, baseline, 0.0, 0.0, 0.0, 0.0)
+        else:
+            point = evaluate(*datasets[config[4]], cfg, hw=hw, replicas=config[5], trials=trials,
+                             seed=seed, baseline_accuracy=baseline, histogram=hist)
         if progress is not None:
             with lock:
                 progress(point)

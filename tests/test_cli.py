@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 from criterion_helpers import make_image_benchmark, save_mnist
+from eval_oracle import eval_point
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -167,6 +168,85 @@ def test_eval_trials_below_one_is_a_usage_error(trials, unseen_label_csv, tmp_pa
     err = capsys.readouterr().err
     assert err.startswith(f"error: E-USAGE: trials must be >= 1, got {trials}"), err
     assert not out.exists()
+
+
+@pytest.fixture()
+def noisy_csv(tmp_path):
+    """A 96-bit csv task of 4 classes and 24 queries, each a class vector with
+    a quarter of its bits flipped, and the model trained on it."""
+    rng = np.random.default_rng(31)
+    rows = rng.integers(0, 2, size=(4, 96), dtype=np.uint8)
+    classes = np.arange(24) % 4
+    flips = (rng.random((24, 96)) < 0.25).astype(np.uint8)
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    for path, matrix, labels in ((train, rows, range(4)), (test, rows[classes] ^ flips, classes)):
+        path.write_text("label,bits\n" + "".join(
+            f"c{label},{''.join(map(str, row))}\n" for label, row in zip(labels, matrix)))
+    model = tmp_path / "m.json"
+    assert run_cli("train", "--task", "csv", "--train-csv", str(train),
+                   "--dimension", "96", "--output", str(model)) == 0
+    return test, model
+
+
+# eval's modes: ideal, noise-free blocked, and hardware with the table's
+# precision or a lower one, each with its settings (flag name -> value).
+EVAL_MODES = {
+    "ideal": {},
+    "noise-free-blocked": {"block_size": 8, "precision": 4},
+    "sram-1.0V": {"technology": "sram", "voltage": 1.0, "trials": 3, "seed": 9},
+    "fefinfet-r3-below-the-table": {"technology": "fefinfet", "voltage": 0.6, "block_size": 8,
+                                    "precision": 4, "replicas": 3, "trials": 4, "seed": 2},
+}
+
+
+def _run_eval_mode(mode, noisy_csv, output):
+    test, model = noisy_csv
+    flags = [x for name, value in EVAL_MODES[mode].items()
+             for x in ("--" + name.replace("_", "-"), str(value))]
+    return run_cli("eval", "--model", str(model), "--task", "csv", "--test-csv", str(test),
+                   *flags, "--deterministic", "--output", str(output))
+
+
+@pytest.mark.parametrize("mode", EVAL_MODES)
+def test_eval_point_equals_the_direct_computation(mode, noisy_csv, tmp_path):
+    """The row eval writes is the row of the point computed directly: the
+    ideal point built from the ideal accuracy, a blocked one from one
+    ``evaluate`` call with eval's seed as given."""
+    test, model = noisy_csv
+    out = tmp_path / "out.csv"
+    assert _run_eval_mode(mode, noisy_csv, out) == 0
+    queries, labels = encoders.load_hypervector_csv(test)
+    want = eval_point(load_model(model)[0], queries, labels, **EVAL_MODES[mode])
+    if "technology" in EVAL_MODES[mode]:
+        assert want.latency_ns > 0  # drawn from the seed, so the row depends on it
+    text = io.StringIO()
+    explorer.write_results_csv([want], text)
+    assert out.read_text().splitlines()[-1] == text.getvalue().splitlines()[-1]
+
+
+@pytest.mark.parametrize("mode", EVAL_MODES)
+def test_eval_runs_its_point_through_sweep(mode, noisy_csv, tmp_path, monkeypatch):
+    """Every eval mode runs its one point through ``explorer.sweep``, once."""
+    calls = []
+    real = explorer.sweep
+
+    def spy(plan, datasets, **kwargs):
+        calls.append(len(plan))
+        return real(plan, datasets, **kwargs)
+
+    monkeypatch.setattr(explorer, "sweep", spy)
+    assert _run_eval_mode(mode, noisy_csv, tmp_path / "out.csv") == 0
+    assert calls == [1]
+
+
+def test_ideal_eval_takes_any_seed(unseen_label_csv, tmp_path):
+    """The ideal eval draws nothing, so a seed below 0, which a blocked eval
+    refuses, is recorded as given."""
+    _, test, model = unseen_label_csv
+    out = tmp_path / "out.csv"
+    assert run_cli("eval", "--model", str(model), "--task", "csv", "--test-csv", str(test),
+                   "--seed", "-1", "--deterministic", "--output", str(out)) == 0
+    assert "# seed=-1" in out.read_text().splitlines()
 
 
 def test_too_short_texts_are_degenerate_and_named(small_corpus_dir, trained_model,

@@ -1,13 +1,17 @@
 """Explorer: sweeps, evaluation equivalences, Pareto front, serialization."""
 
 import io
+import math
 from dataclasses import asdict, replace
 
 import distance_oracle
 import numpy as np
 import pytest
 from criterion_helpers import energy_savings, precision_rows
+from enumeration_oracle import exact_point
 from gaussian_oracle import evaluate_trials
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from hdtcam import explorer, hwmodel
 from hdtcam.am import AssociativeMemory, BlockConfig
@@ -169,6 +173,71 @@ def test_evaluate_matches_gaussian_oracle(entry, precision, replicas):
         se = ref[:, column].std(ddof=1) * np.sqrt(1 / trials + 1 / oracle_trials)
         assert abs(got - ref[:, column].mean()) <= 5 * se + 1e-12 * abs(got)
     assert point.accuracy_std == pytest.approx(ref[:, 0].std(), rel=0.15)
+
+
+@st.composite
+def _tiny_point(draw, partial=False):
+    """(memory, queries, labels, hand-made table, N, P, r) of a point small
+    enough to enumerate: 1-3 queries, 2-3 classes, at most 3 blocks of N <= 3,
+    P <= 2 and r in {1, 3}; with ``partial``, N does not divide D. The table
+    holds a precision of P or above, so that the point reads it restricted."""
+    n = draw(st.integers(2, 3))
+    blocks = draw(st.integers(1, 3))
+    d = blocks * n - draw(st.integers(1 if partial else 0, n - 1))
+    precision = draw(st.integers(1, 2))
+    table_precision = draw(st.integers(precision, n))
+    classes, num_q = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    bits = st.lists(st.integers(0, 1), min_size=d, max_size=d)
+    rows = draw(st.lists(bits, min_size=classes, max_size=classes))
+    queries = draw(st.lists(bits, min_size=num_q, max_size=num_q))
+    truth = draw(st.lists(st.integers(0, classes - 1), min_size=num_q, max_size=num_q))
+    sigma = draw(st.lists(st.sampled_from([0.3, 0.5, 0.8]),
+                          min_size=table_precision, max_size=table_precision))
+    energy = draw(st.lists(st.integers(1, 5), min_size=table_precision + 1,
+                           max_size=table_precision + 1))
+    # Nominal latencies 1 ns apart, falling with the distance.
+    hw = hwmodel.HwEntry("sram", 0.7, n, table_precision, np.arange(table_precision, 0, -1.0),
+                         np.array(sigma), table_precision + draw(st.sampled_from([0.5, 1.0])),
+                         np.array(energy, dtype=float))
+    memory = AssociativeMemory([f"c{k}" for k in range(classes)], np.array(rows, dtype=np.uint8))
+    return (memory, np.array(queries, dtype=np.uint8), [f"c{k}" for k in truth], hw, n,
+            precision, draw(st.sampled_from([1, 3])))
+
+
+def _shrunk_z(value, exact, variance, trials, floor):
+    """The distance of a mean over ``trials`` from its exact value in standard
+    errors, with ``floor`` (one read's worth in one trial) taken off."""
+    excess = abs(value - exact) - floor - 1e-12 * abs(exact)
+    if excess <= 0:
+        return 0.0
+    assert variance > 0, f"{value} differs from the exact {exact}, which has no spread"
+    return math.copysign(excess / math.sqrt(variance / trials), value - exact)
+
+
+# Not shrunk: the points are tiny already, and each example runs for seconds.
+@settings(max_examples=2, deadline=None, derandomize=True, phases=[Phase.generate])
+@given(st.lists(_tiny_point(), min_size=7, max_size=7), _tiny_point(partial=True),
+       st.integers(0, 2**32))
+def test_sweep_matches_enumeration_oracle(points, partial, seed):
+    """Accuracy and energy of an eval's point over many trials agree with
+    their exact values, from enumerating every read outcome, within 5
+    standard errors per point and 6 sqrt(k) summed over the k points."""
+    trials = 1500
+    zs = {"accuracy": [], "energy": []}
+    for memory, queries, labels, hw, n, precision, replicas in [*points, partial]:
+        plan = plan_eval(lambda: hwmodel.Catalog([hw]), memory.dimension, "sram", 0.7, n,
+                         precision, replicas, trials, seed)
+        [point] = sweep(plan, {memory.dimension: (memory, queries, labels)})
+        accuracy, accuracy_var, energy, energy_var = exact_point(
+            memory, queries, labels, n, precision, hw, replicas)
+        step = 1.0 / (len(queries) * trials)
+        zs["accuracy"].append(_shrunk_z(point.accuracy_mean, accuracy, accuracy_var, trials,
+                                        step))
+        zs["energy"].append(_shrunk_z(point.energy_pj, energy, energy_var, trials,
+                                      np.ptp(hw.energy_fj[:precision + 1]) / 1000 * step))
+    for metric, z in zs.items():
+        assert max(map(abs, z)) <= 5, (metric, z)
+        assert abs(sum(z)) <= 6 * math.sqrt(len(z)), (metric, z)
 
 
 def test_evaluate_flat_energy_equal_across_replicas_and_seeds(rng):
