@@ -1,5 +1,10 @@
 """Associative memory: class storage, the packed distance kernel, persistence.
 
+A hypervector of D bits is held packed, as a row of ceil(D / 8) uint8 bytes:
+bit j at bit j % 8 of byte j // 8 (numpy's ``bitorder="little"``, and the
+byte order of a model file's hex), its padding bits zero. A matrix of them
+is (rows, ceil(D / 8)) uint8, and D travels beside it.
+
 Blocked inference is the software view of a TCAM array: the hypervector is
 partitioned into contiguous blocks of N cells, each block reports its local
 Hamming distance clamped at the precision P, and the per-class total is the
@@ -18,9 +23,10 @@ from .errors import DimensionMismatchError, FormatError, atomic_open, load_json,
 
 MODEL_FORMAT_VERSION = 1
 
-# Bound in bytes on the largest temporary of one chunk: the lanes and the XOR
-# words of the distance kernel, the unpacked gram rows and the window codes of
-# ``encoders.encode_text_ngram``.
+# Bound in bytes on the largest temporary of one chunk: the block words, XOR
+# words and windows of the distance kernel, a trial's draw in
+# ``explorer.evaluate``, the unpacked bits of ``train``, and the unpacked gram
+# rows, window codes and image counts of ``encoders``.
 CHUNK_BYTES = 500_000
 
 
@@ -52,9 +58,10 @@ class BlockConfig:
 
 
 class AssociativeMemory:
-    """Ordered store of labeled class hypervectors, at least one."""
+    """Ordered store of labeled class hypervectors, at least one: a packed
+    (classes, ceil(dimension / 8)) matrix."""
 
-    def __init__(self, labels, class_matrix: np.ndarray):
+    def __init__(self, labels, class_matrix: np.ndarray, dimension: int):
         labels = list(labels)
         class_matrix = np.asarray(class_matrix, dtype=np.uint8)
         if not labels:
@@ -63,12 +70,12 @@ class AssociativeMemory:
             raise ValueError("one label per class vector required")
         if len(set(labels)) != len(labels):
             raise ValueError("class labels must be unique")
+        if class_matrix.ndim != 2 or class_matrix.shape[1] != -(-dimension // 8):
+            raise DimensionMismatchError(
+                f"class rows of shape {class_matrix.shape[1:]} do not pack dimension {dimension}")
         self.labels = labels
         self.class_matrix = class_matrix
-
-    @property
-    def dimension(self) -> int:
-        return self.class_matrix.shape[1]
+        self.dimension = dimension
 
     def __len__(self):
         return len(self.labels)
@@ -80,88 +87,123 @@ class AssociativeMemory:
         return np.array([index.get(label, -1) for label in labels], dtype=np.intp)
 
 
-def train(labeled_sets: dict, tie_rng: np.random.Generator | None = None) -> AssociativeMemory:
+def train(labeled_sets: dict, dimension: int,
+          tie_rng: np.random.Generator | None = None) -> AssociativeMemory:
     """One-shot training: each class vector is the componentwise majority of
-    its class's hypervectors, ties broken from ``tie_rng`` in class order."""
+    its class's packed hypervectors of ``dimension`` bits, ties broken from
+    ``tie_rng`` in class order. A class is counted CHUNK_BYTES of unpacked
+    bits at a time (one vector at least)."""
     if not labeled_sets:
         raise ValueError("no classes to train on")
-    rows = []
-    for label, vectors in labeled_sets.items():
+    width = -(-dimension // 8)
+    step = max(1, CHUNK_BYTES // dimension)
+    out = np.empty((len(labeled_sets), width), dtype=np.uint8)
+    for row, (label, vectors) in zip(out, labeled_sets.items()):
         vectors = list(vectors)
         if not vectors:
             raise ValueError(f"class {label!r} has no training vectors")
-        lengths = {v.shape[-1] for v in vectors} | {row.size for row in rows[:1]}
-        if len(lengths) > 1:
-            raise DimensionMismatchError(
-                f"class {label!r}: hypervectors of dimensions {sorted(lengths)}")
-        counts = np.sum(vectors, axis=0, dtype=np.int64)
-        rows.append(majority_from_counts(counts, len(vectors), tie_rng))
-    return AssociativeMemory(list(labeled_sets), np.stack(rows))
+        widths = {v.shape[-1] for v in vectors}
+        if widths != {width}:
+            raise DimensionMismatchError(f"class {label!r}: hypervectors of {sorted(widths)} "
+                                         f"bytes, expected {width} for dimension {dimension}")
+        counts = np.zeros(dimension, dtype=np.int64)
+        for s in range(0, len(vectors), step):
+            bits = np.unpackbits(np.stack(vectors[s:s + step]), axis=1, count=dimension,
+                                 bitorder="little")
+            counts += np.add.reduce(bits, axis=0, dtype=np.int64)
+        row[:] = np.packbits(majority_from_counts(counts, len(vectors), tie_rng),
+                             bitorder="little")
+    return AssociativeMemory(list(labeled_sets), out, dimension)
 
 
 def _check_dimension(queries: np.ndarray, classes: np.ndarray, dimension: int) -> None:
-    if queries.shape[-1] != dimension or classes.shape[-1] != dimension:
+    width = -(-dimension // 8)
+    if queries.shape[-1] != width or classes.shape[-1] != width:
         raise DimensionMismatchError(
-            f"dimension mismatch: queries {queries.shape[-1]}, "
-            f"classes {classes.shape[-1]}, expected {dimension}"
+            f"dimension mismatch: rows of {queries.shape[-1]} (queries) and "
+            f"{classes.shape[-1]} (classes) bytes, expected {width} for dimension {dimension}"
         )
 
 
-def _pack_blocks(bits: np.ndarray, block_size: int) -> np.ndarray:
-    """(rows, D) bits -> (rows, blocks, words): each N-bit block on its own
-    zero-padded words.
+def _pack_blocks(rows: np.ndarray, dimension: int, block_size: int) -> np.ndarray:
+    """(rows, ceil(D / 8)) packed rows -> (rows, blocks, words): each N-bit
+    block on its own zero-padded words, its first bit the lowest.
 
     A block takes one uint8, uint16 or uint32 word for N <= 8, 16 or 32 and
     ceil(N / 64) uint64 words beyond. The last short block is padded with
-    zeros as well, so padding never adds distance. Rows are packed in chunks
-    whose one-byte-per-bit lanes take at most CHUNK_BYTES (one row at least).
+    zeros as well, so padding never adds distance. Where blocks start on word
+    edges (N a multiple of its word, or one block) the words are a view of the
+    rows' bytes, zero-padded to whole words. Otherwise word w of block i is
+    gathered as the unaligned 64-bit window at byte (iN + 64w) // 8, shifted
+    right by (iN + 64w) % 8, with the next byte ORed in for uint64 words, and
+    masked to the word's bits; rows are gathered in chunks whose windows take
+    at most CHUNK_BYTES (one row at least).
     """
-    rows, dim = bits.shape
+    num, width = rows.shape
     word_bits = next((b for b in (8, 16, 32) if block_size <= b), 64)
-    dtype = np.dtype(f"uint{word_bits}")
+    dtype = np.dtype(f"<u{word_bits // 8}")
     words = -(-block_size // word_bits)
-    blocks = -(-dim // block_size)
-    full = dim // block_size
-    out = np.empty((rows, blocks, words), dtype=dtype)
-    step = max(1, CHUNK_BYTES // (blocks * words * word_bits))
-    cut = full * block_size
-    for s in range(0, rows, step):
-        chunk = bits[s:s + step]
+    blocks = -(-dimension // block_size)
+    if blocks == 1 or block_size % word_bits == 0:
+        out = np.zeros((num, blocks * words * dtype.itemsize), dtype=np.uint8)
+        out[:, :width] = rows
+        return out.view(dtype).reshape(num, blocks, words)
+    word_size = np.minimum(word_bits, block_size - 64 * np.arange(words))
+    mask = np.tile(np.array([(1 << int(b)) - 1 for b in word_size], dtype=np.uint64), blocks)
+    # A word past the row's end (of a short last block) reads the zero window at its end.
+    start = np.minimum((np.arange(blocks)[:, None] * block_size + 64 * np.arange(words)).ravel(),
+                       8 * width)
+    first, shift = start // 8, (start % 8).astype(np.uint64)
+    out = np.empty((num, blocks, words), dtype=dtype)
+    step = max(1, CHUNK_BYTES // (16 * blocks * words + width + 9))
+    for s in range(0, num, step):
+        chunk = rows[s:s + step]
         n = chunk.shape[0]
-        lanes = np.zeros((n, blocks, words * word_bits), dtype=np.uint8)
-        lanes[:, :full, :block_size] = chunk[:, :cut].reshape(n, full, block_size)
-        lanes[:, full:, :dim - cut] = chunk[:, None, cut:]
-        packed = np.packbits(lanes.reshape(n, -1), axis=-1, bitorder="little")
-        out[s:s + step] = packed.view(dtype).reshape(n, blocks, words)
+        padded = np.zeros((n, width + 9), dtype=np.uint8)
+        padded[:, :width] = chunk
+        windows = np.ndarray((n, width + 1), dtype="<u8", buffer=padded, strides=(width + 9, 1))
+        w = windows[:, first]
+        w >>= shift
+        if word_bits == 64:
+            # The next byte's bits above the window; shifted twice, as 64 is out of range.
+            high = padded[:, first + 8].astype(np.uint64)
+            high <<= np.uint64(1)
+            high <<= np.uint64(63) - shift
+            w |= high
+        w &= mask
+        out[s:s + step] = w.reshape(n, blocks, words)
     return out
 
 
 def _packed_distances(queries: np.ndarray, classes: np.ndarray, dimension: int,
                       block_size: int):
-    """Unclamped per-block Hamming distances, one query chunk at a time.
+    """Unclamped per-block Hamming distances of packed rows, one query chunk
+    at a time.
 
     Yields (first query, distances of shape (chunk, classes, blocks)), each
-    block's distance the popcount of the XOR of its packed words: uint8 for
+    block's distance the popcount of the XOR of its words: uint8 for
     N < 256, int64 beyond. A chunk's XOR words take at most CHUNK_BYTES (one
-    query at least), and its popcounts no more.
+    query at least), and its block words and popcounts no more.
     """
     queries = np.atleast_2d(queries)
     classes = np.atleast_2d(classes)
     _check_dimension(queries, classes, dimension)
-    packed_q = _pack_blocks(queries, block_size)
-    packed_c = _pack_blocks(classes, block_size)[None]
+    packed_c = _pack_blocks(classes, dimension, block_size)[None]
     total = np.uint8 if block_size < 256 else np.int64
     step = max(1, CHUNK_BYTES // max(1, packed_c.nbytes))
-    for s in range(0, packed_q.shape[0], step):
-        d = np.bitwise_count(packed_q[s:s + step, None] ^ packed_c)
+    for s in range(0, queries.shape[0], step):
+        d = np.bitwise_count(_pack_blocks(queries[s:s + step], dimension, block_size)[:, None]
+                             ^ packed_c)
         yield s, d[..., 0] if d.shape[-1] == 1 else d.sum(axis=-1, dtype=total)
 
 
 def ideal_argmin(queries: np.ndarray, am: AssociativeMemory):
-    """Full-Hamming nearest class per query: (class indices, distances).
+    """Full-Hamming nearest class per packed query row: (class indices,
+    distances).
 
-    Ties go to the earliest stored class. Whole rows are compared packed
-    into words (uint64 beyond 32 bits), in chunks of the packed kernel.
+    Ties go to the earliest stored class. Whole packed rows are compared,
+    zero-padded to whole words (uint64 beyond 32 bits), in chunks of the
+    packed kernel.
     """
     queries = np.atleast_2d(queries)
     best = np.empty(queries.shape[0], dtype=np.intp)
@@ -175,7 +217,8 @@ def ideal_argmin(queries: np.ndarray, am: AssociativeMemory):
 
 def distance_histogram(queries: np.ndarray, classes: np.ndarray, dimension: int,
                        block_size: int, precision: int | None = None) -> np.ndarray:
-    """n[q, c, h]: the blocks of each (query, class) pair at distance h.
+    """n[q, c, h]: the blocks of each (query, class) pair of packed rows at
+    distance h.
 
     Distances are unclamped, h = 0..N, unless ``precision`` clamps them at
     a lower P, h = 0..P. Returns int64 of shape (queries, classes, bins).
@@ -201,11 +244,7 @@ def distance_histogram(queries: np.ndarray, classes: np.ndarray, dimension: int,
     return hist
 
 
-def _bits_to_hex(bits: np.ndarray) -> str:
-    return np.packbits(bits, bitorder="little").tobytes().hex()
-
-
-def _hex_to_bits(hexstr: str, dimension: int) -> np.ndarray:
+def _hex_to_row(hexstr: str, dimension: int) -> np.ndarray:
     nbytes = -(-dimension // 8)
     try:
         raw = bytes.fromhex(hexstr) if len(hexstr) == 2 * nbytes else b""
@@ -215,17 +254,17 @@ def _hex_to_bits(hexstr: str, dimension: int) -> np.ndarray:
         raise FormatError(
             f"class bits must be {2 * nbytes} hex digits for dimension {dimension}"
         )
-    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[:dimension]
+    return np.frombuffer(raw, dtype=np.uint8)
 
 
 def save_model(path, am: AssociativeMemory, seed_metadata: dict | None = None) -> None:
-    """Write a versioned JSON model container; bits hex-packed little-index-first."""
+    """Write a versioned JSON model container; each class's packed bytes in hex."""
     doc = {
         "version": MODEL_FORMAT_VERSION,
         "dimension": am.dimension,
         "seed_metadata": seed_metadata or {},
         "classes": [
-            {"label": label, "bits": _bits_to_hex(row)}
+            {"label": label, "bits": row.tobytes().hex()}
             for label, row in zip(am.labels, am.class_matrix)
         ],
     }
@@ -235,7 +274,8 @@ def save_model(path, am: AssociativeMemory, seed_metadata: dict | None = None) -
 
 
 def load_model(path):
-    """Load a model container; returns (AssociativeMemory, seed_metadata)."""
+    """Load a model container; returns (AssociativeMemory, seed_metadata).
+    Padding bits set in a class's last hex byte are cleared."""
     doc = load_json(path)
     version = doc.get("version") if isinstance(doc, dict) else None
     if version != MODEL_FORMAT_VERSION:
@@ -250,8 +290,10 @@ def load_model(path):
         for i, label in enumerate(labels):
             if not (isinstance(label, str) and label):
                 raise FormatError(f"label {label!r} is not a non-empty string", f"classes[{i}]")
-        rows = [_hex_to_bits(entry["bits"], dimension) for entry in doc["classes"]]
-        memory = AssociativeMemory(labels, np.stack(rows))
+        rows = np.stack([_hex_to_row(entry["bits"], dimension) for entry in doc["classes"]])
+        if dimension % 8:
+            rows[:, -1] &= (1 << dimension % 8) - 1  # padding bits are zero
+        memory = AssociativeMemory(labels, rows, dimension)
     except KeyError as exc:
         raise FormatError(f"{path}: missing key {exc.args[0]!r}") from None
     except (TypeError, ValueError, OverflowError) as exc:

@@ -85,17 +85,16 @@ class ItemMemory:
 
 @dataclass
 class LabeledSet:
-    """Hypervectors paired with class labels, all sharing one dimension: the
-    rows ``save_hypervector_csv`` writes."""
+    """Packed hypervectors paired with class labels, all sharing one
+    dimension: the rows ``save_hypervector_csv`` writes."""
 
     dimension: int
     items: list = field(default_factory=list)  # list of (np.ndarray, str)
 
     def add(self, hv: np.ndarray, label: str) -> None:
-        if hv.shape[-1] != self.dimension:
-            raise DimensionMismatchError(
-                f"dimension mismatch: set {self.dimension} vs vector {hv.shape[-1]}"
-            )
+        if hv.shape[-1] != -(-self.dimension // 8):
+            raise DimensionMismatchError(f"dimension mismatch: set {self.dimension} bits "
+                                         f"vs a packed vector of {hv.shape[-1]} bytes")
         if not label:
             raise ValueError("labels must be non-empty")
         self.items.append((hv, label))
@@ -110,13 +109,13 @@ def normalize_text(text: str) -> str:
 def encode_text_ngram(texts, n: int, im: ItemMemory, tie_rng: np.random.Generator | None = None,
                       *, names=None) -> np.ndarray:
     """Encode each text, after ``normalize_text``, as the majority bundle of its
-    length-n sliding windows into a (len(texts), dimension) uint8 matrix. A
-    window is the XOR of its j-th letter's vector rotated by j (j = 0..n-1);
-    each distinct gram of a text is composed once, in packed bits, and counted
-    with its multiplicity. Ties are drawn from ``tie_rng`` text by text, in
-    order; ``names`` label texts in errors. ``am.CHUNK_BYTES``, read at each
-    call, bounds the int64 window codes of a batch of texts and the unpacked
-    gram rows of a chunk."""
+    length-n sliding windows into a packed (len(texts), ceil(dimension / 8))
+    uint8 matrix (see ``am``). A window is the XOR of its j-th letter's
+    vector rotated by j (j = 0..n-1); each distinct gram of a text is
+    composed once, in packed bits, and counted with its multiplicity. Ties
+    are drawn from ``tie_rng`` text by text, in order; ``names`` label texts
+    in errors. ``am.CHUNK_BYTES``, read at each call, bounds the int64 window
+    codes of a batch of texts and the unpacked gram rows of a chunk."""
     if n < 1:
         raise ValueError(f"n-gram size must be >= 1, got {n}")
     texts = [normalize_text(text) for text in texts]
@@ -125,7 +124,7 @@ def encode_text_ngram(texts, n: int, im: ItemMemory, tie_rng: np.random.Generato
         raise DegenerateInputError(f"{names[i] if names else f'text {i}'} has only "
                                    f"{lengths[i]} usable characters, need at least {n}")
     packed = [np.packbits(im.rotated(j), axis=1) for j in range(n)]
-    out = np.empty((len(texts), im.dimension), dtype=np.uint8)
+    out = np.empty((len(texts), -(-im.dimension // 8)), dtype=np.uint8)
     # Batches of texts ending in one span of CHUNK_BYTES / 8 characters bound the codes.
     batch = (np.cumsum(lengths) - 1) // max(1, am_mod.CHUNK_BYTES // 8)
     cuts = [0, *(np.flatnonzero(np.diff(batch)) + 1), len(texts)]
@@ -135,7 +134,9 @@ def encode_text_ngram(texts, n: int, im: ItemMemory, tie_rng: np.random.Generato
 
 
 def _encode_batch(texts, lengths, n, im, packed, tie_rng, out) -> None:
-    """``encode_text_ngram`` of one batch of texts, written into ``out``."""
+    """``encode_text_ngram`` of one batch of texts, written into ``out``. Each
+    full-size array is dropped once used, so a batch holds about four int64
+    arrays of its windows at a time."""
     idx = im.indices("".join(texts))
     num_windows = lengths - n + 1
     # Code of the window at each letter in base len(im) behind a leading text digit,
@@ -146,21 +147,33 @@ def _encode_batch(texts, lengths, n, im, packed, tie_rng, out) -> None:
         if bound * len(im) > 2**63:
             _, code = np.unique(code, return_inverse=True)
             bound = int(code.max()) + 1
-        code = code * len(im) + idx[j : j + len(code)]
+        code *= len(im)
+        code += idx[j : j + len(code)]
         bound *= len(im)
-    text = np.repeat(np.arange(len(texts)), num_windows)
-    starts = np.arange(len(text)) + (n - 1) * text
-    # The windows inside the texts, in runs of equal codes after one unstable sort;
-    # any window of a run is its row.
-    code = code[starts]
+    # The windows inside the texts: the next text's first window is n letters on.
+    ends = np.cumsum(num_windows)
+    starts = np.ones(num_windows.sum(), dtype=np.int64)
+    starts[:1] = 0
+    starts[ends[:-1]] = n
+    code = code[np.cumsum(starts, out=starts)]
+    del starts
+    # Runs of equal codes after one unstable sort; any window of a run is its row.
     order = np.argsort(code)
-    first = np.flatnonzero(np.diff(code[order], prepend=-1))
+    code = code[order]
+    new = np.empty(len(code), dtype=bool)
+    new[:1] = True
+    np.not_equal(code[1:], code[:-1], out=new[1:])
+    del code
+    first = np.flatnonzero(new)
     # A tally never exceeds its text's window count, so the weighted adds stay exact.
     tally = np.min_scalar_type(num_windows.max(initial=0))
     weights = np.diff(first, append=len(order)).astype(tally)
     window = order[first]
-    by_text = np.lexsort((weights, text[window]))
-    rows, text, weights = starts[window[by_text]], text[window[by_text]], weights[by_text]
+    del order
+    text = np.searchsorted(ends, window, side="right")
+    by_text = np.lexsort((weights, text))
+    rows = window[by_text] + (n - 1) * text[by_text]
+    text, weights = text[by_text], weights[by_text]
     # Grams are composed and unpacked in chunks of at most 255 rows, so uint8 sums of
     # each (text, weight) run's slice cannot overflow; CHUNK_BYTES bounds a chunk.
     chunk = max(1, min(255, am_mod.CHUNK_BYTES // im.dimension))
@@ -177,7 +190,8 @@ def _encode_batch(texts, lengths, n, im, packed, tie_rng, out) -> None:
         counts += weights[s] * np.add.reduce(bits[s % chunk : s % chunk + e - s], axis=0,
                                              dtype=np.uint8)
         if e == len(rows) or text[e] != text[s]:
-            out[text[s]] = majority_from_counts(counts, int(num_windows[text[s]]), tie_rng)
+            out[text[s]] = np.packbits(
+                majority_from_counts(counts, int(num_windows[text[s]]), tie_rng), bitorder="little")
             counts[:] = 0
 
 
@@ -187,11 +201,13 @@ def encode_images(
     position_im: ItemMemory,
     seed: int,
 ) -> np.ndarray:
-    """Per image, the majority bundle of the position hypervectors of all
-    pixels at or above ``threshold``.
+    """Per image, the packed majority bundle of the position hypervectors of
+    all pixels at or above ``threshold``.
 
     Image i breaks ties from the i-th child of ``SeedSequence(seed)``, so its
-    vector does not depend on the other images of the stack.
+    vector does not depend on the other images of the stack. Pixels are
+    thresholded and counted in chunks of images whose float32 pixels and
+    counts take at most ``am.CHUNK_BYTES`` (one image at least).
     """
     images = np.asarray(images)
     num = images.shape[0]
@@ -200,22 +216,22 @@ def encode_images(
         raise DimensionMismatchError(
             f"images have {flat.shape[1]} pixels but item memory holds {len(position_im)} positions"
         )
-    white = (flat >= threshold).astype(np.float32)
-    totals = white.sum(axis=1).astype(np.int64)
-    if np.any(totals == 0):
-        bad = int(np.flatnonzero(totals == 0)[0])
-        raise DegenerateInputError(f"image {bad} has no pixels above threshold")
-    children = np.random.SeedSequence(seed).spawn(num)
+    root = np.random.SeedSequence(seed)
     pos = position_im.matrix.astype(np.float32)
-    out = np.empty((num, position_im.dimension), dtype=np.uint8)
-    chunk = max(1, 50_000_000 // (4 * position_im.dimension))
+    out = np.empty((num, -(-position_im.dimension // 8)), dtype=np.uint8)
+    chunk = max(1, am_mod.CHUNK_BYTES // (4 * (len(position_im) + position_im.dimension)))
     for start in range(0, num, chunk):
-        stop = min(start + chunk, num)
-        counts = np.rint(white[start:stop] @ pos).astype(np.int64)
-        for i in range(start, stop):
-            out[i] = majority_from_counts(
-                counts[i - start], int(totals[i]), np.random.default_rng(children[i])
-            )
+        white = flat[start:start + chunk] >= threshold
+        totals = np.count_nonzero(white, axis=1)
+        if not totals.all():
+            bad = start + int(np.argmin(totals))
+            raise DegenerateInputError(f"image {bad} has no pixels above threshold")
+        counts = np.rint(white.astype(np.float32) @ pos)
+        # Successive spawns go on numbering the children: image i takes child i.
+        for i, (row, total, child) in enumerate(
+                zip(counts, totals.tolist(), root.spawn(len(totals))), start):
+            out[i] = np.packbits(majority_from_counts(
+                row.astype(np.int64), total, np.random.default_rng(child)), bitorder="little")
     return out
 
 
@@ -296,25 +312,26 @@ def _row_label(label) -> bool:
 
 
 def load_hypervector_csv(path) -> tuple:
-    """Read ``label,bitstring`` rows into (one (rows, D) uint8 matrix, their
-    labels). Header row optional.
+    """Read ``label,bitstring`` rows into (one packed (rows, ceil(D / 8))
+    uint8 matrix, their labels, D), D the first row's width. Header row
+    optional.
 
     Each bitstring is checked with one ``max`` (a character outside latin-1
-    reads as ``?``) and written straight into the matrix, allocated for as
-    many rows of the first row's width as the file's size can hold, or
-    doubled as rows come when the size is unknown (a pipe). Once a row is bad
-    the rest is only read through, so the row reader's errors still win;
-    then the first non-binary row is named, else the first ragged one.
+    reads as ``?``) and packed straight into its row of the matrix, allocated
+    for as many rows as the file's size can hold, or doubled as rows come
+    when the size is unknown (a pipe). Once a row is bad the rest is only
+    read through, so the row reader's errors still win; then the first
+    non-binary row is named, else the first ragged one.
     """
     matrix, labels, non_binary, ragged = None, [], None, None
     for lineno, label, bits in _read_rows(path, "bitstring"):
         if matrix is None:
             info = os.stat(path)
-            dimension = len(bits)
+            dimension, width = len(bits), -(-len(bits) // 8)
             # A row takes at least a label character, a comma, its bits and a line end.
             capacity = ((info.st_size + 1) // (dimension + 3) if stat.S_ISREG(info.st_mode)
-                        else am_mod.CHUNK_BYTES // max(1, dimension))
-            matrix = np.empty((max(1, capacity), dimension), dtype=np.uint8)
+                        else am_mod.CHUNK_BYTES // max(1, width))
+            matrix = np.empty((max(1, capacity), width), dtype=np.uint8)
         if non_binary:
             continue
         if len(bits) != dimension:
@@ -328,8 +345,8 @@ def load_hypervector_csv(path) -> tuple:
             continue
         if len(labels) == len(matrix):
             # Grown by realloc: no view of the matrix is alive here to check for.
-            matrix.resize((2 * len(matrix), dimension), refcheck=False)
-        matrix[len(labels)] = row
+            matrix.resize((2 * len(matrix), width), refcheck=False)
+        matrix[len(labels)] = np.packbits(row, bitorder="little")
         labels.append(label)
     if non_binary:
         raise FormatError(f"{path}: bitstring must be non-empty over {{0,1}}",
@@ -337,20 +354,22 @@ def load_hypervector_csv(path) -> tuple:
     if ragged:
         raise FormatError(f"{path}: ragged bitstring length {ragged[1]}, expected {dimension}",
                           location=f"row {ragged[0]}")
-    matrix.resize((len(labels), dimension), refcheck=False)
-    return matrix, labels
+    matrix.resize((len(labels), width), refcheck=False)
+    return matrix, labels, dimension
 
 
 def save_hypervector_csv(path, labeled: LabeledSet) -> None:
-    """Write ``label,bits`` rows; FormatError naming a label that ``_read_rows``
-    would not read back unchanged (see ``_row_label``), leaving no file behind."""
+    """Write ``label,bits`` rows, each packed vector unpacked to the set's
+    dimension; FormatError naming a label that ``_read_rows`` would not read
+    back unchanged (see ``_row_label``), leaving no file behind."""
     with atomic_open(path) as f:
         f.write("label,bits\n")
         for hv, label in labeled.items:
             if not _row_label(label):
                 raise FormatError(f"{path}: label {label!r} would not read back from a "
                                   "'label,bits' row")
-            bits = np.where(hv != 0, ord("1"), ord("0")).astype(np.uint8).tobytes().decode()
+            bits = np.unpackbits(hv, count=labeled.dimension, bitorder="little") + ord("0")
+            bits = bits.tobytes().decode()
             f.write(f"{label},{bits}\n")
 
 
@@ -406,15 +425,16 @@ class Task:
     def read(self, files: dict, split: str) -> tuple:
         """(items, labels, names) of the ``train`` or ``test`` split named in
         ``files`` (setting -> path): texts, an image stack or the vector
-        matrix; their string labels; the names errors give them (None: by
-        position). ``language`` trains on a directory of <label>.txt corpora
-        and is tested on ``label,text`` rows."""
+        matrix with its dimension; their string labels; the names errors give
+        them (None: by position). ``language`` trains on a directory of
+        <label>.txt corpora and is tested on ``label,text`` rows."""
         if self.kind == "mnist":
             images, labels = load_mnist(_path(files, f"{split}_images"),
                                         _path(files, f"{split}_labels"))
             return images, [str(int(c)) for c in labels], None
         if self.kind == "csv":
-            return (*load_hypervector_csv(_path(files, f"{split}_csv")), None)
+            matrix, labels, dimension = load_hypervector_csv(_path(files, f"{split}_csv"))
+            return (matrix, dimension), labels, None
         if split == "test":
             path = _path(files, "queries")
             rows = list(_read_rows(path, "text"))
@@ -453,23 +473,25 @@ class Task:
         classes = {label: [] for label in order}
         for hv, label in zip(self._encode(items, names, self.tie_seed), labels):
             classes[label].append(hv)
-        return am_mod.train(classes, self._tie)
+        return am_mod.train(classes, dimension, self._tie)
 
     def encode(self, items, dimension: int, names=None) -> np.ndarray:
-        """Query matrix of the items at ``dimension``."""
+        """Packed query matrix of the items at ``dimension``."""
         if dimension != self._dimension:
             self._start(dimension, items)
         return self._encode(items, names, self.tie_seed + 1)
 
     def _encode(self, items, names, image_seed: int) -> np.ndarray:
-        """The items' hypervectors at the current dimension: texts breaking ties
-        from the tie stream, images from ``image_seed``, ``csv`` vectors as given."""
+        """The items' packed hypervectors at the current dimension: texts
+        breaking ties from the tie stream, images from ``image_seed``, ``csv``
+        vectors as given."""
         if self.kind == "language":
             return encode_text_ngram(items, self.ngram, self._im, self._tie, names=names)
         if self.kind == "mnist":
             return encode_images(items, self.threshold, self._im, seed=image_seed)
-        if items.shape[1] != self._dimension:
+        matrix, dimension = items
+        if dimension != self._dimension:
             raise DimensionMismatchError(
-                f"csv vectors have dimension {items.shape[1]}, requested {self._dimension}"
+                f"csv vectors have dimension {dimension}, requested {self._dimension}"
             )
-        return items
+        return matrix

@@ -15,8 +15,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import am as am_mod
 from .am import AssociativeMemory, BlockConfig, distance_histogram, ideal_argmin
-from .errors import ConfigError, FormatError, atomic_open, open_text
+from .errors import ConfigError, DimensionMismatchError, FormatError, atomic_open, open_text
 from .hwmodel import (MAX_PRECISION, Catalog, HwEntry, check_replicas, confusion_from_latency,
                       energy_pj, median_confusion, voltage_key)
 
@@ -114,8 +115,11 @@ def _fold_histogram(hist: np.ndarray, precision: int) -> np.ndarray:
     clamped at a higher bin or not at all: bins above P move into bin P.
 
     Exact, because a block's distance never exceeds its size, so clamping at
-    P equals clamping at min(P, size).
+    P equals clamping at min(P, size). A histogram clamped at P is returned
+    as it is.
     """
+    if hist.shape[2] == precision + 1:
+        return hist
     return np.concatenate(
         [hist[..., :precision], hist[..., precision:].sum(axis=2, keepdims=True)], axis=2)
 
@@ -132,7 +136,8 @@ def evaluate(
     baseline_accuracy: float | None = None,
     histogram: np.ndarray | None = None,
 ) -> DesignPoint:
-    """Run blocked inference over the test set ``trials`` times and aggregate.
+    """Run blocked inference over the test set, packed query rows, ``trials``
+    times and aggregate.
 
     A read is a confusion matrix of P(reported j | true h): the identity
     without the hardware table ``hw``, else the median of ``replicas`` reads
@@ -143,13 +148,17 @@ def evaluate(
     Reads are independent given the true clamped distance, so each trial
     draws, for every (query, class) pair and distance h, how many of its
     blocks at h report each j: one multinomial over the pair's distance
-    histogram, exact in distribution. One-hot matrices are applied without
-    draws. A query's latency is the slowest of all its blocks, classes and
-    replicas, which are read in parallel.
+    histogram, exact in distribution, drawn in query chunks whose draws take
+    at most ``am.CHUNK_BYTES`` and summed over h chunk by chunk. One-hot
+    matrices are applied without draws. A query's latency is the slowest of
+    all its blocks, classes and replicas, which are read in parallel.
 
     ``histogram`` is this data set's ``distance_histogram`` at the block
     size of ``cfg``, clamped at P or above; without it, it is computed here.
     """
+    if cfg.dimension != am.dimension:
+        raise DimensionMismatchError(
+            f"dimension mismatch: blocks of dimension {cfg.dimension}, classes {am.dimension}")
     queries = np.atleast_2d(np.asarray(queries, dtype=np.uint8))
     labels = list(labels)
     label_idx = am.class_index(labels)
@@ -166,13 +175,18 @@ def evaluate(
     reads = replicas * hist.sum(axis=1)  # per query and true distance
 
     num_q = queries.shape[0]
+    # Successive draws over query chunks draw what one call over all queries does.
+    step = max(1, am_mod.CHUNK_BYTES // (8 * math.prod(hist.shape[1:]) * cm.shape[1]))
+    counts = fixed if fixed is not None else np.empty(hist.shape[:2] + cm.shape[1:], np.int64)
     seeds = np.random.SeedSequence(seed).spawn(trials)
     accuracies = []
     energies = []
     latencies = []
     for trial in range(trials):
         rng = np.random.default_rng(seeds[trial])
-        counts = fixed if fixed is not None else rng.multinomial(hist, cm).sum(axis=2)
+        if fixed is None:
+            for s in range(0, num_q, step):
+                counts[s:s + step] = rng.multinomial(hist[s:s + step], cm).sum(axis=2)
         preds = np.argmin(counts @ reported, axis=1)
         accuracies.append(np.count_nonzero(preds == label_idx) / num_q)
         energies.append(0.0 if hw is None else

@@ -84,7 +84,7 @@ def encode_language_benchmark(bench: LanguageBenchmark, dimension: int):
     """Train an associative memory with the ``language`` task's defaults and
     encode all queries with the training's tie stream.
 
-    Returns (AssociativeMemory, query matrix, query labels).
+    Returns (AssociativeMemory, packed query matrix, query labels).
     """
     task = Task("language")
     memory = task.train(list(bench.train_texts.values()), list(bench.train_texts), dimension)

@@ -1,11 +1,12 @@
 """The list-based ``label,bitstring`` loader, the reference for the streamed one.
 
-``encoders.load_hypervector_csv`` writes each row straight into a matrix
+``encoders.load_hypervector_csv`` packs each row straight into a matrix
 sized from the file and checks it as it comes. This module keeps the loader
 that reads every row first, checks all bitstrings in one pass over their
-concatenation, and only for a file that fails searches it row by row: the
-matrix, the labels and every error's message and row it gives are the ones
-the streamed loader must reproduce.
+concatenation, packs them all at once, and only for a file that fails
+searches it row by row: the packed matrix, the labels, the dimension and
+every error's message and row it gives are the ones the streamed loader must
+reproduce.
 """
 
 import re
@@ -37,8 +38,8 @@ def read_rows(path, payload):
 
 
 def load_hypervector_csv(path):
-    """(uint8 matrix, labels); the first non-binary row, else the first
-    ragged one, named in a FormatError."""
+    """(packed uint8 matrix, labels, dimension); the first non-binary row,
+    else the first ragged one, named in a FormatError."""
     rows = read_rows(path, "bitstring")
     dimension = len(rows[0][2])
     joined = "".join(bits for _, _, bits in rows).encode("latin-1", "replace")
@@ -55,4 +56,5 @@ def load_hypervector_csv(path):
                     f"{path}: ragged bitstring length {len(bits)}, expected {dimension}",
                     location=f"row {lineno}",
                 )
-    return flat.reshape(len(rows), dimension), [label for _, label, _ in rows]
+    matrix = np.packbits(flat.reshape(len(rows), dimension), axis=1, bitorder="little")
+    return matrix, [label for _, label, _ in rows], dimension

@@ -1,10 +1,11 @@
 """Unpacked distance kernels, the reference for the packed ones.
 
-``am`` lays every block on its own zero-padded machine words and reads a
-block's distance as the popcount of an XOR; ``explorer`` counts per-pair
-distance histograms once per (D, N) and reads every precision from them.
-This module keeps the element-wise code those shortcuts must reproduce
-exactly: an int16 Q x C x D difference tensor summed per block with
+``am`` gathers every block of a packed row onto its own zero-padded machine
+words and reads a block's distance as the popcount of an XOR; ``explorer``
+counts per-pair distance histograms once per (D, N) and reads every
+precision from them. This module keeps the element-wise code those
+shortcuts must reproduce exactly, on one byte per bit: the block words laid
+out lane by lane, an int16 Q x C x D difference tensor summed per block with
 ``np.add.reduceat``, a full-row ``!=`` count, and the clamp-and-sum loop of
 the precision report.
 """
@@ -12,6 +13,25 @@ the precision report.
 import numpy as np
 
 from hdtcam.am import BlockConfig
+
+
+def lanes_pack_blocks(bits, block_size):
+    """(rows, D) bits -> (rows, blocks, words): each N-bit block on its own
+    zero-padded words, built from one byte per bit. A block takes one uint8,
+    uint16 or uint32 word for N <= 8, 16 or 32 and ceil(N / 64) uint64 words
+    beyond; the last short block is zero-padded as well."""
+    rows, dim = bits.shape
+    word_bits = next((b for b in (8, 16, 32) if block_size <= b), 64)
+    dtype = np.dtype(f"<u{word_bits // 8}")
+    words = -(-block_size // word_bits)
+    blocks = -(-dim // block_size)
+    full = dim // block_size
+    cut = full * block_size
+    lanes = np.zeros((rows, blocks, words * word_bits), dtype=np.uint8)
+    lanes[:, :full, :block_size] = bits[:, :cut].reshape(rows, full, block_size)
+    lanes[:, full:, :dim - cut] = bits[:, None, cut:]
+    packed = np.packbits(lanes.reshape(rows, -1), axis=-1, bitorder="little")
+    return packed.view(dtype).reshape(rows, blocks, words)
 
 
 def block_layout(cfg):

@@ -16,6 +16,8 @@ import itertools
 import math
 import statistics
 
+from packing import unpack
+
 
 def read_pmf(hw, precision, h):
     """P(one read of true clamped distance ``h`` reports j), j = 0..P, under
@@ -64,13 +66,15 @@ def pair_outcomes(hw, precision, replicas, distances):
 
 def exact_point(memory, queries, labels, block_size, precision, hw, replicas):
     """(accuracy, per-trial accuracy variance, energy in pJ per query, its
-    per-trial variance) of a point read under ``hw``, exact."""
+    per-trial variance) of a point read under ``hw``, exact; the queries
+    and the memory's classes are packed rows."""
     num_q = len(queries)
     truth = memory.class_index(labels)
+    queries = unpack(queries, memory.dimension)
     accuracy = accuracy_var = energy = energy_var = 0.0
     for query, k in zip(queries, truth):
         totals = []
-        for row in memory.class_matrix:
+        for row in unpack(memory.class_matrix, memory.dimension):
             outcomes = pair_outcomes(hw, precision, replicas,
                                      block_distances(query, row, block_size, precision))
             mean = sum(p * e for (_, e), p in outcomes.items())

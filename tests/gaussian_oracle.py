@@ -11,6 +11,7 @@ reads and a query waits for the slowest read.
 
 import numpy as np
 from distance_oracle import block_distances
+from packing import unpack
 
 
 def report_from_latency(lm, t):
@@ -49,7 +50,8 @@ def evaluate_trials(am, queries, labels, cfg, entry, replicas, trials, seed):
     """Per-trial accuracy, energy in pJ per query and latency in ns per query
     under the hardware entry ``entry``, one query at a time."""
     lm = entry.with_precision(cfg.precision)
-    true = block_distances(queries, am.class_matrix, cfg)
+    true = block_distances(unpack(queries, cfg.dimension), unpack(am.class_matrix, cfg.dimension),
+                           cfg)
     label_idx = np.array([am.labels.index(label) for label in labels])
     rng = np.random.default_rng(seed)
     out = np.empty((trials, 3))

@@ -14,6 +14,7 @@ import pytest
 from calibration_oracle import max_error_probability
 from criterion_helpers import energy_savings, precision_rows, rram_shift
 from gaussian_oracle import sample
+from packing import pack
 
 from hdtcam import cli, hwmodel
 from hdtcam.am import distance_histogram
@@ -80,7 +81,7 @@ def test_criterion_01_blocked_oracle_equivalence():
         block_size = int(rng.integers(2, 26))
         classes = np.stack([random_bits(rng, dimension) for _ in range(8)])
         queries = np.stack([random_bits(rng, dimension) for _ in range(1000)])
-        hist = distance_histogram(queries, classes, dimension, block_size)
+        hist = distance_histogram(pack(queries), pack(classes), dimension, block_size)
         blocked = np.argmin(hist @ np.arange(block_size + 1), axis=1)
         # independent naive oracle: per-query python argmin over full Hamming
         naive_dists = (queries[:, None, :] != classes[None, :, :]).sum(axis=2)
@@ -102,7 +103,8 @@ def test_criterion_02_partition_identity():
         block_size = int(rng.integers(2, 26))
         a = random_bits(rng, dimension)
         b = random_bits(rng, dimension)
-        total = distance_histogram(a, b, dimension, block_size) @ np.arange(block_size + 1)
+        total = (distance_histogram(pack(a), pack(b), dimension, block_size)
+                 @ np.arange(block_size + 1))
         if total[0, 0] != np.count_nonzero(a != b):
             bad += 1
     report(2, "partition identity over 10^4 combinations", bad == 0, f"{bad} failures")
@@ -251,7 +253,7 @@ def test_criterion_09_rram_shift_cancellation(language_setup):
 
     classes = np.stack([perturb(base) for _ in range(4)])
     queries = np.stack([perturb(base) for _ in range(200)])
-    hist = distance_histogram(queries, classes, dimension, block_size)
+    hist = distance_histogram(pack(queries), pack(classes), dimension, block_size)
     true_totals = hist @ np.arange(block_size + 1)
     shifted_totals = hist @ rram_shift(block_size)
     identical = np.array_equal(np.argmin(true_totals, axis=1), np.argmin(shifted_totals, axis=1))

@@ -14,6 +14,7 @@ from criterion_helpers import make_image_benchmark, save_mnist
 from eval_oracle import eval_point
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from packing import pack
 
 from hdtcam import cli, encoders, explorer, hwmodel
 from hdtcam.am import AssociativeMemory, load_model, save_model
@@ -215,7 +216,7 @@ def test_eval_point_equals_the_direct_computation(mode, noisy_csv, tmp_path):
     test, model = noisy_csv
     out = tmp_path / "out.csv"
     assert _run_eval_mode(mode, noisy_csv, out) == 0
-    queries, labels = encoders.load_hypervector_csv(test)
+    queries, labels, _ = encoders.load_hypervector_csv(test)
     want = eval_point(load_model(model)[0], queries, labels, **EVAL_MODES[mode])
     if "technology" in EVAL_MODES[mode]:
         assert want.latency_ns > 0  # drawn from the seed, so the row depends on it
@@ -1262,9 +1263,9 @@ def test_export_model_csv(trained_model, tmp_path):
     out = tmp_path / "classes.csv"
     assert run_cli("export", "model-csv", "--model", str(trained_model),
                    "--output", str(out)) == 0
-    matrix, labels = load_hypervector_csv(out)
+    matrix, labels, dimension = load_hypervector_csv(out)
     memory, _ = load_model(trained_model)
-    assert labels == memory.labels
+    assert labels == memory.labels and dimension == memory.dimension
     assert np.array_equal(matrix, memory.class_matrix)
 
 
@@ -1273,7 +1274,7 @@ def test_export_model_csv_refuses_a_label_that_does_not_read_back(label, tmp_pat
     """A label the label,bits reader would not read back unchanged exits
     E-FORMAT naming it, and no file is left behind."""
     model, out = tmp_path / "m.json", tmp_path / "classes.csv"
-    save_model(model, AssociativeMemory(["ok", label], np.eye(2, 16, dtype=np.uint8)))
+    save_model(model, AssociativeMemory(["ok", label], pack(np.eye(2, 16)), 16))
     assert run_cli("export", "model-csv", "--model", str(model), "--output", str(out)) != 0
     err = capsys.readouterr().err
     assert err.startswith("error: E-FORMAT:") and repr(label) in err, err
@@ -1306,6 +1307,29 @@ def test_export_failing_mid_write_keeps_the_old_file(trained_model, tmp_path, mo
 
 # ---------------------------------------------------------------------------
 # model and IDX loaders
+
+
+@pytest.mark.parametrize("flags", [(), ("--block-size", "15", "--precision", "7"),
+                                   ("--technology", "sram", "--voltage", "0.5", "--trials", "2")],
+                         ids=["ideal", "blocked", "sram"])
+def test_model_padding_bits_do_not_change_eval(flags, small_corpus_dir, tmp_path):
+    """A model of odd dimension whose class rows have their padding bits set
+    by hand evaluates to the CSV of the clean model."""
+    train_dir, queries_csv = small_corpus_dir
+    clean, dirty = tmp_path / "clean.json", tmp_path / "dirty.json"
+    assert run_cli("train", "--task", "language", "--train-dir", str(train_dir),
+                   "--dimension", "1001", "--output", str(clean)) == 0
+    doc = json.loads(clean.read_text())
+    for entry in doc["classes"]:
+        entry["bits"] = entry["bits"][:-2] + f"{int(entry['bits'][-2:], 16) | 0xfe:02x}"
+    dirty.write_text(json.dumps(doc))
+    outputs = []
+    for model in (clean, dirty):
+        out = tmp_path / f"{model.stem}.csv"
+        assert run_cli("eval", "--model", str(model), "--task", "language", "--queries",
+                       str(queries_csv), *flags, "--deterministic", "--output", str(out)) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("doc", [

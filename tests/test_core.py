@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from packing import pack, packed_memory, unpack
 
-from hdtcam.am import AssociativeMemory, ideal_argmin, train
+from hdtcam.am import ideal_argmin, train
 from hdtcam.core import majority_from_counts
 from hdtcam.encoders import ALPHABET, ItemMemory, encode_text_ngram
 from hdtcam.errors import DimensionMismatchError
@@ -37,7 +38,7 @@ def hv_triple(draw):
 
 def _hamming(a, b):
     """Full Hamming distance through the packed kernel."""
-    return int(ideal_argmin(a, AssociativeMemory(["b"], b[None]))[1][0])
+    return int(ideal_argmin(pack(a), packed_memory(["b"], b))[1][0])
 
 
 def _random_bits(rng, dimension):
@@ -55,7 +56,7 @@ def test_bind_self_inverse(dimension, seed, first, second):
     """A one-window bigram is item[c0] xor roll(item[c1], 1); binding it with
     the rotated second letter again recovers the first."""
     im = ItemMemory.for_alphabet(dimension, seed)
-    code = encode_text_ngram([first + second], 2, im)[0]
+    code = unpack(encode_text_ngram([first + second], 2, im)[0], dimension)
     first_hv, second_hv = im.matrix[im.indices(first + second)]
     assert np.array_equal(code ^ np.roll(second_hv, 1), first_hv)
 
@@ -117,11 +118,19 @@ def test_normalized_hamming_in_unit_interval(pair):
 
 def test_hamming_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        _hamming(np.zeros(4, dtype=np.uint8), np.zeros(5, dtype=np.uint8))
+        _hamming(np.zeros(8, dtype=np.uint8), np.zeros(9, dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------
 # Majority bundling: am.train
+
+
+def _train(classes, tie_rng=None):
+    """The unpacked class vectors ``am.train`` bundles from unpacked vectors."""
+    dimension = next(iter(classes.values()))[0].shape[-1]
+    memory = train({label: [pack(v) for v in vs] for label, vs in classes.items()}, dimension,
+                   tie_rng)
+    return unpack(memory.class_matrix, dimension)
 
 
 @settings(max_examples=40)
@@ -133,14 +142,14 @@ def test_bundle_streaming_equals_batch(count, seed):
     counts = np.zeros(32, dtype=np.int64)
     for v in vectors:
         counts += v
-    assert np.array_equal(train({"a": vectors}).class_matrix[0], 2 * counts > count)
+    assert np.array_equal(_train({"a": vectors})[0], 2 * counts > count)
 
 
 def test_bundle_even_count_tie_break_reproducible():
     rng = np.random.default_rng(7)
     vectors = [_random_bits(rng, 64) for _ in range(4)]
-    out1 = train({"a": vectors}, np.random.default_rng(99)).class_matrix
-    out2 = train({"a": vectors}, np.random.default_rng(99)).class_matrix
+    out1 = _train({"a": vectors}, np.random.default_rng(99))
+    out2 = _train({"a": vectors}, np.random.default_rng(99))
     assert np.array_equal(out1, out2)
 
 
@@ -148,13 +157,13 @@ def test_bundle_even_count_without_tie_rng_raises():
     a = np.array([0, 1], dtype=np.uint8)
     b = np.array([1, 0], dtype=np.uint8)
     with pytest.raises(ValueError, match="tie_rng"):
-        train({"x": [a, b]})
+        _train({"x": [a, b]})
 
 
 @given(st.integers(1, 7).filter(lambda n: n % 2 == 1))
 def test_bundle_of_identical_vectors_is_identity(count):
     v = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
-    assert np.array_equal(train({"a": [v] * count}).class_matrix[0], v)
+    assert np.array_equal(_train({"a": [v] * count})[0], v)
 
 
 def test_bundle_majority_oracle():
@@ -163,7 +172,7 @@ def test_bundle_majority_oracle():
         np.array([1, 0, 1, 0], dtype=np.uint8),
         np.array([1, 1, 1, 0], dtype=np.uint8),
     ]
-    assert np.array_equal(train({"a": vs}).class_matrix[0], [1, 1, 1, 0])
+    assert np.array_equal(_train({"a": vs})[0], [1, 1, 1, 0])
 
 
 def test_add_counts_matches_individual_adds(rng):
@@ -178,15 +187,18 @@ def test_add_counts_matches_individual_adds(rng):
         for v in vectors:
             counts += v
         want.append(majority_from_counts(counts, len(vectors), tie))
-    assert np.array_equal(train(classes, np.random.default_rng(5)).class_matrix, want)
+    assert np.array_equal(_train(classes, np.random.default_rng(5)), want)
 
 
 def test_train_rejects_ragged_vectors():
-    v4, v5 = np.zeros(4, dtype=np.uint8), np.zeros(5, dtype=np.uint8)
+    """Packed vectors of another width than the dimension's are refused."""
+    v8, v9 = pack(np.zeros(8)), pack(np.zeros(9))
     with pytest.raises(DimensionMismatchError):
-        train({"a": [v4, v5, v4]})
+        train({"a": [v8, v9, v8]}, 8)
     with pytest.raises(DimensionMismatchError):
-        train({"a": [v4], "b": [v5]})
+        train({"a": [v8], "b": [v9]}, 8)
+    with pytest.raises(DimensionMismatchError, match="expected 2 for dimension 9"):
+        train({"a": [v8]}, 9)
 
 
 def test_majority_from_counts_threshold():

@@ -11,6 +11,7 @@ import pytest
 from criterion_helpers import save_mnist
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from packing import pack, unpack
 
 from hdtcam import am as am_module
 from hdtcam import encoders, synth
@@ -128,7 +129,7 @@ def test_encode_text_ngram_manual_composition_oracle():
         windows.append(np.bitwise_xor(v0, v1))
     expected = _majority(windows)  # 3 windows: no ties
     got = encode_text_ngram([text], 2, im)[0]
-    assert np.array_equal(got, expected)
+    assert np.array_equal(got, pack(expected))
 
 
 def test_encode_text_ngram_applies_normalization():
@@ -197,7 +198,7 @@ def test_encode_text_ngram_matches_per_window_oracle(text, n, dimension, chunk_r
         got = encode_text_ngram([text], n, im, got_tie)[0]
     want = _encode_text_ngram_oracle(text, n, im, want_tie)
     assert got.dtype == want.dtype == np.uint8
-    assert np.array_equal(got, want)
+    assert np.array_equal(got, pack(want))
     assert got_tie.integers(0, 2**32) == want_tie.integers(0, 2**32)
 
 
@@ -209,7 +210,7 @@ def test_encode_text_ngram_long_grams_match_oracle(n):
     im = ItemMemory.for_alphabet(33, seed=1)
     got_tie, want_tie = np.random.default_rng(0), np.random.default_rng(0)
     got = encode_text_ngram([text], n, im, got_tie)[0]
-    assert np.array_equal(got, _encode_text_ngram_oracle(text, n, im, want_tie))
+    assert np.array_equal(got, pack(_encode_text_ngram_oracle(text, n, im, want_tie)))
     assert got_tie.integers(0, 2**32) == want_tie.integers(0, 2**32)
 
 
@@ -256,31 +257,31 @@ def test_encode_text_ngram_batch_matches_per_text_oracle(texts, n, dimension, ch
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(am_module, "CHUNK_BYTES", chunk_bytes)
         got = encode_text_ngram(texts, n, im, got_tie)
-    want = np.stack([_encode_text_ngram_oracle(text, n, im, want_tie) for text in texts])
+    want = pack(np.stack([_encode_text_ngram_oracle(text, n, im, want_tie) for text in texts]))
     assert got.dtype == np.uint8 and got.shape == want.shape
     assert np.array_equal(got, want)
     assert got_tie.integers(0, 2**32) == want_tie.integers(0, 2**32)
 
 
 def test_encode_text_ngram_of_no_texts():
-    """No texts: a (0, D) uint8 matrix, and no tie bit drawn."""
-    im = ItemMemory.for_alphabet(40, seed=1)
+    """No texts: a packed (0, ceil(D / 8)) uint8 matrix, and no tie bit drawn."""
+    im = ItemMemory.for_alphabet(41, seed=1)
     tie = np.random.default_rng(9)
     got = encode_text_ngram([], 4, im, tie)
-    assert got.shape == (0, 40) and got.dtype == np.uint8
+    assert got.shape == (0, 6) and got.dtype == np.uint8
     assert tie.integers(0, 2**32) == np.random.default_rng(9).integers(0, 2**32)
 
 
 def test_language_task_vectors_pinned():
-    """Class and query vectors of the language task, and the tie stream after
-    them, as recorded from the per-text encoder."""
+    """Class and query vectors of the language task, unpacked, and the tie
+    stream after them, as recorded from the per-text encoder."""
     bench = synth.make_language_benchmark(train_chars=20_000, queries_per_language=25, seed=3)
     task = Task("language")
     memory = task.train(list(bench.train_texts.values()), list(bench.train_texts), 2000)
     queries = task.encode([text for text, _ in bench.queries], 2000)
-    assert hashlib.sha256(memory.class_matrix.tobytes()).hexdigest() == (
+    assert hashlib.sha256(unpack(memory.class_matrix, 2000).tobytes()).hexdigest() == (
         "059d977b7e16c35ecb831e840bbe9c1cbc219cc1ed2a874d74b3a326c7887c82")
-    assert hashlib.sha256(queries.tobytes()).hexdigest() == (
+    assert hashlib.sha256(unpack(queries, 2000).tobytes()).hexdigest() == (
         "e7ea42011a975a33e58db4c8d3e7c03c4538f7912cbce869b27d644f2c45b514")
     assert task._tie.integers(0, 2**32) == 1976264293
 
@@ -293,19 +294,19 @@ def test_encode_text_chunking_is_invisible(monkeypatch):
     monkeypatch.setattr(am_module, "CHUNK_BYTES", 100 * 2000 // 8)  # 12 unpacked rows
     got = encode_text_ngram([text], 4, im, np.random.default_rng(1))[0]
     want = _encode_text_ngram_oracle(text, 4, im, np.random.default_rng(1))
-    assert np.array_equal(got, want)
+    assert np.array_equal(got, pack(want))
 
 
 def test_encode_text_working_set_is_bounded_in_bytes(traced_peak):
     """Many short texts: beyond the output, a call holds what a batch of
     CHUNK_BYTES / 8 characters and a chunk of CHUNK_BYTES of unpacked grams
-    need, at most sixteen CHUNK_BYTES."""
+    need, at most eleven CHUNK_BYTES."""
     rng = np.random.default_rng(6)
     texts = ["".join(rng.choice(list(ALPHABET[:-1]), size=50)) for _ in range(4000)]
     im = ItemMemory.for_alphabet(4000, seed=2)
     encode_text_ngram(texts[:1], 4, im)  # rotations cached on the item memory
     out, peak = traced_peak(encode_text_ngram, texts, 4, im, np.random.default_rng(1))
-    assert peak <= out.nbytes + 16 * am_module.CHUNK_BYTES
+    assert peak <= out.nbytes + 11 * am_module.CHUNK_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +318,8 @@ def test_encode_image_three_pixel_oracle():
     pixels = np.zeros(9, dtype=np.uint8)
     pixels[[1, 4, 7]] = 255
     expected = _majority(im.matrix[[1, 4, 7]])  # odd count: deterministic
-    assert np.array_equal(encode_images(pixels.reshape(1, 3, 3), 128, im, seed=0)[0], expected)
+    assert np.array_equal(encode_images(pixels.reshape(1, 3, 3), 128, im, seed=0)[0],
+                          pack(expected))
 
 
 def test_encode_image_all_black_raises():
@@ -332,16 +334,40 @@ def test_encode_image_wrong_pixel_count():
         encode_images(np.ones((1, 3, 3), dtype=np.uint8) * 255, 128, im, seed=0)
 
 
-def test_encode_images_matches_single_image_path():
+def test_encode_images_matches_single_image_path(monkeypatch):
+    """Images encoded in chunks of one, a few or all images equal the
+    one-image oracle, each breaking ties from its own seed."""
     rng = np.random.default_rng(8)
     images = (rng.random((5, 4, 4)) < 0.5).astype(np.uint8) * 255
     images[:, 0, 0] = 255  # never all-black
     im = ItemMemory.for_positions(101, 16, seed=21)
-    batch = encode_images(images, 128, im, seed=33)
     children = np.random.SeedSequence(33).spawn(5)
-    for i in range(5):
-        single = encode_image(images[i], 128, im, np.random.default_rng(children[i]))
-        assert np.array_equal(batch[i], single)
+    want = [pack(encode_image(images[i], 128, im, np.random.default_rng(children[i])))
+            for i in range(5)]
+    for chunk_bytes in (1, 2000, 10**6):
+        monkeypatch.setattr(am_module, "CHUNK_BYTES", chunk_bytes)
+        assert np.array_equal(encode_images(images, 128, im, seed=33), want), chunk_bytes
+
+
+def test_encode_images_all_black_image_named_in_a_later_chunk(monkeypatch):
+    im = ItemMemory.for_positions(32, 4, seed=0)
+    images = np.full((5, 2, 2), 255, dtype=np.uint8)
+    images[3] = 0
+    monkeypatch.setattr(am_module, "CHUNK_BYTES", 1)
+    with pytest.raises(DegenerateInputError, match="image 3 has no pixels"):
+        encode_images(images, 128, im, seed=0)
+
+
+def test_encode_images_working_set_is_bounded_in_bytes(traced_peak):
+    """Beyond the output and the float32 position memory, a call holds a chunk
+    of thresholded pixels and counts, at most three CHUNK_BYTES, however
+    many images the stack holds."""
+    rng = np.random.default_rng(9)
+    images = np.where(rng.random((2000, 28, 28)) < 0.3, 255, 0).astype(np.uint8)
+    im = ItemMemory.for_positions(2000, 784, seed=1)
+    out, peak = traced_peak(encode_images, images, 128, im, 0)
+    assert out.shape == (2000, 250)
+    assert peak <= out.nbytes + 4 * im.matrix.size + 3 * am_module.CHUNK_BYTES
 
 
 def test_binarize_and_average_is_majority():
@@ -360,7 +386,7 @@ def test_task_defaults_and_validation():
     with pytest.raises(ConfigError, match="task must be one of"):
         Task(None)
     with pytest.raises(DimensionMismatchError):
-        Task("csv").train(np.zeros((1, 8), dtype=np.uint8), ["a"], 16)
+        Task("csv").train((np.zeros((1, 1), dtype=np.uint8), 8), ["a"], 16)
 
 
 @pytest.mark.parametrize("kind, order", [
@@ -372,7 +398,7 @@ def test_task_train_class_order(kind, order):
     labels = {"mnist": ["11", "2", "5", "2"]}.get(kind, ["b", "a", "c", "a"])
     items = {"language": ["the cat sat", "der hund", "le chat noir", "die katze"],
              "mnist": np.full((4, 3, 3), 255, dtype=np.uint8),
-             "csv": np.eye(4, 64, dtype=np.uint8)}[kind]
+             "csv": (pack(np.eye(4, 64)), 64)}[kind]
     assert Task(kind).train(items, labels, 64).labels == order
 
 
@@ -459,17 +485,18 @@ def test_idx_trailing_bytes(tmp_path):
 
 def test_csv_round_trip(tmp_path):
     rng = np.random.default_rng(5)
-    labeled = LabeledSet(dimension=24)
+    labeled = LabeledSet(dimension=21)
     for i in range(6):
-        labeled.add((rng.random(24) < 0.5).astype(np.uint8), f"c{i % 2}")
+        labeled.add(pack(rng.random(21) < 0.5), f"c{i % 2}")
     path = tmp_path / "set.csv"
     save_hypervector_csv(path, labeled)
-    matrix, labels = load_hypervector_csv(path)
-    assert matrix.shape == (6, 24) and matrix.dtype == np.uint8
+    matrix, labels, dimension = load_hypervector_csv(path)
+    assert matrix.shape == (6, 3) and matrix.dtype == np.uint8 and dimension == 21
     assert labels == [label for _, label in labeled.items]
     assert np.array_equal(matrix, np.stack([hv for hv, _ in labeled.items]))
     expected = "label,bits\n" + "".join(
-        f"{label},{''.join('1' if b else '0' for b in hv)}\n" for hv, label in labeled.items
+        f"{label},{''.join('1' if b else '0' for b in unpack(hv, 21))}\n"
+        for hv, label in labeled.items
     )
     assert path.read_bytes() == expected.encode()
 
@@ -522,9 +549,9 @@ def test_csv_bitstrings_outside_ascii_binary(content, row, tmp_path):
             load_hypervector_csv(path)
         assert info.value.location == f"row {row}"
         return
-    matrix, labels = load_hypervector_csv(path)
+    matrix, labels, dimension = load_hypervector_csv(path)
     assert labels == ["a", "b"]
-    assert matrix.tolist() == [[0, 1, 0, 1], [1, 1, 0, 0]]
+    assert unpack(matrix, dimension).tolist() == [[0, 1, 0, 1], [1, 1, 0, 0]]
 
 
 def _bits_rows(rng, rows, dimension):
@@ -537,15 +564,16 @@ def _bits_rows(rng, rows, dimension):
 
 
 def test_csv_load_holds_one_matrix(tmp_path, traced_peak):
-    """Rows are written straight into one matrix sized from the file: the load
-    peaks at its matrix, a tenth more for labels and buffers, and one row."""
+    """Rows are packed straight into one matrix sized from the file: the load
+    peaks at its packed matrix, a quarter more for labels and buffers, and a
+    few rows of text and bits."""
     text, want, labels = _bits_rows(np.random.default_rng(2), 2000, 4000)
     path = tmp_path / "big.csv"
     path.write_text(text)
-    (matrix, got_labels), peak = traced_peak(load_hypervector_csv, path)
-    assert np.array_equal(matrix, want) and got_labels == labels
+    (matrix, got_labels, dimension), peak = traced_peak(load_hypervector_csv, path)
+    assert np.array_equal(matrix, pack(want)) and got_labels == labels and dimension == 4000
     assert matrix.base is None and matrix.flags.c_contiguous
-    assert peak <= 1.1 * matrix.nbytes + 4000
+    assert peak <= 1.25 * matrix.nbytes + 4 * 4000
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
@@ -553,18 +581,18 @@ def test_csv_through_a_pipe(tmp_path, monkeypatch):
     """A file of unknown size, here a FIFO, loads as the regular file does,
     its matrix doubled from a few rows as they come."""
     text, want, labels = _bits_rows(np.random.default_rng(3), 50, 64)
-    monkeypatch.setattr(am_module, "CHUNK_BYTES", 3 * 64)  # starts at 3 rows
+    monkeypatch.setattr(am_module, "CHUNK_BYTES", 3 * 8)  # starts at 3 packed rows
     fifo = tmp_path / "bits.fifo"
     os.mkfifo(fifo)
     writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
     writer.start()
-    matrix, got_labels = load_hypervector_csv(fifo)
+    matrix, got_labels, dimension = load_hypervector_csv(fifo)
     writer.join(timeout=10)
     regular = tmp_path / "bits.csv"
     regular.write_text(text)
-    assert np.array_equal(matrix, want) and got_labels == labels
+    assert np.array_equal(matrix, pack(want)) and got_labels == labels and dimension == 64
     assert np.array_equal(matrix, load_hypervector_csv(regular)[0])
-    assert matrix.shape == (50, 64)
+    assert matrix.shape == (50, 8)
 
 
 _labels = st.text(st.sampled_from("ab Z-é日😀"), min_size=1, max_size=3).filter(str.strip)
@@ -612,10 +640,10 @@ def _bit_files(draw):
 
 def _load_outcome(load, path):
     try:
-        matrix, labels = load(path)
+        matrix, labels, dimension = load(path)
     except FormatError as exc:
         return str(exc), exc.location
-    return matrix.dtype, matrix.shape, matrix.tobytes(), labels
+    return matrix.dtype, matrix.shape, matrix.tobytes(), labels, dimension
 
 
 @settings(max_examples=300, deadline=None)
@@ -640,8 +668,11 @@ def test_csv_missing_comma(tmp_path):
 
 
 def test_labeled_set_validation():
-    s = LabeledSet(dimension=4)
+    """A set takes packed vectors of its dimension's width and non-empty labels."""
+    s = LabeledSet(dimension=9)
     with pytest.raises(DimensionMismatchError):
-        s.add(np.zeros(5, dtype=np.uint8), "a")
+        s.add(np.zeros(1, dtype=np.uint8), "a")
+    with pytest.raises(DimensionMismatchError):
+        s.add(np.zeros(9, dtype=np.uint8), "a")
     with pytest.raises(ValueError):
-        s.add(np.zeros(4, dtype=np.uint8), "")
+        s.add(np.zeros(2, dtype=np.uint8), "")

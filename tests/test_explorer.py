@@ -12,9 +12,11 @@ from enumeration_oracle import exact_point
 from gaussian_oracle import evaluate_trials
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
+from packing import pack, packed_memory, unpack
 
+from hdtcam import am as am_module
 from hdtcam import explorer, hwmodel
-from hdtcam.am import AssociativeMemory, BlockConfig
+from hdtcam.am import BlockConfig
 from hdtcam.errors import ConfigError, DimensionMismatchError
 from hdtcam.explorer import (
     CSV_COLUMNS,
@@ -44,14 +46,14 @@ def _point(energy, loss, **kw):
 def _toy_dataset(rng, classes=4, dimension=140, queries=60, flip=0.08):
     rows = np.stack([rng.integers(0, 2, size=dimension, dtype=np.uint8)
                      for _ in range(classes)])
-    am = AssociativeMemory([f"c{i}" for i in range(classes)], rows)
+    am = packed_memory([f"c{i}" for i in range(classes)], rows)
     qs, labels = [], []
     for i in range(queries):
         c = i % classes
         noise = (rng.random(dimension) < flip).astype(np.uint8)
         qs.append(np.bitwise_xor(rows[c], noise))
         labels.append(f"c{c}")
-    return am, np.stack(qs), labels
+    return am, pack(np.stack(qs)), labels
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +139,31 @@ def test_evaluate_deterministic_given_seed(rng):
     assert (c.accuracy_mean, c.accuracy_std) != (a.accuracy_mean, a.accuracy_std)
 
 
+def test_evaluate_chunked_draws_equal_one_draw(rng, monkeypatch):
+    """A trial's draws over query chunks, down to one query, give the point of
+    one draw over all queries."""
+    am, qs, labels = _toy_dataset(rng, flip=0.3)
+    entry = hwmodel.default_catalog().get("fefinfet", 0.5, 7)
+    cfg = BlockConfig(140, 7, 7)
+    want = evaluate(am, qs, labels, cfg, hw=entry, replicas=3, trials=3, seed=4)
+    for chunk in (1, 7 * 4 * 8 * 8 * 8):
+        monkeypatch.setattr(am_module, "CHUNK_BYTES", chunk)
+        assert evaluate(am, qs, labels, cfg, hw=entry, replicas=3, trials=3, seed=4) == want
+
+
+def test_evaluate_working_set_is_bounded_in_bytes(traced_peak):
+    """800 queries, 8 classes, P = 7 and one noisy trial: beyond its pair
+    histogram, a call holds at most four CHUNK_BYTES, its draws included."""
+    rng = np.random.default_rng(5)
+    am = packed_memory(list("abcdefgh"), rng.integers(0, 2, (8, 10_000), dtype=np.uint8))
+    qs = pack(rng.integers(0, 2, (800, 10_000), dtype=np.uint8))
+    labels = [am.labels[i % 8] for i in range(800)]
+    entry = hwmodel.default_catalog().get("fefinfet", 0.7, 15)
+    point, peak = traced_peak(evaluate, am, qs, labels, BlockConfig(10_000, 15, 7), entry, 1, 1)
+    assert point.energy_pj > 0
+    assert peak <= 800 * 8 * 8 * 8 + 4 * am_module.CHUNK_BYTES
+
+
 def test_evaluate_replica_voting_improves_noisy_accuracy(rng):
     am, qs, labels = _toy_dataset(rng, flip=0.15)
     entry = hwmodel.default_catalog().get("fefinfet", 0.5, 7)
@@ -199,8 +226,8 @@ def _tiny_point(draw, partial=False):
     hw = hwmodel.HwEntry("sram", 0.7, n, table_precision, np.arange(table_precision, 0, -1.0),
                          np.array(sigma), table_precision + draw(st.sampled_from([0.5, 1.0])),
                          np.array(energy, dtype=float))
-    memory = AssociativeMemory([f"c{k}" for k in range(classes)], np.array(rows, dtype=np.uint8))
-    return (memory, np.array(queries, dtype=np.uint8), [f"c{k}" for k in truth], hw, n,
+    return (packed_memory([f"c{k}" for k in range(classes)], np.array(rows, dtype=np.uint8)),
+            pack(np.array(queries, dtype=np.uint8)), [f"c{k}" for k in truth], hw, n,
             precision, draw(st.sampled_from([1, 3])))
 
 
@@ -275,8 +302,8 @@ def test_evaluate_on_folded_histogram_equals_clamp_and_sum(rng):
     block_sizes, precisions = [2, 3, 7, 9, 16, 33, 70], list(range(1, 16))
     baseline = ideal_accuracy(am, qs, labels)
     label_idx = np.array([am.labels.index(label) for label in labels])
-    want = distance_oracle.precision_rows(am.class_matrix, qs, label_idx, baseline,
-                                          block_sizes, precisions)
+    want = distance_oracle.precision_rows(unpack(am.class_matrix, 143), unpack(qs, 143),
+                                          label_idx, baseline, block_sizes, precisions)
     assert precision_rows(am, qs, labels, block_sizes, precisions, baseline) == want
     assert len({acc for _, _, acc, _ in want}) > 3  # the precisions do differ
 
