@@ -25,8 +25,9 @@ MODEL_FORMAT_VERSION = 1
 
 # Bound in bytes on the largest temporary of one chunk: the block words, XOR
 # words and windows of the distance kernel, a trial's draw in
-# ``explorer.evaluate``, the unpacked bits of ``train``, and the unpacked gram
-# rows, window codes and image counts of ``encoders``.
+# ``explorer.evaluate``, the unpacked bits of ``train``, and in ``encoders``
+# the unpacked gram rows, a piece's int64 window codes (CHUNK_BYTES / 16
+# windows), a chunk of images' pixels and a block of float32 positions.
 CHUNK_BYTES = 500_000
 
 

@@ -21,6 +21,7 @@ from .errors import (
     atomic_open,
     open_text,
 )
+from .ngram import encode_text_ngram, normalize_text  # re-exported: public here too
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz "
 
@@ -36,6 +37,9 @@ class ItemMemory:
 
     Entries are generated from a single seeded stream in symbol order, so the
     same (dimension, seed, symbols) always reproduces every entry bit-for-bit.
+    ``matrix`` holds them one byte per bit; ``indices`` maps a text to its
+    symbols' row numbers, and ``packed_rotation`` caches, per shift, the
+    packed rolled rows that the text encoder composes.
     """
 
     def __init__(self, dimension: int, symbols, seed: int):
@@ -46,11 +50,13 @@ class ItemMemory:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         # (num_symbols, dimension) uint8 entries in symbol order.
         self.matrix = rng.integers(0, 2, size=(len(self.symbols), dimension), dtype=np.uint8)
-        # Symbol index by code point (-1: none; larger code points read the last entry).
+        # Symbol index by code point, in the narrowest unsigned type (len(symbols): none;
+        # larger code points read the last entry).
         chars = {ord(s): i for i, s in enumerate(self.symbols) if isinstance(s, str)}
-        self._by_code_point = np.full(max(chars, default=0) + 2, -1, dtype=np.intp)
+        self._by_code_point = np.full(max(chars, default=0) + 2, len(self.symbols),
+                                      dtype=np.min_scalar_type(len(self.symbols)))
         self._by_code_point[list(chars)] = list(chars.values())
-        self._rotated = {}
+        self._packed_rotations = {}
 
     @classmethod
     def for_alphabet(cls, dimension: int, seed: int) -> "ItemMemory":
@@ -69,17 +75,21 @@ class ItemMemory:
         """Symbol index of each character of ``text``; ValueError names the first unknown."""
         codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
         idx = self._by_code_point[np.minimum(codes, len(self._by_code_point) - 1)]
-        if (idx < 0).any():
-            raise ValueError(f"symbol {text[np.argmax(idx < 0)]!r} not present in item memory")
+        unknown = idx == len(self)
+        if unknown.any():
+            raise ValueError(f"symbol {text[np.argmax(unknown)]!r} not present in item memory")
         return idx
 
-    def rotated(self, shift: int) -> np.ndarray:
-        """Read-only ``np.roll(matrix, shift, axis=1)``, built once per shift."""
-        out = self._rotated.get(shift)
+    def packed_rotation(self, shift: int) -> np.ndarray:
+        """Read-only ``np.packbits(np.roll(matrix, shift, axis=1), axis=1)``,
+        built once per shift: the rows the text encoder composes, packed
+        eight bits to a byte, the first bit highest (numpy's default order,
+        whose unpacking is the faster)."""
+        out = self._packed_rotations.get(shift)
         if out is None:
-            out = np.roll(self.matrix, shift, axis=1)
+            out = np.packbits(np.roll(self.matrix, shift, axis=1), axis=1)
             out.flags.writeable = False
-            self._rotated[shift] = out
+            self._packed_rotations[shift] = out
         return out
 
 
@@ -100,101 +110,6 @@ class LabeledSet:
         self.items.append((hv, label))
 
 
-def normalize_text(text: str) -> str:
-    """Lowercase, drop anything outside a-z and space, collapse whitespace runs."""
-    words = " ".join(text.lower().split())
-    return " ".join(re.sub("[^a-z ]+", "", words).split())
-
-
-def encode_text_ngram(texts, n: int, im: ItemMemory, tie_rng: np.random.Generator | None = None,
-                      *, names=None) -> np.ndarray:
-    """Encode each text, after ``normalize_text``, as the majority bundle of its
-    length-n sliding windows into a packed (len(texts), ceil(dimension / 8))
-    uint8 matrix (see ``am``). A window is the XOR of its j-th letter's
-    vector rotated by j (j = 0..n-1); each distinct gram of a text is
-    composed once, in packed bits, and counted with its multiplicity. Ties
-    are drawn from ``tie_rng`` text by text, in order; ``names`` label texts
-    in errors. ``am.CHUNK_BYTES``, read at each call, bounds the int64 window
-    codes of a batch of texts and the unpacked gram rows of a chunk."""
-    if n < 1:
-        raise ValueError(f"n-gram size must be >= 1, got {n}")
-    texts = [normalize_text(text) for text in texts]
-    lengths = np.array([len(text) for text in texts], dtype=np.int64)
-    for i in np.flatnonzero(lengths < n):
-        raise DegenerateInputError(f"{names[i] if names else f'text {i}'} has only "
-                                   f"{lengths[i]} usable characters, need at least {n}")
-    packed = [np.packbits(im.rotated(j), axis=1) for j in range(n)]
-    out = np.empty((len(texts), -(-im.dimension // 8)), dtype=np.uint8)
-    # Batches of texts ending in one span of CHUNK_BYTES / 8 characters bound the codes.
-    batch = (np.cumsum(lengths) - 1) // max(1, am_mod.CHUNK_BYTES // 8)
-    cuts = [0, *(np.flatnonzero(np.diff(batch)) + 1), len(texts)]
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        _encode_batch(texts[lo:hi], lengths[lo:hi], n, im, packed, tie_rng, out[lo:hi])
-    return out
-
-
-def _encode_batch(texts, lengths, n, im, packed, tie_rng, out) -> None:
-    """``encode_text_ngram`` of one batch of texts, written into ``out``. Each
-    full-size array is dropped once used, so a batch holds about four int64
-    arrays of its windows at a time."""
-    idx = im.indices("".join(texts))
-    num_windows = lengths - n + 1
-    # Code of the window at each letter in base len(im) behind a leading text digit,
-    # re-ranked whenever the next digit could overflow int64: distinct (text, gram)
-    # pairs stay distinct.
-    code, bound = np.repeat(np.arange(len(texts)), lengths)[: len(idx) - n + 1], len(texts)
-    for j in range(n):
-        if bound * len(im) > 2**63:
-            _, code = np.unique(code, return_inverse=True)
-            bound = int(code.max()) + 1
-        code *= len(im)
-        code += idx[j : j + len(code)]
-        bound *= len(im)
-    # The windows inside the texts: the next text's first window is n letters on.
-    ends = np.cumsum(num_windows)
-    starts = np.ones(num_windows.sum(), dtype=np.int64)
-    starts[:1] = 0
-    starts[ends[:-1]] = n
-    code = code[np.cumsum(starts, out=starts)]
-    del starts
-    # Runs of equal codes after one unstable sort; any window of a run is its row.
-    order = np.argsort(code)
-    code = code[order]
-    new = np.empty(len(code), dtype=bool)
-    new[:1] = True
-    np.not_equal(code[1:], code[:-1], out=new[1:])
-    del code
-    first = np.flatnonzero(new)
-    # A tally never exceeds its text's window count, so the weighted adds stay exact.
-    tally = np.min_scalar_type(num_windows.max(initial=0))
-    weights = np.diff(first, append=len(order)).astype(tally)
-    window = order[first]
-    del order
-    text = np.searchsorted(ends, window, side="right")
-    by_text = np.lexsort((weights, text))
-    rows = window[by_text] + (n - 1) * text[by_text]
-    text, weights = text[by_text], weights[by_text]
-    # Grams are composed and unpacked in chunks of at most 255 rows, so uint8 sums of
-    # each (text, weight) run's slice cannot overflow; CHUNK_BYTES bounds a chunk.
-    chunk = max(1, min(255, am_mod.CHUNK_BYTES // im.dimension))
-    cut = np.arange(len(rows)) % chunk == 0
-    cut[1:] |= (text[1:] != text[:-1]) | (weights[1:] != weights[:-1])
-    edges = np.flatnonzero(cut)
-    counts = np.zeros(im.dimension, dtype=tally)
-    for s, e in zip(edges, [*edges[1:], len(rows)]):
-        if s % chunk == 0:
-            grams = packed[0][idx[rows[s : s + chunk]]]
-            for j in range(1, n):
-                grams ^= packed[j][idx[rows[s : s + chunk] + j]]
-            bits = np.unpackbits(grams, axis=1, count=im.dimension)
-        counts += weights[s] * np.add.reduce(bits[s % chunk : s % chunk + e - s], axis=0,
-                                             dtype=np.uint8)
-        if e == len(rows) or text[e] != text[s]:
-            out[text[s]] = np.packbits(
-                majority_from_counts(counts, int(num_windows[text[s]]), tie_rng), bitorder="little")
-            counts[:] = 0
-
-
 def encode_images(
     images: np.ndarray,
     threshold: int,
@@ -206,8 +121,12 @@ def encode_images(
 
     Image i breaks ties from the i-th child of ``SeedSequence(seed)``, so its
     vector does not depend on the other images of the stack. Pixels are
-    thresholded and counted in chunks of images whose float32 pixels and
-    counts take at most ``am.CHUNK_BYTES`` (one image at least).
+    thresholded in chunks of images whose pixels, as booleans and float32,
+    and packed tie bits take at most ``am.CHUNK_BYTES`` (one image at least).
+    A chunk is counted against the position memory converted to float32 a
+    block of columns at a time, whose positions and counts take at most
+    ``am.CHUNK_BYTES`` too; float32 sums of ones are exact up to 2^24, far
+    above any pixel count. Bits above half are packed straight into the output.
     """
     images = np.asarray(images)
     num = images.shape[0]
@@ -217,21 +136,33 @@ def encode_images(
             f"images have {flat.shape[1]} pixels but item memory holds {len(position_im)} positions"
         )
     root = np.random.SeedSequence(seed)
-    pos = position_im.matrix.astype(np.float32)
-    out = np.empty((num, -(-position_im.dimension // 8)), dtype=np.uint8)
-    chunk = max(1, am_mod.CHUNK_BYTES // (4 * (len(position_im) + position_im.dimension)))
+    positions, dimension = position_im.matrix, position_im.dimension
+    width = -(-dimension // 8)
+    out = np.empty((num, width), dtype=np.uint8)
+    chunk = max(1, am_mod.CHUNK_BYTES // (5 * len(position_im) + width))
+    block = max(8, am_mod.CHUNK_BYTES // (4 * (len(position_im) + chunk)) // 8 * 8)
     for start in range(0, num, chunk):
         white = flat[start:start + chunk] >= threshold
         totals = np.count_nonzero(white, axis=1)
         if not totals.all():
             bad = start + int(np.argmin(totals))
             raise DegenerateInputError(f"image {bad} has no pixels above threshold")
-        counts = np.rint(white.astype(np.float32) @ pos)
-        # Successive spawns go on numbering the children: image i takes child i.
-        for i, (row, total, child) in enumerate(
-                zip(counts, totals.tolist(), root.spawn(len(totals))), start):
-            out[i] = np.packbits(majority_from_counts(
-                row.astype(np.int64), total, np.random.default_rng(child)), bitorder="little")
+        white, half = white.astype(np.float32), totals[:, None] / 2
+        rows = out[start:start + len(white)]
+        ties = np.empty_like(rows)
+        for col in range(0, dimension, block):
+            counts = white @ positions[:, col:col + block].astype(np.float32)
+            cols = slice(col // 8, -(-(col + counts.shape[1]) // 8))
+            rows[:, cols] = np.packbits(counts > half, axis=1, bitorder="little")
+            ties[:, cols] = np.packbits(counts == half, axis=1, bitorder="little")
+        # Successive spawns go on numbering the children: image i takes child i. An image
+        # with ties breaks them as the majority of its two-vote tally (2 above half, 1 a tie).
+        for row, tied, child in zip(rows, ties, root.spawn(len(totals))):
+            if tied.any():
+                votes = (2 * np.unpackbits(row, count=dimension, bitorder="little")
+                         + np.unpackbits(tied, count=dimension, bitorder="little"))
+                row[:] = np.packbits(majority_from_counts(votes, 2, np.random.default_rng(child)),
+                                     bitorder="little")
     return out
 
 

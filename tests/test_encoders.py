@@ -78,14 +78,17 @@ def test_position_memory_size():
 
 
 def test_rotated_matrices_are_cached_read_only_rolls():
-    im = ItemMemory.for_alphabet(40, seed=3)
-    for j in range(5):
-        rot = im.rotated(j)
-        assert np.array_equal(rot, np.roll(im.matrix, j, axis=1))
+    """The packed rotations the text encoder reads: each a cached, read-only
+    roll of the item memory, packed first bit highest."""
+    im = ItemMemory.for_alphabet(41, seed=3)
+    for j in (0, 1, 4, 40, 41, 45):
+        rot = im.packed_rotation(j)
+        assert rot.shape == (27, 6) and rot.dtype == np.uint8
+        assert np.array_equal(np.unpackbits(rot, axis=1, count=41), np.roll(im.matrix, j, axis=1))
         assert not rot.flags.writeable
-        assert im.rotated(j) is rot
+        assert im.packed_rotation(j) is rot
     with pytest.raises(ValueError):
-        im.rotated(1)[0, 0] = 1
+        im.packed_rotation(1)[0, 0] = 1
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +150,15 @@ def test_encode_text_too_short_raises():
         encode_text_ngram(["ab"], 4, im)
 
 
-def test_encode_text_too_short_names_the_text(tmp_path):
+def test_encode_text_too_short_names_the_text(tmp_path, monkeypatch):
     im = ItemMemory.for_alphabet(32, seed=0)
     with pytest.raises(DegenerateInputError, match="text 1 has only 2 usable characters"):
         encode_text_ngram(["abcde", "Ab!"], 4, im)
+    # A text longer than a piece is measured once it is streamed.
+    with monkeypatch.context() as mp:
+        mp.setattr(am_module, "CHUNK_BYTES", 16)  # one-window pieces
+        with pytest.raises(DegenerateInputError, match="text 1 has only 2 usable characters"):
+            encode_text_ngram(["abcde", "!a!!b, !?! \t"], 4, im, np.random.default_rng(0))
     (tmp_path / "a.txt").write_text("abcde")
     (tmp_path / "b.txt").write_text("!!")
     task = Task("language")
@@ -309,6 +317,42 @@ def test_encode_text_working_set_is_bounded_in_bytes(traced_peak):
     assert peak <= out.nbytes + 11 * am_module.CHUNK_BYTES
 
 
+def test_encode_text_of_a_long_corpus_is_bounded_in_bytes(traced_peak):
+    """A corpus longer than one piece is streamed, so its working set follows
+    the piece and the corpus's distinct grams, not its length: at D = 2000
+    the traced peak of a 400 000-character synth corpus stays within the
+    bound a 100 000-character one is held to, five CHUNK_BYTES."""
+    im = ItemMemory.for_alphabet(2000, seed=42)
+    encode_text_ngram(["abcd"], 4, im)  # rotations cached on the item memory
+    for chars in (100_000, 400_000):
+        bench = synth.make_language_benchmark(num_languages=1, train_chars=chars,
+                                              queries_per_language=1, seed=0)
+        _, peak = traced_peak(encode_text_ngram, list(bench.train_texts.values()), 4, im,
+                              np.random.default_rng(1))
+        assert peak <= 5 * am_module.CHUNK_BYTES, chars
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.text(st.sampled_from("aBz Z\t\n\x0b\x1c\x85\xa0\u3000\u0130\u212a!,.\u00e9"),
+                    max_size=80),
+       n=st.integers(1, 4), chunk_bytes=st.sampled_from([1, 32, 80, 10**6]))
+def test_encode_text_streams_raw_text_in_parts(text, n, chunk_bytes):
+    """A text longer than a piece (CHUNK_BYTES / 16 windows) is normalised and
+    counted a part at a time, whitespace and dropped characters falling on
+    the cuts: the vector and tie draws of the per-window oracle of the whole
+    text, normalised character by character."""
+    normalized = _normalize_text_oracle(text)
+    if len(normalized) < n:
+        normalized = text = "abcd"
+    im = ItemMemory.for_alphabet(33, seed=4)
+    got_tie, want_tie = np.random.default_rng(0), np.random.default_rng(0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(am_module, "CHUNK_BYTES", chunk_bytes)
+        got = encode_text_ngram([text], n, im, got_tie)[0]
+    assert np.array_equal(got, pack(_encode_text_ngram_oracle(normalized, n, im, want_tie)))
+    assert got_tie.integers(0, 2**32) == want_tie.integers(0, 2**32)
+
+
 # ---------------------------------------------------------------------------
 # Images
 
@@ -359,15 +403,16 @@ def test_encode_images_all_black_image_named_in_a_later_chunk(monkeypatch):
 
 
 def test_encode_images_working_set_is_bounded_in_bytes(traced_peak):
-    """Beyond the output and the float32 position memory, a call holds a chunk
-    of thresholded pixels and counts, at most three CHUNK_BYTES, however
-    many images the stack holds."""
+    """Beyond the output, a call holds a chunk of thresholded pixels and tie
+    bits and a block of float32 positions and counts, at most three
+    CHUNK_BYTES, however many images the stack holds and however large the
+    position memory is."""
     rng = np.random.default_rng(9)
     images = np.where(rng.random((2000, 28, 28)) < 0.3, 255, 0).astype(np.uint8)
     im = ItemMemory.for_positions(2000, 784, seed=1)
     out, peak = traced_peak(encode_images, images, 128, im, 0)
     assert out.shape == (2000, 250)
-    assert peak <= out.nbytes + 4 * im.matrix.size + 3 * am_module.CHUNK_BYTES
+    assert peak <= out.nbytes + 3 * am_module.CHUNK_BYTES
 
 
 def test_binarize_and_average_is_majority():
