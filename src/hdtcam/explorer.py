@@ -124,94 +124,54 @@ def _fold_histogram(hist: np.ndarray, precision: int) -> np.ndarray:
         [hist[..., :precision], hist[..., precision:].sum(axis=2, keepdims=True)], axis=2)
 
 
-def evaluate(
-    am: AssociativeMemory,
-    queries: np.ndarray,
-    labels,
-    cfg: BlockConfig,
-    hw: HwEntry | None = None,
-    replicas: int = 1,
-    trials: int = 10,
-    seed: int = 0,
-    baseline_accuracy: float | None = None,
-    histogram: np.ndarray | None = None,
-) -> DesignPoint:
-    """Run blocked inference over the test set, packed query rows, ``trials``
-    times and aggregate.
+def evaluate(hist: np.ndarray, label_idx: np.ndarray, hw: HwEntry | None = None,
+             replicas: int = 1, trials: int = 10, seed: int = 0, *,
+             am: AssociativeMemory, queries: np.ndarray, cfg: BlockConfig) -> tuple:
+    """(accuracy mean, accuracy SD, energy pJ, latency ns) per query of one
+    point over ``trials``, read off its pair histogram: ``hist[q, c, h]``
+    blocks of query q and class c at clamped distance h = 0..P, as ``sweep``
+    folds it, and ``label_idx``, each query's true class (-1: a miss). It
+    must have the shape of the memory ``am``, ``queries`` and geometry
+    ``cfg``, from which perfbench's traced runs count a call's reads.
 
     A read is a confusion matrix of P(reported j | true h): the identity
     without the hardware table ``hw``, else the median of ``replicas`` reads
-    of its latencies, and its energies are charged; the point carries the
-    table's technology and voltage (``""`` and 0.0 without one). ``hw`` is at
-    the precision of ``cfg``, as a plan's ``Setup`` holds it: ``sweep`` runs
-    each blocked setup of a plan here, with the setup's trials and seed.
-    Reads are independent given the true clamped distance, so each trial
-    draws, for every (query, class) pair and distance h, how many of its
-    blocks at h report each j: one multinomial over the pair's distance
-    histogram, exact in distribution, drawn in query chunks whose draws take
-    at most ``am.CHUNK_BYTES`` and summed over h chunk by chunk. One-hot
-    matrices are applied without draws. A query's latency is the slowest of
-    all its blocks, classes and replicas, which are read in parallel.
-
-    ``histogram`` is this data set's ``distance_histogram`` at the block
-    size of ``cfg``, clamped at P or above; without it, it is computed here.
+    of its latencies, and its energies are charged. Reads are independent
+    given the true distance, so a trial reads the histogram in one loop over
+    query chunks, keeping each chunk's hits and the reads per reported
+    distance: a chunk's reports are ``hist[s:e]`` times a matrix of one-hot
+    rows, else one multinomial draw over each pair's histogram, at most
+    ``am.CHUNK_BYTES`` of int64, summed over h (successive draws on one
+    generator draw what one over all queries does). A query's latency is the
+    slowest of its blocks, classes and replicas, which are read in parallel.
     """
-    if cfg.dimension != am.dimension:
-        raise DimensionMismatchError(
-            f"dimension mismatch: blocks of dimension {cfg.dimension}, classes {am.dimension}")
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.uint8))
-    labels = list(labels)
-    label_idx = am.class_index(labels)
-    precision = cfg.precision
-    cm = (np.eye(precision + 1) if hw is None
+    if hist.shape != (len(queries), len(am), cfg.precision + 1):
+        raise ValueError(f"a pair histogram of shape {hist.shape} does not count "
+                         f"{len(queries)} queries, {len(am)} classes and P = {cfg.precision}")
+    cm = (np.eye(hist.shape[2]) if hw is None
           else median_confusion(confusion_from_latency(hw), replicas))
-    if histogram is None:
-        histogram = distance_histogram(queries, am.class_matrix, cfg.dimension,
-                                       cfg.block_size, precision)
-    hist = _fold_histogram(histogram, precision)
     one_hot = cm == 1.0
-    fixed = hist @ one_hot.astype(np.int64) if one_hot.any(axis=1).all() else None
+    fixed = one_hot.astype(np.int64) if one_hot.any(axis=1).all() else None
     reported = np.arange(cm.shape[1])
     reads = replicas * hist.sum(axis=1)  # per query and true distance
-
-    num_q = queries.shape[0]
-    # Successive draws over query chunks draw what one call over all queries does.
+    num_q = hist.shape[0]
     step = max(1, am_mod.CHUNK_BYTES // (8 * math.prod(hist.shape[1:]) * cm.shape[1]))
-    counts = fixed if fixed is not None else np.empty(hist.shape[:2] + cm.shape[1:], np.int64)
-    seeds = np.random.SeedSequence(seed).spawn(trials)
-    accuracies = []
-    energies = []
-    latencies = []
-    for trial in range(trials):
-        rng = np.random.default_rng(seeds[trial])
-        if fixed is None:
-            for s in range(0, num_q, step):
-                counts[s:s + step] = rng.multinomial(hist[s:s + step], cm).sum(axis=2)
-        preds = np.argmin(counts @ reported, axis=1)
-        accuracies.append(np.count_nonzero(preds == label_idx) / num_q)
-        energies.append(0.0 if hw is None else
-                        energy_pj(hw.energy_fj, counts.sum(axis=(0, 1))) / num_q)
+    accuracies, energies, latencies = [], [], []
+    for trial_seed in np.random.SeedSequence(seed).spawn(trials):
+        rng = np.random.default_rng(trial_seed)
+        correct, per_distance = 0, np.zeros(cm.shape[1], np.int64)
+        for s in range(0, num_q, step):
+            counts = (hist[s:s + step] @ fixed if fixed is not None
+                      else rng.multinomial(hist[s:s + step], cm).sum(axis=2))
+            preds = np.argmin(counts @ reported, axis=1)
+            correct += np.count_nonzero(preds == label_idx[s:s + step])
+            per_distance += counts.sum(axis=(0, 1))
+        accuracies.append(correct / num_q)
+        energies.append(0.0 if hw is None else energy_pj(hw.energy_fj, per_distance) / num_q)
         latencies.append(0.0 if hw is None else
                          float(hw.slowest_latency(reads, rng).sum()) / num_q)
-
-    acc_mean = float(np.mean(accuracies))
-    acc_std = float(np.std(accuracies))
-    if baseline_accuracy is None:
-        baseline_accuracy = ideal_accuracy(am, queries, labels)
-    return DesignPoint(
-        technology=hw.technology if hw else "",
-        voltage=hw.voltage if hw else 0.0,
-        block_size=cfg.block_size,
-        precision=cfg.precision,
-        dimension=cfg.dimension,
-        replicas=replicas,
-        trials=trials,
-        accuracy_mean=acc_mean,
-        accuracy_std=acc_std,
-        accuracy_loss=float(baseline_accuracy - acc_mean),
-        energy_pj=float(np.mean(energies)),
-        latency_ns=float(np.mean(latencies)),
-    )
+    return (float(np.mean(accuracies)), float(np.std(accuracies)), float(np.mean(energies)),
+            float(np.mean(latencies)))
 
 
 def check_jobs(jobs: int) -> None:
@@ -222,9 +182,9 @@ def check_jobs(jobs: int) -> None:
 
 class Setup(typing.NamedTuple):
     """One point of a plan, set up before any data is read: its configuration
-    (technology, voltage, N, P, D, r), its block geometry (None: the ideal
-    full-Hamming read), its table at P (None: noise-free), and the trials and
-    seed it is evaluated with."""
+    (its table's technology and voltage, N, P, D, r), its block geometry
+    (None: the ideal full-Hamming read), its table at P (None: noise-free),
+    and the trials and seed it is evaluated with."""
 
     config: tuple
     block: BlockConfig | None
@@ -235,13 +195,15 @@ class Setup(typing.NamedTuple):
 
 def plan_sweep(space: SweepSpace, catalog: Catalog) -> tuple:
     """The setups of every configuration of ``space``, in configuration order,
-    each seeded from the space's seed and its configuration key. ``catalog``
-    builds the tables the sweep reads in one lookup. It reads no data, so a
-    sweep that a point's block geometry, its catalog gap or a precision its
-    table refuses fails before any data set is read."""
+    each seeded from the space's seed and its configuration key, which names
+    its table's technology and voltage. ``catalog`` builds the tables the
+    sweep reads in one lookup. It reads no data, so a sweep that a point's
+    block geometry, its catalog gap or a precision its table refuses fails
+    before any data set is read."""
     configs = list(space.configurations())
     geometry = [BlockConfig(d, n, p) for _tech, _v, n, p, d, _r in configs]
     tables = catalog.get_many([config[:3] for config in configs])
+    configs = [(hw.technology, hw.voltage, *config[2:]) for config, hw in zip(configs, tables)]
     return tuple(Setup(config, cfg, hw.with_precision(cfg.precision), space.trials,
                        derive_point_seed(space.seed, config_key(*config)))
                  for config, cfg, hw in zip(configs, geometry, tables))
@@ -277,57 +239,69 @@ def sweep(plan: tuple, datasets: dict, jobs: int = 1, done=(), progress=None) ->
     with each new point, one call at a time.
 
     ``datasets`` maps dimension -> (AssociativeMemory, queries, labels).
-    A dimension without a data set, or ``jobs``, the number of evaluation
-    threads, below 1 fails before the first point runs. An ideal setup's
-    point is the full-Hamming accuracy, every point's loss baseline; the
-    others run ``evaluate``. Results are independent of evaluation order.
+    A dimension without a data set or whose memory has another dimension,
+    or ``jobs`` (threads) below 1, fails before the first point runs. Per
+    dimension the labels are indexed and the ideal accuracy, the ideal
+    point's and every point's loss baseline, taken once; per (D, N) one pair
+    histogram is built, clamped at the largest P it serves, and folded for
+    each blocked point for ``evaluate``. Every point is built here from its
+    setup's configuration. With ``jobs`` above 1 this thread builds each
+    histogram while the workers run the group before it. Results are
+    independent of ``jobs``.
     """
     check_jobs(jobs)
     dimensions = dict.fromkeys(setup.config[4] for setup in plan)
     for d in dimensions:
         if d not in datasets:
             raise ConfigError(f"no dataset supplied for dimension {d}")
+        if datasets[d][0].dimension != d:
+            raise DimensionMismatchError(f"dimension mismatch: points of dimension {d}, "
+                                         f"classes {datasets[d][0].dimension}")
+    label_idx = {d: datasets[d][0].class_index(datasets[d][2]) for d in dimensions}
     baselines = {d: ideal_accuracy(*datasets[d]) for d in dimensions}
     skip = {p.config_key for p in done}
     todo = [setup for setup in plan if config_key(*setup.config) not in skip]
-    # The pair histogram depends only on (D, N): build it once per group,
-    # clamped at the group's largest precision, and fold it for each point.
     groups = {}
     for i, setup in enumerate(todo):
         groups.setdefault((setup.config[4], setup.block and setup.block.block_size), []).append(i)
 
-    def tasks():
-        for (d, n), members in groups.items():
-            am, queries, _labels = datasets[d]
-            hist = None if n is None else distance_histogram(
-                queries, am.class_matrix, d, n, max(todo[i].block.precision for i in members))
-            for i in members:
-                yield i, hist
+    def histogram(d, n, members):
+        am, queries, _labels = datasets[d]
+        return None if n is None else distance_histogram(
+            queries, am.class_matrix, d, n, max(todo[i].block.precision for i in members))
 
     lock = threading.Lock()
 
-    def run(task):
-        i, hist = task
+    def run(i, hist):
         config, cfg, hw, trials, seed = todo[i]
-        baseline = baselines[config[4]]
-        if cfg is None:
-            point = DesignPoint(*config, trials, baseline, 0.0, 0.0, 0.0, 0.0)
-        else:
-            point = evaluate(*datasets[config[4]], cfg, hw=hw, replicas=config[5], trials=trials,
-                             seed=seed, baseline_accuracy=baseline, histogram=hist)
+        d = config[4]
+        baseline = baselines[d]
+        am, queries, _labels = datasets[d]
+        mean, std, energy, latency = (baseline, 0.0, 0.0, 0.0) if cfg is None else evaluate(
+            _fold_histogram(hist, cfg.precision), label_idx[d], hw, config[5], trials, seed,
+            am=am, queries=queries, cfg=cfg)
+        point = DesignPoint(*config, trials, mean, std, baseline - mean, energy, latency)
         if progress is not None:
             with lock:
                 progress(point)
         return i, point
 
-    if jobs > 1:
-        # Histograms are built in this thread while the workers evaluate;
-        # the workers only read them.
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            done = dict(pool.map(run, tasks()))
+    points = {}
+    if jobs == 1:
+        for key, members in groups.items():
+            hist = histogram(*key, members)
+            points.update(run(i, hist) for i in members)
     else:
-        done = dict(run(task) for task in tasks())
-    return [done[i] for i in range(len(todo))]
+        running = []
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            for key, members in groups.items():
+                hist = histogram(*key, members)
+                queued = [pool.submit(run, i, hist) for i in members]
+                del hist  # the queued tasks hold it until they have run
+                points.update(future.result() for future in running)
+                running = queued
+            points.update(future.result() for future in running)
+    return [points[i] for i in range(len(todo))]
 
 
 def flag_pareto(points) -> list:

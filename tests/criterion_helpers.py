@@ -1,6 +1,6 @@
 """Code behind acceptance criteria that no CLI command reaches: the image
 benchmark in MNIST geometry and its IDX writer (criterion 04 and the ``mnist``
-tests), the noise-free precision table read off ``evaluate`` (criteria 04 and
+tests), the noise-free precision table read off ``sweep`` (criteria 04 and
 05), the RRAM +1 shift (criterion 09) and the energy savings of voltage
 overscaling (criterion 11)."""
 
@@ -8,9 +8,9 @@ import struct
 
 import numpy as np
 
-from hdtcam.am import BlockConfig, distance_histogram
+from hdtcam.am import BlockConfig
 from hdtcam.encoders import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC
-from hdtcam.explorer import evaluate
+from hdtcam.explorer import Setup, sweep
 
 NO_LOSS_EPSILON = 5e-4  # noise floor of HDC accuracy fluctuations
 
@@ -40,21 +40,16 @@ def save_mnist(images_path, labels_path, images, labels):
         f.write(struct.pack(">II", IDX_LABEL_MAGIC, len(labels)) + labels.tobytes())
 
 
-def precision_rows(am, queries, labels, block_sizes, precisions, baseline=None):
+def precision_rows(am, queries, labels, block_sizes, precisions):
     """Noise-free (N, P, accuracy, loss) rows, loss against the full-Hamming
-    ``baseline``: one ``evaluate`` per P <= N on one distance histogram per
-    N, clamped at its largest P and folded for each P, as ``sweep`` does."""
-    rows = []
-    for n in block_sizes:
-        fitting = [p for p in precisions if p <= n]
-        if not fitting:
-            continue
-        hist = distance_histogram(queries, am.class_matrix, am.dimension, n, max(fitting))
-        for p in fitting:
-            point = evaluate(am, queries, labels, BlockConfig(am.dimension, n, p), trials=1,
-                             baseline_accuracy=baseline, histogram=hist)
-            rows.append((n, p, point.accuracy_mean, point.accuracy_loss))
-    return rows
+    accuracy: one ``sweep`` of a plan of one noise-free point per P <= N,
+    which builds one distance histogram per N, clamped at its largest P and
+    folded for each P."""
+    d = am.dimension
+    plan = tuple(Setup(("", 0.0, n, p, d, 1), BlockConfig(d, n, p), None, 1, 0)
+                 for n in block_sizes for p in precisions if p <= n)
+    return [(p.block_size, p.precision, p.accuracy_mean, p.accuracy_loss)
+            for p in sweep(plan, {d: (am, queries, labels)})]
 
 
 def rram_shift(precision):

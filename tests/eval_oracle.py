@@ -1,18 +1,33 @@
 """eval's point computed directly, the reference for eval's run through ``sweep``.
 
 ``cli.cmd_eval`` sets up a plan of one point with ``explorer.plan_eval`` and
-runs it with ``explorer.sweep``, which takes the loss baseline and the pair
-histogram once for every point of a plan and builds the ideal point from
-the baseline. This module keeps the computation that path must reproduce
-byte for byte: the ideal point built by hand from ``ideal_accuracy``, and a
-blocked point from its own geometry, its table at the point's precision and
-one ``evaluate`` call with eval's seed as given, which takes its baseline and
-its histogram itself.
+runs it with ``explorer.sweep``, which takes the loss baseline, the label
+index and the pair histogram once for every point of a plan, folds the
+histogram for each point and builds every point. This module keeps the
+computation that path must reproduce byte for byte: the ideal point built by
+hand from ``ideal_accuracy``, and a blocked point from its own geometry, its
+table at the point's precision, a pair histogram clamped at its precision
+and one ``evaluate`` call with eval's seed as given.
 """
 
-from hdtcam.am import BlockConfig
+from hdtcam.am import BlockConfig, distance_histogram
 from hdtcam.explorer import DesignPoint, evaluate, ideal_accuracy
 from hdtcam.hwmodel import MAX_PRECISION, default_catalog
+
+
+def blocked_point(memory, queries, labels, cfg, hw=None, replicas=1, trials=10, seed=0):
+    """The point of the geometry ``cfg`` under the table ``hw`` at its
+    precision (None: noise-free): ``evaluate`` on the pair histogram clamped
+    at P, the loss taken against the ideal accuracy, the technology and
+    voltage read from the table."""
+    hist = distance_histogram(queries, memory.class_matrix, cfg.dimension, cfg.block_size,
+                              cfg.precision)
+    mean, std, energy, latency = evaluate(hist, memory.class_index(labels), hw, replicas,
+                                          trials, seed, am=memory, queries=queries, cfg=cfg)
+    label = (hw.technology, hw.voltage) if hw else ("", 0.0)
+    return DesignPoint(*label, cfg.block_size, cfg.precision, cfg.dimension, replicas, trials,
+                       mean, std, ideal_accuracy(memory, queries, labels) - mean, energy,
+                       latency)
 
 
 def eval_point(memory, queries, labels, technology=None, voltage=0.7, block_size=None,
@@ -31,6 +46,5 @@ def eval_point(memory, queries, labels, technology=None, voltage=0.7, block_size
         precision = hw.precision if hw else min(block_size, MAX_PRECISION)
     if trials is None:
         trials = 1 if hw is None else 10
-    return evaluate(memory, queries, labels, BlockConfig(d, block_size, precision),
-                    hw=hw and hw.with_precision(precision), replicas=replicas, trials=trials,
-                    seed=seed)
+    return blocked_point(memory, queries, labels, BlockConfig(d, block_size, precision),
+                         hw and hw.with_precision(precision), replicas, trials, seed)

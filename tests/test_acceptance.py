@@ -40,9 +40,9 @@ def hw_catalog():
 
 @pytest.fixture(scope="session")
 def language_precision_rows(language_setup):
-    memory, queries, labels, baseline = language_setup
+    memory, queries, labels, _ = language_setup
     return precision_rows(memory, queries, labels, [2, 3, 4, 5, 6, 7, 8, 10, 12, 15],
-                          list(range(1, 16)), baseline)
+                          list(range(1, 16)))
 
 
 @pytest.fixture(scope="session")
@@ -127,8 +127,8 @@ def test_criterion_04_precision_table(language_precision_rows, image_setup):
     (N=15,P=7) 0.00 % +- 0.1; language (N=15,P=7) 0.81 % +- 0.5. Under 10 min."""
     started = time.perf_counter()
     lang = {(n, p): loss for n, p, _, loss in language_precision_rows}
-    memory, queries, labels, baseline = image_setup
-    image_rows = precision_rows(memory, queries, labels, [7, 15], [7], baseline)
+    memory, queries, labels, _ = image_setup
+    image_rows = precision_rows(memory, queries, labels, [7, 15], [7])
     image = {(n, p): loss for n, p, _, loss in image_rows}
     elapsed = time.perf_counter() - started
     ok = (

@@ -722,13 +722,12 @@ def test_sweep_jobs_progress_lines_whole(small_corpus_dir, tmp_path, capsys, mon
     """Worker threads report through one lock: no interleaved progress lines."""
     train_dir, queries_csv = small_corpus_dir
 
-    def instant_evaluate(am, queries, labels, cfg, hw=None, replicas=1, trials=10,
-                         seed=0, baseline_accuracy=None, histogram=None):
-        return explorer.DesignPoint(hw.technology, hw.voltage, cfg.block_size, cfg.precision,
-                                    cfg.dimension, replicas, trials, 1.0, 0.0, 0.0,
-                                    1.0, 1.0)
+    def instant_evaluate(hist, label_idx, hw=None, replicas=1, trials=10, seed=0, *, am,
+                         queries, cfg):
+        return 1.0, 0.0, 1.0, 1.0
 
     monkeypatch.setattr(explorer, "evaluate", instant_evaluate)
+    monkeypatch.setattr(explorer, "ideal_accuracy", lambda am, queries, labels: 1.0)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

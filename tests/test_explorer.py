@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from criterion_helpers import energy_savings, precision_rows
 from enumeration_oracle import exact_point
+from eval_oracle import blocked_point
 from gaussian_oracle import evaluate_trials
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ from packing import pack, packed_memory, unpack
 
 from hdtcam import am as am_module
 from hdtcam import explorer, hwmodel
-from hdtcam.am import BlockConfig
+from hdtcam.am import BlockConfig, distance_histogram
 from hdtcam.errors import ConfigError, DimensionMismatchError
 from hdtcam.explorer import (
     CSV_COLUMNS,
@@ -96,7 +97,7 @@ def test_derive_point_seed_stable_and_distinct():
 
 def test_evaluate_noise_free_full_precision_equals_ideal(rng):
     am, qs, labels = _toy_dataset(rng)
-    point = evaluate(am, qs, labels, BlockConfig(140, 7, 7), hw=None, trials=3)
+    point = blocked_point(am, qs, labels, BlockConfig(140, 7, 7), hw=None, trials=3)
     assert point.accuracy_mean == pytest.approx(ideal_accuracy(am, qs, labels))
     assert point.accuracy_loss == pytest.approx(0.0)
     assert point.accuracy_std == 0.0  # deterministic: trials collapse
@@ -107,8 +108,8 @@ def test_evaluate_tiny_sigma_table_equals_noise_free(rng):
     cfg = BlockConfig(140, 5, 3)
     mu = np.linspace(2.0, 1.2, 3)
     entry = hwmodel.HwEntry("sram", 0.7, 5, 3, mu, np.full(3, 1e-9), 3.0, np.full(4, 2.0))
-    noisy = evaluate(am, qs, labels, cfg, hw=entry, trials=2, seed=5)
-    clean = evaluate(am, qs, labels, cfg, hw=None, trials=1)
+    noisy = blocked_point(am, qs, labels, cfg, hw=entry, trials=2, seed=5)
+    clean = blocked_point(am, qs, labels, cfg, hw=None, trials=1)
     assert noisy.accuracy_mean == pytest.approx(clean.accuracy_mean)
     # flat 2 fJ per comparison: classes * blocks * 2 / 1000 pJ
     expected_pj = len(am) * cfg.num_blocks * 2.0 / 1000.0
@@ -123,19 +124,25 @@ def test_evaluate_precision_above_table_rejected():
 
 
 def test_evaluate_dimension_mismatch(rng):
+    """A sweep refuses a 140-bit memory given as the data set of 141 bits, which
+    pack to the same bytes, and ``evaluate`` a histogram of another precision."""
     am, qs, labels = _toy_dataset(rng)
-    with pytest.raises(DimensionMismatchError):
-        evaluate(am, qs, labels, BlockConfig(141, 7, 7))
+    plan = plan_eval(hwmodel.default_catalog, 141, None, 0.7, 7, 7, 1, 1, 0)
+    with pytest.raises(DimensionMismatchError, match="points of dimension 141, classes 140"):
+        sweep(plan, {141: (am, qs, labels)})
+    hist = distance_histogram(qs, am.class_matrix, 140, 7, 7)
+    with pytest.raises(ValueError, match=r"does not count 60 queries, 4 classes and P = 5"):
+        evaluate(hist, am.class_index(labels), am=am, queries=qs, cfg=BlockConfig(140, 7, 5))
 
 
 def test_evaluate_deterministic_given_seed(rng):
     am, qs, labels = _toy_dataset(rng, flip=0.3)
     entry = hwmodel.default_catalog().get("fefinfet", 0.5, 7)
     cfg = BlockConfig(140, 7, 7)
-    a = evaluate(am, qs, labels, cfg, hw=entry, trials=4, seed=9)
-    b = evaluate(am, qs, labels, cfg, hw=entry, trials=4, seed=9)
+    a = blocked_point(am, qs, labels, cfg, hw=entry, trials=4, seed=9)
+    b = blocked_point(am, qs, labels, cfg, hw=entry, trials=4, seed=9)
     assert a == b
-    c = evaluate(am, qs, labels, cfg, hw=entry, trials=4, seed=10)
+    c = blocked_point(am, qs, labels, cfg, hw=entry, trials=4, seed=10)
     assert (c.accuracy_mean, c.accuracy_std) != (a.accuracy_mean, a.accuracy_std)
 
 
@@ -145,31 +152,41 @@ def test_evaluate_chunked_draws_equal_one_draw(rng, monkeypatch):
     am, qs, labels = _toy_dataset(rng, flip=0.3)
     entry = hwmodel.default_catalog().get("fefinfet", 0.5, 7)
     cfg = BlockConfig(140, 7, 7)
-    want = evaluate(am, qs, labels, cfg, hw=entry, replicas=3, trials=3, seed=4)
+    want = blocked_point(am, qs, labels, cfg, hw=entry, replicas=3, trials=3, seed=4)
     for chunk in (1, 7 * 4 * 8 * 8 * 8):
         monkeypatch.setattr(am_module, "CHUNK_BYTES", chunk)
-        assert evaluate(am, qs, labels, cfg, hw=entry, replicas=3, trials=3, seed=4) == want
+        assert blocked_point(am, qs, labels, cfg, hw=entry, replicas=3, trials=3, seed=4) == want
 
 
 def test_evaluate_working_set_is_bounded_in_bytes(traced_peak):
-    """800 queries, 8 classes, P = 7 and one noisy trial: beyond its pair
-    histogram, a call holds at most four CHUNK_BYTES, its draws included."""
+    """8000 queries, 16 classes, P = 7 and one noisy trial: beyond the pair
+    histogram it is given, a call holds at most two 8-byte values per query
+    and class or distance, and four CHUNK_BYTES of chunk temporaries, its
+    draws included. A (queries, classes, P + 1) int64 matrix alone would
+    take more."""
     rng = np.random.default_rng(5)
-    am = packed_memory(list("abcdefgh"), rng.integers(0, 2, (8, 10_000), dtype=np.uint8))
-    qs = pack(rng.integers(0, 2, (800, 10_000), dtype=np.uint8))
-    labels = [am.labels[i % 8] for i in range(800)]
+    num_q, classes, precision = 8000, 16, 7
+    am = am_module.AssociativeMemory([f"c{i}" for i in range(classes)],
+                                     rng.integers(0, 256, (classes, 250), dtype=np.uint8), 2000)
+    qs = rng.integers(0, 256, (num_q, 250), dtype=np.uint8)
+    cfg = BlockConfig(2000, 15, precision)
+    hist = distance_histogram(qs, am.class_matrix, 2000, 15, precision)
+    label_idx = np.arange(num_q) % classes
     entry = hwmodel.default_catalog().get("fefinfet", 0.7, 15)
-    point, peak = traced_peak(evaluate, am, qs, labels, BlockConfig(10_000, 15, 7), entry, 1, 1)
-    assert point.energy_pj > 0
-    assert peak <= 800 * 8 * 8 * 8 + 4 * am_module.CHUNK_BYTES
+    metrics, peak = traced_peak(lambda: evaluate(hist, label_idx, entry, 1, 1, am=am,
+                                                 queries=qs, cfg=cfg))
+    assert metrics[2] > 0  # energy: the trial read every block
+    bound = 2 * 8 * num_q * (classes + precision + 1) + 4 * am_module.CHUNK_BYTES
+    assert num_q * classes * (precision + 1) * 8 > bound
+    assert peak <= bound
 
 
 def test_evaluate_replica_voting_improves_noisy_accuracy(rng):
     am, qs, labels = _toy_dataset(rng, flip=0.15)
     entry = hwmodel.default_catalog().get("fefinfet", 0.5, 7)
     cfg = BlockConfig(140, 7, 7)
-    r1 = evaluate(am, qs, labels, cfg, hw=entry, replicas=1, trials=10, seed=3)
-    r7 = evaluate(am, qs, labels, cfg, hw=entry, replicas=7, trials=10, seed=3)
+    r1 = blocked_point(am, qs, labels, cfg, hw=entry, replicas=1, trials=10, seed=3)
+    r7 = blocked_point(am, qs, labels, cfg, hw=entry, replicas=7, trials=10, seed=3)
     assert r7.accuracy_mean >= r1.accuracy_mean
     assert r7.latency_ns >= r1.latency_ns  # max over more parallel draws
 
@@ -193,7 +210,8 @@ def test_evaluate_matches_gaussian_oracle(entry, precision, replicas):
     am, qs, labels = _toy_dataset(np.random.default_rng(12345), flip=0.42)
     cfg = BlockConfig(140, 7, precision)
     trials, oracle_trials = 2000, 600
-    point = evaluate(am, qs, labels, cfg, hw=entry, replicas=replicas, trials=trials, seed=1)
+    point = blocked_point(am, qs, labels, cfg, hw=entry, replicas=replicas, trials=trials,
+                          seed=1)
     ref = evaluate_trials(am, qs, labels, cfg, entry, replicas, oracle_trials, seed=2)
     assert 0.5 < ref[:, 0].mean() < 0.95  # the reports are noisy enough to matter
     for got, column in ((point.accuracy_mean, 0), (point.energy_pj, 1), (point.latency_ns, 2)):
@@ -272,8 +290,8 @@ def test_evaluate_flat_energy_equal_across_replicas_and_seeds(rng):
     am, qs, labels = _toy_dataset(rng, flip=0.42)
     entry = hwmodel.default_catalog().get("fefinfet", 0.7, 7)
     energies = {
-        evaluate(am, qs, labels, BlockConfig(140, 7, 7), hw=entry, replicas=r,
-                 trials=3, seed=seed).energy_pj
+        blocked_point(am, qs, labels, BlockConfig(140, 7, 7), hw=entry, replicas=r,
+                      trials=3, seed=seed).energy_pj
         for r in (1, 3, 7) for seed in (0, 1, 2)
     }
     assert len(energies) == 1
@@ -288,7 +306,7 @@ def test_evaluate_flat_energy_equal_across_replicas_and_seeds(rng):
 def test_unseen_query_label_is_a_miss(rng, hw):
     am, qs, labels = _toy_dataset(rng)
     labels = ["unseen"] + labels[1:]
-    point = evaluate(am, qs, labels, BlockConfig(140, 7, 7), hw=hw, trials=2)
+    point = blocked_point(am, qs, labels, BlockConfig(140, 7, 7), hw=hw, trials=2)
     assert point.accuracy_mean <= 1 - 1 / len(labels)
     [(_, _, acc, _)] = precision_rows(am, qs, labels, [7], [7])
     assert acc == ideal_accuracy(am, qs, labels) <= 1 - 1 / len(labels)
@@ -296,15 +314,15 @@ def test_unseen_query_label_is_a_miss(rng, hw):
 
 def test_evaluate_on_folded_histogram_equals_clamp_and_sum(rng):
     """Noise-free ``evaluate`` on one histogram per N, folded from the largest
-    P as ``sweep`` does, equals clamping the unclamped block distances at each
-    P and summing them, including N that do not divide D."""
+    P by ``sweep``, equals clamping the unclamped block distances at each P
+    and summing them, including N that do not divide D."""
     am, qs, labels = _toy_dataset(rng, dimension=143, flip=0.3)
     block_sizes, precisions = [2, 3, 7, 9, 16, 33, 70], list(range(1, 16))
     baseline = ideal_accuracy(am, qs, labels)
     label_idx = np.array([am.labels.index(label) for label in labels])
     want = distance_oracle.precision_rows(unpack(am.class_matrix, 143), unpack(qs, 143),
                                           label_idx, baseline, block_sizes, precisions)
-    assert precision_rows(am, qs, labels, block_sizes, precisions, baseline) == want
+    assert precision_rows(am, qs, labels, block_sizes, precisions) == want
     assert len({acc for _, _, acc, _ in want}) > 3  # the precisions do differ
 
 
@@ -314,7 +332,8 @@ def test_evaluate_on_folded_histogram_equals_clamp_and_sum(rng):
 
 def test_sweep_builds_one_histogram_per_dimension_and_block_size(rng, monkeypatch):
     """Each (D, N) histogram is built once, clamped at its largest P, and
-    every point folded from it equals a stand-alone evaluate."""
+    every point folded from it equals the point read off the histogram
+    clamped at its own P."""
     small = _toy_dataset(rng, dimension=140, flip=0.3)
     large = _toy_dataset(rng, dimension=280, flip=0.3)
     datasets = {140: small, 280: large}
@@ -333,15 +352,12 @@ def test_sweep_builds_one_histogram_per_dimension_and_block_size(rng, monkeypatc
     points = sweep(plan_sweep(space, cat), datasets, jobs=2)
     assert sorted(built) == [(140, 5, 5), (140, 7, 7), (280, 5, 5), (280, 7, 7)]
     assert [p.config_key for p in points] == list(space.configurations())
-    built.clear()
     for point, (tech, v, n, p, d, r) in zip(points, space.configurations()):
         am, qs, labels = datasets[d]
-        direct = evaluate(am, qs, labels, BlockConfig(d, n, p),
-                          hw=cat.get(tech, v, n).with_precision(p), replicas=r, trials=2,
-                          seed=derive_point_seed(6, (tech, v, n, p, d, r)),
-                          baseline_accuracy=ideal_accuracy(am, qs, labels))
+        direct = blocked_point(am, qs, labels, BlockConfig(d, n, p),
+                               hw=cat.get(tech, v, n).with_precision(p), replicas=r, trials=2,
+                               seed=derive_point_seed(6, (tech, v, n, p, d, r)))
         assert point == direct
-    assert len(built) == len(points)  # evaluate alone builds its own, clamped at P
 
 
 def test_sweep_single_point_equals_evaluate(rng):
@@ -351,12 +367,8 @@ def test_sweep_single_point_equals_evaluate(rng):
                        trials=3, seed=11)
     cat = hwmodel.default_catalog()
     [point] = sweep(plan_sweep(space, cat), {140: (am, qs, labels)})
-    direct = evaluate(
-        am, qs, labels, BlockConfig(140, 7, 7),
-        hw=cat.get("sram", 0.7, 7), trials=3,
-        seed=derive_point_seed(11, ("sram", 0.7, 7, 7, 140, 1)),
-        baseline_accuracy=ideal_accuracy(am, qs, labels),
-    )
+    direct = blocked_point(am, qs, labels, BlockConfig(140, 7, 7), hw=cat.get("sram", 0.7, 7),
+                           trials=3, seed=derive_point_seed(11, ("sram", 0.7, 7, 7, 140, 1)))
     assert point == direct
 
 
@@ -369,6 +381,25 @@ def test_sweep_results_independent_of_jobs(rng):
     serial = sweep(plan_sweep(space, cat), {140: (am, qs, labels)}, jobs=1)
     parallel = sweep(plan_sweep(space, cat), {140: (am, qs, labels)}, jobs=4)
     assert sorted(map(asdict, serial), key=str) == sorted(map(asdict, parallel), key=str)
+
+
+def test_parallel_sweep_builds_one_histogram_ahead(traced_peak):
+    """Two threads over 7 block sizes (2000 queries, 8 classes) hold at most
+    what two serial sweeps do: each histogram is built at most one group
+    ahead of the points running, not all before the first point finishes."""
+    rng = np.random.default_rng(7)
+    num_q, classes, d = 2000, 8, 2000
+    am = am_module.AssociativeMemory([f"c{i}" for i in range(classes)],
+                                     rng.integers(0, 256, (classes, d // 8), dtype=np.uint8), d)
+    datasets = {d: (am, rng.integers(0, 256, (num_q, d // 8), dtype=np.uint8),
+                    [f"c{i % classes}" for i in range(num_q)])}
+    space = SweepSpace(voltages=(0.7,), block_sizes=(7, 8, 10, 12, 15, 20, 25),
+                       precisions=(7,), dimensions=(d,), trials=1)
+    plan = plan_sweep(space, hwmodel.default_catalog())
+    serial, serial_peak = traced_peak(sweep, plan, datasets, 1)
+    parallel, parallel_peak = traced_peak(sweep, plan, datasets, 2)
+    assert parallel == serial
+    assert parallel_peak <= 2 * serial_peak
 
 
 def test_sweep_point_seed_follows_its_configuration_key(rng):
