@@ -26,8 +26,10 @@ MODEL_FORMAT_VERSION = 1
 # Bound in bytes on the largest temporary of one chunk: the block words, XOR
 # words and windows of the distance kernel, a trial's draw in
 # ``explorer.evaluate``, the unpacked bits of ``train``, and in ``encoders``
-# the unpacked gram rows, a piece's int64 window codes (CHUNK_BYTES / 16
-# windows), a chunk of images' pixels and a block of float32 positions.
+# the unpacked gram rows, a piece's int64 window codes (a piece is
+# CHUNK_BYTES / 16 letters of the texts laid end to end; a text going on
+# past it is counted alone from its last n - 1 letters), a chunk of images'
+# pixels and a block of float32 positions.
 CHUNK_BYTES = 500_000
 
 

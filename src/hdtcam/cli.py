@@ -89,7 +89,7 @@ _HARDWARE = ("technology",)
 # one setting.
 _TASK = {
     "task": Setting(str, f"one of {', '.join(sorted(encoders.TASK_SEEDS))}"),
-    "ngram": Setting(int, "language: n-gram size (default 4)"),
+    "ngram": Setting(int, f"language: n-gram size in [1, {encoders.MAX_NGRAM}] (default 4)"),
     "threshold": Setting(int, "mnist: pixel threshold in [1, 255] (default 128)"),
     "item_seed": Setting(int, "item memory seed (default: the task's)"),
     "tie_seed": Setting(int, "majority tie-break seed (default: the task's)"),

@@ -21,7 +21,7 @@ from .errors import (
     atomic_open,
     open_text,
 )
-from .ngram import encode_text_ngram, normalize_text  # re-exported: public here too
+from .ngram import MAX_NGRAM, encode_text_ngram, normalize_text  # re-exported: public here too
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz "
 
@@ -318,9 +318,10 @@ class Task:
     ``kind`` selects the item memory: letters for ``language`` (n-gram text
     encoding), pixel positions for ``mnist`` (thresholded images), none for
     ``csv`` (pre-encoded hypervectors). Unset seeds take the kind's defaults
-    from TASK_SEEDS. A negative seed, an n-gram size below 1 or a pixel
-    threshold outside [1, 255] is refused here, so a command refuses it
-    before it reads any data.
+    from TASK_SEEDS. A negative seed, an n-gram size outside [1, MAX_NGRAM]
+    (13: the longest gram whose window codes fit int64) or a pixel threshold
+    outside [1, 255] is refused here, so a command refuses it before it
+    reads any data.
 
     ``read`` gives a split in the one shape that ``train`` and ``encode``
     take for every kind: items, their string labels and their names in
@@ -347,8 +348,8 @@ class Task:
         for name in ("item_seed", "tie_seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.ngram < 1:
-            raise ValueError(f"n-gram size must be >= 1, got {self.ngram}")
+        if not 1 <= self.ngram <= MAX_NGRAM:
+            raise ValueError(f"n-gram size must be in [1, {MAX_NGRAM}], got {self.ngram}")
         if not 1 <= self.threshold <= 255:
             raise ValueError(f"threshold must be in [1, 255], got {self.threshold}")
         self._dimension = None

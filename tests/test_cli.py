@@ -554,10 +554,11 @@ def test_refused_eval_reads_no_data(flags, error, unseen_label_csv, tmp_path, ca
 @pytest.mark.parametrize("task, flag, value, error", [
     ("language", "--item-seed", "-1", "E-USAGE: item_seed must be >= 0, got -1"),
     ("language", "--tie-seed", "-3", "E-USAGE: tie_seed must be >= 0, got -3"),
-    ("language", "--ngram", "0", "E-USAGE: n-gram size must be >= 1, got 0"),
+    ("language", "--ngram", "0", "E-USAGE: n-gram size must be in [1, 13], got 0"),
+    ("language", "--ngram", "14", "E-USAGE: n-gram size must be in [1, 13], got 14"),
     ("mnist", "--threshold", "0", "E-USAGE: threshold must be in [1, 255], got 0"),
     ("mnist", "--threshold", "256", "E-USAGE: threshold must be in [1, 255], got 256"),
-], ids=["item-seed", "tie-seed", "ngram", "threshold-0", "threshold-256"])
+], ids=["item-seed", "tie-seed", "ngram", "ngram-14", "threshold-0", "threshold-256"])
 def test_refused_task_settings_read_no_data(command, task, flag, value, error,
                                             unseen_label_csv, tmp_path, capsys):
     """A task setting out of range is refused by name before any data is
@@ -1115,7 +1116,7 @@ def test_refusal_names_its_flag_or_file(case, small_corpus_dir, tmp_path, capsys
         "export-without-model": (["export", "model-csv", "--output", str(out)],
                                  "E-CONFIG: export model-csv requires --model"),
         "ngram-0": ([*train, "--train-dir", str(train_dir), "--ngram", "0"],
-                    "E-USAGE: n-gram size must be >= 1, got 0"),
+                    "E-USAGE: n-gram size must be in [1, 13], got 0"),
         "corpus-without-txt": ([*train, "--train-dir", str(empty)],
                                f"E-CONFIG: no .txt corpus files in {empty}"),
     }[case]
