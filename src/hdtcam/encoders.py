@@ -199,11 +199,11 @@ def _read_idx(path, magic: int, dims: int, what: str) -> np.ndarray:
 
 
 def load_mnist(images_path, labels_path):
-    """Parse IDX image/label files into (images, labels) numpy arrays.
-
-    Images come back as (count, rows, cols) uint8, labels as (count,) uint8.
-    """
+    """(images, labels) of an IDX pair, (count, rows, cols) and (count,) uint8;
+    FormatError naming the images file when it holds no image."""
     images = _read_idx(images_path, IDX_IMAGE_MAGIC, 3, "pixel")
+    if not len(images):
+        raise FormatError(f"{images_path}: no images found", location="offset 4")
     labels = _read_idx(labels_path, IDX_LABEL_MAGIC, 1, "label")
     if len(labels) != len(images):
         raise FormatError(f"{labels_path}: {len(labels)} labels for {len(images)} images",

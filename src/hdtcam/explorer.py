@@ -124,34 +124,31 @@ def _fold_histogram(hist: np.ndarray, precision: int) -> np.ndarray:
         [hist[..., :precision], hist[..., precision:].sum(axis=2, keepdims=True)], axis=2)
 
 
-def evaluate(hist: np.ndarray, label_idx: np.ndarray, hw: HwEntry | None = None,
-             replicas: int = 1, trials: int = 10, seed: int = 0, *,
-             am: AssociativeMemory, queries: np.ndarray, cfg: BlockConfig) -> tuple:
+def evaluate(hist: np.ndarray, label_idx: np.ndarray, hw: HwEntry, replicas: int = 1,
+             trials: int = 10, seed: int = 0, *, am: AssociativeMemory, queries: np.ndarray,
+             cfg: BlockConfig) -> tuple:
     """(accuracy mean, accuracy SD, energy pJ, latency ns) per query of one
-    point over ``trials``, read off its pair histogram: ``hist[q, c, h]``
-    blocks of query q and class c at clamped distance h = 0..P, as ``sweep``
-    folds it, and ``label_idx``, each query's true class (-1: a miss). It
-    must have the shape of the memory ``am``, ``queries`` and geometry
-    ``cfg``, from which perfbench's traced runs count a call's reads.
+    point under the hardware table ``hw`` over ``trials``, read off its pair
+    histogram: ``hist[q, c, h]`` blocks of query q and class c at clamped
+    distance h = 0..P, as ``sweep`` folds it, and ``label_idx``, each query's
+    true class (-1: a miss). It must have the shape of the memory ``am``,
+    ``queries`` and geometry ``cfg``, from which perfbench's traced runs
+    count a call's reads.
 
-    A read is a confusion matrix of P(reported j | true h): the identity
-    without the hardware table ``hw``, else the median of ``replicas`` reads
-    of its latencies, and its energies are charged. Reads are independent
-    given the true distance, so a trial reads the histogram in one loop over
-    query chunks, keeping each chunk's hits and the reads per reported
-    distance: a chunk's reports are ``hist[s:e]`` times a matrix of one-hot
-    rows, else one multinomial draw over each pair's histogram, at most
-    ``am.CHUNK_BYTES`` of int64, summed over h (successive draws on one
-    generator draw what one over all queries does). A query's latency is the
-    slowest of its blocks, classes and replicas, which are read in parallel.
+    A read is the median of ``replicas`` reads of the table's latencies, a
+    confusion matrix of P(reported j | true h), and its energies are charged.
+    Reads are independent given the true distance, so a trial reads the
+    histogram in one loop over query chunks, keeping each chunk's hits and
+    the reads per reported distance: a chunk's reports are one multinomial
+    draw over each pair's histogram, at most ``am.CHUNK_BYTES`` of int64,
+    summed over h (successive draws on one generator draw what one over all
+    queries does). A query's latency is the slowest of its blocks, classes
+    and replicas, which are read in parallel.
     """
     if hist.shape != (len(queries), len(am), cfg.precision + 1):
         raise ValueError(f"a pair histogram of shape {hist.shape} does not count "
                          f"{len(queries)} queries, {len(am)} classes and P = {cfg.precision}")
-    cm = (np.eye(hist.shape[2]) if hw is None
-          else median_confusion(confusion_from_latency(hw), replicas))
-    one_hot = cm == 1.0
-    fixed = one_hot.astype(np.int64) if one_hot.any(axis=1).all() else None
+    cm = median_confusion(confusion_from_latency(hw), replicas)
     reported = np.arange(cm.shape[1])
     reads = replicas * hist.sum(axis=1)  # per query and true distance
     num_q = hist.shape[0]
@@ -161,15 +158,13 @@ def evaluate(hist: np.ndarray, label_idx: np.ndarray, hw: HwEntry | None = None,
         rng = np.random.default_rng(trial_seed)
         correct, per_distance = 0, np.zeros(cm.shape[1], np.int64)
         for s in range(0, num_q, step):
-            counts = (hist[s:s + step] @ fixed if fixed is not None
-                      else rng.multinomial(hist[s:s + step], cm).sum(axis=2))
+            counts = rng.multinomial(hist[s:s + step], cm).sum(axis=2)
             preds = np.argmin(counts @ reported, axis=1)
             correct += np.count_nonzero(preds == label_idx[s:s + step])
             per_distance += counts.sum(axis=(0, 1))
         accuracies.append(correct / num_q)
-        energies.append(0.0 if hw is None else energy_pj(hw.energy_fj, per_distance) / num_q)
-        latencies.append(0.0 if hw is None else
-                         float(hw.slowest_latency(reads, rng).sum()) / num_q)
+        energies.append(energy_pj(hw.energy_fj, per_distance) / num_q)
+        latencies.append(float(hw.slowest_latency(reads, rng).sum()) / num_q)
     return (float(np.mean(accuracies)), float(np.std(accuracies)), float(np.mean(energies)),
             float(np.mean(latencies)))
 
@@ -243,11 +238,11 @@ def sweep(plan: tuple, datasets: dict, jobs: int = 1, done=(), progress=None) ->
     or ``jobs`` (threads) below 1, fails before the first point runs. Per
     dimension the labels are indexed and the ideal accuracy, the ideal
     point's and every point's loss baseline, taken once; per (D, N) one pair
-    histogram is built, clamped at the largest P it serves, and folded for
-    each blocked point for ``evaluate``. Every point is built here from its
-    setup's configuration. With ``jobs`` above 1 this thread builds each
-    histogram while the workers run the group before it. Results are
-    independent of ``jobs``.
+    histogram is built, clamped at the largest P it serves. Each point is built
+    here from its setup: read exactly without a table (the ideal accuracy, or
+    the argmin of the histogram weighted by min(h, P)), else by ``evaluate`` on
+    the histogram folded to its P. With ``jobs`` above 1 this thread builds each
+    histogram while the workers run the group before it; results do not depend on ``jobs``.
     """
     check_jobs(jobs)
     dimensions = dict.fromkeys(setup.config[4] for setup in plan)
@@ -275,12 +270,20 @@ def sweep(plan: tuple, datasets: dict, jobs: int = 1, done=(), progress=None) ->
     def run(i, hist):
         config, cfg, hw, trials, seed = todo[i]
         d = config[4]
-        baseline = baselines[d]
-        am, queries, _labels = datasets[d]
-        mean, std, energy, latency = (baseline, 0.0, 0.0, 0.0) if cfg is None else evaluate(
-            _fold_histogram(hist, cfg.precision), label_idx[d], hw, config[5], trials, seed,
-            am=am, queries=queries, cfg=cfg)
-        point = DesignPoint(*config, trials, mean, std, baseline - mean, energy, latency)
+        if hw is None:  # read exactly: no draw, no energy and no latency
+            mean = baselines[d] if cfg is None else float(np.mean(label_idx[d] == np.argmin(
+                hist @ np.minimum(np.arange(hist.shape[2]), cfg.precision), axis=1)))
+            std = energy = latency = 0.0
+        else:
+            am, queries, _labels = datasets[d]
+            mean, std, energy, latency = evaluate(
+                _fold_histogram(hist, cfg.precision), label_idx[d], hw, config[5], trials, seed,
+                am=am, queries=queries, cfg=cfg)
+        if not all(map(math.isfinite, (mean, std, energy, latency))):
+            named = " ".join(f"{column}={x}" for (_, column, _), x in zip(COLUMNS, config))
+            raise ConfigError(f"{named}: a metric is not finite (energy {energy} pJ, latency "
+                              f"{latency} ns per query); its hardware table's numbers overflow")
+        point = DesignPoint(*config, trials, mean, std, baselines[d] - mean, energy, latency)
         if progress is not None:
             with lock:
                 progress(point)
@@ -399,10 +402,8 @@ def read_results_csv(path) -> tuple:
             if cells == header:
                 continue
             if len(cells) != len(header):
-                raise FormatError(
-                    f"{path}: expected {len(header)} columns, got {len(cells)}",
-                    location=f"row {lineno}",
-                )
+                raise FormatError(f"{path}: expected {len(header)} columns, got {len(cells)}",
+                                  location=f"row {lineno}")
             try:
                 points.append(_point_from_dict(dict(zip(header, cells))))
             except ValueError as exc:
@@ -437,10 +438,8 @@ class SweepLog:
         except json.JSONDecodeError:
             header = None
         if not isinstance(header, dict) or "config_hash" not in header:
-            raise ConfigError(
-                f"{self.path}: no configuration header (written by an older hdtcam); "
-                "delete it to start the sweep over"
-            )
+            raise ConfigError(f"{self.path}: no configuration header (written by an older "
+                              "hdtcam); delete it to start the sweep over")
         if header["config_hash"] != self.config_hash:
             raise ConfigError(
                 f"{self.path}: written by a sweep with config_hash {header['config_hash']}, "

@@ -2,13 +2,17 @@
 
 ``cli.cmd_eval`` sets up a plan of one point with ``explorer.plan_eval`` and
 runs it with ``explorer.sweep``, which takes the loss baseline, the label
-index and the pair histogram once for every point of a plan, folds the
-histogram for each point and builds every point. This module keeps the
-computation that path must reproduce byte for byte: the ideal point built by
-hand from ``ideal_accuracy``, and a blocked point from its own geometry, its
-table at the point's precision, a pair histogram clamped at its precision
-and one ``evaluate`` call with eval's seed as given.
+index and the pair histogram once for every point of a plan, reads a point
+without a table exactly and one with a table through ``evaluate``, and builds
+every point. This module keeps the computation that path must reproduce byte
+for byte: the ideal point built by hand from ``ideal_accuracy``, and a
+blocked point from its own geometry and a pair histogram clamped at its
+precision, read without a table as the argmin of each query's clamped totals,
+and under its table at the point's precision by one ``evaluate`` call with
+eval's seed as given.
 """
+
+import numpy as np
 
 from hdtcam.am import BlockConfig, distance_histogram
 from hdtcam.explorer import DesignPoint, evaluate, ideal_accuracy
@@ -17,13 +21,20 @@ from hdtcam.hwmodel import MAX_PRECISION, default_catalog
 
 def blocked_point(memory, queries, labels, cfg, hw=None, replicas=1, trials=10, seed=0):
     """The point of the geometry ``cfg`` under the table ``hw`` at its
-    precision (None: noise-free): ``evaluate`` on the pair histogram clamped
-    at P, the loss taken against the ideal accuracy, the technology and
-    voltage read from the table."""
+    precision: ``evaluate`` on the pair histogram clamped at P, or without a
+    table the exact read, the accuracy of each query's argmin over its clamped
+    totals, with no SD, energy or latency; the loss taken against the ideal
+    accuracy, the technology and voltage read from the table."""
     hist = distance_histogram(queries, memory.class_matrix, cfg.dimension, cfg.block_size,
                               cfg.precision)
-    mean, std, energy, latency = evaluate(hist, memory.class_index(labels), hw, replicas,
-                                          trials, seed, am=memory, queries=queries, cfg=cfg)
+    label_idx = memory.class_index(labels)
+    if hw is None:
+        totals = hist @ np.arange(cfg.precision + 1)
+        mean = float(np.mean(np.argmin(totals, axis=1) == label_idx))
+        std = energy = latency = 0.0
+    else:
+        mean, std, energy, latency = evaluate(hist, label_idx, hw, replicas, trials, seed,
+                                              am=memory, queries=queries, cfg=cfg)
     label = (hw.technology, hw.voltage) if hw else ("", 0.0)
     return DesignPoint(*label, cfg.block_size, cfg.precision, cfg.dimension, replicas, trials,
                        mean, std, ideal_accuracy(memory, queries, labels) - mean, energy,

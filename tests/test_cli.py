@@ -113,6 +113,34 @@ def test_train_mnist_task(tmp_path):
     assert point.config_key == ("sram", 0.7, 15, 7, 600, 1)
 
 
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_idx_pair_without_images_is_a_format_error(split, tmp_path, capsys):
+    """An IDX pair of zero images is refused naming its images file, the
+    training pair by ``train`` and the test pair by ``eval``, as an empty
+    ``label,bits`` file is."""
+    images, labels, _, _ = make_image_benchmark(num_classes=2, train_per_class=3,
+                                                test_per_class=1, side=8, seed=4)
+    ip, lp = tmp_path / "img.idx", tmp_path / "lab.idx"
+    empty_ip, empty_lp = tmp_path / "empty_img.idx", tmp_path / "empty_lab.idx"
+    save_mnist(ip, lp, images, labels)
+    save_mnist(empty_ip, empty_lp, images[:0], labels[:0])
+    model, out = tmp_path / "m.json", tmp_path / "out.csv"
+    train = ["train", "--task", "mnist", "--dimension", "600", "--output", str(model)]
+    if split == "train":
+        argv = [*train, "--train-images", str(empty_ip), "--train-labels", str(empty_lp)]
+        written = model
+    else:
+        assert run_cli(*train, "--train-images", str(ip), "--train-labels", str(lp)) == 0
+        argv = ["eval", "--model", str(model), "--task", "mnist", "--test-images",
+                str(empty_ip), "--test-labels", str(empty_lp), "--output", str(out)]
+        written = out
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: E-FORMAT: {empty_ip}: no images found"), err
+    assert not written.exists()
+
+
 def test_config_file_with_flag_override(small_corpus_dir, tmp_path):
     train_dir, _ = small_corpus_dir
     cfg = tmp_path / "cfg.json"
@@ -211,8 +239,9 @@ def _run_eval_mode(mode, noisy_csv, output):
 @pytest.mark.parametrize("mode", EVAL_MODES)
 def test_eval_point_equals_the_direct_computation(mode, noisy_csv, tmp_path):
     """The row eval writes is the row of the point computed directly: the
-    ideal point built from the ideal accuracy, a blocked one from one
-    ``evaluate`` call with eval's seed as given."""
+    ideal point built from the ideal accuracy, a noise-free blocked one from
+    the argmin of its clamped totals, one under a table from one ``evaluate``
+    call with eval's seed as given."""
     test, model = noisy_csv
     out = tmp_path / "out.csv"
     assert _run_eval_mode(mode, noisy_csv, out) == 0
@@ -723,7 +752,7 @@ def test_sweep_jobs_progress_lines_whole(small_corpus_dir, tmp_path, capsys, mon
     """Worker threads report through one lock: no interleaved progress lines."""
     train_dir, queries_csv = small_corpus_dir
 
-    def instant_evaluate(hist, label_idx, hw=None, replicas=1, trials=10, seed=0, *, am,
+    def instant_evaluate(hist, label_idx, hw, replicas=1, trials=10, seed=0, *, am,
                          queries, cfg):
         return 1.0, 0.0, 1.0, 1.0
 
@@ -1232,6 +1261,30 @@ def test_malformed_model_and_tables_exit_codes(tmp_path, capsys):
     assert run_cli("hwmodel", "validate", "--tables", str(tables)) != 0
     err = capsys.readouterr().err
     assert err.startswith("error: E-CONFIG:") and "tables[0]" in err and "ascending" in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("command", ["sweep", "eval-hw"])
+def test_table_whose_metrics_overflow_is_a_config_error(command, unseen_label_csv, tmp_path,
+                                                        capsys):
+    """A table that passes validation, but whose energies overflow a point's
+    energy, is refused with E-CONFIG naming the point's configuration before
+    the point is logged or written: no results file and no resume log."""
+    tables = tmp_path / "t.json"
+    assert run_cli("export", "hw-tables", "--output", str(tables)) == 0
+    [entry] = [e for e in json.loads(tables.read_text())["tables"]
+               if (e["technology"], e["voltage_V"], e["block_size"]) == ("sram", 1.0, 8)]
+    tables.write_text(json.dumps({"tables": [dict(entry, energy_fJ=1e308)]}))
+    assert run_cli("hwmodel", "validate", "--tables", str(tables)) == 0
+    capsys.readouterr()
+    assert _run_configured(command, {"hw_tables": str(tables)}, unseen_label_csv, tmp_path) == 2
+    err = capsys.readouterr().err
+    precision = 4 if command == "sweep" else 7
+    assert err.startswith(f"error: E-CONFIG: technology=sram voltage_V=1.0 block_size=8 "
+                          f"precision={precision} dimension=64 replicas=1: a metric is not "
+                          "finite (energy inf pJ"), err
+    _assert_nothing_written(tmp_path)
+    assert not (tmp_path / "out_pareto.csv").exists()
 
 
 @pytest.mark.parametrize("flag", ["--tables", "--config", "--model", "--input", "--train-csv"])

@@ -95,12 +95,40 @@ def test_derive_point_seed_stable_and_distinct():
 # evaluate
 
 
+def _noise_free_point(am, qs, labels, block_size, precision, trials=1):
+    """The point ``sweep`` reads exactly from eval's plan without a table."""
+    plan = plan_eval(hwmodel.default_catalog, am.dimension, None, 0.7, block_size, precision,
+                     1, trials, 0)
+    [point] = sweep(plan, {am.dimension: (am, qs, labels)})
+    return point
+
+
 def test_evaluate_noise_free_full_precision_equals_ideal(rng):
+    """A point without a table at P = N reads the ideal accuracy, loses
+    nothing and has no spread over its trials."""
     am, qs, labels = _toy_dataset(rng)
-    point = blocked_point(am, qs, labels, BlockConfig(140, 7, 7), hw=None, trials=3)
+    point = _noise_free_point(am, qs, labels, 7, 7, trials=3)
     assert point.accuracy_mean == pytest.approx(ideal_accuracy(am, qs, labels))
     assert point.accuracy_loss == pytest.approx(0.0)
     assert point.accuracy_std == 0.0  # deterministic: trials collapse
+
+
+def test_point_without_a_table_is_read_exactly(rng, monkeypatch):
+    """The ideal point and a noise-free point at 1 and at 3 trials each equal
+    the argmin of their clamped totals exactly, with no SD, energy or
+    latency, and draw nothing: no generator is made."""
+    am, qs, labels = _toy_dataset(rng, flip=0.4)
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a point without a table made a generator")
+
+    monkeypatch.setattr(explorer.np.random, "default_rng", no_generator)
+    ideal = _noise_free_point(am, qs, labels, None, None)
+    assert ideal == blocked_point(am, qs, labels, BlockConfig(140, 140, 140), trials=1)
+    for trials in (1, 3):
+        point = _noise_free_point(am, qs, labels, 7, 2, trials)
+        assert point == blocked_point(am, qs, labels, BlockConfig(140, 7, 2), trials=trials)
+    assert point.accuracy_mean < ideal.accuracy_mean < 1  # P = 2 clamps accuracy away
 
 
 def test_evaluate_tiny_sigma_table_equals_noise_free(rng):
@@ -109,7 +137,7 @@ def test_evaluate_tiny_sigma_table_equals_noise_free(rng):
     mu = np.linspace(2.0, 1.2, 3)
     entry = hwmodel.HwEntry("sram", 0.7, 5, 3, mu, np.full(3, 1e-9), 3.0, np.full(4, 2.0))
     noisy = blocked_point(am, qs, labels, cfg, hw=entry, trials=2, seed=5)
-    clean = blocked_point(am, qs, labels, cfg, hw=None, trials=1)
+    clean = _noise_free_point(am, qs, labels, 5, 3)
     assert noisy.accuracy_mean == pytest.approx(clean.accuracy_mean)
     # flat 2 fJ per comparison: classes * blocks * 2 / 1000 pJ
     expected_pj = len(am) * cfg.num_blocks * 2.0 / 1000.0
@@ -125,14 +153,19 @@ def test_evaluate_precision_above_table_rejected():
 
 def test_evaluate_dimension_mismatch(rng):
     """A sweep refuses a 140-bit memory given as the data set of 141 bits, which
-    pack to the same bytes, and ``evaluate`` a histogram of another precision."""
+    pack to the same bytes, for a point read exactly or under a table, and
+    ``evaluate`` a histogram of another precision."""
     am, qs, labels = _toy_dataset(rng)
-    plan = plan_eval(hwmodel.default_catalog, 141, None, 0.7, 7, 7, 1, 1, 0)
-    with pytest.raises(DimensionMismatchError, match="points of dimension 141, classes 140"):
-        sweep(plan, {141: (am, qs, labels)})
+    for technology in (None, "sram"):
+        plan = plan_eval(hwmodel.default_catalog, 141, technology, 0.7, 7, 7, 1, 1, 0)
+        with pytest.raises(DimensionMismatchError,
+                           match="points of dimension 141, classes 140"):
+            sweep(plan, {141: (am, qs, labels)})
     hist = distance_histogram(qs, am.class_matrix, 140, 7, 7)
+    entry = hwmodel.default_catalog().get("sram", 0.7, 7).with_precision(5)
     with pytest.raises(ValueError, match=r"does not count 60 queries, 4 classes and P = 5"):
-        evaluate(hist, am.class_index(labels), am=am, queries=qs, cfg=BlockConfig(140, 7, 5))
+        evaluate(hist, am.class_index(labels), entry, am=am, queries=qs,
+                 cfg=BlockConfig(140, 7, 5))
 
 
 def test_evaluate_deterministic_given_seed(rng):
@@ -158,10 +191,11 @@ def test_evaluate_chunked_draws_equal_one_draw(rng, monkeypatch):
         assert blocked_point(am, qs, labels, cfg, hw=entry, replicas=3, trials=3, seed=4) == want
 
 
-def test_evaluate_working_set_is_bounded_in_bytes(traced_peak):
-    """8000 queries, 16 classes, P = 7 and one noisy trial: beyond the pair
-    histogram it is given, a call holds at most two 8-byte values per query
-    and class or distance, and four CHUNK_BYTES of chunk temporaries, its
+def test_evaluate_working_set_is_bounded_in_bytes(traced_peak, monkeypatch):
+    """8000 queries, 16 classes, P = 7: beyond the pair histogram it is
+    given, one noisy trial of ``evaluate``, and the exact read of a point
+    without a table by ``sweep``, each hold at most two 8-byte values per
+    query and class or distance, and four CHUNK_BYTES of chunk temporaries,
     draws included. A (queries, classes, P + 1) int64 matrix alone would
     take more."""
     rng = np.random.default_rng(5)
@@ -178,6 +212,13 @@ def test_evaluate_working_set_is_bounded_in_bytes(traced_peak):
     assert metrics[2] > 0  # energy: the trial read every block
     bound = 2 * 8 * num_q * (classes + precision + 1) + 4 * am_module.CHUNK_BYTES
     assert num_q * classes * (precision + 1) * 8 > bound
+    assert peak <= bound
+    monkeypatch.setattr(explorer, "distance_histogram", lambda *args: hist)
+    labels = [f"c{i}" for i in label_idx]
+    plan = plan_eval(hwmodel.default_catalog, 2000, None, 0.7, 15, precision, 1, 1, 0)
+    [point], peak = traced_peak(lambda: sweep(plan, {2000: (am, qs, labels)}))
+    assert point.accuracy_mean == np.mean(
+        np.argmin(hist @ np.arange(precision + 1), axis=1) == label_idx)
     assert peak <= bound
 
 
@@ -301,12 +342,14 @@ def test_evaluate_flat_energy_equal_across_replicas_and_seeds(rng):
     assert len({hwmodel.energy_pj(flat, counts) for counts in splits}) == 1
 
 
-@pytest.mark.parametrize("hw", [None, hwmodel.default_catalog().get("sram", 1.0, 7)],
-                         ids=["ideal", "sram"])
-def test_unseen_query_label_is_a_miss(rng, hw):
+@pytest.mark.parametrize("technology", [None, "sram"], ids=["ideal", "sram"])
+def test_unseen_query_label_is_a_miss(rng, technology):
+    """A query whose label the memory does not hold is a miss, read exactly
+    without a table and under one."""
     am, qs, labels = _toy_dataset(rng)
     labels = ["unseen"] + labels[1:]
-    point = blocked_point(am, qs, labels, BlockConfig(140, 7, 7), hw=hw, trials=2)
+    plan = plan_eval(hwmodel.default_catalog, 140, technology, 1.0, 7, 7, 1, 2, 0)
+    [point] = sweep(plan, {140: (am, qs, labels)})
     assert point.accuracy_mean <= 1 - 1 / len(labels)
     [(_, _, acc, _)] = precision_rows(am, qs, labels, [7], [7])
     assert acc == ideal_accuracy(am, qs, labels) <= 1 - 1 / len(labels)
