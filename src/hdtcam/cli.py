@@ -10,6 +10,7 @@ byte-identical. Outputs are written to a temp file renamed into place.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -83,6 +84,8 @@ class Setting(typing.NamedTuple):
 # model (a technology).
 _BLOCKED = ("block_size", "technology")
 _HARDWARE = ("technology",)
+# The settings of eval's point, which explorer.plan_eval takes as given.
+_POINT = ("technology", "voltage", "block_size", "precision", "replicas", "trials", "seed")
 
 # The settings of each subcommand that reads --config. A setting x_y is also
 # the flag --x-y, a list given comma-separated; a flag and its config key are
@@ -91,10 +94,11 @@ _TASK = {
     "task": Setting(str, f"one of {', '.join(sorted(encoders.TASK_SEEDS))}"),
     "ngram": Setting(int, f"language: n-gram size in [1, {encoders.MAX_NGRAM}] (default 4)"),
     "threshold": Setting(int, "mnist: pixel threshold in [1, 255] (default 128)"),
+}
+# Training's seeds and files: eval encodes with the seeds of its model.
+_TRAINING = {
     "item_seed": Setting(int, "item memory seed (default: the task's)"),
     "tie_seed": Setting(int, "majority tie-break seed (default: the task's)"),
-}
-_TRAIN_FILES = {
     "train_dir": Setting(str, "language: directory of <label>.txt corpora"),
     "train_images": Setting(str, "mnist: IDX images"),
     "train_labels": Setting(str, "mnist: IDX labels"),
@@ -108,7 +112,7 @@ _TEST_FILES = {
 }
 _SEED = {"seed": Setting(int, "master seed (default 0)")}
 SETTINGS = {
-    "train": {**_TASK, **_TRAIN_FILES, **_SEED,
+    "train": {**_TASK, **_TRAINING, **_SEED,
               "dimension": Setting(int, "hypervector dimension (default 10000)")},
     "eval": {**_TASK, **_TEST_FILES, **_SEED,
              "hw_tables": Setting(str, "JSON tables (default: built-in)", _HARDWARE),
@@ -120,7 +124,7 @@ SETTINGS = {
                                   _BLOCKED),
              "replicas": Setting(int, "odd replica count (default 1)", _HARDWARE),
              "trials": Setting(int, "noisy trials (default 10)", _HARDWARE)},
-    "sweep": {**_TASK, **_TRAIN_FILES, **_TEST_FILES,
+    "sweep": {**_TASK, **_TRAINING, **_TEST_FILES,
               "hw_tables": Setting(str, "JSON tables (default: built-in)"),
               **{name: Setting(kind, ("comma-separated; " if isinstance(kind, list) else "")
                                + f"default {getattr(explorer.SweepSpace, name)}")
@@ -191,6 +195,8 @@ def cmd_train(args) -> int:
         "tie_seed": task.tie_seed,
         "config_hash": _config_hash(doc, task),
     }
+    if task.kind == "mnist":  # eval refuses test images of another shape
+        meta["image_shape"] = list(items.shape[1:])
     am_mod.save_model(args.output, memory, seed_metadata=meta)
     print(f"trained {len(memory)} classes at dimension {memory.dimension} "
           f"in {elapsed:.2f} s -> {args.output}")
@@ -201,18 +207,16 @@ def cmd_eval(args) -> int:
     cfg, doc = _effective_config(args)
     memory, meta = am_mod.load_model(args.model)
     task = _task(cfg, meta)
-    seed = cfg.get("seed", 0)
-    technology = cfg.get("technology")
-    hardware = technology is not None
-    plan = explorer.plan_eval(
-        lambda: _load_catalog(cfg.get("hw_tables")), memory.dimension, technology,
-        cfg.get("voltage", 0.7), cfg.get("block_size", 15 if hardware else None),
-        cfg.get("precision"), cfg.get("replicas", 1), cfg.get("trials", 10 if hardware else 1),
-        seed)
+    shape = setting(meta, "image_shape", [int])
+    plan = explorer.plan_eval(lambda: _load_catalog(cfg.get("hw_tables")), memory.dimension,
+                              **{name: cfg[name] for name in _POINT if name in cfg})
     items, labels, names = task.read(cfg, "test")
+    if task.kind == "mnist" and shape not in (None, list(items.shape[1:])):
+        raise DimensionMismatchError(f"test images of shape {list(items.shape[1:])}, "
+                                     f"the model's images of shape {shape}")
     queries = task.encode(items, memory.dimension, names)
     [point] = explorer.sweep(plan, {memory.dimension: (memory, queries, labels)})
-    if hardware:
+    if point.technology:
         print(f"accuracy {point.accuracy_mean:.4f} ± {point.accuracy_std:.4f} "
               f"(loss {100 * point.accuracy_loss:.3f} % vs ideal), "
               f"energy {point.energy_pj:.3f} pJ/query, "
@@ -220,7 +224,7 @@ def cmd_eval(args) -> int:
     else:
         print(f"accuracy {point.accuracy_mean:.4f} over {len(labels)} queries")
     if args.output:
-        lines = _metadata_lines(_config_hash(doc, task), seed, args.deterministic)
+        lines = _metadata_lines(_config_hash(doc, task), cfg.get("seed", 0), args.deterministic)
         with atomic_open(args.output) as f:
             explorer.write_results_csv([point], f, metadata_lines=lines)
         print(f"wrote {args.output}")
@@ -350,6 +354,9 @@ def _flag_type(kind):
     return items
 
 
+# Built once per process: a parser is about 250 KB of reference cycles, which
+# every in-process command would otherwise leave to the garbage collector.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hdtcam",

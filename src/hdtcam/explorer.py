@@ -204,27 +204,26 @@ def plan_sweep(space: SweepSpace, catalog: Catalog) -> tuple:
                  for config, cfg, hw in zip(configs, geometry, tables))
 
 
-def plan_eval(catalog, dimension, technology, voltage, block_size, precision, replicas, trials,
-              seed) -> tuple:
-    """The plan of an eval's one point, set up before it reads a query, with
-    ``seed`` as given: the ideal point without a technology and a block size,
-    else blocked, under the table of ``technology`` at ``voltage`` and N from
-    ``catalog()`` at the point's precision, or noise-free without a
-    technology. P defaults to the table's, else min(N, MAX_PRECISION)."""
+def plan_eval(catalog, dimension, technology=None, voltage=0.7, block_size=None, precision=None,
+              replicas=1, trials=None, seed=0) -> tuple:
+    """The plan of an eval's one point, set up before it reads a query: the
+    ideal point without a technology and a block size, noise-free blocked
+    without a technology (P defaults to min(N, MAX_PRECISION), trials to 1),
+    else the one-point sweep over ``catalog()``, seeded as a sweep's row (N
+    defaults to 15, P to the table's, trials to 10)."""
     if technology is None and block_size is None:
         return (Setup(("", 0.0, dimension, dimension, dimension, 1), None, None, 1, seed),)
-    hw = None if technology is None else catalog().get(technology, voltage, block_size)
+    if technology is None:
+        precision = min(block_size, MAX_PRECISION) if precision is None else precision
+        return (Setup(("", 0.0, block_size, precision, dimension, replicas),
+                      BlockConfig(dimension, block_size, precision), None,
+                      1 if trials is None else trials, seed),)
+    catalog, block_size = catalog(), 15 if block_size is None else block_size
     if precision is None:
-        precision = hw.precision if hw else min(block_size, MAX_PRECISION)
-    cfg = BlockConfig(dimension, block_size, precision)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    check_replicas(replicas)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    hw = hw and hw.with_precision(precision)
-    label = (hw.technology, hw.voltage) if hw else ("", 0.0)
-    return (Setup((*label, block_size, precision, dimension, replicas), cfg, hw, trials, seed),)
+        precision = catalog.get(technology, voltage, block_size).precision
+    space = SweepSpace((technology,), (voltage,), (block_size,), (precision,), (dimension,),
+                       (replicas,), 10 if trials is None else trials, seed)
+    return plan_sweep(space, catalog)
 
 
 def sweep(plan: tuple, datasets: dict, jobs: int = 1, done=(), progress=None) -> list:
@@ -274,11 +273,12 @@ def sweep(plan: tuple, datasets: dict, jobs: int = 1, done=(), progress=None) ->
             mean = baselines[d] if cfg is None else float(np.mean(label_idx[d] == np.argmin(
                 hist @ np.minimum(np.arange(hist.shape[2]), cfg.precision), axis=1)))
             std = energy = latency = 0.0
-        else:
+        else:  # an overflow is reported once, by the finite check below
             am, queries, _labels = datasets[d]
-            mean, std, energy, latency = evaluate(
-                _fold_histogram(hist, cfg.precision), label_idx[d], hw, config[5], trials, seed,
-                am=am, queries=queries, cfg=cfg)
+            with np.errstate(over="ignore"):
+                mean, std, energy, latency = evaluate(
+                    _fold_histogram(hist, cfg.precision), label_idx[d], hw, config[5], trials,
+                    seed, am=am, queries=queries, cfg=cfg)
         if not all(map(math.isfinite, (mean, std, energy, latency))):
             named = " ".join(f"{column}={x}" for (_, column, _), x in zip(COLUMNS, config))
             raise ConfigError(f"{named}: a metric is not finite (energy {energy} pJ, latency "

@@ -9,13 +9,14 @@ for byte: the ideal point built by hand from ``ideal_accuracy``, and a
 blocked point from its own geometry and a pair histogram clamped at its
 precision, read without a table as the argmin of each query's clamped totals,
 and under its table at the point's precision by one ``evaluate`` call with
-eval's seed as given.
+the seed a sweep derives for the point from eval's seed and its
+configuration key.
 """
 
 import numpy as np
 
 from hdtcam.am import BlockConfig, distance_histogram
-from hdtcam.explorer import DesignPoint, evaluate, ideal_accuracy
+from hdtcam.explorer import DesignPoint, config_key, derive_point_seed, evaluate, ideal_accuracy
 from hdtcam.hwmodel import MAX_PRECISION, default_catalog
 
 
@@ -57,5 +58,8 @@ def eval_point(memory, queries, labels, technology=None, voltage=0.7, block_size
         precision = hw.precision if hw else min(block_size, MAX_PRECISION)
     if trials is None:
         trials = 1 if hw is None else 10
+    if hw is not None:
+        seed = derive_point_seed(seed, config_key(hw.technology, hw.voltage, block_size,
+                                                  precision, d, replicas))
     return blocked_point(memory, queries, labels, BlockConfig(d, block_size, precision),
                          hw and hw.with_precision(precision), replicas, trials, seed)

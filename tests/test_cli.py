@@ -141,6 +141,58 @@ def test_idx_pair_without_images_is_a_format_error(split, tmp_path, capsys):
     assert not written.exists()
 
 
+@pytest.fixture()
+def mnist_model(tmp_path):
+    """An mnist model trained on 8x8 images, and a test pair of 6x6 images."""
+    images, labels, _, _ = make_image_benchmark(num_classes=3, train_per_class=3,
+                                                test_per_class=1, side=8, seed=4)
+    _, _, small, small_labels = make_image_benchmark(num_classes=3, train_per_class=1,
+                                                     test_per_class=2, side=6, seed=5)
+    ip, lp = tmp_path / "img.idx", tmp_path / "lab.idx"
+    tip, tlp = tmp_path / "small_img.idx", tmp_path / "small_lab.idx"
+    save_mnist(ip, lp, images, labels)
+    save_mnist(tip, tlp, small, small_labels)
+    model = tmp_path / "mnist.json"
+    assert run_cli("train", "--task", "mnist", "--train-images", str(ip), "--train-labels",
+                   str(lp), "--dimension", "600", "--output", str(model)) == 0
+    return model, ["--task", "mnist", "--test-images", str(tip), "--test-labels", str(tlp)]
+
+
+def test_eval_refuses_images_of_another_shape(mnist_model, unseen_label_csv, tmp_path, capsys,
+                                              monkeypatch):
+    """An mnist model records its images' shape, and eval refuses test images
+    of another shape with E-DIMENSION before it encodes them, writing no file;
+    a model without the shape, as a csv model is, is read as before."""
+    model, test_flags = mnist_model
+    assert load_model(model)[1]["image_shape"] == [8, 8]
+    assert "image_shape" not in load_model(unseen_label_csv[2])[1]
+    out = tmp_path / "out.csv"
+    with monkeypatch.context() as patch:
+        patch.setattr(encoders, "encode_images", lambda *args, **kwargs: pytest.fail("encoded"))
+        assert run_cli("eval", "--model", str(model), *test_flags, "--output", str(out)) == 2
+    assert capsys.readouterr().err == ("error: E-DIMENSION: test images of shape [6, 6], "
+                                       "the model's images of shape [8, 8]\n")
+    assert not out.exists()
+    doc = json.loads(model.read_text())
+    del doc["seed_metadata"]["image_shape"]
+    model.write_text(json.dumps(doc))
+    assert run_cli("eval", "--model", str(model), *test_flags) == 0
+
+
+@pytest.mark.parametrize("shape", ["8x8", [8.0, 8.0], 8, None],
+                         ids=["string", "floats", "scalar", "null"])
+def test_model_image_shape_of_another_type_is_refused(shape, mnist_model, tmp_path, capsys):
+    """A model whose ``image_shape`` is not a list of integers exits E-CONFIG
+    naming the key, as a seed of another type in its metadata does."""
+    model, test_flags = mnist_model
+    doc = json.loads(model.read_text())
+    doc["seed_metadata"]["image_shape"] = shape
+    model.write_text(json.dumps(doc))
+    assert run_cli("eval", "--model", str(model), *test_flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: E-CONFIG: 'image_shape' must be a list of int"), err
+
+
 def test_config_file_with_flag_override(small_corpus_dir, tmp_path):
     train_dir, _ = small_corpus_dir
     cfg = tmp_path / "cfg.json"
@@ -241,7 +293,7 @@ def test_eval_point_equals_the_direct_computation(mode, noisy_csv, tmp_path):
     """The row eval writes is the row of the point computed directly: the
     ideal point built from the ideal accuracy, a noise-free blocked one from
     the argmin of its clamped totals, one under a table from one ``evaluate``
-    call with eval's seed as given."""
+    call with the seed a sweep derives for the point from eval's seed."""
     test, model = noisy_csv
     out = tmp_path / "out.csv"
     assert _run_eval_mode(mode, noisy_csv, out) == 0
@@ -269,9 +321,34 @@ def test_eval_runs_its_point_through_sweep(mode, noisy_csv, tmp_path, monkeypatc
     assert calls == [1]
 
 
+@pytest.mark.parametrize("seed", [9, -1])
+def test_hardware_eval_writes_the_row_of_its_sweep(seed, noisy_csv, tmp_path):
+    """A hardware eval is the one-point sweep of its settings: at the same
+    master seed, below 0 too, its row is the row that a sweep over more
+    points writes for that point, Pareto flag aside."""
+    test, model = noisy_csv
+    common = ["--task", "csv", "--test-csv", str(test), "--precision", "4", "--trials", "4",
+              "--seed", str(seed), "--deterministic"]
+    assert run_cli("eval", "--model", str(model), *common, "--technology", "fefinfet",
+                   "--voltage", "0.6", "--block-size", "8", "--replicas", "3",
+                   "--output", str(tmp_path / "eval.csv")) == 0
+    common[common.index("--precision")] = "--precisions"
+    assert run_cli("sweep", "--train-csv", str(test.parent / "train.csv"), *common,
+                   "--technologies", "sram,fefinfet", "--voltages", "0.6,1.0",
+                   "--block-sizes", "8", "--replicas", "1,3", "--dimensions", "96",
+                   "--output", str(tmp_path / "sweep.csv")) == 0
+
+    def rows(name):
+        return [line.rsplit(",", 1)[0] for line in (tmp_path / name).read_text().splitlines()
+                if line[:1] not in ("#", "t")]
+
+    [row] = rows("eval.csv")
+    assert row.startswith("fefinfet,0.6,8,4,96,3,4,")
+    assert row in rows("sweep.csv") and len(rows("sweep.csv")) == 8
+
+
 def test_ideal_eval_takes_any_seed(unseen_label_csv, tmp_path):
-    """The ideal eval draws nothing, so a seed below 0, which a blocked eval
-    refuses, is recorded as given."""
+    """The ideal eval draws nothing, so a seed below 0 is recorded as given."""
     _, test, model = unseen_label_csv
     out = tmp_path / "out.csv"
     assert run_cli("eval", "--model", str(model), "--task", "csv", "--test-csv", str(test),
@@ -563,10 +640,10 @@ def test_refused_sweep_reads_no_data(flag, value, error, tmp_path, capsys):
     ("--technology sram --block-size 15 --precision 10",
      "E-CONFIG: precision 10 exceeds the hardware table's maximum of 7"),
     ("--block-size 7 --precision 8", "E-USAGE: precision must be in [1, 7], got 8"),
-    ("--block-size 7 --seed -1", "E-USAGE: seed must be >= 0, got -1"),
-    ("--technology sram --seed -1", "E-USAGE: seed must be >= 0, got -1"),
+    ("--technology sram --block-size 7 --precision 8",
+     "E-USAGE: no (block_size, precision) pair satisfies P <= N"),
 ], ids=["catalog-gap", "even-replicas", "zero-trials", "block-size-1", "above-the-table",
-        "above-the-block", "blocked-negative-seed", "hardware-negative-seed"])
+        "above-the-block", "hardware-above-the-block"])
 def test_refused_eval_reads_no_data(flags, error, unseen_label_csv, tmp_path, capsys):
     """An eval that its point refuses exits with the point's error before it
     reads a query: its query file does not exist, and it writes no file."""
@@ -579,15 +656,21 @@ def test_refused_eval_reads_no_data(flags, error, unseen_label_csv, tmp_path, ca
     assert sorted(tmp_path.iterdir()) == before
 
 
-@pytest.mark.parametrize("command", ["train", "eval", "sweep"])
-@pytest.mark.parametrize("task, flag, value, error", [
-    ("language", "--item-seed", "-1", "E-USAGE: item_seed must be >= 0, got -1"),
-    ("language", "--tie-seed", "-3", "E-USAGE: tie_seed must be >= 0, got -3"),
-    ("language", "--ngram", "0", "E-USAGE: n-gram size must be in [1, 13], got 0"),
-    ("language", "--ngram", "14", "E-USAGE: n-gram size must be in [1, 13], got 14"),
-    ("mnist", "--threshold", "0", "E-USAGE: threshold must be in [1, 255], got 0"),
-    ("mnist", "--threshold", "256", "E-USAGE: threshold must be in [1, 255], got 256"),
-], ids=["item-seed", "tie-seed", "ngram", "ngram-14", "threshold-0", "threshold-256"])
+_TASK_REFUSALS = {
+    "item-seed": ("language", "--item-seed", "-1", "E-USAGE: item_seed must be >= 0, got -1"),
+    "tie-seed": ("language", "--tie-seed", "-3", "E-USAGE: tie_seed must be >= 0, got -3"),
+    "ngram": ("language", "--ngram", "0", "E-USAGE: n-gram size must be in [1, 13], got 0"),
+    "ngram-14": ("language", "--ngram", "14", "E-USAGE: n-gram size must be in [1, 13], got 14"),
+    "threshold-0": ("mnist", "--threshold", "0", "E-USAGE: threshold must be in [1, 255], got 0"),
+    "threshold-256": ("mnist", "--threshold", "256",
+                      "E-USAGE: threshold must be in [1, 255], got 256"),
+}
+
+
+@pytest.mark.parametrize("command, task, flag, value, error", [
+    pytest.param(command, *case, id=f"{name}-{command}")
+    for name, case in _TASK_REFUSALS.items() for command in ("train", "eval", "sweep")
+    if not (command == "eval" and name.endswith("-seed"))])  # eval takes its model's seeds
 def test_refused_task_settings_read_no_data(command, task, flag, value, error,
                                             unseen_label_csv, tmp_path, capsys):
     """A task setting out of range is refused by name before any data is
@@ -854,6 +937,7 @@ def _assert_nothing_written(tmp_path):
     ("sweep", {"trails": 3}),
     ("sweep", {"block_size": 7}),
     ("eval", {"dimension": 64}),
+    ("eval", {"item_seed": 42}),
     ("train", {"technologies": ["sram"]}),
 ], ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}={v[k]!r}" for k in v))
 def test_config_key_that_is_not_a_setting_is_a_config_error(command, setting, unseen_label_csv,
@@ -908,9 +992,9 @@ _OPTIONS = {
     "train": "--config --deterministic --dimension --help --item-seed --ngram --output --seed "
              "--task --threshold --tie-seed --train-csv --train-dir --train-images "
              "--train-labels -h",
-    "eval": "--block-size --config --deterministic --help --hw-tables --item-seed --model "
-            "--ngram --output --precision --queries --replicas --seed --task --technology "
-            "--test-csv --test-images --test-labels --threshold --tie-seed --trials --voltage -h",
+    "eval": "--block-size --config --deterministic --help --hw-tables --model --ngram "
+            "--output --precision --queries --replicas --seed --task --technology --test-csv "
+            "--test-images --test-labels --threshold --trials --voltage -h",
     "sweep": "--block-sizes --config --deterministic --dimensions --help --hw-tables "
              "--item-seed --jobs --ngram --output --precisions --queries --replicas --seed "
              "--task --technologies --test-csv --test-images --test-labels --threshold "
@@ -1263,13 +1347,14 @@ def test_malformed_model_and_tables_exit_codes(tmp_path, capsys):
     assert err.startswith("error: E-CONFIG:") and "tables[0]" in err and "ascending" in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["sweep", "eval-hw"])
 def test_table_whose_metrics_overflow_is_a_config_error(command, unseen_label_csv, tmp_path,
                                                         capsys):
     """A table that passes validation, but whose energies overflow a point's
-    energy, is refused with E-CONFIG naming the point's configuration before
-    the point is logged or written: no results file and no resume log."""
+    energy, is refused with one E-CONFIG line naming the point's
+    configuration, and no numpy warning, before the point is logged or
+    written: no results file and no resume log."""
     tables = tmp_path / "t.json"
     assert run_cli("export", "hw-tables", "--output", str(tables)) == 0
     [entry] = [e for e in json.loads(tables.read_text())["tables"]
@@ -1283,6 +1368,7 @@ def test_table_whose_metrics_overflow_is_a_config_error(command, unseen_label_cs
     assert err.startswith(f"error: E-CONFIG: technology=sram voltage_V=1.0 block_size=8 "
                           f"precision={precision} dimension=64 replicas=1: a metric is not "
                           "finite (energy inf pJ"), err
+    assert err.count("\n") == 1, err
     _assert_nothing_written(tmp_path)
     assert not (tmp_path / "out_pareto.csv").exists()
 

@@ -151,6 +151,23 @@ def test_evaluate_precision_above_table_rejected():
         plan_eval(hwmodel.default_catalog, 140, "sram", 0.7, 15, 10, 1, 10, 0)
 
 
+def test_hardware_eval_plan_is_its_one_point_sweep():
+    """With a technology, eval's plan is the plan of the one-point sweep of
+    its settings, eval's defaults applied (N = 15, the table's P, 10 trials),
+    set up from one ``catalog()`` call: its seed is derived from any master
+    seed, one below 0 too."""
+    calls = []
+
+    def catalog():
+        calls.append(1)
+        return hwmodel.default_catalog()
+
+    space = SweepSpace(("fefinfet",), (0.701,), (15,), (7,), (140,), (3,), 10, -3)
+    assert plan_eval(catalog, 140, "fefinfet", 0.701, replicas=3, seed=-3) == plan_sweep(
+        space, hwmodel.default_catalog())
+    assert calls == [1]
+
+
 def test_evaluate_dimension_mismatch(rng):
     """A sweep refuses a 140-bit memory given as the data set of 141 bits, which
     pack to the same bytes, for a point read exactly or under a table, and
