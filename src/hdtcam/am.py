@@ -201,8 +201,7 @@ def _packed_distances(queries: np.ndarray, classes: np.ndarray, dimension: int,
 
 
 def ideal_argmin(queries: np.ndarray, am: AssociativeMemory):
-    """Full-Hamming nearest class per packed query row: (class indices,
-    distances).
+    """Full-Hamming nearest class index per packed query row.
 
     Ties go to the earliest stored class. Whole packed rows are compared,
     zero-padded to whole words (uint64 beyond 32 bits), in chunks of the
@@ -210,12 +209,9 @@ def ideal_argmin(queries: np.ndarray, am: AssociativeMemory):
     """
     queries = np.atleast_2d(queries)
     best = np.empty(queries.shape[0], dtype=np.intp)
-    dists = np.empty(queries.shape[0], dtype=np.int64)
     for s, d in _packed_distances(queries, am.class_matrix, am.dimension, am.dimension):
-        d = d[..., 0]
-        best[s:s + d.shape[0]] = np.argmin(d, axis=1)
-        dists[s:s + d.shape[0]] = d.min(axis=1)
-    return best, dists
+        best[s:s + d.shape[0]] = np.argmin(d[..., 0], axis=1)
+    return best
 
 
 def distance_histogram(queries: np.ndarray, classes: np.ndarray, dimension: int,

@@ -26,7 +26,6 @@ from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
     FormatError,
-    HdtcamError,
     atomic_open,
     load_json,
     setting,
@@ -40,7 +39,6 @@ def _error_code(exc: Exception) -> str:
         (DimensionMismatchError, "E-DIMENSION"),
         (DegenerateInputError, "E-DEGENERATE"),
         (OSError, "E-IO"),
-        (HdtcamError, "E-USAGE"),
         (ValueError, "E-USAGE"),
     ):
         if isinstance(exc, cls):
@@ -207,6 +205,8 @@ def cmd_eval(args) -> int:
     cfg, doc = _effective_config(args)
     memory, meta = am_mod.load_model(args.model)
     task = _task(cfg, meta)
+    if (recorded := setting(meta, "task", str)) not in (None, task.kind):
+        raise ConfigError(f"--task {task.kind} is not the model's task {recorded}")
     shape = setting(meta, "image_shape", [int])
     plan = explorer.plan_eval(lambda: _load_catalog(cfg.get("hw_tables")), memory.dimension,
                               **{name: cfg[name] for name in _POINT if name in cfg})
@@ -310,7 +310,7 @@ def cmd_hwmodel(args) -> int:
             cm = hwmodel.confusion_from_latency(e)
             for h in range(e.precision + 1):
                 out.append(f"{e.technology},{e.voltage:g},{e.block_size},"
-                           f"{h},{hwmodel.error_probability(cm, h):.6f}")
+                           f"{h},{1.0 - cm[h, h]:.6f}")
     text = "\n".join(out) + "\n"
     if args.output:
         with atomic_open(args.output) as f:

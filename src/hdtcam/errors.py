@@ -6,19 +6,15 @@ import os
 from contextlib import contextmanager, suppress
 
 
-class HdtcamError(Exception):
-    """Base class for all package errors."""
-
-
-class DimensionMismatchError(HdtcamError, ValueError):
+class DimensionMismatchError(ValueError):
     """Operands do not share the same hypervector dimension."""
 
 
-class DegenerateInputError(HdtcamError, ValueError):
+class DegenerateInputError(ValueError):
     """Input is structurally valid but carries no usable signal (e.g. all-black image)."""
 
 
-class FormatError(HdtcamError, ValueError):
+class FormatError(ValueError):
     """A file does not conform to its declared format.
 
     ``location`` names the offending byte offset or row number when known.
@@ -31,7 +27,7 @@ class FormatError(HdtcamError, ValueError):
         self.location = location
 
 
-class ConfigError(HdtcamError, ValueError):
+class ConfigError(ValueError):
     """Invalid or incomplete configuration (missing table entry, bad key, ...)."""
 
 

@@ -106,8 +106,7 @@ def derive_point_seed(master_seed: int, config_key) -> int:
 
 def ideal_accuracy(am: AssociativeMemory, queries: np.ndarray, labels) -> float:
     """Noise-free full-Hamming accuracy; the loss baseline at this dimension."""
-    best, _ = ideal_argmin(queries, am)
-    return float(np.mean(best == am.class_index(labels)))
+    return float(np.mean(ideal_argmin(queries, am) == am.class_index(labels)))
 
 
 def _fold_histogram(hist: np.ndarray, precision: int) -> np.ndarray:

@@ -93,7 +93,6 @@ class HwEntry:
     sigma_ns: np.ndarray
     match_timeout_ns: float
     energy_fj: np.ndarray
-    temperature_c: float | None = None
 
     def __post_init__(self):
         mu, sigma, energy = map(_read_only, (self.mu_ns, self.sigma_ns, self.energy_fj))
@@ -102,8 +101,6 @@ class HwEntry:
         object.__setattr__(self, "energy_fj", energy)
         if not (math.isfinite(self.voltage) and self.voltage > 0):
             raise ConfigError(f"voltage_V must be finite and positive, got {self.voltage}")
-        if self.temperature_c is not None and not -273.15 <= self.temperature_c < math.inf:
-            raise ConfigError(f"temperature_C must be in [-273.15, inf), got {self.temperature_c}")
         if not 1 <= self.precision <= self.block_size:
             raise ConfigError(
                 f"precision must be in [1, {self.block_size}], got {self.precision}"
@@ -215,11 +212,6 @@ def _max_misread(mu, sigma, timeout):
 def confusion_from_latency(hw: HwEntry) -> np.ndarray:
     """Analytic (P+1)x(P+1) matrix of P(reported j | true i) under the midpoint rule."""
     return _confusion(hw.mu_ns, hw.sigma_ns, np.asarray(hw.match_timeout_ns))
-
-
-def error_probability(cm: np.ndarray, h: int) -> float:
-    """Probability that a true distance h is misreported: 1 - p[h][h]."""
-    return float(1.0 - cm[h, h])
 
 
 MAX_REPLICAS = 1029  # the largest r whose C(r, j), weighed by median_confusion, are floats
@@ -413,23 +405,23 @@ def default_catalog() -> Catalog:
 
 
 # The table file format: per HwEntry field, its JSON key and its ``errors.setting``
-# type. Every key but the last is required; a temperature of None is not written.
+# type. Every key is required.
 TABLE_FIELDS = (("technology", "technology", str), ("voltage", "voltage_V", float),
                 ("block_size", "block_size", int), ("precision", "precision", int),
                 ("mu_ns", "mu_ns", [float]), ("sigma_ns", "sigma_ns", [float]),
                 ("match_timeout_ns", "match_timeout_ns", float),
-                ("energy_fj", "energy_fJ", [float]), ("temperature_c", "temperature_C", float))
+                ("energy_fj", "energy_fJ", [float]))
 
 
 def _entry_to_doc(entry: HwEntry) -> dict:
-    return {key: [kind[0](x) for x in value] if isinstance(kind, list) else kind(value)
-            for field, key, kind in TABLE_FIELDS if (value := getattr(entry, field)) is not None}
+    return {key: [kind[0](x) for x in getattr(entry, field)] if isinstance(kind, list)
+            else kind(getattr(entry, field)) for field, key, kind in TABLE_FIELDS}
 
 
 def _entry_from_doc(doc: dict, where: str) -> HwEntry:
     if not isinstance(doc, dict):
         raise ConfigError(f"{where}: expected a table object")
-    for _, key, _ in TABLE_FIELDS[:-1]:
+    for _, key, _ in TABLE_FIELDS:
         if key not in doc:
             raise ConfigError(f"{where}: missing key {key!r}")
     try:

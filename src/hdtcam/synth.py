@@ -53,7 +53,6 @@ def _sample_text(cum_chain: np.ndarray, length: int, rng: np.random.Generator) -
 class LanguageBenchmark:
     train_texts: dict  # label -> str
     queries: list      # list of (text, label)
-    seed: int
 
 
 def make_language_benchmark(
@@ -77,7 +76,7 @@ def make_language_benchmark(
         ).astype(int)
         for length in lengths:
             queries.append((_sample_text(chains[i], int(length), rng), label))
-    return LanguageBenchmark(train_texts=train, queries=queries, seed=seed)
+    return LanguageBenchmark(train_texts=train, queries=queries)
 
 
 def encode_language_benchmark(bench: LanguageBenchmark, dimension: int):

@@ -149,9 +149,12 @@ def test_packed_kernels_equal_unpacked_oracle(dimension, block_size, queries, cl
                 distance_histogram(pack(qs), memory.class_matrix, dimension, block_size, p),
                 distance_oracle.distance_histogram(qs, cs, dimension, block_size, p)), p
         mp.setattr(am_module, "CHUNK_BYTES", chunk * _word_bytes(dimension))
-        best, dists = ideal_argmin(pack(qs), memory)
+        best = ideal_argmin(pack(qs), memory)
+        # one block of the whole row: each pair's one nonzero bin is its distance
+        full = distance_histogram(pack(qs), memory.class_matrix, dimension, max(dimension, 2))
     want_best, want_dists = distance_oracle.ideal_argmin(qs, cs)
-    assert np.array_equal(best, want_best) and np.array_equal(dists, want_dists)
+    assert np.array_equal(best, want_best)
+    assert np.array_equal(full.argmax(axis=2).min(axis=1), want_dists)
 
 
 @settings(max_examples=200, deadline=None)
@@ -188,8 +191,7 @@ def test_kernel_working_set_is_bounded_in_bytes(block_size, traced_peak):
     else:
         out, peak = traced_peak(distance_histogram, queries, memory.class_matrix, 10_000,
                                 block_size, 7)
-        out = [out]
-    assert peak <= sum(o.nbytes for o in out) + 4 * am_module.CHUNK_BYTES
+    assert peak <= out.nbytes + 4 * am_module.CHUNK_BYTES
 
 
 def test_blocked_distances_dimension_mismatch(rng):
@@ -210,26 +212,26 @@ def test_infer_ideal_matches_brute_force(rng):
     for _ in range(20):
         q = _random_bits(rng, 80)
         dists = [np.count_nonzero(q != unpack(am.class_matrix[c], 80)) for c in range(6)]
-        best, dist = ideal_argmin(pack(q), am)
-        assert dist[0] == min(dists)
-        assert best[0] == int(np.argmin(dists))
+        full = distance_histogram(pack(q), am.class_matrix, 80, 80)
+        assert full[0].argmax(axis=1).tolist() == dists
+        assert ideal_argmin(pack(q), am)[0] == int(np.argmin(dists))
 
 
 def test_ideal_argmin_matches_per_query(rng, monkeypatch):
     am = _random_am(rng, classes=4, dimension=140)
     qs = pack(np.stack([_random_bits(rng, 140) for _ in range(60)]))
-    want = [tuple(int(x[0]) for x in ideal_argmin(q, am)) for q in qs]
+    want = [int(ideal_argmin(q, am)[0]) for q in qs]
     # uneven chunks of 7 queries, each of 3 uint64 words a class
     monkeypatch.setattr(am_module, "CHUNK_BYTES", 7 * 4 * 3 * 8)
-    best, dists = ideal_argmin(qs, am)
-    assert [(int(b), int(d)) for b, d in zip(best, dists)] == want
+    assert ideal_argmin(qs, am).tolist() == want
 
 
 def test_infer_ideal_tie_break_first_stored():
     v = np.array([0, 0, 0, 0], dtype=np.uint8)
     am = packed_memory(["first", "second"], np.stack([v, v]))
-    best, dist = ideal_argmin(pack([1, 0, 0, 0]), am)
-    assert am.labels[best[0]] == "first" and dist[0] == 1
+    q = pack([1, 0, 0, 0])
+    assert distance_histogram(q, am.class_matrix, 4, 4)[0].argmax(axis=1).tolist() == [1, 1]
+    assert am.labels[ideal_argmin(q, am)[0]] == "first"
 
 
 def test_infer_blocked_full_precision_equals_ideal(rng):
@@ -238,7 +240,7 @@ def test_infer_blocked_full_precision_equals_ideal(rng):
     for _ in range(20):
         q = _random_bits(rng, 50)
         blocked = np.argmin(_totals(q, am.class_matrix, cfg), axis=1)
-        assert np.array_equal(blocked, ideal_argmin(pack(q), am)[0])
+        assert np.array_equal(blocked, ideal_argmin(pack(q), am))
 
 
 def test_infer_dimension_mismatch(rng):

@@ -67,14 +67,40 @@ def test_train_missing_corpus_fails(tmp_path, capsys):
     ("mnist", "--train-images", "--test-images"),
     ("csv", "--train-csv", "--test-csv"),
 ])
-def test_missing_data_path_names_flag(task, train_flag, query_flag, trained_model,
-                                      tmp_path, capsys):
+def test_missing_data_path_names_flag(task, train_flag, query_flag, tmp_path, capsys):
     assert run_cli("train", "--task", task, "--output", str(tmp_path / "m.json")) != 0
     err = capsys.readouterr().err
     assert err.startswith("error: E-CONFIG:") and train_flag in err
-    assert run_cli("eval", "--model", str(trained_model), "--task", task) != 0
+    model = tmp_path / "model.json"
+    save_model(model, AssociativeMemory(["a"], pack(np.zeros((1, 16))), 16), {"task": task})
+    assert run_cli("eval", "--model", str(model), "--task", task) != 0
     err = capsys.readouterr().err
     assert err.startswith("error: E-CONFIG:") and query_flag in err
+
+
+@pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
+def test_eval_refuses_a_task_other_than_its_models(by_config, trained_model,
+                                                   unseen_label_csv, tmp_path, capsys):
+    """A --task, flag or config key, that is not the task its model records
+    exits E-CONFIG naming both kinds before any data is read; a model that
+    records no task takes the --task given."""
+    _, test, csv_model = unseen_label_csv
+    missing = tmp_path / "missing.csv"
+    config = tmp_path / "config.json"
+    for model, task, data in ((trained_model, "csv", "--test-csv"),
+                              (csv_model, "language", "--queries")):
+        _, meta = load_model(model)
+        config.write_text(json.dumps({"task": task}))
+        given = ["--config", str(config)] if by_config else ["--task", task]
+        assert run_cli("eval", "--model", str(model), *given, data, str(missing)) == 2
+        assert capsys.readouterr().err == (
+            f"error: E-CONFIG: --task {task} is not the model's task {meta['task']}\n")
+    memory, meta = load_model(csv_model)
+    del meta["task"]
+    save_model(csv_model, memory, meta)
+    assert run_cli("eval", "--model", str(csv_model), "--task", "csv",
+                   "--test-csv", str(test)) == 0
+    assert capsys.readouterr().out == "accuracy 0.6667 over 3 queries\n"
 
 
 def test_train_mnist_task(tmp_path):
@@ -1166,6 +1192,36 @@ def test_hwmodel_validate_and_errorprob(tmp_path, capsys):
     assert path.read_text() == out
 
 
+def test_hwmodel_errorprob_is_one_minus_the_confusion_diagonal(capsys):
+    """errorprob prints 1 - diag(confusion_from_latency(e)) at 6 decimals for
+    each table e it selects, in the catalog's order."""
+    assert run_cli("hwmodel", "errorprob", "--voltage", "0.7") == 0
+    want = ["technology,voltage_V,block_size,distance,error_probability"]
+    for e in hwmodel.default_catalog().select(voltage=0.7):
+        errs = 1 - np.diag(hwmodel.confusion_from_latency(e))
+        want += [f"{e.technology},{e.voltage:g},{e.block_size},{h},{err:.6f}"
+                 for h, err in enumerate(errs)]
+    assert capsys.readouterr().out.splitlines() == want
+
+
+def test_table_keys_outside_the_format_are_ignored(tmp_path, capsys):
+    """A table holding a temperature_C, whatever its value, and another
+    unknown key loads, validates, and exports as the table without them."""
+    plain, extra = tmp_path / "plain.json", tmp_path / "extra.json"
+    want, got = tmp_path / "want.json", tmp_path / "got.json"
+    assert run_cli("export", "hw-tables", "--output", str(plain)) == 0
+    table = json.loads(plain.read_text())["tables"][0]
+    plain.write_text(json.dumps({"tables": [table]}))
+    assert run_cli("export", "hw-tables", "--tables", str(plain), "--output", str(want)) == 0
+    for temperature in (85.0, "hot", -1e9):
+        extra.write_text(json.dumps(
+            {"tables": [dict(table, temperature_C=temperature, vendor="lab")]}))
+        assert run_cli("hwmodel", "validate", "--tables", str(extra)) == 0
+        assert run_cli("export", "hw-tables", "--tables", str(extra), "--output", str(got)) == 0
+        assert got.read_bytes() == want.read_bytes(), temperature
+    assert capsys.readouterr().out.count("ok: 1 table entries pass all invariants") == 3
+
+
 def test_hwmodel_confusion_rows_sum_to_one(capsys):
     assert run_cli("hwmodel", "confusion", "--technology", "fefinfet",
                    "--voltage", "0.5", "--block-size", "15") == 0
@@ -1322,12 +1378,12 @@ def test_malformed_model_and_tables_exit_codes(tmp_path, capsys):
     # fields of another JSON type and non-finite numbers are config errors that
     # name the table
     entry = doc["tables"][0]
-    bad = [("energy_fJ", "abc"), ("temperature_C", "hot"), ("block_size", float("inf")),
+    bad = [("energy_fJ", "abc"), ("block_size", float("inf")),
            ("precision", float("nan")), ("block_size", 2.7), ("voltage_V", "0.75"),
            ("mu_ns", [str(x) for x in entry["mu_ns"]]), ("precision", True),
-           ("voltage_V", -3.0), ("voltage_V", 0), ("temperature_C", -1e9)]
+           ("voltage_V", -3.0), ("voltage_V", 0)]
     for value in (float("nan"), float("inf"), -float("inf")):
-        bad += [("voltage_V", value), ("temperature_C", value),
+        bad += [("voltage_V", value),
                 ("mu_ns", [value] + entry["mu_ns"][1:]),
                 ("sigma_ns", entry["sigma_ns"][:-1] + [value]),
                 ("match_timeout_ns", value), ("energy_fJ", value),

@@ -7,7 +7,6 @@ import math
 import statistics
 import sys
 import threading
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +28,6 @@ from hdtcam.hwmodel import (
     confusion_from_latency,
     default_block_energy_fj,
     default_catalog,
-    error_probability,
     load_hw_tables,
     energy_pj,
     median_confusion,
@@ -154,7 +152,7 @@ def test_confusion_matches_monte_carlo_single_entry():
 
 def test_error_probability_helpers():
     cm = np.array([[1.0, 0.0], [0.3, 0.7]])
-    assert error_probability(cm, 1) == pytest.approx(0.3)
+    assert (1 - np.diag(cm))[1] == pytest.approx(0.3)
     assert max_error_probability(cm) == pytest.approx(0.3)
 
 
@@ -162,7 +160,7 @@ def test_error_profile_dips_at_saturated_distance():
     """h=P errors only one way (upward is clamped), so its rate drops."""
     lm = default_catalog().get("sram", 0.7, 15)
     cm = confusion_from_latency(lm)
-    errs = [error_probability(cm, h) for h in range(1, 8)]
+    errs = (1 - np.diag(cm))[1:8]
     assert errs[-1] < errs[-2]
     assert all(e > 0 for e in errs)
 
@@ -369,7 +367,7 @@ def test_replica_voting_reduces_error():
     err7 = np.mean(voted != h)
     assert err7 < err1
     cm = confusion_from_latency(lm)
-    errs = [error_probability(median_confusion(cm, r), h) for r in (1, 3, 7)]
+    errs = [(1 - np.diag(median_confusion(cm, r)))[h] for r in (1, 3, 7)]
     assert errs[2] < errs[1] < errs[0]
 
 
@@ -566,10 +564,14 @@ def test_table_file_rejects_invariant_violations(tmp_path):
 
 
 def test_table_file_missing_key(tmp_path):
+    """Every key of the table format is required."""
     path = tmp_path / "tables.json"
-    path.write_text('{"tables": [{"technology": "sram"}]}')
-    with pytest.raises(ConfigError, match="missing key"):
-        load_hw_tables(path)
+    assert [key for _, key, _ in hwmodel.TABLE_FIELDS] == _REQUIRED_KEYS
+    table = hwmodel._entry_to_doc(_tight_model())
+    for key in _REQUIRED_KEYS:
+        path.write_text(json.dumps({"tables": [{k: v for k, v in table.items() if k != key}]}))
+        with pytest.raises(ConfigError, match=f"missing key '{key}'"):
+            load_hw_tables(path)
     path.write_text('{"entries": []}')
     with pytest.raises(ConfigError, match="array of table objects"):
         load_hw_tables(path)
@@ -612,16 +614,6 @@ def test_table_file_scalar_energy_expands(tmp_path):
     assert entry.energy_fj.shape == (entry.precision + 1,)
 
 
-def test_hw_entry_temperature_round_trip(tmp_path):
-    entry = default_catalog().get("sram", 0.9, 7)
-    warm = replace(entry, temperature_c=85.0)
-    cat = hwmodel.Catalog([warm])
-    path = tmp_path / "t.json"
-    save_hw_tables(path, cat)
-    got = load_hw_tables(path).get("sram", 0.9, 7)
-    assert got.temperature_c == 85.0
-
-
 def test_table_fields_declare_every_hw_entry_field():
     """The table format names each HwEntry field once, in field order, so a
     new field cannot be left out of the file."""
@@ -655,16 +647,16 @@ _JSON = st.recursive(
 
 @pytest.fixture(scope="module")
 def table_docs(tmp_path_factory):
-    """Exported table objects at precisions 3 and 7, the precision-7 one at 85 C."""
+    """Exported table objects at precisions 3 and 7."""
     path = tmp_path_factory.mktemp("tables") / "tables.json"
-    warm = replace(default_catalog().get("fefinfet", 0.9, 15), temperature_c=85.0)
-    save_hw_tables(path, hwmodel.Catalog([default_catalog().get("sram", 0.7, 3), warm]))
+    save_hw_tables(path, hwmodel.Catalog([default_catalog().get("sram", 0.7, 3),
+                                          default_catalog().get("fefinfet", 0.9, 15)]))
     return json.loads(path.read_text())["tables"]
 
 
 def _mutate(doc, op, data):
     """Apply one mutation; list edits skip a list an earlier one replaced."""
-    key = data.draw(st.sampled_from(_REQUIRED_KEYS + ["temperature_C"]))
+    key = data.draw(st.sampled_from(_REQUIRED_KEYS))
     if op == "drop":
         doc.pop(key, None)
     elif op == "extra":
@@ -672,7 +664,7 @@ def _mutate(doc, op, data):
     elif op == "retype":
         doc[key] = data.draw(_JSON)
     elif op == "non-finite":
-        key = data.draw(st.sampled_from(_REQUIRED_KEYS[1:] + ["temperature_C"]))
+        key = data.draw(st.sampled_from(_REQUIRED_KEYS[1:]))
         values = doc.get(key)
         if isinstance(values, list) and values:
             values[data.draw(st.integers(0, len(values) - 1))] = data.draw(_NON_FINITE)
@@ -709,14 +701,14 @@ def _is_numbers(value):
 _FIELD_TYPES = {
     "technology": lambda value: isinstance(value, str), "voltage_V": _is_number,
     "block_size": _is_int, "precision": _is_int, "mu_ns": _is_numbers, "sigma_ns": _is_numbers,
-    "match_timeout_ns": _is_number, "temperature_C": _is_number,
+    "match_timeout_ns": _is_number,
     "energy_fJ": lambda value: _is_number(value) or _is_numbers(value),
 }
 
 
 def _wrong_type(doc):
-    """Whether a table object holds a required or temperature_C field of
-    another JSON type than the field's."""
+    """Whether a table object holds a field of another JSON type than the
+    field's."""
     return any(key in doc and not has_type(doc[key]) for key, has_type in _FIELD_TYPES.items())
 
 
@@ -726,7 +718,6 @@ def _check_valid(catalog):
     for entry in catalog.select():
         _assert_round_trips(entry)
         assert np.isfinite(entry.voltage) and entry.voltage > 0
-        assert entry.temperature_c is None or -273.15 <= entry.temperature_c < np.inf
         assert np.all(np.isfinite(entry.mu_ns)) and np.all(np.isfinite(entry.sigma_ns))
         assert np.isfinite(entry.match_timeout_ns)
         assert np.all(np.diff(entry.mu_ns) < 0) and np.all(entry.sigma_ns > 0)
