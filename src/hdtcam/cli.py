@@ -114,8 +114,8 @@ SETTINGS = {
               "dimension": Setting(int, "hypervector dimension (default 10000)")},
     "eval": {**_TASK, **_TEST_FILES, **_SEED,
              "hw_tables": Setting(str, "JSON tables (default: built-in)", _HARDWARE),
-             "technology": Setting(str, f"one of {', '.join(hwmodel.TECHNOLOGIES)}; "
-                                        "without it and --block-size, noise-free", _HARDWARE),
+             "technology": Setting(str, f"one of {', '.join(hwmodel.TECHNOLOGIES)}, or "
+                                        f"{explorer.NO_TABLE} (the default): no table", _HARDWARE),
              "voltage": Setting(float, "supply voltage in V (default 0.7)", _HARDWARE),
              "block_size": Setting(int, "block size N (default 15)", _BLOCKED),
              "precision": Setting(int, "precision P (default: the table's, else min(N, 7))",

@@ -21,6 +21,7 @@ from .errors import ConfigError, DimensionMismatchError, FormatError, atomic_ope
 from .hwmodel import (MAX_PRECISION, Catalog, HwEntry, check_replicas, confusion_from_latency,
                       energy_pj, median_confusion, voltage_key)
 
+NO_TABLE = "none"  # the technology of a point without a hardware table, read exactly
 # The setting type of each SweepSpace field: the CLI declares a sweep's axes, trials and seed by it.
 SWEEP_FIELDS = (("technologies", [str]), ("voltages", [float]), ("block_sizes", [int]),
                 ("precisions", [int]), ("dimensions", [int]), ("replicas", [int]),
@@ -30,7 +31,7 @@ SWEEP_FIELDS = (("technologies", [str]), ("voltages", [float]), ("block_sizes", 
 @dataclass(frozen=True)
 class SweepSpace:
     """Cross product of swept configuration axes; each field holds values of
-    the type SWEEP_FIELDS gives its setting."""
+    the type SWEEP_FIELDS gives its setting; NO_TABLE, at 0 pJ, is swept alone."""
 
     technologies: tuple = ("sram",)
     voltages: tuple = (0.5, 0.7, 1.0)
@@ -56,14 +57,17 @@ class SweepSpace:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         for r in self.replicas:
             check_replicas(r)
+        if NO_TABLE in self.technologies and len(self.technologies) > 1:
+            raise ValueError(f"technology {NO_TABLE!r} (0 pJ) is swept alone, not beside a table")
         if not any(p <= n for n in self.block_sizes for p in self.precisions):
             raise ValueError("no (block_size, precision) pair satisfies P <= N")
 
     def configurations(self):
         """Valid configuration tuples in canonical order (P > N pairs skipped)."""
+        alone = NO_TABLE in self.technologies  # one per (N, P, D), at no technology, 0 V, r = 1
         for tech, v, n, p, d, r in itertools.product(
-            self.technologies, self.voltages, self.block_sizes,
-            self.precisions, self.dimensions, self.replicas,
+            ("",) if alone else self.technologies, (0.0,) if alone else self.voltages,
+            self.block_sizes, self.precisions, self.dimensions, (1,) if alone else self.replicas,
         ):
             if p <= n:
                 yield (tech, v, n, p, d, r)
@@ -187,39 +191,41 @@ class Setup(typing.NamedTuple):
     seed: int
 
 
-def plan_sweep(space: SweepSpace, catalog: Catalog) -> tuple:
+def plan_sweep(space: SweepSpace, catalog: Catalog | None) -> tuple:
     """The setups of every configuration of ``space``, in configuration order,
     each seeded from the space's seed and its configuration key, which names
     its table's technology and voltage. ``catalog`` builds the tables the
-    sweep reads in one lookup. It reads no data, so a sweep that a point's
-    block geometry, its catalog gap or a precision its table refuses fails
-    before any data set is read."""
+    sweep reads in one lookup (NO_TABLE reads none and runs no trial). It
+    reads no data, so a sweep that a point's block geometry, its catalog gap
+    or a precision its table refuses fails before any data set is read."""
     configs = list(space.configurations())
     geometry = [BlockConfig(d, n, p) for _tech, _v, n, p, d, _r in configs]
-    tables = catalog.get_many([config[:3] for config in configs])
-    configs = [(hw.technology, hw.voltage, *config[2:]) for config, hw in zip(configs, tables)]
-    return tuple(Setup(config, cfg, hw.with_precision(cfg.precision), space.trials,
-                       derive_point_seed(space.seed, config_key(*config)))
+    if NO_TABLE in space.technologies:
+        tables, trials = [None] * len(configs), 1
+    else:
+        tables, trials = catalog.get_many([config[:3] for config in configs]), space.trials
+        configs = [(hw.technology, hw.voltage, *config[2:]) for config, hw in zip(configs, tables)]
+        tables = [hw.with_precision(cfg.precision) for hw, cfg in zip(tables, geometry)]
+    return tuple(Setup(config, cfg, hw, trials, derive_point_seed(space.seed, config_key(*config)))
                  for config, cfg, hw in zip(configs, geometry, tables))
 
 
 def plan_eval(catalog, dimension, technology=None, voltage=0.7, block_size=None, precision=None,
               replicas=1, trials=None, seed=0) -> tuple:
     """The plan of an eval's one point, set up before it reads a query: the
-    ideal point without a technology and a block size, noise-free blocked
-    without a technology (P defaults to min(N, MAX_PRECISION), trials to 1),
-    else the one-point sweep over ``catalog()``, seeded as a sweep's row (N
-    defaults to 15, P to the table's, trials to 10)."""
-    if technology is None and block_size is None:
-        return (Setup(("", 0.0, dimension, dimension, dimension, 1), None, None, 1, seed),)
-    if technology is None:
+    ideal point without a table (technology None or NO_TABLE) and a block
+    size, else the one-point sweep of its settings, seeded as a sweep's row.
+    Without a table P defaults to min(N, MAX_PRECISION), and ``catalog`` is
+    not called; with one, of ``catalog()``, N to 15, P to the table's, trials to 10."""
+    if technology in (None, NO_TABLE):
+        if block_size is None:
+            return (Setup(("", 0.0, dimension, dimension, dimension, 1), None, None, 1, seed),)
+        technology, catalog = NO_TABLE, None
         precision = min(block_size, MAX_PRECISION) if precision is None else precision
-        return (Setup(("", 0.0, block_size, precision, dimension, replicas),
-                      BlockConfig(dimension, block_size, precision), None,
-                      1 if trials is None else trials, seed),)
-    catalog, block_size = catalog(), 15 if block_size is None else block_size
-    if precision is None:
-        precision = catalog.get(technology, voltage, block_size).precision
+    else:
+        catalog, block_size = catalog(), 15 if block_size is None else block_size
+        if precision is None:
+            precision = catalog.get(technology, voltage, block_size).precision
     space = SweepSpace((technology,), (voltage,), (block_size,), (precision,), (dimension,),
                        (replicas,), 10 if trials is None else trials, seed)
     return plan_sweep(space, catalog)

@@ -37,6 +37,10 @@ MAX_PRECISION = 7
 
 DEFAULT_BLOCK_SIZES = (2, 3, 4, 5, 6, 7, 8, 10, 12, 15, 20, 25)
 
+# slowest_latency reads a tail 1 - U^(1/m) of at least _LEAST_TAIL: N(0, 1) quantiles to 37.52.
+_LEAST_TAIL = np.finfo(float).tiny
+Z_MAX = -statistics.NormalDist().inv_cdf(_LEAST_TAIL)
+
 # Nominal one-miss latency in ns for a 15-bit block, per technology and voltage.
 _T1_NS = {
     TECH_SRAM: {0.5: 0.160, 0.6: 0.145, 0.7: 0.130, 0.8: 0.118, 0.9: 0.108, 1.0: 0.100},
@@ -109,8 +113,11 @@ class HwEntry:
             raise ConfigError(
                 f"mu/sigma must list exactly {self.precision} distances"
             )
-        if not np.all(np.isfinite([*mu, *sigma, self.match_timeout_ns])):
-            raise ConfigError("mu, sigma and match_timeout must be finite")
+        with np.errstate(over="ignore"):
+            slowest = mu + Z_MAX * sigma
+        if not np.all(np.isfinite([*slowest, self.match_timeout_ns])):
+            raise ConfigError(f"mu, sigma, match_timeout and mu + {Z_MAX:.2f} sigma, the slowest "
+                              "latency a read can draw, must be finite")
         if np.any(np.diff(mu) >= 0):
             raise ConfigError("mu must be strictly decreasing in the Hamming distance")
         if np.any(sigma <= 0):
@@ -168,7 +175,7 @@ class HwEntry:
         with np.errstate(divide="ignore"):
             tail = -np.expm1(np.log(u[read]) / m[read])  # 1 - U^(1/m)
         # U at either end of [0, 1) would put the quantile at +-infinity.
-        tail = np.clip(tail, np.finfo(float).tiny, np.nextafter(1.0, 0.0))
+        tail = np.clip(tail, _LEAST_TAIL, np.nextafter(1.0, 0.0))
         z = -np.frompyfunc(statistics.NormalDist().inv_cdf, 1, 1)(tail).astype(float)
         latency = np.full(m.shape, -np.inf)
         latency[read] = (np.broadcast_to(self.mu_ns, m.shape)[read]

@@ -1,16 +1,16 @@
-"""Code behind acceptance criteria that no CLI command reaches: the image
-benchmark in MNIST geometry and its IDX writer (criterion 04 and the ``mnist``
-tests), the noise-free precision table read off ``sweep`` (criteria 04 and
-05), the RRAM +1 shift (criterion 09) and the energy savings of voltage
-overscaling (criterion 11)."""
+"""Code behind acceptance criteria: the image benchmark in MNIST geometry and
+its IDX writer (criterion 04 and the ``mnist`` tests), which no CLI command
+makes, the noise-free precision table (criteria 04 and 05), which is the
+sweep ``hdtcam sweep --technologies none`` runs, the RRAM +1 shift
+(criterion 09) and the energy savings of voltage overscaling (criterion 11),
+which no CLI command computes."""
 
 import struct
 
 import numpy as np
 
-from hdtcam.am import BlockConfig
 from hdtcam.encoders import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC
-from hdtcam.explorer import Setup, sweep
+from hdtcam.explorer import NO_TABLE, SweepSpace, plan_sweep, sweep
 
 NO_LOSS_EPSILON = 5e-4  # noise floor of HDC accuracy fluctuations
 
@@ -42,14 +42,14 @@ def save_mnist(images_path, labels_path, images, labels):
 
 def precision_rows(am, queries, labels, block_sizes, precisions):
     """Noise-free (N, P, accuracy, loss) rows, loss against the full-Hamming
-    accuracy: one ``sweep`` of a plan of one noise-free point per P <= N,
-    which builds one distance histogram per N, clamped at its largest P and
-    folded for each P."""
+    accuracy: the points of ``hdtcam sweep --technologies none`` over these
+    block sizes and precisions, which build one distance histogram per N,
+    clamped at its largest P and folded for each P."""
     d = am.dimension
-    plan = tuple(Setup(("", 0.0, n, p, d, 1), BlockConfig(d, n, p), None, 1, 0)
-                 for n in block_sizes for p in precisions if p <= n)
+    space = SweepSpace((NO_TABLE,), block_sizes=block_sizes, precisions=precisions,
+                       dimensions=(d,))
     return [(p.block_size, p.precision, p.accuracy_mean, p.accuracy_loss)
-            for p in sweep(plan, {d: (am, queries, labels)})]
+            for p in sweep(plan_sweep(space, None), {d: (am, queries, labels)})]
 
 
 def rram_shift(precision):

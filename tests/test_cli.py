@@ -5,8 +5,10 @@ import io
 import json
 import re
 import shutil
+import statistics
 import struct
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -347,6 +349,12 @@ def test_eval_runs_its_point_through_sweep(mode, noisy_csv, tmp_path, monkeypatc
     assert calls == [1]
 
 
+def _rows(path):
+    """The rows of a results CSV, Pareto column aside."""
+    return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()
+            if line[:1] not in ("#", "t")]
+
+
 @pytest.mark.parametrize("seed", [9, -1])
 def test_hardware_eval_writes_the_row_of_its_sweep(seed, noisy_csv, tmp_path):
     """A hardware eval is the one-point sweep of its settings: at the same
@@ -363,14 +371,64 @@ def test_hardware_eval_writes_the_row_of_its_sweep(seed, noisy_csv, tmp_path):
                    "--technologies", "sram,fefinfet", "--voltages", "0.6,1.0",
                    "--block-sizes", "8", "--replicas", "1,3", "--dimensions", "96",
                    "--output", str(tmp_path / "sweep.csv")) == 0
-
-    def rows(name):
-        return [line.rsplit(",", 1)[0] for line in (tmp_path / name).read_text().splitlines()
-                if line[:1] not in ("#", "t")]
-
-    [row] = rows("eval.csv")
+    [row] = _rows(tmp_path / "eval.csv")
     assert row.startswith("fefinfet,0.6,8,4,96,3,4,")
-    assert row in rows("sweep.csv") and len(rows("sweep.csv")) == 8
+    assert row in _rows(tmp_path / "sweep.csv") and len(_rows(tmp_path / "sweep.csv")) == 8
+
+
+@pytest.fixture()
+def bits_csv(tmp_path):
+    """A 16-bit csv task of two classes, with test queries that differ from
+    their class in every block of 3 and of 7 bits, and the model trained on it."""
+    train, test, model = tmp_path / "bits.csv", tmp_path / "bits_test.csv", tmp_path / "m.json"
+    train.write_text("label,bits\na,0110100110010110\nb,1010010110100101\n")
+    test.write_text("label,bits\na,1111101111011111\nb,0011011111101100\n"
+                    "a,0010000010110011\nb,1110110010000000\n")
+    assert run_cli("train", "--task", "csv", "--train-csv", str(train), "--dimension", "16",
+                   "--deterministic", "--output", str(model)) == 0
+    return train, test, model
+
+
+def test_sweep_without_a_table_writes_the_rows_of_noise_free_evals(bits_csv, tmp_path):
+    """``sweep --technologies none`` is the noise-free precision sweep: one
+    point per (N, P, D), whatever its voltages, replicas and trials, each
+    row, Pareto column aside, the row of ``eval --block-size N --precision
+    P``, and of that eval with ``--technology none``."""
+    train, test, model = bits_csv
+    assert run_cli("sweep", "--task", "csv", "--train-csv", str(train), "--test-csv", str(test),
+                   "--technologies", "none", "--voltages", "0.5,0.7", "--block-sizes", "3,7",
+                   "--precisions", "3", "--dimensions", "16", "--replicas", "1,3",
+                   "--trials", "2", "--deterministic", "--output", str(tmp_path / "s.csv")) == 0
+    rows = _rows(tmp_path / "s.csv")
+    assert [row[:14] for row in rows] == [",0,3,3,16,1,1,", ",0,7,3,16,1,1,"]
+    for n, row in zip((3, 7), rows):
+        for technology in ([], ["--technology", "none"]):
+            out = tmp_path / "eval.csv"
+            assert run_cli("eval", "--model", str(model), "--task", "csv", "--test-csv",
+                           str(test), "--block-size", str(n), "--precision", "3", *technology,
+                           "--deterministic", "--output", str(out)) == 0
+            assert _rows(out) == [row]
+
+
+def test_resumed_sweep_without_a_table_keeps_its_logged_points(bits_csv, tmp_path, capsys):
+    """A resumed noise-free sweep finds a logged point by its configuration
+    (no technology, 0 V, r = 1) and writes it as logged, not run again."""
+    train, test, _ = bits_csv
+    argv = ["sweep", "--task", "csv", "--train-csv", str(train), "--test-csv", str(test),
+            "--technologies", "none", "--block-sizes", "3,7", "--precisions", "3",
+            "--dimensions", "16", "--deterministic", "--output"]
+    full, resumed = tmp_path / "full.csv", tmp_path / "resumed.csv"
+    assert run_cli(*argv, str(full)) == 0
+    points, _ = explorer.read_results_csv(full)
+    logged = replace(points[0], accuracy_mean=0.125)  # not what a rerun reads
+    (tmp_path / "resumed.csv.partial.jsonl").write_text(_partial_header(full) + json.dumps(
+        {column: getattr(logged, field) for field, column, _ in explorer.COLUMNS}) + "\n")
+    capsys.readouterr()
+    assert run_cli(*argv, str(resumed)) == 0
+    assert "resuming: 1 points already evaluated" in capsys.readouterr().out
+    assert [replace(p, pareto=False) for p in explorer.read_results_csv(resumed)[0]] == [
+        replace(p, pareto=False) for p in (logged, points[1])]
+    assert not (tmp_path / "resumed.csv.partial.jsonl").exists()
 
 
 def test_ideal_eval_takes_any_seed(unseen_label_csv, tmp_path):
@@ -643,10 +701,15 @@ def test_sweep_point_refused_after_valid_ones_runs_no_point(block_sizes, precisi
     ("--precisions", "7,0", "E-USAGE: precision must be in [1, 7], got 0"),
     ("--voltages", "0.75",
      "E-CONFIG: hardware catalog has no entry for technology=sram voltage_V=0.75 block_size=7"),
-], ids=["zero-precision", "catalog-gap"])
+    ("--technologies", "none,sram", "E-USAGE: technology 'none' (0 pJ) is swept alone, "
+                                    "not beside a table"),
+    ("--technologies", "fefinfet,none", "E-USAGE: technology 'none' (0 pJ) is swept alone, "
+                                        "not beside a table"),
+], ids=["zero-precision", "catalog-gap", "no-table-beside-a-table", "a-table-beside-no-table"])
 def test_refused_sweep_reads_no_data(flag, value, error, tmp_path, capsys):
-    """A sweep that one of its points refuses exits with that point's error
-    before it reads a data set: its training and query files do not exist."""
+    """A sweep that one of its points, or its space, refuses exits with that
+    error before it reads a data set: its training and query files do not
+    exist, and it leaves no file, a resume log neither."""
     missing = str(tmp_path / "nope.csv")
     axes = {"--voltages": "0.7", "--block-sizes": "7", "--precisions": "7", flag: value}
     assert run_cli("sweep", "--task", "csv", "--train-csv", missing, "--test-csv", missing,
@@ -665,7 +728,7 @@ def test_refused_sweep_reads_no_data(flag, value, error, tmp_path, capsys):
     ("--block-size 1", "E-USAGE: block size must be >= 2, got 1"),
     ("--technology sram --block-size 15 --precision 10",
      "E-CONFIG: precision 10 exceeds the hardware table's maximum of 7"),
-    ("--block-size 7 --precision 8", "E-USAGE: precision must be in [1, 7], got 8"),
+    ("--block-size 7 --precision 8", "E-USAGE: no (block_size, precision) pair satisfies P <= N"),
     ("--technology sram --block-size 7 --precision 8",
      "E-USAGE: no (block_size, precision) pair satisfies P <= N"),
 ], ids=["catalog-gap", "even-replicas", "zero-trials", "block-size-1", "above-the-table",
@@ -1320,7 +1383,9 @@ def test_filtered_hwmodel_builds_only_its_tables(monkeypatch, capsys):
     ("--technology sram --voltage 0.7 --block-size 8 --trials 2", [[("sram", 0.7, 8, 7)]]),
     ("", []),
     ("--block-size 15 --precision 7", []),
-], ids=["hardware", "ideal", "noise-free-blocked"])
+    ("--technology none --block-size 15", []),
+    ("--technology none", []),
+], ids=["hardware", "ideal", "noise-free-blocked", "none-blocked", "none-ideal"])
 def test_eval_builds_only_its_table(flags, tables, unseen_label_csv, monkeypatch, capsys):
     """A hardware eval calibrates its one table, in one call; the noise-free
     evals build none and never open the default catalog."""
@@ -1427,6 +1492,37 @@ def test_table_whose_metrics_overflow_is_a_config_error(command, unseen_label_cs
     assert err.count("\n") == 1, err
     _assert_nothing_written(tmp_path)
     assert not (tmp_path / "out_pareto.csv").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_table_whose_latency_draws_can_overflow_is_refused_when_loaded(unseen_label_csv,
+                                                                       tmp_path, capsys):
+    """A table whose slowest latency draw, mu + Z_MAX sigma with Z_MAX the
+    largest quantile ``slowest_latency`` reads, is not finite fails
+    validation with one E-CONFIG line naming it, and a hardware eval under it
+    exits so whatever its seed; a table below the bound loads."""
+    _, test, model = unseen_label_csv
+    tables = tmp_path / "t.json"
+    assert run_cli("export", "hw-tables", "--output", str(tables)) == 0
+    [entry] = [e for e in json.loads(tables.read_text())["tables"]
+               if (e["technology"], e["voltage_V"], e["block_size"]) == ("sram", 1.0, 8)]
+    z_max = -statistics.NormalDist().inv_cdf(np.finfo(float).tiny)
+    limit = (sys.float_info.max - max(entry["mu_ns"])) / z_max
+    tables.write_text(json.dumps({"tables": [dict(entry, sigma_ns=[limit / 2] * 7)]}))
+    assert run_cli("hwmodel", "validate", "--tables", str(tables)) == 0
+    tables.write_text(json.dumps({"tables": [dict(entry, sigma_ns=[1e308] * 7)]}))
+    query = tmp_path / "one.csv"
+    query.write_text("\n".join(test.read_text().splitlines()[:2]) + "\n")
+    capsys.readouterr()
+    for argv in [["hwmodel", "validate", "--tables", str(tables)]] + [
+            ["eval", "--model", str(model), "--task", "csv", "--test-csv", str(query),
+             "--technology", "sram", "--voltage", "1.0", "--block-size", "8", "--trials", "1",
+             "--hw-tables", str(tables), "--seed", str(seed)] for seed in range(10)]:
+        assert run_cli(*argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: E-CONFIG: ") and "tables[0]" in err, err
+        assert "sigma, the slowest latency a read can draw, must be finite" in err
+        assert err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("flag", ["--tables", "--config", "--model", "--input", "--train-csv"])

@@ -21,6 +21,7 @@ from hdtcam.am import BlockConfig, distance_histogram
 from hdtcam.errors import ConfigError, DimensionMismatchError
 from hdtcam.explorer import (
     CSV_COLUMNS,
+    NO_TABLE,
     DesignPoint,
     SweepLog,
     SweepSpace,
@@ -74,6 +75,42 @@ def test_sweep_space_validation():
                          ("block_sizes", (7, 15, 7)), ("dimensions", (100, 100))):
         with pytest.raises(ValueError, match=f"axis '{axis}' names one configuration twice"):
             SweepSpace(**{axis: values})
+    # A point without a table costs 0 pJ: beside a table's points it would dominate the front.
+    for technologies in ((NO_TABLE, "sram"), ("fefinfet", NO_TABLE)):
+        with pytest.raises(ValueError, match=r"technology 'none' \(0 pJ\) is swept alone"):
+            SweepSpace(technologies=technologies)
+
+
+def test_point_without_a_table_is_one_per_block_size_precision_and_dimension():
+    """Voltage and r mean nothing without a table: a NO_TABLE sweep plans one
+    point per (N, P, D) with P <= N, in configuration order, with no
+    technology, 0 V and r = 1, no table and one trial, whatever its voltage
+    and replica axes and its trials, and reads no catalog."""
+    space = SweepSpace((NO_TABLE,), (0.5, 0.7, 1.0), (3, 7), (3, 5), (16, 32), (1, 3), 4, 9)
+    want = [("", 0.0, n, p, d, 1) for n in (3, 7) for p in (3, 5) for d in (16, 32) if p <= n]
+    assert list(space.configurations()) == want
+    plan = plan_sweep(space, None)
+    assert [setup.config for setup in plan] == want
+    for (config, cfg, hw, trials, seed), (_, _, n, p, d, _) in zip(plan, want):
+        assert (cfg, hw, trials) == (BlockConfig(d, n, p), None, 1)
+        assert seed == derive_point_seed(9, config)
+
+
+@pytest.mark.parametrize("technology", [None, NO_TABLE], ids=["no-technology", "none"])
+def test_eval_plan_without_a_table_is_its_one_point_sweep(technology):
+    """Without a table, eval's plan is the one-point NO_TABLE sweep of its
+    settings, P defaulting to min(N, MAX_PRECISION), or the ideal point
+    without a block size; ``none`` plans what no technology does, and the
+    catalog is never opened."""
+    def catalog():
+        raise AssertionError("an eval without a table opened the catalog")
+
+    for n, p in ((15, 7), (5, 5)):
+        space = SweepSpace((NO_TABLE,), (0.5,), (n,), (p,), (140,), (3,), 4, 2)
+        assert plan_eval(catalog, 140, technology, 0.5, n, None, 3, 4, 2) == plan_sweep(
+            space, None)
+    [ideal] = plan_eval(catalog, 140, technology, seed=2)
+    assert ideal == (("", 0.0, 140, 140, 140, 1), None, None, 1, 2)
 
 
 def test_configurations_skip_invalid_pairs():
@@ -114,9 +151,9 @@ def test_evaluate_noise_free_full_precision_equals_ideal(rng):
 
 
 def test_point_without_a_table_is_read_exactly(rng, monkeypatch):
-    """The ideal point and a noise-free point at 1 and at 3 trials each equal
-    the argmin of their clamped totals exactly, with no SD, energy or
-    latency, and draw nothing: no generator is made."""
+    """The ideal point and a noise-free point asked for 1 and for 3 trials
+    each equal the argmin of their clamped totals exactly, with no SD, energy
+    or latency, and draw nothing: no generator is made and no trial is run."""
     am, qs, labels = _toy_dataset(rng, flip=0.4)
 
     def no_generator(*args, **kwargs):
@@ -127,7 +164,7 @@ def test_point_without_a_table_is_read_exactly(rng, monkeypatch):
     assert ideal == blocked_point(am, qs, labels, BlockConfig(140, 140, 140), trials=1)
     for trials in (1, 3):
         point = _noise_free_point(am, qs, labels, 7, 2, trials)
-        assert point == blocked_point(am, qs, labels, BlockConfig(140, 7, 2), trials=trials)
+        assert point == blocked_point(am, qs, labels, BlockConfig(140, 7, 2), trials=1)
     assert point.accuracy_mean < ideal.accuracy_mean < 1  # P = 2 clamps accuracy away
 
 

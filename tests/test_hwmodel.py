@@ -72,6 +72,32 @@ def test_latency_model_validation():
         _table("sram", 0.7, 8, 3, tiny, sig, 1.0)
 
 
+# The largest N(0, 1) quantile a latency draw reads: at U = 1 the tail
+# 1 - U^(1/m) is 0, clipped to the least positive normal float.
+_Z_MAX = -statistics.NormalDist().inv_cdf(np.finfo(float).tiny)
+
+
+def test_table_whose_slowest_draw_overflows_is_refused():
+    """A table whose slowest latency draw, mu + Z_MAX sigma, is not finite is
+    refused when it is built; one at the bound is built, and its slowest
+    draw, at U = 1, is that finite latency."""
+    class AtTheTail:
+        def random(self, shape):
+            return np.ones(shape)
+
+    mu = np.array([2.0, 1.5, 1.0])
+    limit = (sys.float_info.max - mu[0]) / _Z_MAX
+    for sigma in (limit * 1.001, 1e308):
+        with pytest.raises(ConfigError, match=r"mu \+ 37.52 sigma, the slowest latency a read "
+                                              "can draw, must be finite"):
+            _table("sram", 0.7, 8, 3, mu, np.full(3, sigma), 3.0)
+    sigma = limit * 0.999
+    entry = _table("sram", 0.7, 8, 3, mu, np.full(3, sigma), 3.0)
+    assert hwmodel.Z_MAX == _Z_MAX
+    [slowest] = entry.slowest_latency(np.array([[0, 1, 1, 1]]), AtTheTail())
+    assert slowest == mu[0] + _Z_MAX * sigma < np.inf
+
+
 def test_energy_validation():
     """A table's energy row lists one positive, finite energy per reported
     distance 0..P, and every change of precision cuts it with mu and sigma."""
@@ -719,6 +745,7 @@ def _check_valid(catalog):
         _assert_round_trips(entry)
         assert np.isfinite(entry.voltage) and entry.voltage > 0
         assert np.all(np.isfinite(entry.mu_ns)) and np.all(np.isfinite(entry.sigma_ns))
+        assert np.all(np.isfinite(entry.mu_ns + _Z_MAX * entry.sigma_ns))  # the slowest draw
         assert np.isfinite(entry.match_timeout_ns)
         assert np.all(np.diff(entry.mu_ns) < 0) and np.all(entry.sigma_ns > 0)
         assert entry.match_timeout_ns > entry.mu_ns[0]
